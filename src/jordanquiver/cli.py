@@ -17,7 +17,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import classify as clf
 from . import components as comp
@@ -102,17 +101,11 @@ def _cmd_jt(args) -> int:
 # ----------------------------------------------------------------- component
 
 
-def _component_rows(profile, ql_max: int, jobs: int):
-    def row(q):
-        if isinstance(profile, comp.TubeProfile):
-            return q, profile.jordan_type_at(q)
-        return q, comp.split_propagate(profile, q)
-
+def _component_rows(profile, ql_max: int):
     qls = range(1, ql_max + 1)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(row, qls))
-    return [row(q) for q in qls]
+    if isinstance(profile, comp.TubeProfile):
+        return [(q, profile.jordan_type_at(q)) for q in qls]
+    return [(q, comp.split_propagate(profile, q)) for q in qls]
 
 
 def _cmd_component(args) -> int:
@@ -139,7 +132,9 @@ def _cmd_component(args) -> int:
             if result.note:
                 _emit(result.note)
         return EXIT_OK
-    rows = _component_rows(profile, args.ql_max, args.jobs)
+    if args.ql_max < 1:
+        raise ValidationError(f"--ql-max must be >= 1, got {args.ql_max}")
+    rows = _component_rows(profile, args.ql_max)
     if args.format == "json":
         _emit(
             json.dumps(
@@ -220,7 +215,7 @@ def _cmd_oracle(args) -> int:
                     return EXIT_VALIDATION
         lines.append(f"fuzz PASS ({args.fuzz} conjugations per model)")
     _emit("\n".join(lines))
-    return EXIT_OK
+    return EXIT_VALIDATION if any(" FAIL " in line for line in lines) else EXIT_OK
 
 
 # -------------------------------------------------------------------- quiver
@@ -323,7 +318,6 @@ def _cmd_classify(args) -> int:
 def _add_common(sp, default_format="tsv", formats=("tsv", "json")):
     sp.add_argument("--p", type=int, default=None, help="prime modulus")
     sp.add_argument("--format", choices=formats, default=default_format)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel grid cells")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,10 +33,6 @@ def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def _matvec(a: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def _identity(p: int) -> list[list[int]]:
     return [[int(i == j) for j in range(p)] for i in range(p)]
 
@@ -55,15 +51,6 @@ class CartanPair:
     a: Matrix
     b: Matrix
 
-    def row_a(self, i: int) -> tuple[int, ...]:
-        return self.a[i - 1]
-
-    def apply_a(self, v: Sequence[int]) -> list[int]:
-        return _matvec(self.a, v)
-
-    def apply_b(self, v: Sequence[int]) -> list[int]:
-        return _matvec(self.b, v)
-
 
 def build_cartan_pair(p: int) -> CartanPair:
     if p < 2:
@@ -80,6 +67,24 @@ def build_cartan_pair(p: int) -> CartanPair:
     if _matmul(a, b) != ident or _matmul(b, a) != ident:
         raise ValidationError(f"A and B are not mutually inverse at p={p}")
     return CartanPair(p, tuple(map(tuple, a)), tuple(map(tuple, b)))
+
+
+def apply_a(n: Sequence[int]) -> list[int]:
+    """A n in O(p): the stencil 2 n_i - n_{i-1} - n_{i+1}, with A_pp = 1."""
+    t = [2 * x - a - b for x, a, b in zip(n, [0, *n[:-1]], [*n[1:], 0])]
+    t[-1] -= n[-1]
+    return t
+
+
+def apply_b(t: Sequence[int]) -> list[int]:
+    """B t in O(p): (B t)_i = sum_{k <= i} sum_{l >= k} t_l."""
+    out = []
+    suffix, acc = sum(t), 0
+    for x in t:
+        acc += suffix
+        out.append(acc)
+        suffix -= x
+    return out
 
 
 # ------------------------------------------------------------- tube profiles
@@ -145,7 +150,7 @@ class TubeProfile:
         """The Jordan type at quasi-length ql; a_p is 0 unless include_p."""
         if ql < self.start:
             raise ValidationError(f"profile only valid from ql={self.start}, got {ql}")
-        mult = [self.value(i, ql) for i in range(1, self.p + 1)]
+        mult = [s * ql + t for s, t in zip(self.slopes, self.intercepts)]
         if not self.include_p:
             mult[self.p - 1] = 0
         return JordanType(self.p, tuple(mult))
@@ -162,7 +167,6 @@ def _first_negative_ql(slope: int, intercept: int, start: int) -> int:
 def tube_profile_from_seed(
     seed: JordanType,
     multiplicities: Sequence[int],
-    cartan: CartanPair | None = None,
     include_p: bool = False,
 ) -> TubeProfile:
     """Profile of the tube generated by a quasi-simple seed at ql = 1.
@@ -180,11 +184,7 @@ def tube_profile_from_seed(
         raise ValidationError(f"multiplicities must be >= 0, got {n}")
     if all(x == 0 for x in n):
         raise ValidationError("multiplicity vector must be nonzero on a non-split tube")
-    if cartan is None:
-        cartan = build_cartan_pair(p)
-    elif cartan.p != p:
-        raise ValidationError(f"Cartan pair has p={cartan.p}, seed has p={p}")
-    t = cartan.apply_a(n + [0])
+    t = apply_a(n + [0])
     slopes = [seed.mult[i] - t[i] for i in range(p)]
     return TubeProfile(
         p, tuple(slopes), tuple(t), start=1, include_p=include_p
@@ -195,7 +195,6 @@ def tube_forward(
     seed: JordanType,
     multiplicities: Sequence[int],
     ql: int,
-    cartan: CartanPair | None = None,
     include_p: bool = False,
 ) -> JordanType:
     """Jordan type at quasi-length ql on the tube generated by the seed.
@@ -205,7 +204,7 @@ def tube_forward(
     """
     if ql < 1:
         raise ValidationError(f"ql must be >= 1, got {ql}")
-    profile = tube_profile_from_seed(seed, multiplicities, cartan, include_p)
+    profile = tube_profile_from_seed(seed, multiplicities, include_p)
     return profile.jordan_type_at(ql)
 
 
@@ -252,9 +251,7 @@ class SolveResult:
     note: str = ""
 
 
-def solve_multiplicities(
-    profile: TubeProfile, cartan: CartanPair | None = None
-) -> SolveResult:
+def solve_multiplicities(profile: TubeProfile) -> SolveResult:
     """Recover the seed multiplicities n from a tube profile.
 
     The intercept vector t determines n = B t exactly.  When the profile
@@ -264,16 +261,12 @@ def solve_multiplicities(
     relatively projective seed could produce it.
     """
     p = profile.p
-    if cartan is None:
-        cartan = build_cartan_pair(p)
-    elif cartan.p != p:
-        raise ValidationError(f"Cartan pair has p={cartan.p}, profile has p={p}")
     t = list(profile.intercepts)
     note = ""
     if not profile.include_p:
         t[p - 1] = 0
         note = "i=p intercept not asserted by the profile; padded with 0"
-    n = cartan.apply_b(t)
+    n = apply_b(t)
     if n[p - 1] != 0:
         hint = (
             " (the profile omits its i=p row; the padded intercept may be wrong "

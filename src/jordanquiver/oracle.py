@@ -13,6 +13,7 @@ with sparse triplets.
 from __future__ import annotations
 
 import random
+from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
@@ -108,8 +109,9 @@ class NilpotentModel:
     __slots__ = ("p", "dim", "rows", "rank_sequence")
 
     def __init__(self, p: int, rows: Iterable[Iterable[int]]):
-        if p < 2:
-            raise ValidationError(f"p must be >= 2, got {p}")
+        # ranks are computed by elimination over F_p, which needs a field
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise ValidationError(f"p must be prime, got {p}")
         mat = tuple(tuple(int(x) % p for x in row) for row in rows)
         dim = len(mat)
         if any(len(row) != dim for row in mat):

@@ -1,6 +1,7 @@
 import json
 
 from jordanquiver.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from jordanquiver.jtypes import JordanType
 
 
 def run(capsys, *argv):
@@ -64,6 +65,8 @@ def test_jt_requires_p(capsys):
 
 def test_usage_error_is_parse_error(capsys):
     code, _, _ = run(capsys, "jt", "frobnicate", "--p", "5")
+    assert code == EXIT_PARSE
+    code, _, _ = run(capsys, "component", "--spec", "{}", "--jobs", "2")
     assert code == EXIT_PARSE
 
 
@@ -164,10 +167,11 @@ def test_component_split_table(capsys):
         assert table[(q, 1)] == q and table[(q, 4)] == q and table[(q, 5)] == 0
 
 
-def test_component_jobs_flag_is_deterministic(capsys):
-    _, solo, _ = run(capsys, "component", "--spec", HEIS_SPEC, "--ql-max", "6")
-    _, multi, _ = run(capsys, "component", "--spec", HEIS_SPEC, "--ql-max", "6", "--jobs", "4")
-    assert solo == multi
+def test_component_rejects_ql_max_below_one(capsys):
+    for ql_max in ("0", "-3"):
+        code, out, err = run(capsys, "component", "--spec", HEIS_SPEC, "--ql-max", ql_max)
+        assert code == EXIT_VALIDATION and out == ""
+        assert "--ql-max" in err
 
 
 def test_component_bad_json_exit(capsys):
@@ -219,6 +223,22 @@ def test_oracle_json_model(capsys):
     model = json.dumps({"p": 5, "dim": 3, "entries": [[1, 0, 1], [2, 1, 1]]})
     code, out, _ = run(capsys, "oracle", "json", "--module", model)
     assert code == EXIT_OK and out == "[3]\n"
+
+
+def test_oracle_rejects_non_prime_p(capsys):
+    for argv in (["heisenberg", "--p", "4"], ["sl2s", "--p", "9"], ["sl2s", "--p", "9", "--i", "3"]):
+        code, out, err = run(capsys, "oracle", *argv)
+        assert code == EXIT_VALIDATION and out == "", argv
+        assert "validation error" in err and "Traceback" not in err, argv
+
+
+def test_oracle_failed_cross_check_exits_nonzero(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "jordanquiver.oracle.jordan_type_of", lambda model: JordanType.block(model.p, 1, model.dim)
+    )
+    code, out, _ = run(capsys, "oracle", "rank2", "--p", "5")
+    assert code == EXIT_VALIDATION
+    assert out == "5[1] PASS\n5[1] FAIL (expected [2]+3[1])\n"
 
 
 def test_oracle_unknown_model(capsys):
