@@ -2,9 +2,13 @@
 
 The Jordan type of a concrete operator N with N^p = 0 is recovered from
 its rank sequence r_m = rank(N^m) via a_i = r_{i-1} - 2 r_i + r_{i+1}.
-Ranks are computed by exact Gaussian elimination mod p, so every answer
-here is independent of the closed-form routines in the other modules
-and can be used to cross-check them.
+r_m is the dimension of the image chain im N ⊇ im N^2 ⊇ ...: a sparse
+echelon basis of each term, mapped through N, spans the next, and no
+power N^m is ever formed.  The arithmetic is exact mod p, so every
+answer here is independent of the closed-form routines in the other
+modules and can be used to cross-check them.  The dense kit
+(``rank_mod_p``, ``mat_mul_mod_p``, ``invert_mod_p``) builds conjugated
+and power models and is the reference the tests check the chain against.
 
 Models serialize as JSON ``{"p": 5, "dim": 25, "entries": [[r, c, v], ...]}``
 with sparse triplets.
@@ -16,7 +20,7 @@ import random
 from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, json_int
 from .jtypes import JordanType, restrict_type
 
 Matrix = list[list[int]]
@@ -91,8 +95,79 @@ def invert_mod_p(rows: Sequence[Sequence[int]], p: int) -> Matrix:
     return [row[n:] for row in a]
 
 
-def _is_zero(rows: Sequence[Sequence[int]]) -> bool:
-    return all(all(x == 0 for x in row) for row in rows)
+def _reduced_echelon(vectors: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """A basis of the span of sparse vectors over F_p, in reduced echelon form.
+
+    Vectors are dicts ``index -> nonzero value``.  The result maps each
+    pivot to the basis vector whose smallest index it is; that vector
+    holds 1 at its pivot and 0 at every other pivot.  The input dicts
+    are consumed.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        while vec:
+            lead = min(vec)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(vec[lead], -1, p)
+                if inv != 1:
+                    vec = {k: x * inv % p for k, x in vec.items()}
+                pivots[lead] = vec
+                break
+            # every index of prow is >= lead, so the next lead is larger
+            _subtract(vec, vec[lead], prow, p)
+    # back substitution, from the last pivot: each row subtracted is
+    # already 0 at the other pivots, so it brings in no pivot entries
+    for lead in sorted(pivots, reverse=True):
+        row = pivots[lead]
+        for k in [k for k in row if k != lead and k in pivots]:
+            _subtract(row, row[k], pivots[k], p)
+    return pivots
+
+
+def _subtract(vec: dict[int, int], f: int, row: Mapping[int, int], p: int) -> None:
+    """vec -= f * row over F_p, in place, keeping only nonzero entries."""
+    for k, x in row.items():
+        y = (vec.get(k, 0) - f * x) % p
+        if y:
+            vec[k] = y
+        else:
+            del vec[k]
+
+
+def _image_chain_ranks(mat: Sequence[Sequence[int]], p: int) -> list[int]:
+    """(rank N^0, ..., rank N^p) for a square N over F_p with entries in 0..p-1.
+
+    rank N^m is the dimension of im N^m, and im N^(m+1) = N(im N^m): a
+    basis of im N^m mapped through N spans the next term of the chain.
+    Each step keeps the operator restricted to the current term, in the
+    coordinates of its reduced echelon basis: a vector w of the span is
+    the sum of w[q] * b_q over the pivots q, so its coordinates are its
+    pivot entries, and the operator shrinks with the chain.  The chain
+    decreases; once it is zero or stops shrinking it is constant, and
+    the remaining ranks repeat the last one.
+    """
+    dim = len(mat)
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
+    for r, row in enumerate(mat):
+        for c, v in enumerate(row):
+            if v:
+                cols[c].append((r, v))
+    ranks = [dim]
+    while True:
+        basis = _reduced_echelon((dict(col) for col in cols if col), p)
+        ranks.append(len(basis))
+        if len(ranks) > p or not basis or ranks[-1] == ranks[-2]:
+            return ranks + [ranks[-1]] * (p + 1 - len(ranks))
+        coord = {q: i for i, q in enumerate(basis)}
+        at_pivots = [[(coord[r], v) for r, v in col if r in coord] for col in cols]
+        cols = []
+        for vec in basis.values():
+            out: dict[int, int] = {}
+            for j, x in vec.items():
+                for r, v in at_pivots[j]:
+                    out[r] = out.get(r, 0) + x * v
+            cols.append([(r, y % p) for r, y in out.items() if y % p])
 
 
 # -------------------------------------------------------------------- model
@@ -101,9 +176,11 @@ def _is_zero(rows: Sequence[Sequence[int]]) -> bool:
 class NilpotentModel:
     """A square matrix N over F_p with N^p = 0.
 
-    The rank sequence (r_0, ..., r_p) is computed once at construction;
-    it both certifies nilpotency of order <= p and drives Jordan-type
-    extraction.  Instances are immutable.
+    The rank sequence (r_0, ..., r_p) is computed once at construction,
+    as the dimensions of the image chain im N ⊇ im N^2 ⊇ ... (see
+    ``_image_chain_ranks``); it both certifies nilpotency of order <= p
+    and drives Jordan-type extraction.  ``rows`` keeps the dense matrix.
+    Instances are immutable.
     """
 
     __slots__ = ("p", "dim", "rows", "rank_sequence")
@@ -119,16 +196,7 @@ class NilpotentModel:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "rows", mat)
-        ranks = [dim]
-        power = [list(row) for row in mat]
-        for _ in range(p):
-            if ranks[-1] == 0:
-                ranks.append(0)
-                continue
-            r = rank_mod_p(power, p)
-            ranks.append(r)
-            if r:
-                power = mat_mul_mod_p(power, mat, p)
+        ranks = _image_chain_ranks(mat, p)
         if ranks[p] != 0:
             raise ValidationError(
                 f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {ranks[p]})"
@@ -153,25 +221,32 @@ class NilpotentModel:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "NilpotentModel":
         try:
-            p = int(data["p"])
-            dim = int(data["dim"])
-            entries = data["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
+            p, dim, entries = data["p"], data["dim"], data["entries"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"model JSON needs 'p', 'dim', 'entries': {exc}") from exc
+        p = json_int(p, "p")
+        dim = json_int(dim, "dim")
+        if dim < 0:
+            raise ParseError(f"dim must be >= 0, got {dim}")
+        if not isinstance(entries, list):
+            raise ParseError(f"entries must be a list, got {type(entries).__name__}")
         rows = [[0] * dim for _ in range(dim)]
-        for item in entries:
-            try:
-                r, c, v = (int(x) for x in item)
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad sparse entry {item!r}") from exc
+        seen = set()
+        for n, item in enumerate(entries):
+            if not isinstance(item, list) or len(item) != 3:
+                raise ParseError(f"entries[{n}] must be [r, c, v], got {item!r}")
+            r, c, v = (json_int(x, f"entries[{n}][{k}]") for k, x in enumerate(item))
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ParseError(f"entry ({r},{c}) outside a {dim}x{dim} matrix")
+            if (r, c) in seen:
+                raise ParseError(f"entries[{n}] repeats entry ({r},{c})")
+            seen.add((r, c))
             rows[r][c] = v
         return cls(p, rows)
 
 
 def jordan_type_of(model: NilpotentModel) -> JordanType:
-    """Extract the Jordan type from the rank sequence of matrix powers."""
+    """Extract the Jordan type from the rank sequence of the model."""
     r = list(model.rank_sequence) + [0]
     mult = [r[i - 1] - 2 * r[i] + r[i + 1] for i in range(1, model.p + 1)]
     jt = JordanType(model.p, tuple(mult))

@@ -241,6 +241,18 @@ def test_oracle_failed_cross_check_exits_nonzero(capsys, monkeypatch):
     assert out == "5[1] PASS\n5[1] FAIL (expected [2]+3[1])\n"
 
 
+def test_oracle_json_rejects_malformed_model(capsys):
+    for model in (
+        '{"p":5,"dim":-1,"entries":[]}',
+        '{"p":1e400,"dim":2,"entries":[]}',
+        '{"p":5,"dim":3,"entries":[[1,0,1],[2,1,1],[2,0,1.7]]}',
+        '{"p":5,"dim":3,"entries":5}',
+    ):
+        code, out, err = run(capsys, "oracle", "json", "--module", model)
+        assert code == EXIT_PARSE and out == "", model
+        assert err.startswith("parse error: ") and "Traceback" not in err, model
+
+
 def test_oracle_unknown_model(capsys):
     code, _, _ = run(capsys, "oracle", "nonsense", "--p", "5")
     assert code == EXIT_PARSE

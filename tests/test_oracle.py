@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanquiver.errors import ValidationError
+from jordanquiver.errors import ParseError, ValidationError
 from jordanquiver.jtypes import JordanType, restrict, restrict_type
 from jordanquiver.oracle import (
     NilpotentModel,
@@ -44,6 +44,49 @@ def test_invert_mod_p_round_trip():
         assert mat_mul_mod_p(g, gi, p) == ident
 
 
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def dense_rank_sequence(p, rows):
+    """rank_mod_p of N^0, ..., N^p, the powers built by repeated mat_mul_mod_p."""
+    dim = len(rows)
+    power = [[int(r == c) for c in range(dim)] for r in range(dim)]
+    ranks = []
+    for _ in range(p + 1):
+        ranks.append(rank_mod_p(power, p) if dim else 0)
+        power = mat_mul_mod_p(power, rows, p)
+    return tuple(ranks)
+
+
+def test_rank_sequence_matches_dense_powers():
+    rng = random.Random(2008)
+    non_nilpotent = 0
+    for trial in range(600):
+        p = [2, 3, 5, 7, 11, 13][trial % 6]
+        dim = rng.randint(0, 14)
+        kind = trial % 3
+        strictly_lower = [
+            [rng.randrange(p) if c < r else 0 for c in range(dim)] for r in range(dim)
+        ]
+        if kind == 0:
+            rows = strictly_lower
+        elif kind == 1:
+            g = random_invertible(dim, p, rng)
+            rows = mat_mul_mod_p(mat_mul_mod_p(g, strictly_lower, p), invert_mod_p(g, p), p)
+        else:
+            rows = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
+        expected = dense_rank_sequence(p, rows)
+        if expected[p] == 0:
+            assert NilpotentModel(p, rows).rank_sequence == expected, (p, rows)
+        else:
+            non_nilpotent += 1
+            message = f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {expected[p]})"
+            with pytest.raises(ValidationError) as info:
+                NilpotentModel(p, rows)
+            assert str(info.value) == message, (p, rows)
+    assert non_nilpotent > 100
+
+
 def test_model_rejects_non_nilpotent():
     with pytest.raises(ValidationError):
         NilpotentModel(3, [[1, 0], [0, 0]])
@@ -77,7 +120,7 @@ def test_rank_sequence_is_convex_and_consistent():
 # ---------------------------------------------------------------- constructors
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("p", ODD_PRIMES)
 def test_heisenberg_type(p):
     model = heisenberg_model(p)
     assert model.dim == p * p
@@ -108,14 +151,14 @@ def test_ga2_rejects_p2():
         ga2_model(2)
 
 
-@pytest.mark.parametrize("p,i", [(5, 1), (5, 2), (7, 3), (7, 6)])
+@pytest.mark.parametrize("p,i", [(p, i) for p in ODD_PRIMES for i in range(1, p)])
 def test_sl2s_verma_types(p, i):
     e_model, f_model = sl2s_models(p, i)
     assert jordan_type_of(f_model) == JordanType.block(p, p)
     assert jordan_type_of(e_model) == JordanType.from_counts(p, {i: 1, p - i: 1})
 
 
-@pytest.mark.parametrize("p,n", [(5, 1), (5, 4), (7, 3)])
+@pytest.mark.parametrize("p,n", [(p, n) for p in ODD_PRIMES for n in range(1, p)])
 def test_sl2_simple_types(p, n):
     e_model, f_model = sl2_simple_models(p, n)
     assert jordan_type_of(e_model) == JordanType.block(p, n)
@@ -200,3 +243,35 @@ def test_model_json_round_trip():
     back = NilpotentModel.from_json_dict(data)
     assert back.rows == model.rows and back.p == model.p
     assert jordan_type_of(back) == jordan_type_of(model)
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"p": 5, "dim": -1, "entries": []}, "dim must be >= 0, got -1"),
+        ({"p": float("inf"), "dim": 2, "entries": []}, "p must be a JSON integer, got inf"),
+        ({"p": 5.9, "dim": 2, "entries": []}, "p must be a JSON integer, got 5.9"),
+        ({"p": True, "dim": 2, "entries": []}, "p must be a JSON integer, got True"),
+        ({"p": 5, "dim": "3", "entries": []}, "dim must be a JSON integer, got '3'"),
+        (
+            {"p": 5, "dim": 3, "entries": [[1, 0, 1], [2, 1, 1], [2, 0, 1.7]]},
+            "entries[2][2] must be a JSON integer, got 1.7",
+        ),
+        ({"p": 5, "dim": 3, "entries": [[1, 0, 1], [1, 0, 2]]}, "entries[1] repeats entry (1,0)"),
+        ({"p": 5, "dim": 3, "entries": ["012"]}, "entries[0] must be [r, c, v], got '012'"),
+        ({"p": 5, "dim": 3, "entries": 5}, "entries must be a list, got int"),
+        ({"p": 5, "dim": 3, "entries": [[0, 3, 1]]}, "entry (0,3) outside a 3x3 matrix"),
+    ],
+)
+def test_model_json_is_strict(data, message):
+    with pytest.raises(ParseError) as info:
+        NilpotentModel.from_json_dict(data)
+    assert str(info.value) == message
+
+
+def test_model_json_keeps_validation_messages():
+    with pytest.raises(ValidationError, match=r"^p must be prime, got 4$"):
+        NilpotentModel.from_json_dict({"p": 4, "dim": 1, "entries": []})
+    with pytest.raises(ValidationError) as info:
+        NilpotentModel.from_json_dict({"p": 5, "dim": 2, "entries": [[0, 1, 1], [1, 0, 1]]})
+    assert str(info.value) == "matrix is not nilpotent of order <= 5 (rank of N^5 is 2)"

@@ -1,4 +1,5 @@
-"""Smoke test: the scripts in scripts/ run end to end against src/."""
+"""Smoke test: the scripts in scripts/ and ``python -m jordanquiver`` run
+end to end against src/."""
 
 import os
 import subprocess
@@ -8,12 +9,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(*argv):
+def run_python(*argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def run_script(*argv):
+    return run_python(str(ROOT / "scripts" / argv[0]), *argv[1:])
 
 
 def test_tube_sweep_round_trips():
@@ -25,3 +29,11 @@ def test_tube_sweep_round_trips():
 def test_worked_examples_run():
     result = run_script("worked_examples.py")
     assert result.returncode == 0, result.stderr
+
+
+def test_python_m_runs_the_cli():
+    result = run_python("-m", "jordanquiver", "oracle", "heisenberg", "--p", "13")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "[13]+2[12]+2[11]+2[10]+2[9]+2[8]+2[7]+2[6]+2[5]+2[4]+2[3]+2[2]+2[1] PASS\n"
+    )
