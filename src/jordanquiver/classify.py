@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ValidationError
-from .jtypes import JordanType
+from .errors import ParseError, ValidationError, json_field, json_value
+from .jtypes import JordanType, require_prime
 
 
 class OddPullback(Enum):
@@ -59,11 +59,15 @@ class AmbientGeometry:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "AmbientGeometry":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(data) - known
+        # flags default to False, numbers to None
+        kinds = {
+            f.name: bool if f.default is False else int
+            for f in cls.__dataclass_fields__.values()
+        }
+        bad = set(json_value(data, dict, "ambient")) - set(kinds)
         if bad:
             raise ParseError(f"unknown ambient fields {sorted(bad)}")
-        return cls(**{k: data[k] for k in data})
+        return cls(**{k: json_value(v, kinds[k], f"ambient.{k}") for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,7 @@ class CohomologyClassDescriptor:
     def __post_init__(self):
         if self.p < 3:
             raise ValidationError(f"the rule engine needs p >= 3, got {self.p}")
+        require_prime(self.p)
         if self.degree < 1:
             raise ValidationError(f"degree must be >= 1, got {self.degree}")
         if self.dim_total is not None and self.dim_total < 0:
@@ -103,28 +108,21 @@ class CohomologyClassDescriptor:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CohomologyClassDescriptor":
         known = {f for f in cls.__dataclass_fields__}
-        bad = set(data) - known
+        bad = set(json_value(data, dict, "")) - known
         if bad:
             raise ParseError(f"unknown descriptor fields {sorted(bad)}")
-        try:
-            p = int(data["p"])
-            degree = int(data["degree"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"descriptor needs 'p' and 'degree': {exc}") from exc
-        ambient = AmbientGeometry.from_json_dict(data.get("ambient", {}))
-        odd = data.get("odd_pullback", "mixed")
+        odd = json_field(data, "odd_pullback", str, default="mixed")
         try:
             odd_pb = OddPullback(odd)
         except ValueError as exc:
             raise ParseError(f"bad odd_pullback {odd!r}") from exc
-        dim_total = data.get("dim_total")
         return cls(
-            p=p,
-            degree=degree,
-            nilpotent=bool(data.get("nilpotent", False)),
-            dim_total=None if dim_total is None else int(dim_total),
+            p=json_field(data, "p", int),
+            degree=json_field(data, "degree", int),
+            nilpotent=json_field(data, "nilpotent", bool, default=False),
+            dim_total=json_field(data, "dim_total", int, default=None),
             odd_pullback=odd_pb,
-            ambient=ambient,
+            ambient=AmbientGeometry.from_json_dict(data.get("ambient", {})),
         )
 
 
@@ -394,6 +392,7 @@ def sl2_family_types(
     """
     if p < 3:
         raise ValidationError(f"need p >= 3, got {p}")
+    require_prime(p)
     if pi_dim not in (0, 1):
         raise ValidationError(f"support dimension must be 0 or 1, got {pi_dim}")
     i = block_index

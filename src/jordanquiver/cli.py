@@ -17,6 +17,7 @@ import argparse
 import json
 import random
 import sys
+from pathlib import Path
 
 from . import classify as clf
 from . import components as comp
@@ -39,14 +40,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json_arg(text: str):
     """Accept inline JSON or @path / plain path to a JSON file."""
-    raw = text
-    if text.startswith("@"):
-        raw = open(text[1:], "r", encoding="utf-8").read()
-    elif not text.lstrip().startswith(("{", "[")):
-        raw = open(text, "r", encoding="utf-8").read()
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
+        if text.startswith("@"):
+            text = Path(text[1:]).read_text(encoding="utf-8")
+        elif not text.lstrip().startswith(("{", "[")):
+            text = Path(text).read_text(encoding="utf-8")
+        return json.loads(text)
+    # ValueError also covers a file that is not UTF-8 and an over-long integer
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON: {exc}") from exc
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, json_array, json_field
 from .jtypes import DominanceResult, JordanType
 from .quiver import TreeClass
 
@@ -498,42 +498,21 @@ def profile_from_json(spec: Mapping) -> "TubeProfile | SplitProfile":
     When the rank is given and include_p is not, include_p defaults to
     rank == 1 (the homogeneous case).
     """
-    try:
-        kind = spec["kind"]
-        p = int(spec["p"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"component spec needs 'kind' and 'p': {exc}") from exc
+    kind = json_field(spec, "kind", str)
+    p = json_field(spec, "p", int)
     if kind == "tube":
-        include_p = spec.get("include_p")
-        if include_p is None:
-            try:
-                include_p = int(spec.get("rank", 0)) == 1
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"bad tube rank: {exc}") from exc
+        homogeneous = json_field(spec, "rank", int, default=0) == 1
+        include_p = json_field(spec, "include_p", bool, default=homogeneous)
         if "seed" in spec:
-            seed = JordanType.from_json_dict(spec["seed"])
+            seed = JordanType.from_json_dict(spec["seed"], "seed")
             if seed.p != p:
                 raise ValidationError(f"seed has p={seed.p}, spec says p={p}")
-            try:
-                mults = [int(x) for x in spec["multiplicities"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"tube spec needs 'multiplicities': {exc}") from exc
-            return tube_profile_from_seed(seed, mults, include_p=bool(include_p))
-        try:
-            slopes = [int(x) for x in spec["slopes"]]
-            intercepts = [int(x) for x in spec["intercepts"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(
-                f"tube spec needs 'seed'+'multiplicities' or 'slopes'+'intercepts': {exc}"
-            ) from exc
-        return TubeProfile(
-            p, tuple(slopes), tuple(intercepts), include_p=bool(include_p)
-        )
+            mults = json_array(spec, "multiplicities", int)
+            return tube_profile_from_seed(seed, mults, include_p=include_p)
+        slopes = json_array(spec, "slopes", int)
+        return TubeProfile(p, slopes, json_array(spec, "intercepts", int), include_p=include_p)
     if kind == "split":
-        try:
-            d = [int(x) for x in spec["d"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"split spec needs 'd': {exc}") from exc
-        tc = TreeClass.parse(spec["tree_class"]) if "tree_class" in spec else None
-        return SplitProfile.from_d(p, d, tc)
+        tree_class = json_field(spec, "tree_class", str, default=None)
+        tc = None if tree_class is None else TreeClass.parse(tree_class)
+        return SplitProfile.from_d(p, json_array(spec, "d", int), tc)
     raise ParseError(f"unknown component kind {kind!r}")

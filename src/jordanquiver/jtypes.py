@@ -17,9 +17,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from math import isqrt
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, json_array, json_field
 
 _TERM_RE = re.compile(r"(\d*)\s*\[\s*(\d+)\s*\]")
 
@@ -130,15 +131,9 @@ class JordanType:
         return cls(p, tuple(mult))
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "JordanType":
-        try:
-            p = data["p"]
-            mult = data["mult"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"Jordan-type JSON needs 'p' and 'mult': {exc}") from exc
-        if not isinstance(mult, (list, tuple)):
-            raise ParseError("'mult' must be an array")
-        return cls(int(p), tuple(int(m) for m in mult))
+    def from_json_dict(cls, data: Mapping, path: str = "") -> "JordanType":
+        """Read ``{"p": ..., "mult": [...]}`` found at JSON path ``path``."""
+        return cls(json_field(data, "p", int, path), json_array(data, "mult", int, path))
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "mult": list(self.mult)}
@@ -256,6 +251,12 @@ def _split_terms(text: str):
     for chunk in text.split("+"):
         yield pos, chunk
         pos += len(chunk) + 1
+
+
+def require_prime(p: int) -> None:
+    """ValidationError unless ``p`` is prime, as F_p must be a field."""
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValidationError(f"p must be prime, got {p}")
 
 
 def restrict(i: int, j: int, p: int) -> JordanType:

@@ -17,11 +17,10 @@ with sparse triplets.
 from __future__ import annotations
 
 import random
-from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, ValidationError, json_int
-from .jtypes import JordanType, restrict_type
+from .errors import ParseError, ValidationError, json_field, json_value
+from .jtypes import JordanType, require_prime, restrict_type
 
 Matrix = list[list[int]]
 
@@ -187,8 +186,7 @@ class NilpotentModel:
 
     def __init__(self, p: int, rows: Iterable[Iterable[int]]):
         # ranks are computed by elimination over F_p, which needs a field
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-            raise ValidationError(f"p must be prime, got {p}")
+        require_prime(p)
         mat = tuple(tuple(int(x) % p for x in row) for row in rows)
         dim = len(mat)
         if any(len(row) != dim for row in mat):
@@ -220,22 +218,16 @@ class NilpotentModel:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "NilpotentModel":
-        try:
-            p, dim, entries = data["p"], data["dim"], data["entries"]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"model JSON needs 'p', 'dim', 'entries': {exc}") from exc
-        p = json_int(p, "p")
-        dim = json_int(dim, "dim")
+        p = json_field(data, "p", int)
+        dim = json_field(data, "dim", int)
         if dim < 0:
             raise ParseError(f"dim must be >= 0, got {dim}")
-        if not isinstance(entries, list):
-            raise ParseError(f"entries must be a list, got {type(entries).__name__}")
         rows = [[0] * dim for _ in range(dim)]
         seen = set()
-        for n, item in enumerate(entries):
+        for n, item in enumerate(json_field(data, "entries", list)):
             if not isinstance(item, list) or len(item) != 3:
                 raise ParseError(f"entries[{n}] must be [r, c, v], got {item!r}")
-            r, c, v = (json_int(x, f"entries[{n}][{k}]") for k, x in enumerate(item))
+            r, c, v = (json_value(x, int, f"entries[{n}][{k}]") for k, x in enumerate(item))
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ParseError(f"entry ({r},{c}) outside a {dim}x{dim} matrix")
             if (r, c) in seen:

@@ -22,7 +22,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, json_array, json_field, json_value
 
 Vertex = tuple
 Arrow = tuple  # (source, target)
@@ -228,33 +228,23 @@ def build_window(spec: Mapping) -> QuiverWindow:
     Generic Z[T]: ``{"kind": "zt", "tree": {"vertices": [...],
     "arrows": [[s, t], ...]}, "n_min": 0, "n_max": 3}``.
     """
-    try:
-        kind = spec["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"window spec needs a 'kind': {exc}") from exc
+    kind = json_field(spec, "kind", str)
     if kind == "tube":
-        try:
-            return tube_window(int(spec["rank"]), int(spec["max_ql"]))
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad tube spec: {exc}") from exc
+        return tube_window(json_field(spec, "rank", int), json_field(spec, "max_ql", int))
     if kind == "zt":
-        try:
-            n_min = int(spec.get("n_min", 0))
-            n_max = int(spec.get("n_max", n_min + 3))
-            if "tree" in spec:
-                tree_spec = spec["tree"]
-                tree = Quiver(
-                    frozenset(tree_spec["vertices"]),
-                    frozenset(tuple(a) for a in tree_spec["arrows"]),
-                )
-                return zt_window(tree, n_min, n_max)
-            return zt_a_infinity_window(n_min, n_max, int(spec["max_ql"]))
-        except ValidationError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad zt spec: {exc}") from exc
+        n_min = json_field(spec, "n_min", int, default=0)
+        n_max = json_field(spec, "n_max", int, default=n_min + 3)
+        if "tree" not in spec:
+            return zt_a_infinity_window(n_min, n_max, json_field(spec, "max_ql", int))
+        tree = json_field(spec, "tree", dict)
+        arrows = []
+        for n, arrow in enumerate(json_array(tree, "arrows", list, "tree")):
+            if len(arrow) != 2:
+                raise ParseError(f"tree.arrows[{n}] must be [s, t], got {arrow!r}")
+            arrows.append(
+                tuple(json_value(v, str, f"tree.arrows[{n}][{k}]") for k, v in enumerate(arrow))
+            )
+        return zt_window(Quiver(json_array(tree, "vertices", str, "tree"), arrows), n_min, n_max)
     raise ParseError(f"unknown window kind {kind!r}")
 
 

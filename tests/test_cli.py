@@ -1,4 +1,10 @@
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanquiver.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
 from jordanquiver.jtypes import JordanType
@@ -367,3 +373,182 @@ def test_outputs_are_byte_identical_across_runs(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+# -------------------------------------------------------------- strict JSON
+
+
+def _case(case_id, argv, message, code=EXIT_PARSE, file_bytes=None):
+    return pytest.param(argv, file_bytes, code, message, id=case_id)
+
+
+@pytest.mark.parametrize(
+    "argv,file_bytes,code,message",
+    [
+        _case("ambient-srk-string", ["classify", "--descriptor",
+              '{"p":5,"degree":3,"odd_pullback":"all-vanish","ambient":{"srk":"3"}}'],
+              "ambient.srk must be a JSON integer, got '3'"),
+        _case("component-p-overflow", ["component", "--spec",
+              '{"kind":"tube","p":1e400,"slopes":[0],"intercepts":[0]}'],
+              "p must be a JSON integer, got inf"),
+        _case("tree-class-int", ["component", "--spec",
+              '{"kind":"split","p":3,"d":[1,0],"tree_class":5}'],
+              "tree_class must be a JSON string, got 5"),
+        _case("seed-mult-float", ["component", "--spec",
+              '{"kind":"tube","p":3,"seed":{"p":3,"mult":[2.7,1,0]},"multiplicities":[1,0]}'],
+              "seed.mult[0] must be a JSON integer, got 2.7"),
+        _case("classify-p-not-prime", ["classify", "--descriptor", '{"p":4,"degree":2}'],
+              "p must be prime, got 4", code=EXIT_VALIDATION),
+        _case("nilpotent-string", ["classify", "--descriptor",
+              '{"p":5,"degree":4,"nilpotent":"false","dim_total":15}'],
+              "nilpotent must be a JSON boolean, got 'false'"),
+        _case("equidim-string", ["classify", "--descriptor",
+              '{"p":5,"degree":2,"ambient":{"equidim":"no"}}'],
+              "ambient.equidim must be a JSON boolean, got 'no'"),
+        _case("include-p-string", ["component", "--spec",
+              '{"kind":"tube","p":5,"slopes":[0,0,0,0,1],"intercepts":[0,1,1,0,-1],'
+              '"include_p":"no"}'],
+              "include_p must be a JSON boolean, got 'no'"),
+        _case("quiver-rank-float", ["quiver", "--spec", '{"kind":"tube","rank":2.9,"max_ql":4}'],
+              "rank must be a JSON integer, got 2.9"),
+        _case("degree-float", ["classify", "--descriptor", '{"p":5,"degree":2.5}'],
+              "degree must be a JSON integer, got 2.5"),
+        _case("dim-total-string", ["classify", "--descriptor",
+              '{"p":5,"degree":4,"dim_total":"10"}'],
+              "dim_total must be a JSON integer, got '10'"),
+        _case("slopes-string", ["component", "--spec",
+              '{"kind":"tube","p":5,"slopes":["1",0,0,0,1],"intercepts":[0,1,1,0,-1]}'],
+              "slopes[0] must be a JSON integer, got '1'"),
+        _case("ambient-null", ["classify", "--descriptor", '{"p":5,"degree":2,"ambient":null}'],
+              "ambient must be an object, got null"),
+        _case("zt-max-ql-overflow", ["quiver", "--spec", '{"kind":"zt","max_ql":1e400}'],
+              "max_ql must be a JSON integer, got inf"),
+        _case("file-not-utf8", ["component", "--spec", "@FILE"], "bad JSON: ",
+              file_bytes=b"\xff\xfe{"),
+        _case("tree-arrow-string", ["quiver", "--spec",
+              '{"kind":"zt","tree":{"vertices":["a","b"],"arrows":["ab"]}}'],
+              "tree.arrows[0] must be a list, got str"),
+        _case("nesting-too-deep", ["component", "--spec", "[" * 100_000], "bad JSON: "),
+        _case("file-long-integer", ["component", "--spec", "@FILE"], "bad JSON: ",
+              file_bytes=b'{"kind":"tube","p":' + b"9" * 4301 + b"}"),
+    ],
+)
+def test_json_input_is_strict_in_every_subcommand(capsys, tmp_path, argv, file_bytes, code, message):
+    if file_bytes is not None:
+        path = tmp_path / "spec.json"
+        path.write_bytes(file_bytes)
+        argv = [a.replace("@FILE", f"@{path}") for a in argv]
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    assert message in err and "Traceback" not in err
+
+
+# Random argv and JSON for every subcommand, mixing right-typed fields with
+# wrong-typed ones: every input must end in exit 0, 2 or 3, never a crash.
+_SMALL = st.integers(-64, 64)
+_P = st.sampled_from([3, 5, 7]) | _SMALL
+_WRONG = (
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.lists(_SMALL, max_size=3) | st.dictionaries(st.text(max_size=2), _SMALL, max_size=2)
+)
+
+
+def _field(right):
+    """The right JSON type three times in four, a wrong one otherwise."""
+    return st.integers(0, 3).flatmap(lambda k: right if k else _WRONG)
+
+
+def _ints():
+    return _field(st.lists(_field(st.integers(-2, 6)), max_size=12))
+
+
+def _object(required, optional=None):
+    return st.fixed_dictionaries(
+        {k: _field(v) for k, v in required.items()},
+        optional={k: _field(v) for k, v in (optional or {}).items()},
+    )
+
+
+def _argv(*parts):
+    """argv from fixed words, flags with a value (left out at random) and
+    strategies of word lists.  A JSON value is always passed inline."""
+    pieces = []
+    for part in parts:
+        if isinstance(part, str):
+            pieces.append(st.just([part]))
+        elif isinstance(part, tuple):
+            flag, values = part
+            pieces.append(st.just([]) | values.map(lambda v, flag=flag: [flag, str(v)]))
+        else:
+            pieces.append(part)
+    return st.tuples(*pieces).map(lambda ps: [word for p in ps for word in p])
+
+
+def _json_flag(flag, values):
+    return values.map(lambda v: [flag, json.dumps(v)])
+
+
+_TREE_CLASSES = st.sampled_from(["A_inf", "A_inf_inf", "D5_tilde", "E6_tilde", "A5", "Q9"])
+_NAMES = st.sampled_from(["a", "b", "c"])
+_TSV_JSON = st.sampled_from(["tsv", "json"])
+
+_JT = _argv(
+    "jt",
+    st.sampled_from(["dim", "ker", "image", "psi", "stable", "syzygy", "restrict", "dominance"])
+    .map(lambda op: [op]),
+    ("--p", _P), ("--jt", st.text("0123[]+ ", max_size=10)), ("--m", _SMALL),
+    ("--i", _SMALL), ("--j", _SMALL), ("--a", st.text("123[]+", max_size=6)),
+    ("--b", st.text("123[]+", max_size=6)), ("--format", _TSV_JSON),
+)
+_COMPONENT_SPEC = _object(
+    {"kind": st.sampled_from(["tube", "split", "cone"]), "p": _P},
+    {"seed": _object({"p": _P, "mult": st.lists(_field(st.integers(-2, 6)), max_size=12)}),
+     "multiplicities": _ints(), "slopes": _ints(), "intercepts": _ints(),
+     "include_p": st.booleans(), "rank": _SMALL, "d": _ints(), "tree_class": _TREE_CLASSES},
+)
+_COMPONENT = _argv(
+    "component", _json_flag("--spec", _COMPONENT_SPEC), ("--ql-max", _SMALL),
+    st.sampled_from([[], ["--solve"]]), ("--format", _TSV_JSON), ("--p", _P),
+)
+_MODEL = _object({
+    "p": _P, "dim": st.integers(-2, 12),
+    "entries": st.lists(_field(st.lists(_field(st.integers(-2, 12)), max_size=4)), max_size=12),
+})
+_ORACLE = _argv("oracle", "json", _json_flag("--module", _MODEL), ("--fuzz", st.integers(0, 2)))
+_TREE = _object({
+    "vertices": st.lists(_field(_NAMES), max_size=4),
+    "arrows": st.lists(_field(st.lists(_field(_NAMES), max_size=3)), max_size=4),
+})
+_WINDOW = _object(
+    {"kind": st.sampled_from(["tube", "zt", "cone"])},
+    {"rank": st.integers(-2, 8), "max_ql": st.integers(-2, 8), "n_min": st.integers(-2, 8),
+     "n_max": st.integers(-2, 8), "tree": _TREE},
+)
+_QUIVER = _argv(
+    "quiver", _json_flag("--spec", _WINDOW) | st.just([]), ("--minimal-additive", _TREE_CLASSES),
+    ("--check-additive", st.sampled_from(["ql", "qlm1", "const:2", "const:x", "up"])),
+    ("--admissible", _SMALL), ("--format", st.sampled_from(["dot", "tsv", "json"])),
+)
+_AMBIENT = _object({}, {
+    **{k: _SMALL for k in ("pi_dim", "variety_dim", "ambient_dim", "min_component_dim",
+                           "srk", "srk_quotient")},
+    **{k: st.booleans() for k in ("equidim", "is_finite_group", "trigonalizable")},
+})
+_DESCRIPTOR = _object(
+    {"p": _P, "degree": st.integers(1, 6) | _SMALL},
+    {"nilpotent": st.booleans(), "dim_total": _SMALL, "ambient": _AMBIENT,
+     "odd_pullback": st.sampled_from(["mixed", "all-vanish", "none-vanish", "some"])},
+)
+_CLASSIFY = _argv(
+    "classify", _json_flag("--descriptor", _DESCRIPTOR), ("--format", _TSV_JSON), ("--p", _P)
+)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(st.one_of(_JT, _COMPONENT, _ORACLE, _QUIVER, _CLASSIFY))
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_PARSE), argv
+    assert "Traceback" not in err.getvalue(), argv

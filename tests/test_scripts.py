@@ -1,7 +1,9 @@
-"""Smoke test: the scripts in scripts/ and ``python -m jordanquiver`` run
-end to end against src/."""
+"""Smoke test: the scripts in scripts/, ``python -m jordanquiver`` and the
+README's CLI examples run end to end against src/."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +39,42 @@ def test_python_m_runs_the_cli():
     assert result.stdout == (
         "[13]+2[12]+2[11]+2[10]+2[9]+2[8]+2[7]+2[6]+2[5]+2[4]+2[3]+2[2]+2[1] PASS\n"
     )
+
+
+def readme_cli_examples():
+    """(argv, expected fragments) of each ``jordanquiver`` command in the README.
+
+    A command goes on over a trailing backslash or an open quote.  A
+    ``# -> X`` annotation, on the command's last line or on a comment line
+    below it, names output the command prints; ``X / Y`` names two lines.
+    """
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    examples, pending = [], ""
+    for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+        for line in block.splitlines():
+            if pending or line.startswith("jordanquiver "):
+                pending += line + "\n"
+                try:
+                    argv = shlex.split(pending.replace("\\\n", ""), comments=True)
+                except ValueError:  # an open quote: the command goes on
+                    continue
+                if line.endswith("\\"):
+                    continue
+                examples.append((argv, []))
+                pending = ""
+            elif not line.strip().startswith("# -> "):
+                continue
+            if "# -> " in line:
+                examples[-1][1].extend(line.split("# -> ", 1)[1].split(" / "))
+    return examples
+
+
+def test_readme_cli_examples():
+    examples = readme_cli_examples()
+    assert len(examples) >= 10
+    for argv, expected in examples:
+        assert argv[0] == "jordanquiver"
+        result = run_python("-m", "jordanquiver", *argv[1:])
+        assert result.returncode == 0, (argv, result.stderr)
+        for fragment in expected:
+            assert fragment.strip() in result.stdout, (argv, fragment)
