@@ -57,6 +57,13 @@ class AmbientGeometry:
     is_finite_group: bool = False
     trigonalizable: bool = False
 
+    def __post_init__(self):
+        # dimensions and ranks: trusted, but never negative
+        for f in self.__dataclass_fields__.values():
+            value = getattr(self, f.name)
+            if f.default is None and value is not None and value < 0:
+                raise ValidationError(f"ambient.{f.name} must be >= 0, got {value}")
+
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "AmbientGeometry":
         # flags default to False, numbers to None

@@ -102,13 +102,6 @@ def _cmd_jt(args) -> int:
 # ----------------------------------------------------------------- component
 
 
-def _component_rows(profile, ql_max: int):
-    qls = range(1, ql_max + 1)
-    if isinstance(profile, comp.TubeProfile):
-        return [(q, profile.jordan_type_at(q)) for q in qls]
-    return [(q, comp.split_propagate(profile, q)) for q in qls]
-
-
 def _cmd_component(args) -> int:
     spec = _load_json_arg(args.spec)
     profile = comp.profile_from_json(spec)
@@ -135,19 +128,14 @@ def _cmd_component(args) -> int:
         return EXIT_OK
     if args.ql_max < 1:
         raise ValidationError(f"--ql-max must be >= 1, got {args.ql_max}")
-    rows = _component_rows(profile, args.ql_max)
+    rows = comp.profile_rows(profile, args.ql_max)
+    p = profile.p
     if args.format == "json":
-        _emit(
-            json.dumps(
-                [{"ql": q, "type": jt.to_json_dict()} for q, jt in rows]
-            )
-        )
+        _emit(json.dumps([{"ql": q, "type": {"p": p, "mult": m}} for q, m in enumerate(rows, 1)]))
     else:
-        lines = ["ql\ti\talpha_i"]
-        for q, jt in rows:
-            for i in range(1, profile.p + 1):
-                lines.append(f"{q}\t{i}\t{jt.multiplicity(i)}")
-        _emit("\n".join(lines))
+        columns = [f"\t{i}\t" for i in range(1, p + 1)]
+        lines = [f"{q}{c}{a}" for q, m in enumerate(rows, 1) for c, a in zip(columns, m)]
+        _emit("\n".join(["ql\ti\talpha_i", *lines]))
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, ValidationError, json_array, json_field
+from .errors import ParseError, ValidationError, int_tuple, json_array, json_field
 from .jtypes import DominanceResult, JordanType
 from .quiver import TreeClass
 
@@ -122,14 +122,14 @@ class TubeProfile:
     assumes_quasi_simple: bool = True
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValidationError(f"p must be >= 2, got {self.p}")
-        slopes = tuple(int(s) for s in self.slopes)
-        intercepts = tuple(int(t) for t in self.intercepts)
+        if type(self.p) is not int or self.p < 2:
+            raise ValidationError(f"p must be an integer >= 2, got {self.p!r}")
+        slopes = int_tuple(self.slopes, "slopes")
+        intercepts = int_tuple(self.intercepts, "intercepts")
         if len(slopes) != self.p or len(intercepts) != self.p:
             raise ValidationError(f"profile rows must have length p={self.p}")
-        if self.start < 1:
-            raise ValidationError(f"start must be >= 1, got {self.start}")
+        if type(self.start) is not int or self.start < 1:
+            raise ValidationError(f"start must be an integer >= 1, got {self.start!r}")
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "intercepts", intercepts)
         last = self.p if self.include_p else self.p - 1
@@ -146,14 +146,18 @@ class TubeProfile:
             raise ValidationError(f"index i={i} out of range 1..{self.p}")
         return self.slopes[i - 1] * ql + self.intercepts[i - 1]
 
+    def affine_rows(self) -> list[tuple[int, int]]:
+        """(slope, intercept) of alpha_1..alpha_p; row p is (0, 0) unless include_p."""
+        pairs = list(zip(self.slopes, self.intercepts))
+        if not self.include_p:
+            pairs[-1] = (0, 0)
+        return pairs
+
     def jordan_type_at(self, ql: int) -> JordanType:
         """The Jordan type at quasi-length ql; a_p is 0 unless include_p."""
         if ql < self.start:
             raise ValidationError(f"profile only valid from ql={self.start}, got {ql}")
-        mult = [s * ql + t for s, t in zip(self.slopes, self.intercepts)]
-        if not self.include_p:
-            mult[self.p - 1] = 0
-        return JordanType(self.p, tuple(mult))
+        return JordanType(self.p, tuple(s * ql + t for s, t in self.affine_rows()))
 
 
 def _first_negative_ql(slope: int, intercept: int, start: int) -> int:
@@ -177,7 +181,7 @@ def tube_profile_from_seed(
     profile would leave N_0.
     """
     p = seed.p
-    n = [int(x) for x in multiplicities]
+    n = list(int_tuple(multiplicities, "multiplicities"))
     if len(n) != p - 1:
         raise ValidationError(f"multiplicity vector must have length p-1={p - 1}")
     if any(x < 0 for x in n):
@@ -310,16 +314,16 @@ class SplitProfile:
     tree_class: TreeClass | None = None
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValidationError(f"p must be >= 2, got {self.p}")
-        d = tuple(int(x) for x in self.d)
+        if type(self.p) is not int or self.p < 2:
+            raise ValidationError(f"p must be an integer >= 2, got {self.p!r}")
+        d = int_tuple(self.d, "d")
         if len(d) != self.p - 1:
             raise ValidationError(f"d-vector must have length p-1={self.p - 1}")
         if any(x < 0 for x in d):
             raise ValidationError(f"d-vector entries must be >= 0, got {d}")
         object.__setattr__(self, "d", d)
         expected = sum((i + 1) * x for i, x in enumerate(d))
-        if self.d_stable != expected:
+        if type(self.d_stable) is not int or self.d_stable != expected:
             raise ValidationError(
                 f"stable-dimension slope {self.d_stable} inconsistent with "
                 f"d-vector (expected {expected})"
@@ -327,7 +331,7 @@ class SplitProfile:
 
     @classmethod
     def from_d(cls, p: int, d: Sequence[int], tree_class: TreeClass | None = None):
-        d = tuple(int(x) for x in d)
+        d = int_tuple(d, "d")
         return cls(p, d, sum((i + 1) * x for i, x in enumerate(d)), tree_class)
 
 
@@ -353,6 +357,23 @@ def split_propagate(
             )
         mult[profile.p - 1] = rem // profile.p
     return JordanType(profile.p, tuple(mult))
+
+
+def profile_rows(profile: "TubeProfile | SplitProfile", ql_max: int) -> list[list[int]]:
+    """Multiplicities [a_1, ..., a_p] at ql = 1..ql_max, one list per ql.
+
+    Row q holds the mult of ``jordan_type_at(q)`` (tube) or of
+    ``split_propagate(profile, q)`` (split), evaluated from the closed form
+    without building a JordanType per row: the profile was checked to stay
+    >= 0 for every ql >= start when it was constructed.
+    """
+    qls = range(1, ql_max + 1)
+    if isinstance(profile, SplitProfile):
+        return [[x * q for x in profile.d] + [0] for q in qls]
+    if profile.start > 1:
+        raise ValidationError(f"profile only valid from ql={profile.start}, got 1")
+    pairs = profile.affine_rows()
+    return [[s * q + t for s, t in pairs] for q in qls]
 
 
 def seed_to_split_profile(seed: JordanType, f_seed: int) -> SplitProfile:

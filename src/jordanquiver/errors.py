@@ -11,6 +11,7 @@ and ``json_array``.  ``kind`` is int, bool, str, list or dict, the type
 It must match exactly and nothing is converted, so ``5.9`` never becomes
 5 and ``"false"`` never becomes true.  Errors name the JSON path of the
 offending field, such as ``seed.mult[0]``; the empty path is the input.
+``int_tuple`` holds the library constructors to the same rule.
 """
 
 
@@ -35,6 +36,19 @@ def json_value(value, kind: type, path: str):
         got = "null" if value is None else got
         raise ParseError(f"{path or 'JSON input'} must be {_KINDS[kind]}, got {got}")
     return value
+
+
+def int_tuple(values, field: str) -> tuple[int, ...]:
+    """``values`` as a tuple, ValidationError unless every entry is exactly an int.
+
+    The library constructors' counterpart of ``json_value``: ``2.7`` is
+    never truncated to 2 and ``True`` is no 1.
+    """
+    out = tuple(values)
+    if not set(map(type, out)) <= {int}:
+        i, x = next((i, x) for i, x in enumerate(out) if type(x) is not int)
+        raise ValidationError(f"{field}[{i}] must be an int, got {x!r}")
+    return out
 
 
 def json_field(data, key: str, kind: type, path: str = "", default=_REQUIRED):

@@ -20,7 +20,7 @@ from enum import Enum
 from math import isqrt
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ValidationError, json_array, json_field
+from .errors import ParseError, ValidationError, int_tuple, json_array, json_field
 
 _TERM_RE = re.compile(r"(\d*)\s*\[\s*(\d+)\s*\]")
 
@@ -60,7 +60,7 @@ class JordanType:
     def __post_init__(self):
         if not isinstance(self.p, int) or self.p < 2:
             raise ValidationError(f"p must be an integer >= 2, got {self.p!r}")
-        mult = tuple(int(m) for m in self.mult)
+        mult = int_tuple(self.mult, "mult")
         if len(mult) != self.p:
             raise ValidationError(
                 f"multiplicity vector must have length p={self.p}, got {len(mult)}"

@@ -192,6 +192,15 @@ def test_min_component_dim_alternative():
     assert carlson_indecomposability(desc).rule == "CNN1"
 
 
+@pytest.mark.parametrize(
+    "field", ["pi_dim", "variety_dim", "ambient_dim", "min_component_dim", "srk", "srk_quotient"]
+)
+def test_ambient_numbers_must_be_nonnegative(field):
+    with pytest.raises(ValidationError, match=f"ambient.{field} must be >= 0, got -1"):
+        AmbientGeometry(**{field: -1})
+    assert getattr(AmbientGeometry(**{field: 0}), field) == 0
+
+
 def test_rule_engine_rejects_p2():
     with pytest.raises(ValidationError):
         CohomologyClassDescriptor(p=2, degree=3)

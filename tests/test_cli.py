@@ -1,12 +1,20 @@
 import contextlib
+import hashlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanquiver.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from jordanquiver.components import (
+    TubeProfile,
+    apply_a,
+    profile_from_json,
+    split_propagate,
+)
 from jordanquiver.jtypes import JordanType
 
 
@@ -178,6 +186,78 @@ def test_component_rejects_ql_max_below_one(capsys):
         code, out, err = run(capsys, "component", "--spec", HEIS_SPEC, "--ql-max", ql_max)
         assert code == EXIT_VALIDATION and out == ""
         assert "--ql-max" in err
+
+
+def _seeded_spec(rng, p, kind):
+    """A component spec of the given kind whose table stays in N_0."""
+    if kind.startswith("split"):
+        spec = {"kind": "split", "p": p, "d": [rng.randint(0, 3) for _ in range(p - 1)]}
+        if kind == "split-tree":
+            spec["tree_class"] = rng.choice(["A_inf", "D_inf", "E6_tilde"])
+        return spec
+    include_p = kind == "tube-include-p"
+    n = [0] * (p - 1)
+    while not any(n):
+        n = [rng.randint(0, 2) for _ in range(p - 1)]
+    t = apply_a(n + [0])
+    last = p if include_p else p - 1
+    # slope s >= 0 and seed = s + t >= 0 keep s*ql + t >= 0 for every ql >= 1;
+    # an unasserted row p may hold anything
+    seed = [max(0, -x) + rng.randint(0, 2) + x if i < last else rng.randint(0, 3)
+            for i, x in enumerate(t)]
+    return {"kind": "tube", "p": p, "seed": {"p": p, "mult": seed},
+            "multiplicities": n, "include_p": include_p}
+
+
+def _per_vertex_table(profile, ql_max, fmt):
+    """The table rendered one JordanType per row, as the CLI used to."""
+    types = [
+        profile.jordan_type_at(q) if isinstance(profile, TubeProfile)
+        else split_propagate(profile, q)
+        for q in range(1, ql_max + 1)
+    ]
+    if fmt == "json":
+        rows = [{"ql": q, "type": jt.to_json_dict()} for q, jt in enumerate(types, 1)]
+        return json.dumps(rows) + "\n"
+    lines = ["ql\ti\talpha_i"]
+    for q, jt in enumerate(types, 1):
+        lines += [f"{q}\t{i}\t{jt.multiplicity(i)}" for i in range(1, profile.p + 1)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["tube-include-p", "tube", "split-tree", "split"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_component_table_matches_per_vertex_types(capsys, p, kind):
+    rng = random.Random(f"{kind}-{p}")
+    for _ in range(3):
+        spec = _seeded_spec(rng, p, kind)
+        profile = profile_from_json(spec)
+        for ql_max in (1, 2, 50):
+            for fmt in ("tsv", "json"):
+                code, out, _ = run(capsys, "component", "--spec", json.dumps(spec),
+                                   "--ql-max", str(ql_max), "--format", fmt)
+                assert code == EXIT_OK
+                assert out == _per_vertex_table(profile, ql_max, fmt), (spec, ql_max, fmt)
+
+
+GOLDEN_SPEC = json.dumps(
+    {"kind": "tube", "p": 11, "seed": {"p": 11, "mult": [3, 0, 4, 0, 3, 0, 1, 1, 3, 0, 1]},
+     "multiplicities": [1, 0, 2, 0, 1, 0, 0, 1, 2, 0], "rank": 1}
+)
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    pytest.param("tsv", "1f97f2c9d3abd841ba4ae5c4262c2c31"
+                 "80c1e4572a15a5ebb74910a43b8bf25c", id="tsv"),
+    pytest.param("json", "13026d877a5503c1a12311d3baaafc0f"
+                 "0751173ef19baf7f2104181d1ece5063", id="json"),
+])
+def test_component_large_table_is_pinned(capsys, fmt, digest):
+    # sha256 of the stdout of the per-row JordanType renderer, 55,000 cells
+    code, out, _ = run(capsys, "component", "--spec", GOLDEN_SPEC, "--ql-max", "5000",
+                       "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_component_bad_json_exit(capsys):
@@ -399,6 +479,12 @@ def _case(case_id, argv, message, code=EXIT_PARSE, file_bytes=None):
               "seed.mult[0] must be a JSON integer, got 2.7"),
         _case("classify-p-not-prime", ["classify", "--descriptor", '{"p":4,"degree":2}'],
               "p must be prime, got 4", code=EXIT_VALIDATION),
+        _case("ambient-dim-negative", ["classify", "--descriptor",
+              '{"p":5,"degree":2,"ambient":{"min_component_dim":0,"ambient_dim":-5}}'],
+              "ambient.ambient_dim must be >= 0, got -5", code=EXIT_VALIDATION),
+        _case("ambient-srk-negative", ["classify", "--descriptor",
+              '{"p":5,"degree":3,"odd_pullback":"all-vanish","ambient":{"srk":-1}}'],
+              "ambient.srk must be >= 0, got -1", code=EXIT_VALIDATION),
         _case("nilpotent-string", ["classify", "--descriptor",
               '{"p":5,"degree":4,"nilpotent":"false","dim_total":15}'],
               "nilpotent must be a JSON boolean, got 'false'"),

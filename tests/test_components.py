@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from jordanquiver.components import (
     jordan_type_count,
     obstruction_check,
     profile_from_json,
+    profile_rows,
     seed_to_split_profile,
     solve_multiplicities,
     split_propagate,
@@ -136,6 +139,28 @@ def test_tube_forward_rejects_bad_vectors():
         tube_forward(HEISENBERG_SEED, [1, 0, 0], 2)
     with pytest.raises(ValidationError):
         tube_forward(HEISENBERG_SEED, [1, 0, 0, -1], 2)
+
+
+@pytest.mark.parametrize(
+    "build,bad",
+    [
+        (lambda: TubeProfile(3, (2.7, 0, 0), (0, 0, 0)), "slopes[0] must be an int, got 2.7"),
+        (lambda: TubeProfile(3, (0, 0, 0), (0, 1.0, 0)), "intercepts[1] must be an int, got 1.0"),
+        (lambda: TubeProfile(3.0, (0, 0, 0), (0, 0, 0)), "p must be an integer >= 2, got 3.0"),
+        (lambda: TubeProfile(3, (0, 0, 0), (0, 0, 0), start=1.5),
+         "start must be an integer >= 1, got 1.5"),
+        (lambda: SplitProfile(3, (1.0, 0), 1), "d[0] must be an int, got 1.0"),
+        (lambda: SplitProfile(3, (1, 0), 1.0), "stable-dimension slope 1.0 inconsistent"),
+        (lambda: SplitProfile.from_d(3, [1.9, 0]), "d[0] must be an int, got 1.9"),
+        (lambda: SplitProfile.from_d(3, [0, False]), "d[1] must be an int, got False"),
+        (lambda: tube_profile_from_seed(JordanType(3, (2, 2, 1)), [1.9, 0]),
+         "multiplicities[0] must be an int, got 1.9"),
+    ],
+)
+def test_profiles_reject_non_int_entries(build, bad):
+    # each of these used to be truncated by int(): 2.7 -> 2, 1.9 -> 1
+    with pytest.raises(ValidationError, match=re.escape(bad)):
+        build()
 
 
 # --------------------------------------------------------------- tube central
@@ -263,6 +288,28 @@ def test_round_trip_random_sweep_p7(mult, n):
     except NegativeMultiplicityError:
         return
     assert solve_multiplicities(prof).multiplicities == tuple(n)
+
+
+# ------------------------------------------------------------ profile rows
+
+
+def test_profile_rows_match_per_vertex_types():
+    tube = profile_from_json(
+        {"kind": "tube", "p": 5, "slopes": [0, 3, 2, 2, 1],
+         "intercepts": [2, -1, 0, 0, 0], "include_p": False}
+    )
+    split = SplitProfile.from_d(5, [1, 0, 2, 1])
+    assert profile_rows(tube, 6) == [list(tube.jordan_type_at(q).mult) for q in range(1, 7)]
+    assert profile_rows(split, 6) == [list(split_propagate(split, q).mult) for q in range(1, 7)]
+    assert profile_rows(tube, 6)[2][4] == 0  # row p zeroed without include_p
+
+
+def test_profile_rows_refuse_ql_below_start():
+    prof = TubeProfile(3, (1, 0, 0), (-2, 0, 0), start=2)
+    with pytest.raises(ValidationError, match="only valid from ql=2"):
+        profile_rows(prof, 4)
+    with pytest.raises(ValidationError, match="only valid from ql=2"):
+        prof.jordan_type_at(1)
 
 
 # ------------------------------------------------------------ split profiles

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +306,16 @@ def test_validation_rejects_bad_vectors():
         JordanType(3, (1, 2))
     with pytest.raises(ValidationError):
         JordanType(3, (1, -1, 0))
+
+
+@pytest.mark.parametrize("mult,bad", [((1.5, 0, 0), "mult[0] must be an int, got 1.5"),
+                                      ((0, 2.0, 1), "mult[1] must be an int, got 2.0"),
+                                      ((0, 0, True), "mult[2] must be an int, got True"),
+                                      ((0, "1", 0), "mult[1] must be an int, got '1'")])
+def test_validation_rejects_non_int_entries(mult, bad):
+    # a float is never truncated (1.5 used to print as [1])
+    with pytest.raises(ValidationError, match=re.escape(bad)):
+        JordanType(3, mult)
 
 
 def test_direct_sum_and_scalar():
