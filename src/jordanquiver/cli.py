@@ -196,9 +196,7 @@ def _cmd_oracle(args) -> int:
         for model in models:
             jt = oracle.jordan_type_of(model)
             for _ in range(args.fuzz):
-                g = oracle.random_invertible(model.dim, model.p, rng)
-                conj = oracle.conjugate(model, g)
-                if oracle.jordan_type_of(conj) != jt:
+                if oracle.jordan_type_of(oracle.random_conjugate(model, rng)) != jt:
                     lines.append("fuzz FAIL: conjugation changed the Jordan type")
                     _emit("\n".join(lines))
                     return EXIT_VALIDATION

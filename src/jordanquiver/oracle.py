@@ -6,9 +6,9 @@ r_m is the dimension of the image chain im N ⊇ im N^2 ⊇ ...: a sparse
 echelon basis of each term, mapped through N, spans the next, and no
 power N^m is ever formed.  The arithmetic is exact mod p, so every
 answer here is independent of the closed-form routines in the other
-modules and can be used to cross-check them.  The dense kit
-(``rank_mod_p``, ``mat_mul_mod_p``, ``invert_mod_p``) builds conjugated
-and power models and is the reference the tests check the chain against.
+modules and can be used to cross-check them.  A model stores N once,
+as its nonzero columns, so building one costs what its nonzero entries
+cost; powers and conjugates are composed on that store as well.
 
 Models serialize as JSON ``{"p": 5, "dim": 25, "entries": [[r, c, v], ...]}``
 with sparse triplets.
@@ -17,81 +17,15 @@ with sparse triplets.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .errors import ParseError, ValidationError, json_field, json_value
+from .errors import ParseError, ValidationError, int_tuple, json_field, json_value
 from .jtypes import JordanType, require_prime, restrict_type
 
-Matrix = list[list[int]]
+Column = tuple[tuple[int, int], ...]
 
 
-# ------------------------------------------------------------------ F_p kit
-
-
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of a matrix over F_p by Gaussian elimination."""
-    a = [[x % p for x in row] for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, m):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = pow(a[rank][col], -1, p)
-        prow = a[rank]
-        if inv != 1:
-            a[rank] = prow = [(x * inv) % p for x in prow]
-        for r in range(rank + 1, m):
-            f = a[r][col]
-            if f:
-                arow = a[r]
-                a[r] = [(x - f * y) % p for x, y in zip(arow, prow)]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def mat_mul_mod_p(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> Matrix:
-    n = len(a)
-    k = len(b)
-    out = [[0] * len(b[0]) for _ in range(n)] if k else [[] for _ in range(n)]
-    bt = list(zip(*b))
-    for i in range(n):
-        arow = a[i]
-        orow = out[i]
-        for j, bcol in enumerate(bt):
-            orow[j] = sum(x * y for x, y in zip(arow, bcol)) % p
-    return out
-
-
-def invert_mod_p(rows: Sequence[Sequence[int]], p: int) -> Matrix:
-    """Inverse over F_p by Gauss-Jordan; raises ValidationError if singular."""
-    n = len(rows)
-    a = [[x % p for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise ValidationError("matrix is singular mod p")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = pow(a[col][col], -1, p)
-        a[col] = [(x * inv) % p for x in a[col]]
-        prow = a[col]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], prow)]
-    return [row[n:] for row in a]
+# ------------------------------------------------------------ sparse F_p kit
 
 
 def _reduced_echelon(vectors: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
@@ -134,8 +68,18 @@ def _subtract(vec: dict[int, int], f: int, row: Mapping[int, int], p: int) -> No
             del vec[k]
 
 
-def _image_chain_ranks(mat: Sequence[Sequence[int]], p: int) -> list[int]:
-    """(rank N^0, ..., rank N^p) for a square N over F_p with entries in 0..p-1.
+def _apply(cols: Mapping[int, Iterable[tuple[int, int]]], vec: Iterable[tuple[int, int]],
+           p: int) -> list[tuple[int, int]]:
+    """The nonzero (index, value) pairs of M v over F_p, M given by its nonzero columns."""
+    out: dict[int, int] = {}
+    for j, x in vec:
+        for r, v in cols.get(j, ()):
+            out[r] = out.get(r, 0) + x * v
+    return [(r, y % p) for r, y in out.items() if y % p]
+
+
+def _image_chain_ranks(dim: int, columns: Iterable[tuple[int, Column]], p: int) -> list[int]:
+    """(rank N^0, ..., rank N^p) for a dim x dim N over F_p, given by its nonzero columns.
 
     rank N^m is the dimension of im N^m, and im N^(m+1) = N(im N^m): a
     basis of im N^m mapped through N spans the next term of the chain.
@@ -146,55 +90,68 @@ def _image_chain_ranks(mat: Sequence[Sequence[int]], p: int) -> list[int]:
     decreases; once it is zero or stops shrinking it is constant, and
     the remaining ranks repeat the last one.
     """
-    dim = len(mat)
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(dim)]
-    for r, row in enumerate(mat):
-        for c, v in enumerate(row):
-            if v:
-                cols[c].append((r, v))
+    cols = dict(columns)
     ranks = [dim]
     while True:
-        basis = _reduced_echelon((dict(col) for col in cols if col), p)
+        basis = _reduced_echelon((dict(col) for col in cols.values()), p)
         ranks.append(len(basis))
         if len(ranks) > p or not basis or ranks[-1] == ranks[-2]:
             return ranks + [ranks[-1]] * (p + 1 - len(ranks))
         coord = {q: i for i, q in enumerate(basis)}
-        at_pivots = [[(coord[r], v) for r, v in col if r in coord] for col in cols]
-        cols = []
-        for vec in basis.values():
-            out: dict[int, int] = {}
-            for j, x in vec.items():
-                for r, v in at_pivots[j]:
-                    out[r] = out.get(r, 0) + x * v
-            cols.append([(r, y % p) for r, y in out.items() if y % p])
+        at_pivots = {c: [(coord[r], v) for r, v in col if r in coord] for c, col in cols.items()}
+        cols = {}
+        for i, vec in enumerate(basis.values()):
+            col = _apply(at_pivots, vec.items(), p)
+            if col:
+                cols[i] = col
 
 
 # -------------------------------------------------------------------- model
 
 
 class NilpotentModel:
-    """A square matrix N over F_p with N^p = 0.
+    """A dim x dim matrix N over F_p with N^p = 0.
 
-    The rank sequence (r_0, ..., r_p) is computed once at construction,
-    as the dimensions of the image chain im N ⊇ im N^2 ⊇ ... (see
-    ``_image_chain_ranks``); it both certifies nilpotency of order <= p
-    and drives Jordan-type extraction.  ``rows`` keeps the dense matrix.
-    Instances are immutable.
+    ``entries`` are (r, c, v) triples of ints with 0 <= r, c < dim, each
+    (r, c) at most once; v is reduced mod p.  N is stored once, in
+    ``columns``: its nonzero columns as ``(c, ((r, v), ...))`` with c and
+    r increasing and v in 1..p-1, so a model costs what its nonzero
+    entries cost.  The rank sequence (r_0, ..., r_p) is computed once at
+    construction, as the dimensions of the image chain im N ⊇ im N^2 ⊇ ...
+    (see ``_image_chain_ranks``); it both certifies nilpotency of order
+    <= p and drives Jordan-type extraction.  Instances are immutable.
     """
 
-    __slots__ = ("p", "dim", "rows", "rank_sequence")
+    __slots__ = ("p", "dim", "columns", "rank_sequence")
 
-    def __init__(self, p: int, rows: Iterable[Iterable[int]]):
+    def __init__(self, p: int, dim: int, entries: Iterable[Iterable[int]]):
         # ranks are computed by elimination over F_p, which needs a field
         require_prime(p)
-        mat = tuple(tuple(int(x) % p for x in row) for row in rows)
-        dim = len(mat)
-        if any(len(row) != dim for row in mat):
-            raise ValidationError("matrix must be square")
+        if type(dim) is not int or dim < 0:
+            raise ValidationError(f"dim must be an int >= 0, got {dim!r}")
+        cols: dict[int, dict[int, int]] = {}
+        for n, entry in enumerate(entries):
+            entry = tuple(entry)
+            if len(entry) != 3:
+                raise ValidationError(f"entries[{n}] must be (r, c, v), got {entry}")
+            r, c, v = entry
+            if type(r) is not int or type(c) is not int or type(v) is not int:
+                int_tuple(entry, f"entries[{n}]")  # raises, naming the field
+            if not (0 <= r < dim and 0 <= c < dim):
+                raise ValidationError(f"entry ({r},{c}) outside a {dim}x{dim} matrix")
+            col = cols.setdefault(c, {})
+            if r in col:
+                raise ValidationError(f"entries[{n}] repeats entry ({r},{c})")
+            col[r] = v % p
+        columns = []
+        for c in sorted(cols):
+            col = tuple(sorted((r, v) for r, v in cols[c].items() if v))
+            if col:
+                columns.append((c, col))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "rows", mat)
-        ranks = _image_chain_ranks(mat, p)
+        object.__setattr__(self, "columns", tuple(columns))
+        ranks = _image_chain_ranks(dim, columns, p)
         if ranks[p] != 0:
             raise ValidationError(
                 f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {ranks[p]})"
@@ -208,12 +165,7 @@ class NilpotentModel:
         return f"NilpotentModel(p={self.p}, dim={self.dim})"
 
     def to_json_dict(self) -> dict:
-        entries = [
-            [r, c, v]
-            for r, row in enumerate(self.rows)
-            for c, v in enumerate(row)
-            if v
-        ]
+        entries = sorted([r, c, v] for c, col in self.columns for r, v in col)
         return {"p": self.p, "dim": self.dim, "entries": entries}
 
     @classmethod
@@ -222,7 +174,7 @@ class NilpotentModel:
         dim = json_field(data, "dim", int)
         if dim < 0:
             raise ParseError(f"dim must be >= 0, got {dim}")
-        rows = [[0] * dim for _ in range(dim)]
+        entries = []
         seen = set()
         for n, item in enumerate(json_field(data, "entries", list)):
             if not isinstance(item, list) or len(item) != 3:
@@ -233,8 +185,8 @@ class NilpotentModel:
             if (r, c) in seen:
                 raise ParseError(f"entries[{n}] repeats entry ({r},{c})")
             seen.add((r, c))
-            rows[r][c] = v
-        return cls(p, rows)
+            entries.append((r, c, v))
+        return cls(p, dim, entries)
 
 
 def jordan_type_of(model: NilpotentModel) -> JordanType:
@@ -246,20 +198,46 @@ def jordan_type_of(model: NilpotentModel) -> JordanType:
     return jt
 
 
-def conjugate(model: NilpotentModel, g: Sequence[Sequence[int]]) -> NilpotentModel:
-    """The model g N g^{-1} for an invertible g over F_p."""
-    g_inv = invert_mod_p(g, model.p)
-    return NilpotentModel(
-        model.p, mat_mul_mod_p(mat_mul_mod_p(g, model.rows, model.p), g_inv, model.p)
-    )
+def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentModel:
+    """The model g N g^{-1} for a random invertible g = P D T_1 ... T_dim over F_p.
 
+    Each T = 1 + a E_ij (i != j, a != 0) is a random transvection, D a
+    random invertible diagonal and P a random permutation.  Conjugating
+    by T adds a times row j to row i, then subtracts a times column i
+    from column j; conjugating by D and P rescales and relabels the
+    entries.  Each factor is one row-and-column operation on the sparse
+    entries, so g^{-1} is never formed.
+    """
+    p, dim = model.p, model.dim
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, dict[int, int]] = {}
 
-def random_invertible(dim: int, p: int, rng: random.Random) -> Matrix:
-    """A uniformly random-ish invertible matrix over F_p (rejection sampling)."""
-    while True:
-        g = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
-        if rank_mod_p(g, p) == dim:
-            return g
+    def put(r: int, c: int, v: int) -> None:
+        v %= p
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, {})[r] = v
+        else:
+            rows.get(r, {}).pop(c, None)
+            cols.get(c, {}).pop(r, None)
+
+    for c, col in model.columns:
+        for r, v in col:
+            put(r, c, v)
+    for _ in range(dim if dim > 1 else 0):
+        i, j = rng.sample(range(dim), 2)
+        a = rng.randrange(1, p)
+        for c, v in list(rows.get(j, {}).items()):
+            put(i, c, rows.get(i, {}).get(c, 0) + a * v)
+        for r, v in list(cols.get(i, {}).items()):
+            put(r, j, cols.get(j, {}).get(r, 0) - a * v)
+    perm = list(range(dim))
+    rng.shuffle(perm)
+    scale = [rng.randrange(1, p) for _ in range(dim)]
+    inverse = [pow(s, -1, p) for s in scale]
+    entries = [(perm[r], perm[c], scale[r] * v * inverse[c])
+               for c, col in cols.items() for r, v in col.items()]
+    return NilpotentModel(p, dim, entries)
 
 
 # ------------------------------------------------------------ constructors
@@ -269,38 +247,29 @@ def jordan_block_model(p: int, i: int) -> NilpotentModel:
     """The single i x i Jordan block (lower shift), 1 <= i <= p."""
     if not 1 <= i <= p:
         raise ValidationError(f"block size {i} out of range 1..{p}")
-    rows = [[0] * i for _ in range(i)]
-    for r in range(1, i):
-        rows[r][r - 1] = 1
-    return NilpotentModel(p, rows)
+    return NilpotentModel(p, i, [(r, r - 1, 1) for r in range(1, i)])
 
 
 def model_from_type(jt: JordanType) -> NilpotentModel:
     """Block-diagonal nilpotent matrix realizing a given Jordan type."""
-    dim = jt.dimension()
-    rows = [[0] * dim for _ in range(dim)]
+    entries = []
     offset = 0
     for size in jt.blocks():
-        for r in range(1, size):
-            rows[offset + r][offset + r - 1] = 1
+        entries += [(offset + r, offset + r - 1, 1) for r in range(1, size)]
         offset += size
-    return NilpotentModel(jt.p, rows)
+    return NilpotentModel(jt.p, jt.dimension(), entries)
 
 
 def power_model(model: NilpotentModel, j: int) -> NilpotentModel:
     """The model of N^j; nilpotent of every order that N is."""
     if j < 1:
         raise ValidationError(f"power j={j} must be >= 1")
-    cur = [[int(r == c) for c in range(model.dim)] for r in range(model.dim)]
-    base = [list(row) for row in model.rows]
-    e = j
-    while e:
-        if e & 1:
-            cur = mat_mul_mod_p(cur, base, model.p)
-        e >>= 1
-        if e:
-            base = mat_mul_mod_p(base, base, model.p)
-    return NilpotentModel(model.p, cur)
+    base = dict(model.columns)
+    cur = base
+    # column c of N^(m+1) is N applied to column c of N^m; N^p = 0
+    for _ in range(min(j, model.p) - 1):
+        cur = {c: col for c, vec in cur.items() if (col := _apply(base, vec, model.p))}
+    return NilpotentModel(model.p, model.dim, [(r, c, v) for c, col in cur.items() for r, v in col])
 
 
 def heisenberg_model(p: int) -> NilpotentModel:
@@ -312,14 +281,9 @@ def heisenberg_model(p: int) -> NilpotentModel:
     """
     if p < 3:
         raise ValidationError(f"heisenberg model needs p >= 3, got {p}")
-    dim = p * p
     idx = lambda n, m: n * p + m
-    rows = [[0] * dim for _ in range(dim)]
-    for n in range(p):
-        for m in range(p):
-            if n >= 1 and m + 1 <= p - 1:
-                rows[idx(n - 1, m + 1)][idx(n, m)] = n % p
-    return NilpotentModel(p, rows)
+    entries = [(idx(n - 1, m + 1), idx(n, m), n) for n in range(1, p) for m in range(p - 1)]
+    return NilpotentModel(p, p * p, entries)
 
 
 def abelian_rank2_models(p: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -330,10 +294,7 @@ def abelian_rank2_models(p: int) -> tuple[NilpotentModel, NilpotentModel]:
     """
     if p < 3:
         raise ValidationError(f"rank-2 abelian models need p >= 3, got {p}")
-    zero = [[0] * p for _ in range(p)]
-    beta = [[0] * p for _ in range(p)]
-    beta[p - 1][0] = 1
-    return NilpotentModel(p, zero), NilpotentModel(p, beta)
+    return NilpotentModel(p, p, []), NilpotentModel(p, p, [(p - 1, 0, 1)])
 
 
 def ga2_model(p: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -344,11 +305,7 @@ def ga2_model(p: int) -> tuple[NilpotentModel, NilpotentModel]:
     """
     if p < 3:
         raise ValidationError(f"height-2 model needs odd p >= 3, got {p}")
-    zero = [[0] * p for _ in range(p)]
-    beta = [[0] * p for _ in range(p)]
-    for r in range(2, p):
-        beta[r][r - 2] = 1
-    return NilpotentModel(p, zero), NilpotentModel(p, beta)
+    return NilpotentModel(p, p, []), NilpotentModel(p, p, [(r, r - 2, 1) for r in range(2, p)])
 
 
 def sl2s_models(p: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -362,13 +319,9 @@ def sl2s_models(p: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
         raise ValidationError(f"sl(2) models need p >= 3, got {p}")
     if not 1 <= i <= p - 1:
         raise ValidationError(f"highest-weight parameter i={i} out of range 1..{p - 1}")
-    f_rows = [[0] * p for _ in range(p)]
-    for r in range(1, p):
-        f_rows[r][r - 1] = 1
-    e_rows = [[0] * p for _ in range(p)]
-    for j in range(1, p):
-        e_rows[j - 1][j] = (j * (i - j)) % p
-    return NilpotentModel(p, e_rows), NilpotentModel(p, f_rows)
+    e = [(j - 1, j, j * (i - j)) for j in range(1, p)]
+    f = [(r, r - 1, 1) for r in range(1, p)]
+    return NilpotentModel(p, p, e), NilpotentModel(p, p, f)
 
 
 def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -381,13 +334,9 @@ def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
         raise ValidationError(f"sl(2) models need p >= 3, got {p}")
     if not 1 <= n <= p - 1:
         raise ValidationError(f"simple-module dimension n={n} out of range 1..{p - 1}")
-    f_rows = [[0] * n for _ in range(n)]
-    for r in range(1, n):
-        f_rows[r][r - 1] = 1
-    e_rows = [[0] * n for _ in range(n)]
-    for j in range(1, n):
-        e_rows[j - 1][j] = (j * (n - j)) % p
-    return NilpotentModel(p, e_rows), NilpotentModel(p, f_rows)
+    e = [(j - 1, j, j * (n - j)) for j in range(1, n)]
+    f = [(r, r - 1, 1) for r in range(1, n)]
+    return NilpotentModel(p, n, e), NilpotentModel(p, n, f)
 
 
 # ------------------------------------------------------------------- sweep

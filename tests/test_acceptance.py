@@ -103,7 +103,7 @@ def test_criterion_02_restrict_oracle_equivalence():
 
 def test_criterion_03_heisenberg_model_and_tube():
     with criterion("03 Heisenberg type and tube propagation"):
-        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
             model = heisenberg_model(p)
             expected = JordanType.from_counts(p, {**{l: 2 for l in range(1, p)}, p: 1})
             assert jordan_type_of(model) == expected, p

@@ -311,6 +311,17 @@ def test_oracle_json_model(capsys):
     assert code == EXIT_OK and out == "[3]\n"
 
 
+@pytest.mark.parametrize(
+    "entries,expected",
+    [([], "100000[1]\n"), ([[1, 0, 1], [2, 1, 1], [99999, 99998, 3]], "[3]+[2]+99995[1]\n")],
+)
+def test_oracle_json_model_costs_its_entries(capsys, entries, expected):
+    # a dense 10^5 x 10^5 matrix would need tens of GB
+    model = json.dumps({"p": 5, "dim": 100000, "entries": entries})
+    code, out, _ = run(capsys, "oracle", "json", "--module", model)
+    assert code == EXIT_OK and out == expected
+
+
 def test_oracle_rejects_non_prime_p(capsys):
     for argv in (["heisenberg", "--p", "4"], ["sl2s", "--p", "9"], ["sl2s", "--p", "9", "--i", "3"]):
         code, out, err = run(capsys, "oracle", *argv)

@@ -27,7 +27,8 @@ from jordanquiver.components import (
 )
 from jordanquiver.errors import ParseError, ValidationError
 from jordanquiver.jtypes import DominanceResult, JordanType, dominance_compare
-from jordanquiver.oracle import model_from_type, power_model, rank_mod_p
+from dense_reference import dense, rank_mod_p
+from jordanquiver.oracle import model_from_type, power_model
 
 
 def matmul(a, b):
@@ -419,7 +420,7 @@ def test_top_multiplicity():
     # oracle: dim - rank of the j-th power for a 2[2] type
     jt = JordanType.from_string(p, "2[2]")
     model = power_model(model_from_type(jt), 1)
-    assert top_multiplicity(jt, 1) == 4 - rank_mod_p(model.rows, p) == 2
+    assert top_multiplicity(jt, 1) == 4 - rank_mod_p(dense(model), p) == 2
 
 
 # ---------------------------------------------------------------- obstruction

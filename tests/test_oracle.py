@@ -5,23 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import (
+    dense,
+    from_dense,
+    invert_mod_p,
+    mat_mul_mod_p,
+    random_invertible,
+    rank_mod_p,
+)
 from jordanquiver.errors import ParseError, ValidationError
 from jordanquiver.jtypes import JordanType, restrict, restrict_type
 from jordanquiver.oracle import (
     NilpotentModel,
     abelian_rank2_models,
-    conjugate,
     ga2_model,
     heisenberg_model,
-    invert_mod_p,
     jordan_block_model,
     jordan_type_of,
-    mat_mul_mod_p,
     model_from_type,
     pi_point_sweep,
     power_model,
-    random_invertible,
-    rank_mod_p,
+    random_conjugate,
     sl2_simple_models,
     sl2s_models,
 )
@@ -44,7 +48,8 @@ def test_invert_mod_p_round_trip():
         assert mat_mul_mod_p(g, gi, p) == ident
 
 
-ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+# every odd prime up to 31, then a sample up to 53
+ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
 
 def dense_rank_sequence(p, rows):
@@ -77,27 +82,27 @@ def test_rank_sequence_matches_dense_powers():
             rows = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
         expected = dense_rank_sequence(p, rows)
         if expected[p] == 0:
-            assert NilpotentModel(p, rows).rank_sequence == expected, (p, rows)
+            assert from_dense(p, rows).rank_sequence == expected, (p, rows)
         else:
             non_nilpotent += 1
             message = f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {expected[p]})"
             with pytest.raises(ValidationError) as info:
-                NilpotentModel(p, rows)
+                from_dense(p, rows)
             assert str(info.value) == message, (p, rows)
     assert non_nilpotent > 100
 
 
 def test_model_rejects_non_nilpotent():
     with pytest.raises(ValidationError):
-        NilpotentModel(3, [[1, 0], [0, 0]])
+        NilpotentModel(3, 2, [(0, 0, 1)])
     with pytest.raises(ValidationError):
-        NilpotentModel(3, [[0, 1], [1, 0]])
+        NilpotentModel(3, 2, [(0, 1, 1), (1, 0, 1)])
 
 
 def test_jordan_type_of_basic_models():
     p = 5
     assert jordan_type_of(jordan_block_model(p, p)) == JordanType.block(p, p)
-    zero = NilpotentModel(p, [[0] * 4 for _ in range(4)])
+    zero = NilpotentModel(p, 4, [])
     assert jordan_type_of(zero) == JordanType.block(p, 1, 4)
 
 
@@ -186,8 +191,34 @@ def test_jordan_type_invariant_under_conjugation(p, data):
     if model.dim == 0:
         return
     rng = random.Random(data.draw(st.integers(0, 10**6)))
-    g = random_invertible(model.dim, p, rng)
-    assert jordan_type_of(conjugate(model, g)) == jt
+    assert jordan_type_of(random_conjugate(model, rng)) == jt
+
+
+def test_random_conjugate_moves_the_entries():
+    # a conjugation that returned its input would pass the type check above
+    rng = random.Random(1)
+    for model in [heisenberg_model(5), model_from_type(JordanType.from_string(7, "[4]+2[2]+[1]")),
+                  sl2s_models(11, 4)[0]]:
+        conj = random_conjugate(model, rng)
+        assert conj.p == model.p and conj.dim == model.dim
+        assert conj.to_json_dict()["entries"] != model.to_json_dict()["entries"]
+        assert conj.rank_sequence == model.rank_sequence
+
+
+def test_power_model_matches_dense_powers():
+    rng = random.Random(2009)
+    for trial in range(60):
+        p = [2, 3, 5, 7][trial % 4]
+        jt = JordanType(p, tuple(rng.randint(0, 1) for _ in range(p)))
+        rows = dense(model_from_type(jt))
+        if rows:
+            g = random_invertible(len(rows), p, rng)
+            rows = mat_mul_mod_p(mat_mul_mod_p(g, rows, p), invert_mod_p(g, p), p)
+        model = from_dense(p, rows)
+        power = rows
+        for j in range(1, p + 2):
+            assert dense(power_model(model, j)) == power, (p, rows, j)
+            power = mat_mul_mod_p(power, rows, p)
 
 
 # --------------------------------------------------------------------- sweep
@@ -215,7 +246,7 @@ def test_sweep_of_full_block():
 
 def test_sweep_zero_model_and_first_power():
     p = 5
-    zero = NilpotentModel(p, [[0] * 3 for _ in range(3)])
+    zero = NilpotentModel(p, 3, [])
     assert pi_point_sweep(zero) == {JordanType.block(p, 1, 3)}
     jt = JordanType.from_string(p, "[4]+2[5]")
     sweep = pi_point_sweep(jt)
@@ -237,11 +268,46 @@ def test_sweep_accepts_models_and_types_alike():
 # ---------------------------------------------------------------------- JSON
 
 
+@pytest.mark.parametrize(
+    "dim,entries,message",
+    [
+        (2, [(0, 1, 1.7)], "entries[0][2] must be an int, got 1.7"),
+        (2, [(1, 0, 1), (True, 0, 1)], "entries[1][0] must be an int, got True"),
+        (2, [(0, 1)], "entries[0] must be (r, c, v), got (0, 1)"),
+        (2, [(0, 2, 1)], "entry (0,2) outside a 2x2 matrix"),
+        (2, [(-1, 0, 1)], "entry (-1,0) outside a 2x2 matrix"),
+        (0, [(0, 0, 0)], "entry (0,0) outside a 0x0 matrix"),
+        (3, [(1, 0, 5), (1, 0, 1)], "entries[1] repeats entry (1,0)"),
+        (-1, [], "dim must be an int >= 0, got -1"),
+        (2.0, [], "dim must be an int >= 0, got 2.0"),
+    ],
+)
+def test_model_constructor_checks_entries(dim, entries, message):
+    with pytest.raises(ValidationError) as info:
+        NilpotentModel(5, dim, entries)
+    assert str(info.value) == message
+
+
+def test_model_reduces_values_and_drops_zeros():
+    model = NilpotentModel(5, 3, [(1, 0, 6), (2, 1, -1), (2, 0, 10)])
+    assert model.columns == ((0, ((1, 1),)), (1, ((2, 4),)))
+    assert dense(model) == [[0, 0, 0], [1, 0, 0], [0, 4, 0]]
+    assert model.to_json_dict() == {"p": 5, "dim": 3, "entries": [[1, 0, 1], [2, 1, 4]]}
+
+
+def test_model_json_entries_are_row_major():
+    rng = random.Random(3)
+    model = random_conjugate(heisenberg_model(5), rng)
+    rows = dense(model)
+    expected = [[r, c, v] for r, row in enumerate(rows) for c, v in enumerate(row) if v]
+    assert model.to_json_dict()["entries"] == expected
+
+
 def test_model_json_round_trip():
     model = heisenberg_model(3)
     data = json.loads(json.dumps(model.to_json_dict()))
     back = NilpotentModel.from_json_dict(data)
-    assert back.rows == model.rows and back.p == model.p
+    assert back.columns == model.columns and back.p == model.p
     assert jordan_type_of(back) == jordan_type_of(model)
 
 
