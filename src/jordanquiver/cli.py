@@ -14,6 +14,7 @@ Identical inputs always produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -307,7 +308,14 @@ def _add_common(sp, default_format="tsv", formats=("tsv", "json")):
     sp.add_argument("--format", choices=formats, default=default_format)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Every call returns the same parser, so ``main`` does not rebuild the
+    argparse tree per command.  The parser is shared: do not mutate it
+    (no ``add_argument``, ``set_defaults`` or changed attributes).
+    """
     parser = _Parser(prog="jordanquiver")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -254,7 +254,9 @@ def _split_terms(text: str):
 
 
 def require_prime(p: int) -> None:
-    """ValidationError unless ``p`` is prime, as F_p must be a field."""
+    """ValidationError unless ``p`` is an int and prime, as F_p must be a field."""
+    if type(p) is not int:
+        raise ValidationError(f"p must be an int, got {p!r}")
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValidationError(f"p must be prime, got {p}")
 

@@ -206,8 +206,11 @@ def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentMode
     by T adds a times row j to row i, then subtracts a times column i
     from column j; conjugating by D and P rescales and relabels the
     entries.  Each factor is one row-and-column operation on the sparse
-    entries, so g^{-1} is never formed.
+    entries, so g^{-1} is never formed.  The zero model is its own
+    conjugate and is returned as it is.
     """
+    if not model.columns:
+        return model
     p, dim = model.p, model.dim
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, dict[int, int]] = {}

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import ParseError, ValidationError, json_array, json_field, json_value
@@ -327,17 +326,6 @@ class ValuedGraph:
                     f"support is not symmetric: d({i!r},{j!r}) != 0 but d({j!r},{i!r}) = 0"
                 )
 
-    def cartan_matrix(self) -> list[list[int]]:
-        """The matrix C(i, j) = 2*delta_ij - d(i, j) in node order."""
-        n = len(self.nodes)
-        index = {v: k for k, v in enumerate(self.nodes)}
-        c = [[0] * n for _ in range(n)]
-        for k, v in enumerate(self.nodes):
-            c[k][k] = 2
-        for (i, j), val in self.d.items():
-            c[index[i]][index[j]] -= val
-        return c
-
 
 def orbit_valued_graph(window: QuiverWindow, power: int = 1) -> ValuedGraph:
     """The valued graph on <tau^power>-orbits of the window.
@@ -620,10 +608,15 @@ def _undirected(edges, nodes) -> ValuedGraph:
     return ValuedGraph(tuple(nodes), d)
 
 
-def _euclidean_graph(tc: TreeClass) -> ValuedGraph:
+def _euclidean_graph(tc: TreeClass) -> tuple[ValuedGraph, dict]:
+    """The orbit graph of a Euclidean tree class and its null root delta.
+
+    delta is the primitive positive vector spanning the kernel of the
+    Cartan matrix (Happel-Preiser-Ringel 1980), tabulated per diagram.
+    """
     if tc.kind is TreeClassKind.A_TILDE_12:
         # two nodes joined by a (2,2)-valued bond
-        return ValuedGraph((0, 1), {(0, 1): 2, (1, 0): 2})
+        return ValuedGraph((0, 1), {(0, 1): 2, (1, 0): 2}), {0: 1, 1: 1}
     if tc.kind is TreeClassKind.D_TILDE:
         n = tc.n
         # forks 'a','b' - chain c1..c_{n-3} - forks 'y','z'
@@ -632,73 +625,29 @@ def _euclidean_graph(tc: TreeClass) -> ValuedGraph:
         edges = [("a", chain[0]), ("b", chain[0])]
         edges += list(zip(chain, chain[1:]))
         edges += [(chain[-1], "y"), (chain[-1], "z")]
-        return _undirected(edges, nodes)
+        delta = dict.fromkeys(nodes, 1) | dict.fromkeys(chain, 2)
+        return _undirected(edges, nodes), delta
     if tc.kind is TreeClassKind.E6_TILDE:
         # three arms of length 2 from the center
         nodes = ["c", "a1", "a2", "b1", "b2", "d1", "d2"]
         edges = [("c", "a1"), ("a1", "a2"), ("c", "b1"), ("b1", "b2"), ("c", "d1"), ("d1", "d2")]
-        return _undirected(edges, nodes)
+        delta = {"c": 3, "a1": 2, "a2": 1, "b1": 2, "b2": 1, "d1": 2, "d2": 1}
+        return _undirected(edges, nodes), delta
     if tc.kind is TreeClassKind.E7_TILDE:
         # chain of 7 with one extra node on the center
         chain = list(range(7))
         nodes = chain + ["b"]
         edges = list(zip(chain, chain[1:])) + [(3, "b")]
-        return _undirected(edges, nodes)
+        delta = dict(zip(nodes, (1, 2, 3, 4, 3, 2, 1, 2)))
+        return _undirected(edges, nodes), delta
     if tc.kind is TreeClassKind.E8_TILDE:
         # chain of 8 with the branch node attached at position 5
         chain = list(range(8))
         nodes = chain + ["b"]
         edges = list(zip(chain, chain[1:])) + [(5, "b")]
-        return _undirected(edges, nodes)
+        delta = dict(zip(nodes, (1, 2, 3, 4, 5, 6, 4, 2, 3)))
+        return _undirected(edges, nodes), delta
     raise ValidationError(f"not a Euclidean tree class: {tc}")
-
-
-def _integer_kernel_vector(c: list[list[int]]) -> list[int]:
-    """Primitive integer vector spanning the kernel of an integer matrix.
-
-    Expects a one-dimensional kernel; exact elimination over Q.
-    """
-    n = len(c)
-    a = [[Fraction(x) for x in row] for row in c]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pr = None
-        for r in range(row, n):
-            if a[r][col]:
-                pr = r
-                break
-        if pr is None:
-            continue
-        a[row], a[pr] = a[pr], a[row]
-        a[row] = [x / a[row][col] for x in a[row]]
-        for r in range(n):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    free = [c0 for c0 in range(n) if c0 not in pivots]
-    if len(free) != 1:
-        raise ValidationError(f"kernel dimension is {len(free)}, expected 1")
-    fc = free[0]
-    vec = [Fraction(0)] * n
-    vec[fc] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        vec[pc] = -a[r][fc]
-    lcm = 1
-    for x in vec:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    ints = [x // g for x in ints]
-    if all(x <= 0 for x in ints):
-        ints = [-x for x in ints]
-    if any(x <= 0 for x in ints):
-        raise ValidationError("kernel vector is not strictly positive")
-    return ints
 
 
 _TRUNCATION = 10
@@ -707,10 +656,11 @@ _TRUNCATION = 10
 def minimal_additive_function(tc: TreeClass, truncation: int = _TRUNCATION) -> MinimalAdditiveFunction:
     """Minimal positive additive function on the orbit graph of a tree class.
 
-    Euclidean classes are solved as the integer kernel of their Cartan
-    matrix; infinite classes are solved by the additive recurrence on a
-    truncated window.  Finite Dynkin classes are rejected, since there
-    the zero function is the only additive one.
+    Euclidean classes take the tabulated null root of their diagram,
+    certified additive on the whole graph; infinite classes are solved
+    by the additive recurrence on a truncated window.  Finite Dynkin
+    classes are rejected, since there the zero function is the only
+    additive one.
     """
     if tc.kind is TreeClassKind.FINITE_DYNKIN:
         raise ValidationError(
@@ -723,11 +673,11 @@ def minimal_additive_function(tc: TreeClass, truncation: int = _TRUNCATION) -> M
         TreeClassKind.E7_TILDE,
         TreeClassKind.E8_TILDE,
     ):
-        graph = _euclidean_graph(tc)
-        vec = _integer_kernel_vector(graph.cartan_matrix())
-        values = {v: vec[i] for i, v in enumerate(graph.nodes)}
-        if not is_additive_on_graph(graph, values):
-            raise ValidationError("kernel vector failed the additivity check")
+        graph, values = _euclidean_graph(tc)
+        # the Cartan kernel is one-dimensional, so additive values with
+        # minimum 1 are its primitive positive vector
+        if not is_additive_on_graph(graph, values) or min(values.values()) != 1:
+            raise ValidationError("null root failed the additivity check")
         return MinimalAdditiveFunction(tc, graph, values, len(set(values.values())), graph.nodes)
 
     if truncation < 3:

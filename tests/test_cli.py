@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanquiver.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, main
+from jordanquiver.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, build_parser, main
 from jordanquiver.components import (
     TubeProfile,
     apply_a,
@@ -320,6 +320,10 @@ def test_oracle_json_model_costs_its_entries(capsys, entries, expected):
     model = json.dumps({"p": 5, "dim": 100000, "entries": entries})
     code, out, _ = run(capsys, "oracle", "json", "--module", model)
     assert code == EXIT_OK and out == expected
+    if not entries:
+        # the zero model is its own conjugate: no dim-long walk of transvections
+        code, out, _ = run(capsys, "oracle", "json", "--module", model, "--fuzz", "1")
+        assert code == EXIT_OK and out == expected + "fuzz PASS (1 conjugations per model)\n"
 
 
 def test_oracle_rejects_non_prime_p(capsys):
@@ -399,6 +403,26 @@ def test_quiver_minimal_additive(capsys):
     assert code == EXIT_OK and out.startswith("graph")
 
 
+MINIMAL_ADDITIVE_CLASSES = (
+    ["A_inf", "A_inf_inf", "A12_tilde", "D_inf", "E6_tilde", "E7_tilde", "E8_tilde"]
+    + [f"D{n}_tilde" for n in range(4, 41)]
+    + ["A5", "Q9", "D3_tilde", "Dx_tilde"]  # the error paths
+)
+
+
+def test_quiver_minimal_additive_output_is_pinned(capsys):
+    # sha256 over argv, exit code, stdout and stderr of every class and
+    # format, captured when Euclidean classes were still solved by
+    # elimination on their Cartan matrices
+    digest = hashlib.sha256()
+    for tc in MINIMAL_ADDITIVE_CLASSES:
+        for fmt in ("dot", "tsv", "json"):
+            argv = ("quiver", "--minimal-additive", tc, "--format", fmt)
+            code, out, err = run(capsys, *argv)
+            digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == "83bb8c1614fe5f9b7f5f975084b86b880275eb8675c8606a071f0c17405fa86a"
+
+
 def test_quiver_needs_spec_or_class(capsys):
     code, _, _ = run(capsys, "quiver")
     assert code == EXIT_PARSE
@@ -464,6 +488,65 @@ def test_outputs_are_byte_identical_across_runs(capsys):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second
+
+
+PARSER_REUSE_ARGV = [
+    [],
+    ["jt"],
+    ["jt", "dim", "--m", "x"],
+    ["frobnicate"],
+    ["--help"],
+    ["jt", "dim", "--p", "5", "--jt", "2[3]+[1]"],
+    ["jt", "--help"],
+    ["jt", "dim", "--jt", "[2]"],
+    ["jt", "dominance", "--p", "5", "--a", "[2]", "--b", "[3]"],
+    ["jt", "restrict", "--p", "5", "--jt", "[5]+[4]", "--j", "2", "--format", "json"],
+    ["jt", "dim", "--p", "5", "--bogus"],
+    ["component", "--spec", "{}"],
+    ["component", "--spec", HEIS_SPEC, "--ql-max", "3"],
+    ["component", "--spec", "{bad"],
+    ["component", "--help"],
+    ["component", "--spec", HEIS_SPEC, "--solve", "--format", "json"],
+    ["oracle", "nosuch"],
+    ["oracle", "heisenberg", "--p", "3", "--fuzz", "2"],
+    ["oracle", "heisenberg", "--p", "4"],
+    ["oracle", "json"],
+    ["oracle", "--help"],
+    ["oracle", "sweep", "--base-block", "3", "--p", "7"],
+    ["quiver"],
+    ["quiver", "--minimal-additive", "Q9"],
+    ["quiver", "--minimal-additive", "E7_tilde", "--format", "json"],
+    ["quiver", "--help"],
+    ["quiver", "--spec", json.dumps({"kind": "tube", "rank": 2, "max_ql": 3}),
+     "--check-additive", "ql"],
+    ["quiver", "--spec", json.dumps({"kind": "tube", "rank": 2.5, "max_ql": 3})],
+    ["classify"],
+    ["classify", "--descriptor", json.dumps({"p": 4, "degree": 2})],
+    ["classify", "--descriptor", json.dumps({"p": 5, "degree": 4, "nilpotent": True,
+                                             "dim_total": 15}), "--format", "json"],
+    ["classify", "--help"],
+    ["jt", "dim", "--p", "7", "--jt", "[1]"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:  # --help
+        captured = capsys.readouterr()
+        return ("SystemExit", exc.code), captured.out, captured.err
+
+
+def test_shared_parser_leaks_no_state(capsys):
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in PARSER_REUSE_ARGV:
+        build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    shared = [_outcome(capsys, argv) for _ in range(2) for argv in PARSER_REUSE_ARGV]
+    assert shared == fresh * 2
+    codes = {code for code, _, _ in fresh}
+    assert {EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, ("SystemExit", 0)} <= codes
 
 
 # -------------------------------------------------------------- strict JSON

@@ -14,7 +14,7 @@ from dense_reference import (
     rank_mod_p,
 )
 from jordanquiver.errors import ParseError, ValidationError
-from jordanquiver.jtypes import JordanType, restrict, restrict_type
+from jordanquiver.jtypes import JordanType, require_prime, restrict, restrict_type
 from jordanquiver.oracle import (
     NilpotentModel,
     abelian_rank2_models,
@@ -203,6 +203,8 @@ def test_random_conjugate_moves_the_entries():
         assert conj.p == model.p and conj.dim == model.dim
         assert conj.to_json_dict()["entries"] != model.to_json_dict()["entries"]
         assert conj.rank_sequence == model.rank_sequence
+    zero = NilpotentModel(5, 10**5, [])
+    assert random_conjugate(zero, rng) is zero
 
 
 def test_power_model_matches_dense_powers():
@@ -285,6 +287,18 @@ def test_sweep_accepts_models_and_types_alike():
 def test_model_constructor_checks_entries(dim, entries, message):
     with pytest.raises(ValidationError) as info:
         NilpotentModel(5, dim, entries)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("p", [5.0, "5", True], ids=repr)
+def test_prime_must_be_an_int(p):
+    # refused before any arithmetic, where isqrt(5.0) would raise TypeError
+    message = f"p must be an int, got {p!r}"
+    with pytest.raises(ValidationError) as info:
+        require_prime(p)
+    assert str(info.value) == message
+    with pytest.raises(ValidationError) as info:
+        NilpotentModel(p, 1, [])
     assert str(info.value) == message
 
 

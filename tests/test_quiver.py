@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cartan_reference import cartan_matrix, integer_kernel_vector
 from jordanquiver.errors import ParseError, ValidationError
 from jordanquiver.quiver import (
     A_DOUBLE_INFINITY,
@@ -16,6 +17,7 @@ from jordanquiver.quiver import (
     Quiver,
     TreeClass,
     VertexFunction,
+    _euclidean_graph,
     build_window,
     check_admissible,
     classify_function,
@@ -324,6 +326,19 @@ def test_minimal_additive_d_infinity_values():
 def test_minimal_additive_e8_values_multiset():
     result = minimal_additive_function(E8_TILDE)
     assert sorted(result.values.values()) == sorted([1, 2, 3, 4, 5, 6, 4, 2, 3])
+
+
+EUCLIDEAN = [A_TILDE_12] + [d_tilde(n) for n in range(4, 41)] + [E6_TILDE, E7_TILDE, E8_TILDE]
+
+
+@pytest.mark.parametrize("tc", EUCLIDEAN, ids=str)
+def test_null_root_table_matches_cartan_kernel(tc):
+    graph, delta = _euclidean_graph(tc)
+    assert list(delta) == list(graph.nodes)
+    kernel = integer_kernel_vector(cartan_matrix(graph))
+    assert {v: kernel[k] for k, v in enumerate(graph.nodes)} == delta
+    result = minimal_additive_function(tc)
+    assert result.values == delta and result.interior == graph.nodes
 
 
 def test_minimal_additive_rejects_finite_dynkin():
