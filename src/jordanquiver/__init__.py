@@ -12,10 +12,8 @@ from .jtypes import (
 )
 from .oracle import NilpotentModel, jordan_type_of, pi_point_sweep
 from .components import (
-    CartanPair,
     SplitProfile,
     TubeProfile,
-    build_cartan_pair,
     solve_multiplicities,
     split_propagate,
     tube_central,
@@ -44,7 +42,6 @@ from .classify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartanPair",
     "CohomologyClassDescriptor",
     "DominanceConvention",
     "DominanceResult",
@@ -59,7 +56,6 @@ __all__ = [
     "Verdict",
     "VerdictKind",
     "VertexFunction",
-    "build_cartan_pair",
     "build_window",
     "carlson_indecomposability",
     "carlson_type_set",

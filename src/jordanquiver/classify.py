@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ValidationError, json_field, json_value
+from .errors import ParseError, ValidationError, json_field, json_value, require_ints
 from .jtypes import JordanType, require_prime
 
 
@@ -94,23 +94,21 @@ class CohomologyClassDescriptor:
     ambient: AmbientGeometry = field(default_factory=AmbientGeometry)
 
     def __post_init__(self):
-        if self.p < 3:
+        # a non-int p goes straight to require_prime, which names it
+        if type(self.p) is int and self.p < 3:
             raise ValidationError(f"the rule engine needs p >= 3, got {self.p}")
         require_prime(self.p)
+        require_ints(degree=self.degree)
         if self.degree < 1:
             raise ValidationError(f"degree must be >= 1, got {self.degree}")
-        if self.dim_total is not None and self.dim_total < 0:
-            raise ValidationError("dim_total must be >= 0")
+        if self.dim_total is not None:
+            require_ints(dim_total=self.dim_total)
+            if self.dim_total < 0:
+                raise ValidationError("dim_total must be >= 0")
 
     @property
     def is_odd(self) -> bool:
         return self.degree % 2 == 1
-
-    @property
-    def support_full(self) -> bool:
-        # odd-degree classes square to zero, so they and the even
-        # nilpotent ones have kernel modules of full support
-        return self.is_odd or self.nilpotent
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CohomologyClassDescriptor":
@@ -397,7 +395,7 @@ def sl2_family_types(
     {full-projective, [i]+[p-i]+(extra)[p]}; the extra count is ql-1 for
     SL2_1 (needs ql) and dim/p - 1 for SL2_1_TR (needs module_dim).
     """
-    if p < 3:
+    if type(p) is int and p < 3:
         raise ValidationError(f"need p >= 3, got {p}")
     require_prime(p)
     if pi_dim not in (0, 1):

@@ -25,50 +25,6 @@ from .errors import ParseError, ValidationError, int_tuple, json_array, json_fie
 from .jtypes import DominanceResult, JordanType
 from .quiver import TreeClass
 
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def _matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def _identity(p: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(p)] for i in range(p)]
-
-
-@dataclass(frozen=True)
-class CartanPair:
-    """The mutually inverse integer matrices A and B of size p x p.
-
-    A is tridiagonal with diagonal (2, ..., 2, 1) and -1 on the off
-    diagonals; its top-left (p-1) x (p-1) block is the Cartan matrix of
-    the Dynkin diagram A_{p-1}.  B has entries min(i, l).  The identity
-    A B = B A = I is verified exactly at construction.
-    """
-
-    p: int
-    a: Matrix
-    b: Matrix
-
-
-def build_cartan_pair(p: int) -> CartanPair:
-    if p < 2:
-        raise ValidationError(f"p must be >= 2, got {p}")
-    a = [[0] * p for _ in range(p)]
-    for i in range(p):
-        a[i][i] = 2
-        if i + 1 < p:
-            a[i][i + 1] = -1
-            a[i + 1][i] = -1
-    a[p - 1][p - 1] = 1
-    b = [[min(i, l) + 1 for l in range(p)] for i in range(p)]
-    ident = _identity(p)
-    if _matmul(a, b) != ident or _matmul(b, a) != ident:
-        raise ValidationError(f"A and B are not mutually inverse at p={p}")
-    return CartanPair(p, tuple(map(tuple, a)), tuple(map(tuple, b)))
-
-
 def apply_a(n: Sequence[int]) -> list[int]:
     """A n in O(p): the stencil 2 n_i - n_{i-1} - n_{i+1}, with A_pp = 1."""
     t = [2 * x - a - b for x, a, b in zip(n, [0, *n[:-1]], [*n[1:], 0])]

@@ -11,7 +11,8 @@ and ``json_array``.  ``kind`` is int, bool, str, list or dict, the type
 It must match exactly and nothing is converted, so ``5.9`` never becomes
 5 and ``"false"`` never becomes true.  Errors name the JSON path of the
 offending field, such as ``seed.mult[0]``; the empty path is the input.
-``int_tuple`` holds the library constructors to the same rule.
+``int_tuple`` and ``require_ints`` hold the library constructors to the
+same rule.
 """
 
 
@@ -49,6 +50,13 @@ def int_tuple(values, field: str) -> tuple[int, ...]:
         i, x = next((i, x) for i, x in enumerate(out) if type(x) is not int)
         raise ValidationError(f"{field}[{i}] must be an int, got {x!r}")
     return out
+
+
+def require_ints(**args) -> None:
+    """ValidationError naming the first argument that is not exactly an int."""
+    for name, value in args.items():
+        if type(value) is not int:
+            raise ValidationError(f"{name} must be an int, got {value!r}")
 
 
 def json_field(data, key: str, kind: type, path: str = "", default=_REQUIRED):

@@ -19,9 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
-from .errors import ParseError, ValidationError, json_array, json_field, json_value
+from .errors import (
+    ParseError, ValidationError, json_array, json_field, json_value, require_ints,
+)
 
 Vertex = tuple
 Arrow = tuple  # (source, target)
@@ -43,65 +46,59 @@ class Quiver:
             if s not in self.vertices or t not in self.vertices:
                 raise ValidationError(f"arrow ({s!r}, {t!r}) leaves the vertex set")
 
-    def successors(self, v):
-        return {t for s, t in self.arrows if s == v}
-
-    def predecessors(self, v):
-        return {s for s, t in self.arrows if t == v}
-
-
-class WindowKind(Enum):
-    ZT = "zt"
-    TUBE = "tube"
-
 
 @dataclass(eq=False)
 class QuiverWindow:
     """A finite fragment of Z[T] or of a tube, with its translation.
 
-    Vertices are pairs: (n, tree_vertex) for ZT windows, (n mod rank, ql)
-    for tubes.  ``interior`` holds the vertices whose predecessor set and
-    translate are fully inside the window; analysis is restricted to it.
-    ``ql`` maps vertices to quasi-length where that makes sense (tubes
-    and Z[A_inf] windows) and is None otherwise.
+    Vertices are pairs: (n, tree_vertex) for windows over a ``tree``,
+    (n, ql) for Z[A_inf] windows and (n mod rank, ql) for tubes, so
+    without a tree the second coordinate is the quasi-length.
+    ``interior`` holds the vertices whose predecessor set and translate
+    are fully inside the window; analysis is restricted to it.
+    ``vertices``, ``arrows``, ``interior`` and ``succ_complete`` are
+    sorted tuples and ``tau`` is keyed in vertex order, so every consumer
+    walks them as they are.  ``valuation`` holds only the arrows whose
+    valuation is not (1, 1).
     """
 
-    kind: WindowKind
-    vertices: frozenset
-    arrows: frozenset
-    valuation: dict
+    vertices: tuple
+    arrows: tuple
     tau: dict
-    interior: frozenset
-    succ_complete: frozenset
-    ql: dict | None = None
+    interior: tuple
+    succ_complete: tuple
+    valuation: dict = field(default_factory=dict)
     rank: int | None = None
     tree: Quiver | None = None
-    n_range: tuple[int, int] | None = None
-    _preds: dict = field(default_factory=dict, repr=False)
-    _succs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        for v in self.vertices:
-            self._preds[v] = []
-            self._succs[v] = []
-        for s, t in sorted(self.arrows):
+        self.arrows = tuple(sorted(self.arrows))
+        self._preds = {v: [] for v in self.vertices}
+        self._succs = {v: [] for v in self.vertices}
+        for s, t in self.arrows:
             self._preds[t].append(s)
             self._succs[s].append(t)
-            self.valuation.setdefault((s, t), (1, 1))
-        self._check_valuation()
-
-    def _check_valuation(self):
+        if not self.valuation:
+            return
+        arrows = set(self.arrows)
+        for arrow, nu in self.valuation.items():
+            if arrow not in arrows:
+                raise ValidationError(f"valuation on {arrow!r}, which is not a window arrow")
+            if type(nu) is not tuple or list(map(type, nu)) != [int, int] or min(nu) < 1:
+                raise ValidationError(
+                    f"valuation on {arrow!r} must be a pair of positive ints, got {nu!r}"
+                )
+        self.valuation = {arrow: nu for arrow, nu in self.valuation.items() if nu != (1, 1)}
         # nu(tau(b), a) must be the swap of nu(a, b) whenever both arrows
-        # lie in the window.
+        # lie in the window
         for a, b in self.arrows:
             tb = self.tau.get(b)
-            if tb is None or (tb, a) not in self.arrows:
-                continue
-            m, n = self.valuation[(a, b)]
-            if self.valuation[(tb, a)] != (n, m):
-                raise ValidationError(
-                    f"valuation violates translation compatibility on arrow ({a!r}, {b!r})"
-                )
+            if (tb, a) in arrows:
+                m, n = self.valuation.get((a, b), (1, 1))
+                if self.valuation.get((tb, a), (1, 1)) != (n, m):
+                    raise ValidationError(
+                        f"valuation violates translation compatibility on arrow ({a!r}, {b!r})"
+                    )
 
     def predecessors(self, v) -> list:
         return self._preds[v]
@@ -110,7 +107,7 @@ class QuiverWindow:
         return self._succs[v]
 
     def arrow_weight(self, x, y) -> int:
-        return self.valuation[(x, y)][0]
+        return self.valuation.get((x, y), (1, 1))[0]
 
 
 # -------------------------------------------------------------- construction
@@ -118,67 +115,55 @@ class QuiverWindow:
 
 def tube_window(rank: int, max_ql: int, valuation: Mapping | None = None) -> QuiverWindow:
     """Window of the tube Z[A_inf]/<tau^rank> with quasi-lengths 1..max_ql."""
+    require_ints(rank=rank, max_ql=max_ql)
     if rank < 1:
         raise ValidationError(f"tube rank must be >= 1, got {rank}")
-    if max_ql < 1:
-        raise ValidationError(f"max_ql must be >= 1, got {max_ql}")
-    vertices = frozenset((n, q) for n in range(rank) for q in range(1, max_ql + 1))
-    arrows = set()
-    for n in range(rank):
-        for q in range(1, max_ql):
-            arrows.add(((n, q), (n, q + 1)))
-            arrows.add(((n, q + 1), ((n + 1) % rank, q)))
-    tau = {(n, q): ((n - 1) % rank, q) for (n, q) in vertices}
-    interior = frozenset(v for v in vertices if v[1] < max_ql)
-    return QuiverWindow(
-        kind=WindowKind.TUBE,
-        vertices=vertices,
-        arrows=frozenset(arrows),
-        valuation=dict(valuation) if valuation else {},
-        tau=tau,
-        interior=interior,
-        succ_complete=interior,
-        ql={v: v[1] for v in vertices},
-        rank=rank,
-    )
+    return _ql_window(range(rank), max_ql, valuation, rank)
 
 
 def zt_a_infinity_window(
     n_min: int, n_max: int, max_ql: int, valuation: Mapping | None = None
 ) -> QuiverWindow:
     """Window of Z[A_inf]: translation indices n_min..n_max, ql 1..max_ql."""
+    require_ints(n_min=n_min, n_max=n_max, max_ql=max_ql)
     if n_max < n_min:
         raise ValidationError(f"empty translation range {n_min}..{n_max}")
+    return _ql_window(range(n_min, n_max + 1), max_ql, valuation)
+
+
+def _ql_window(ns: range, max_ql: int, valuation, rank: int | None = None) -> QuiverWindow:
+    """Vertices (n, q) for n in ns and quasi-lengths q in 1..max_ql.
+
+    Arrows run (n, q) -> (n, q+1) and (n, q+1) -> (n', q) for the index
+    n' after n; on a tube (``rank`` given) the first index follows the last.
+    """
     if max_ql < 1:
         raise ValidationError(f"max_ql must be >= 1, got {max_ql}")
-    vertices = frozenset(
-        (n, q) for n in range(n_min, n_max + 1) for q in range(1, max_ql + 1)
-    )
-    arrows = set()
-    for n in range(n_min, n_max + 1):
-        for q in range(1, max_ql):
-            arrows.add(((n, q), (n, q + 1)))
-            if n + 1 <= n_max:
-                arrows.add(((n, q + 1), (n + 1, q)))
-    tau = {(n, q): (n - 1, q) for (n, q) in vertices if n - 1 >= n_min}
-    interior = frozenset(
-        (n, q) for (n, q) in vertices if n > n_min and q < max_ql
-    )
-    succ_complete = frozenset(
-        (n, q)
-        for (n, q) in vertices
-        if q < max_ql and (q == 1 or n < n_max)
-    )
+    after = dict(zip(ns, ns[1:]))
+    if rank is not None:
+        after[ns[-1]] = ns[0]
+    before = {m: n for n, m in after.items()}
+    # tuples are made from lists, not generators: tuple() resizes what a
+    # generator gives it, and CPython then parks each freed tuple on its
+    # per-size free list, which a long-running process keeps as RSS
+    vertices = tuple([(n, q) for n in ns for q in range(1, max_ql + 1)])
+    arrows = []
+    for n, q in vertices:
+        if q < max_ql:
+            arrows.append(((n, q), (n, q + 1)))
+            if n in after:
+                arrows.append(((n, q + 1), (after[n], q)))
+    tau = {(n, q): (before[n], q) for n, q in vertices if n in before}
     return QuiverWindow(
-        kind=WindowKind.ZT,
         vertices=vertices,
-        arrows=frozenset(arrows),
-        valuation=dict(valuation) if valuation else {},
+        arrows=arrows,
         tau=tau,
-        interior=interior,
-        succ_complete=succ_complete,
-        ql={v: v[1] for v in vertices},
-        n_range=(n_min, n_max),
+        interior=tuple([v for v in tau if v[1] < max_ql]),
+        succ_complete=tuple(
+            [(n, q) for n, q in vertices if q < max_ql and (q == 1 or n in after)]
+        ),
+        valuation=dict(valuation or {}),
+        rank=rank,
     )
 
 
@@ -186,36 +171,29 @@ def zt_window(
     tree: Quiver, n_min: int, n_max: int, valuation: Mapping | None = None
 ) -> QuiverWindow:
     """Window of Z[T] over an explicit finite tree (or quiver) T."""
+    require_ints(n_min=n_min, n_max=n_max)
     if n_max < n_min:
         raise ValidationError(f"empty translation range {n_min}..{n_max}")
     if not tree.vertices:
         raise ValidationError("tree must have at least one vertex")
-    vertices = frozenset((n, t) for n in range(n_min, n_max + 1) for t in tree.vertices)
-    arrows = set()
+    # tuples from lists, as in _ql_window
+    vertices = tuple([(n, t) for n in range(n_min, n_max + 1) for t in sorted(tree.vertices)])
+    arrows = []
     for n in range(n_min, n_max + 1):
         for s, t in tree.arrows:
-            arrows.add(((n, s), (n, t)))
+            arrows.append(((n, s), (n, t)))
             if n + 1 <= n_max:
-                arrows.add(((n, t), (n + 1, s)))
-    tau = {(n, t): (n - 1, t) for (n, t) in vertices if n - 1 >= n_min}
-    has_succ = {t: bool(tree.successors(t)) for t in tree.vertices}
-    has_pred = {t: bool(tree.predecessors(t)) for t in tree.vertices}
-    interior = frozenset(
-        (n, t) for (n, t) in vertices if n > n_min or not has_succ[t]
-    ) & frozenset(v for v in vertices if v in tau)
-    succ_complete = frozenset(
-        (n, t) for (n, t) in vertices if n < n_max or not has_pred[t]
-    )
+                arrows.append(((n, t), (n + 1, s)))
+    targets = {t for _, t in tree.arrows}
     return QuiverWindow(
-        kind=WindowKind.ZT,
         vertices=vertices,
-        arrows=frozenset(arrows),
-        valuation=dict(valuation) if valuation else {},
-        tau=tau,
-        interior=interior,
-        succ_complete=succ_complete,
+        arrows=arrows,
+        tau={(n, t): (n - 1, t) for (n, t) in vertices if n > n_min},
+        # every predecessor of (n, t) lies in layers n and n-1
+        interior=tuple([(n, t) for (n, t) in vertices if n > n_min]),
+        succ_complete=tuple([(n, t) for (n, t) in vertices if n < n_max or t not in targets]),
+        valuation=dict(valuation or {}),
         tree=tree,
-        n_range=(n_min, n_max),
     )
 
 
@@ -262,7 +240,7 @@ def _orbit_key(window: QuiverWindow, power: int, v):
     if power == 0:
         return v
     n, t = v
-    if window.kind is WindowKind.TUBE:
+    if window.rank is not None:
         g = math.gcd(power, window.rank)
         return (n % g, t)
     return (n % power, t)
@@ -280,18 +258,14 @@ def check_admissible(window: QuiverWindow, power: int = 1) -> AdmissibilityRepor
     if power < 0:
         raise ValidationError(f"power must be >= 0, got {power}")
     tested = 0
-    for y in sorted(window.succ_complete):
+    neighborhoods = chain(
+        ((y, window.successors(y)) for y in window.succ_complete),
+        ((y, window.predecessors(y)) for y in window.interior),
+    )
+    for y, neighbors in neighborhoods:
         tested += 1
         seen = {}
-        for z in [y] + window.successors(y):
-            key = _orbit_key(window, power, z)
-            if key in seen and seen[key] != z:
-                return AdmissibilityReport(False, (seen[key], y), tested)
-            seen[key] = z
-    for y in sorted(window.interior):
-        tested += 1
-        seen = {}
-        for z in [y] + window.predecessors(y):
+        for z in (y, *neighbors):
             key = _orbit_key(window, power, z)
             if key in seen and seen[key] != z:
                 return AdmissibilityReport(False, (seen[key], y), tested)
@@ -311,9 +285,6 @@ class ValuedGraph:
 
     def value(self, i, j) -> int:
         return self.d.get((i, j), 0)
-
-    def neighbors(self, i):
-        return sorted({j for (a, j) in self.d if a == i}, key=repr)
 
     def check(self):
         for (i, j), v in self.d.items():
@@ -341,7 +312,7 @@ def orbit_valued_graph(window: QuiverWindow, power: int = 1) -> ValuedGraph:
         )
     nodes = sorted({_orbit_key(window, power, v) for v in window.vertices})
     d: dict = {}
-    for a, b in sorted(window.arrows):
+    for a, b in window.arrows:
         ka, kb = _orbit_key(window, power, a), _orbit_key(window, power, b)
         w = window.arrow_weight(a, b)
         prev = d.get((ka, kb))
@@ -377,10 +348,10 @@ class VertexFunction:
     values: dict
 
     def __post_init__(self):
-        missing = self.window.vertices - set(self.values)
+        missing = [v for v in self.window.vertices if v not in self.values]
         if missing:
             raise ValidationError(
-                f"function undefined on {len(missing)} window vertices, e.g. {sorted(missing)[0]!r}"
+                f"function undefined on {len(missing)} window vertices, e.g. {missing[0]!r}"
             )
         for v, x in self.values.items():
             if not isinstance(x, int) or x < 0:
@@ -388,9 +359,9 @@ class VertexFunction:
 
     @classmethod
     def from_ql(cls, window: QuiverWindow, fn: Callable[[int], int]) -> "VertexFunction":
-        if window.ql is None:
+        if window.tree is not None:
             raise ValidationError("window has no quasi-length labeling")
-        return cls(window, {v: fn(q) for v, q in window.ql.items()})
+        return cls(window, {v: fn(v[1]) for v in window.vertices})
 
     @classmethod
     def constant(cls, window: QuiverWindow, c: int) -> "VertexFunction":
@@ -418,37 +389,37 @@ class FunctionReport:
     note: str = ""
 
 
+def _additivity_balance(f: VertexFunction) -> dict:
+    """(f(y) + f(tau y), sum of f(x) * nu(x, y)[0] over predecessors x) per interior y."""
+    window = f.window
+    return {
+        y: (f(y) + f(window.tau[y]),
+            sum(f(x) * window.arrow_weight(x, y) for x in window.predecessors(y)))
+        for y in window.interior
+    }
+
+
 def classify_function(f: VertexFunction) -> FunctionReport:
     """Decide subadditivity / additivity / eventual additivity on a window."""
     window = f.window
-    interior = sorted(window.interior)
-    if not interior:
+    if not window.interior:
         return FunctionReport(None, None, None, None, True, "window has no interior")
-    subadd = True
-    additive = True
-    bad_levels = []
-    for y in interior:
-        lhs = f(y) + f(window.tau[y])
-        rhs = sum(f(x) * window.arrow_weight(x, y) for x in window.predecessors(y))
-        if lhs < rhs:
-            subadd = False
-        if lhs != rhs:
-            additive = False
-            if window.ql is not None:
-                bad_levels.append(window.ql[y])
-    tau_inv = all(f(v) == f(window.tau[v]) for v in window.vertices if v in window.tau)
+    balance = _additivity_balance(f)
+    subadd = all(lhs >= rhs for lhs, rhs in balance.values())
+    unbalanced = [y for y, (lhs, rhs) in balance.items() if lhs != rhs]
+    tau_inv = all(f(v) == f(tv) for v, tv in window.tau.items())
     level: int | None = None
     note = ""
-    if window.ql is None:
+    if window.tree is not None:
         note = "no quasi-length labeling; eventual level not applicable"
     else:
-        top = max(window.ql[y] for y in interior)
-        worst = max(bad_levels, default=0)
+        top = max(y[1] for y in window.interior)
+        worst = max((y[1] for y in unbalanced), default=0)
         if worst < top:
             level = worst + 1
         else:
             note = "window too small to certify an eventual-additivity level"
-    return FunctionReport(subadd, additive, tau_inv, level, False, note)
+    return FunctionReport(subadd, not unbalanced, tau_inv, level, False, note)
 
 
 @dataclass(frozen=True)
@@ -591,15 +562,6 @@ class MinimalAdditiveFunction:
     interior: tuple
 
 
-def _chain_graph(labels) -> ValuedGraph:
-    labels = list(labels)
-    d = {}
-    for a, b in zip(labels, labels[1:]):
-        d[(a, b)] = 1
-        d[(b, a)] = 1
-    return ValuedGraph(tuple(labels), d)
-
-
 def _undirected(edges, nodes) -> ValuedGraph:
     d = {}
     for a, b in edges:
@@ -685,7 +647,7 @@ def minimal_additive_function(tc: TreeClass, truncation: int = _TRUNCATION) -> M
     if tc.kind is TreeClassKind.A_INFINITY:
         # 2 f(q) = f(q-1) + f(q+1), 2 f(1) = f(2): the staircase f(q) = q.
         labels = list(range(1, truncation + 1))
-        graph = _chain_graph(labels)
+        graph = _undirected(zip(labels, labels[1:]), labels)
         values = {1: 1, 2: 2}
         for q in range(2, truncation):
             values[q + 1] = 2 * values[q] - values[q - 1]
@@ -699,7 +661,7 @@ def minimal_additive_function(tc: TreeClass, truncation: int = _TRUNCATION) -> M
         # positive additive functions on the doubly infinite chain are
         # affine, and staying positive in both directions forces constants
         labels = list(range(-truncation, truncation + 1))
-        graph = _chain_graph(labels)
+        graph = _undirected(zip(labels, labels[1:]), labels)
         values = {v: 1 for v in labels}
         interior = tuple(labels[1:-1])
         if not is_additive_on_graph(graph, values, interior):
@@ -740,29 +702,24 @@ def window_to_dot(
     annotate_additive also PASS/FAIL of the additivity equation at each
     interior vertex.
     """
-    names = {v: f"v{i}" for i, v in enumerate(sorted(window.vertices))}
+    names = {v: f"v{i}" for i, v in enumerate(window.vertices)}
     lines = ["digraph window {"]
     per_vertex_ok = {}
     if overlay is not None and annotate_additive:
-        for y in window.interior:
-            lhs = overlay(y) + overlay(window.tau[y])
-            rhs = sum(
-                overlay(x) * window.arrow_weight(x, y) for x in window.predecessors(y)
-            )
-            per_vertex_ok[y] = lhs == rhs
-    for v in sorted(window.vertices):
+        per_vertex_ok = {y: lhs == rhs for y, (lhs, rhs) in _additivity_balance(overlay).items()}
+    for v in window.vertices:
         label = f"({v[0]},{v[1]})"
         if overlay is not None:
             label += f" f={overlay(v)}"
         if v in per_vertex_ok:
             label += " PASS" if per_vertex_ok[v] else " FAIL"
         lines.append(f'  {names[v]} [label="{label}"];')
-    for a, b in sorted(window.arrows):
-        m, n = window.valuation[(a, b)]
-        attr = "" if (m, n) == (1, 1) else f' [label="({m},{n})"]'
+    for a, b in window.arrows:
+        nu = window.valuation.get((a, b))
+        attr = "" if nu is None else f' [label="({nu[0]},{nu[1]})"]'
         lines.append(f"  {names[a]} -> {names[b]}{attr};")
-    for v in sorted(window.tau):
-        lines.append(f"  {names[v]} -> {names[window.tau[v]]} [style=dashed];")
+    for v, tv in window.tau.items():
+        lines.append(f"  {names[v]} -> {names[tv]} [style=dashed];")
     if per_vertex_ok:
         good = sum(per_vertex_ok.values())
         lines.append(f"  // additive at {good}/{len(per_vertex_ok)} interior vertices")

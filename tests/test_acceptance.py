@@ -8,6 +8,7 @@ integer equality.
 import random
 from contextlib import contextmanager
 
+from cartan_reference import build_cartan_pair
 from jordanquiver.classify import (
     AmbientGeometry,
     CohomologyClassDescriptor,
@@ -23,7 +24,6 @@ from jordanquiver.components import (
     TubeProfile,
     apply_a,
     apply_b,
-    build_cartan_pair,
     solve_multiplicities,
     tube_forward,
     tube_profile_from_seed,

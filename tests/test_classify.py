@@ -206,6 +206,24 @@ def test_rule_engine_rejects_p2():
         CohomologyClassDescriptor(p=2, degree=3)
 
 
+@pytest.mark.parametrize("value", ["5", 5.0, True])
+def test_descriptor_p_is_type_checked_before_compared(value):
+    with pytest.raises(ValidationError, match=f"^p must be an int, got {value!r}"):
+        CohomologyClassDescriptor(p=value, degree=2)
+
+
+@pytest.mark.parametrize("value", ["2", 2.0, None])
+def test_descriptor_degree_must_be_an_int(value):
+    with pytest.raises(ValidationError, match=f"^degree must be an int, got {value!r}"):
+        CohomologyClassDescriptor(p=5, degree=value)
+
+
+@pytest.mark.parametrize("value", ["3", 3.0, False])
+def test_descriptor_dim_total_must_be_an_int(value):
+    with pytest.raises(ValidationError, match=f"^dim_total must be an int, got {value!r}"):
+        CohomologyClassDescriptor(p=5, degree=2, dim_total=value)
+
+
 # --------------------------------------------------------------- endo-trivial
 
 
@@ -278,6 +296,11 @@ def test_sl2_family_all_blocks_p5():
             assert len(got) == 2
             dims = {t.dimension() for t in got}
             assert dims == {5 * ql}
+
+
+def test_sl2_family_p_is_type_checked_before_compared():
+    with pytest.raises(ValidationError, match="^p must be an int, got '5'"):
+        sl2_family_types(Sl2Family.SL2_1, p="5", pi_dim=0, block_index=1, ql=2)
 
 
 def test_sl2_family_validation():

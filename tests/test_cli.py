@@ -423,6 +423,39 @@ def test_quiver_minimal_additive_output_is_pinned(capsys):
     assert digest.hexdigest() == "83bb8c1614fe5f9b7f5f975084b86b880275eb8675c8606a071f0c17405fa86a"
 
 
+WINDOW_TREES = (
+    {"vertices": ["s", "t"], "arrows": [["s", "t"], ["t", "s"]]},  # the 2-cycle
+    {"vertices": ["v"], "arrows": []},
+    {"vertices": ["a", "b", "c"], "arrows": [["a", "b"], ["c", "b"]]},
+    {"vertices": ["c", "x", "y", "z"], "arrows": [["x", "c"], ["c", "y"], ["c", "z"]]},
+)
+WINDOW_SPECS = (
+    [{"kind": "tube", "rank": r, "max_ql": q} for r in range(1, 6) for q in range(1, 9)]
+    + [{"kind": "zt", "max_ql": q, "n_min": lo, "n_max": lo + w}
+       for lo in (-3, 0) for w in range(4) for q in (1, 2, 3, 5, 6)]
+    + [{"kind": "zt", "tree": t, "n_min": lo, "n_max": hi}
+       for t in WINDOW_TREES for lo, hi in ((0, 0), (-1, 2), (0, 3))]
+)
+WINDOW_MODES = (
+    [()]
+    + [("--admissible", str(k)) for k in range(5)]
+    + [("--check-additive", o) for o in ("ql", "qlm1", "const:1", "const:3", "bad")]
+)
+
+
+def test_quiver_window_output_is_pinned(capsys):
+    # sha256 over argv, exit code, stdout and stderr of plain DOT,
+    # admissibility and additive overlays on tubes, Z[A_inf] and explicit
+    # trees, captured when windows were still frozensets sorted per use
+    digest = hashlib.sha256()
+    for spec in WINDOW_SPECS:
+        for mode in WINDOW_MODES:
+            argv = ("quiver", "--spec", json.dumps(spec), *mode)
+            code, out, err = run(capsys, *argv)
+            digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == "add2ad46c838c0026c084ac2ca961fb5279158402a56f18c046e645bf31ad041"
+
+
 def test_quiver_needs_spec_or_class(capsys):
     code, _, _ = run(capsys, "quiver")
     assert code == EXIT_PARSE

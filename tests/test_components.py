@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cartan_reference import build_cartan_pair
 from jordanquiver.components import (
     NegativeMultiplicityError,
     ObstructionStatus,
     SplitProfile,
     TubeProfile,
-    build_cartan_pair,
     central_profile,
     dominance_on_component,
     jordan_type_count,

@@ -73,6 +73,54 @@ def test_valuation_tau_compatibility_enforced():
     ok = {((0, 1), (0, 2)): (2, 1), ((0, 2), (0, 1)): (1, 2)}
     w = tube_window(1, 3, valuation=ok)
     assert w.arrow_weight((0, 1), (0, 2)) == 2
+    # a valuation on the tau-partner arrow alone leaves the (1, 1) default
+    # on the other side, which is no swap of it
+    with pytest.raises(ValidationError, match="compatibility"):
+        tube_window(1, 3, valuation={((0, 2), (0, 1)): (2, 1)})
+    # on Z[A_inf], nu((n-1, 2), (n, 1)) must swap nu((n, 1), (n, 2)), and
+    # nu((n, 1), (n, 2)) swap nu((n, 2), (n+1, 1)): the whole bond row is tied
+    with pytest.raises(ValidationError, match="compatibility"):
+        zt_a_infinity_window(0, 2, 3, valuation={((1, 1), (1, 2)): (2, 1)})
+    bonds = {((n, 1), (n, 2)): (2, 1) for n in range(3)}
+    bonds |= {((n, 2), (n + 1, 1)): (1, 2) for n in range(2)}
+    z = zt_a_infinity_window(0, 2, 3, valuation=bonds)
+    assert z.valuation == bonds
+    assert z.arrow_weight((1, 1), (1, 2)) == 2 and z.arrow_weight((0, 2), (1, 1)) == 1
+    assert z.arrow_weight((1, 2), (1, 3)) == 1
+    # ... while a one-layer window has no translates, so nothing ties its arrows
+    layer = zt_a_infinity_window(0, 0, 3, valuation={((0, 1), (0, 2)): (3, 1)})
+    assert layer.arrow_weight((0, 1), (0, 2)) == 3 and layer.arrow_weight((0, 2), (0, 3)) == 1
+    # unvalued windows store nothing and weigh every arrow 1
+    for plain in (tube_window(2, 3), zt_a_infinity_window(0, 2, 3),
+                  tube_window(1, 3, valuation={((0, 1), (0, 2)): (1, 1)})):
+        assert plain.valuation == {}
+        assert {plain.arrow_weight(a, b) for a, b in plain.arrows} == {1}
+
+
+def test_valuation_entries_are_checked():
+    with pytest.raises(ValidationError, match="not a window arrow"):
+        tube_window(1, 3, valuation={((0, 1), (0, 3)): (1, 1)})
+    for bad in ((0, 1), (2,), (2, 1, 1), [2, 1], (2.0, 1), (True, 1), "21"):
+        with pytest.raises(ValidationError, match="pair of positive ints"):
+            tube_window(1, 3, valuation={((0, 1), (0, 2)): bad})
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: tube_window(2.5, 3), "rank"),
+        (lambda: tube_window(True, 3), "rank"),
+        (lambda: tube_window(2, 3.0), "max_ql"),
+        (lambda: zt_a_infinity_window(0, 2.0, 3), "n_max"),
+        (lambda: zt_a_infinity_window("0", 2, 3), "n_min"),
+        (lambda: zt_a_infinity_window(0, 2, None), "max_ql"),
+        (lambda: zt_window(Quiver({"a"}, ()), 0, 1.5), "n_max"),
+        (lambda: zt_window(Quiver({"a"}, ()), False, 1), "n_min"),
+    ],
+)
+def test_window_builders_reject_non_int_arguments(build, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be an int"):
+        build()
 
 
 def test_build_window_from_json_specs():
@@ -201,6 +249,12 @@ def test_function_must_be_total():
     values.pop((0, 2))
     with pytest.raises(ValidationError):
         VertexFunction(w, values)
+    # examples and offenders are the first in vertex order
+    z = zt_a_infinity_window(-2, 1, 3)
+    with pytest.raises(ValidationError, match=r"on 2 window vertices, e.g. \(-1, 2\)"):
+        VertexFunction(z, {v: 1 for v in z.vertices if v not in ((0, 1), (-1, 2))})
+    with pytest.raises(ValidationError, match=r"value at \(-2, 1\)"):
+        VertexFunction.constant(z, -1)
 
 
 # ------------------------------------------------------- positivity property
