@@ -58,11 +58,17 @@ class AmbientGeometry:
     trigonalizable: bool = False
 
     def __post_init__(self):
-        # dimensions and ranks: trusted, but never negative
+        # flags are exactly bools; dimensions and ranks are trusted, but
+        # exactly ints (or None) and never negative
         for f in self.__dataclass_fields__.values():
-            value = getattr(self, f.name)
-            if f.default is None and value is not None and value < 0:
-                raise ValidationError(f"ambient.{f.name} must be >= 0, got {value}")
+            value, where = getattr(self, f.name), f"ambient.{f.name}"
+            if f.default is False:
+                if type(value) is not bool:
+                    raise ValidationError(f"{where} must be a bool, got {value!r}")
+            elif value is not None:
+                require_ints(**{where: value})
+                if value < 0:
+                    raise ValidationError(f"{where} must be >= 0, got {value}")
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "AmbientGeometry":

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -215,8 +216,12 @@ def _overlay_function(window, name: str):
     if name == "qlm1":
         return quiver.VertexFunction.from_ql(window, lambda q: q - 1)
     if name.startswith("const:"):
+        text = name.split(":", 1)[1]
         try:
-            c = int(name.split(":", 1)[1])
+            if not re.fullmatch(r"-?[0-9]+", text):
+                # int() would also take "1_0", " +2" and non-ASCII digits
+                raise ValueError(text)
+            c = int(text)
         except ValueError as exc:
             raise ParseError(f"bad constant overlay {name!r}") from exc
         return quiver.VertexFunction.constant(window, c)
@@ -259,7 +264,7 @@ def _cmd_quiver(args) -> int:
     if args.check_additive:
         overlay = _overlay_function(window, args.check_additive)
         report = quiver.classify_function(overlay)
-        _emit(quiver.window_to_dot(window, overlay, annotate_additive=True))
+        _emit(quiver.window_to_dot(window, overlay))
         level = "none" if report.eventual_level is None else str(report.eventual_level)
         _emit(
             f"// subadditive={report.is_subadditive} additive={report.is_additive} "

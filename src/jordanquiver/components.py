@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError, int_tuple, json_array, json_field
-from .jtypes import DominanceResult, JordanType
+from .jtypes import DominanceResult, JordanType, pointwise_compare
 from .quiver import TreeClass
 
 def apply_a(n: Sequence[int]) -> list[int]:
@@ -64,18 +64,16 @@ class TubeProfile:
     """Affine profile alpha_i(X) = slopes[i-1]*ql(X) + intercepts[i-1] on a tube.
 
     The i = p row is asserted only when include_p is set (safe by default
-    only on homogeneous tubes, i.e. rank 1).  ``start`` is the least
-    quasi-length from which the profile is claimed.  The quasi-simplicity
-    of all relatively projective modules in the tube is a hypothesis the
-    numeric data cannot verify; it is recorded, not checked.
+    only on homogeneous tubes, i.e. rank 1).  The profile is claimed from
+    ql = 1, the quasi-simple layer.  That every relatively projective
+    module in the tube is quasi-simple is a hypothesis the numeric data
+    cannot verify; it is assumed, not checked.
     """
 
     p: int
     slopes: tuple[int, ...]
     intercepts: tuple[int, ...]
-    start: int = 1
     include_p: bool = False
-    assumes_quasi_simple: bool = True
 
     def __post_init__(self):
         if type(self.p) is not int or self.p < 2:
@@ -84,18 +82,17 @@ class TubeProfile:
         intercepts = int_tuple(self.intercepts, "intercepts")
         if len(slopes) != self.p or len(intercepts) != self.p:
             raise ValidationError(f"profile rows must have length p={self.p}")
-        if type(self.start) is not int or self.start < 1:
-            raise ValidationError(f"start must be an integer >= 1, got {self.start!r}")
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "intercepts", intercepts)
         last = self.p if self.include_p else self.p - 1
         for i in range(1, last + 1):
             s, t = slopes[i - 1], intercepts[i - 1]
             if s < 0:
-                q = _first_negative_ql(s, t, self.start)
+                # the least ql >= 1 with s*ql + t < 0
+                q = max(1, t // -s + 1)
                 raise NegativeMultiplicityError(i, q, s * q + t)
-            if s * self.start + t < 0:
-                raise NegativeMultiplicityError(i, self.start, s * self.start + t)
+            if s + t < 0:
+                raise NegativeMultiplicityError(i, 1, s + t)
 
     def value(self, i: int, ql: int) -> int:
         if not 1 <= i <= self.p:
@@ -111,17 +108,9 @@ class TubeProfile:
 
     def jordan_type_at(self, ql: int) -> JordanType:
         """The Jordan type at quasi-length ql; a_p is 0 unless include_p."""
-        if ql < self.start:
-            raise ValidationError(f"profile only valid from ql={self.start}, got {ql}")
+        if ql < 1:
+            raise ValidationError(f"profile only valid from ql=1, got {ql}")
         return JordanType(self.p, tuple(s * ql + t for s, t in self.affine_rows()))
-
-
-def _first_negative_ql(slope: int, intercept: int, start: int) -> int:
-    """Least ql >= start with slope*ql + intercept < 0 (slope < 0)."""
-    q = max(start, intercept // (-slope) + 1)
-    while slope * q + intercept >= 0:
-        q += 1
-    return q
 
 
 def tube_profile_from_seed(
@@ -146,9 +135,7 @@ def tube_profile_from_seed(
         raise ValidationError("multiplicity vector must be nonzero on a non-split tube")
     t = apply_a(n + [0])
     slopes = [seed.mult[i] - t[i] for i in range(p)]
-    return TubeProfile(
-        p, tuple(slopes), tuple(t), start=1, include_p=include_p
-    )
+    return TubeProfile(p, tuple(slopes), tuple(t), include_p=include_p)
 
 
 def tube_forward(
@@ -199,7 +186,7 @@ def central_profile(j: int, m: int, n: int, p: int) -> TubeProfile:
     jt2 = tube_central(j, m, n, 2, p)
     slopes = tuple(b - a for a, b in zip(jt1.mult, jt2.mult))
     intercepts = tuple(a - s for a, s in zip(jt1.mult, slopes))
-    return TubeProfile(p, slopes, intercepts, start=1, include_p=False)
+    return TubeProfile(p, slopes, intercepts, include_p=False)
 
 
 @dataclass(frozen=True)
@@ -321,13 +308,11 @@ def profile_rows(profile: "TubeProfile | SplitProfile", ql_max: int) -> list[lis
     Row q holds the mult of ``jordan_type_at(q)`` (tube) or of
     ``split_propagate(profile, q)`` (split), evaluated from the closed form
     without building a JordanType per row: the profile was checked to stay
-    >= 0 for every ql >= start when it was constructed.
+    >= 0 for every ql >= 1 when it was constructed.
     """
     qls = range(1, ql_max + 1)
     if isinstance(profile, SplitProfile):
         return [[x * q for x in profile.d] + [0] for q in qls]
-    if profile.start > 1:
-        raise ValidationError(f"profile only valid from ql={profile.start}, got 1")
     pairs = profile.affine_rows()
     return [[s * q + t for s, t in pairs] for q in qls]
 
@@ -401,14 +386,7 @@ def dominance_on_component(pa: SplitProfile, pb: SplitProfile) -> DominanceResul
             for j in range(1, p + 1)
         )
 
-    u, v = cleared(pa), cleared(pb)
-    if u == v:
-        return DominanceResult.EQUAL
-    if all(x >= y for x, y in zip(u, v)):
-        return DominanceResult.GREATER
-    if all(x <= y for x, y in zip(u, v)):
-        return DominanceResult.LESS
-    return DominanceResult.INCOMPARABLE
+    return pointwise_compare(cleared(pa), cleared(pb))
 
 
 def top_multiplicity(simple_jt: JordanType, j: int) -> int:

@@ -15,10 +15,11 @@ the compact grammar ``2[3]+[1]`` with blocks in descending size.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from math import isqrt
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError, int_tuple, json_array, json_field
 
@@ -79,11 +80,7 @@ class JordanType:
     @classmethod
     def block(cls, p: int, i: int, count: int = 1) -> "JordanType":
         """count copies of the single block [i]."""
-        if not 1 <= i <= p:
-            raise ValidationError(f"block size {i} out of range 1..{p}")
-        mult = [0] * p
-        mult[i - 1] = count
-        return cls(p, tuple(mult))
+        return cls.from_counts(p, {i: count})
 
     @classmethod
     def from_counts(cls, p: int, counts: Mapping[int, int]) -> "JordanType":
@@ -98,12 +95,7 @@ class JordanType:
     @classmethod
     def from_blocks(cls, p: int, sizes: Iterable[int]) -> "JordanType":
         """Build from an iterable of block sizes (with repetition)."""
-        mult = [0] * p
-        for i in sizes:
-            if not 1 <= i <= p:
-                raise ValidationError(f"block size {i} out of range 1..{p}")
-            mult[i - 1] += 1
-        return cls(p, tuple(mult))
+        return cls.from_counts(p, Counter(sizes))
 
     @classmethod
     def from_string(cls, p: int, text: str) -> "JordanType":
@@ -158,21 +150,24 @@ class JordanType:
         return sum((i + 1) * m for i, m in enumerate(self.mult))
 
     def is_zero(self) -> bool:
-        return all(m == 0 for m in self.mult)
+        return not any(self.mult)
 
     def ker_dim(self, m: int) -> int:
-        """Dimension of ker t^m, i.e. sum(min(i, m) * a_i), for 1 <= m <= p."""
+        """Dimension of ker t^m for 1 <= m <= p.
+
+        A block [i] contributes min(i, m), so this is
+        sum_{i<m} i*a_i + m*sum_{i>=m} a_i.
+        """
         if not 1 <= m <= self.p:
             raise ValidationError(f"power m={m} out of range 1..{self.p}")
-        return sum(min(i + 1, m) * a for i, a in enumerate(self.mult))
+        head = sum(i * a for i, a in enumerate(self.mult[: m - 1], 1))
+        return head + m * sum(self.mult[m - 1 :])
 
     def image_dim(self, m: int) -> int:
-        """Dimension of im t^m, i.e. sum(max(i - m, 0) * a_i), for 0 <= m <= p."""
+        """Dimension of im t^m, i.e. dimension() - ker_dim(m), for 0 <= m <= p."""
         if not 0 <= m <= self.p:
             raise ValidationError(f"power m={m} out of range 0..{self.p}")
-        if m == 0:
-            return self.dimension()
-        return sum(max(i + 1 - m, 0) * a for i, a in enumerate(self.mult))
+        return self.dimension() - (self.ker_dim(m) if m else 0)
 
     def psi(self, m: int) -> int:
         """Kernel dimension of t^m on the projective-free part.
@@ -182,9 +177,7 @@ class JordanType:
         """
         if not 1 <= m <= self.p - 1:
             raise ValidationError(f"power m={m} out of range 1..{self.p - 1}")
-        head = sum((i + 1) * a for i, a in enumerate(self.mult[: m - 1]))
-        tail = sum(self.mult[m - 1 : self.p - 1])
-        return head + m * tail
+        return self.ker_dim(m) - m * self.mult[-1]
 
     # --------------------------------------------------------- derivations
 
@@ -198,10 +191,7 @@ class JordanType:
         Blocks of size p are projective and are dropped (projective-free
         convention), so syzygy∘syzygy equals stable_part.
         """
-        mult = [0] * self.p
-        for i in range(1, self.p):
-            mult[self.p - i - 1] = self.mult[i - 1]
-        return JordanType(self.p, tuple(mult))
+        return JordanType(self.p, self.mult[-2::-1] + (0,))
 
     def with_modulus(self, new_p: int) -> "JordanType":
         """Reinterpret the same block multiset at nilpotency order new_p."""
@@ -261,29 +251,34 @@ def require_prime(p: int) -> None:
         raise ValidationError(f"p must be prime, got {p}")
 
 
+def _restrict_blocks(p: int, j: int, blocks: Iterable[tuple[int, int]]) -> JordanType:
+    """Restriction to t^j of the sum of a copies of [i] for each (i, a) in
+    ``blocks``, built as one JordanType; see ``restrict`` for the closed form."""
+    if not 1 <= j <= p:
+        raise ValidationError(f"power j={j} out of range 1..{p}")
+    counts: Counter[int] = Counter()
+    for i, count in blocks:
+        a, r = divmod(i, j)
+        # zero parts are skipped: [0] when j > i, and [a+1] when r = 0,
+        # which can lie above the modulus
+        for size, parts in ((a, j - r), (a + 1, r)):
+            if size and parts:
+                counts[size] += count * parts
+    return JordanType.from_counts(max(2, -(-p // j)), counts)
+
+
 def restrict(i: int, j: int, p: int) -> JordanType:
     """Jordan type of the j-th power of a single block [i].
 
     Over the subalgebra generated by t^j the block [i] splits as
-    (j-r)[a] + r[a+1] when i = a*j + r with 0 <= r < j <= i, and as
-    i[1] when j > i.  The result carries its own nilpotency order
-    ceil(p/j), the order of t^j, so projectivity over the subalgebra
-    stays decidable.
+    (j-r)[a] + r[a+1] when i = a*j + r with 0 <= r < j, which is i[1]
+    when j > i.  The result carries its own nilpotency order ceil(p/j),
+    the order of t^j, so projectivity over the subalgebra stays
+    decidable.
     """
     if not 1 <= i <= p:
         raise ValidationError(f"block size i={i} out of range 1..{p}")
-    if not 1 <= j <= p:
-        raise ValidationError(f"power j={j} out of range 1..{p}")
-    p_eff = max(2, -(-p // j))
-    if j > i:
-        return JordanType.from_counts(p_eff, {1: i})
-    a, r = divmod(i, j)
-    counts: dict[int, int] = {}
-    if j - r:
-        counts[a] = j - r
-    if r:
-        counts[a + 1] = r
-    return JordanType.from_counts(p_eff, counts)
+    return _restrict_blocks(p, j, [(i, 1)])
 
 
 def restrict_type(jt: JordanType, j: int) -> JordanType:
@@ -291,23 +286,37 @@ def restrict_type(jt: JordanType, j: int) -> JordanType:
 
     Additive over direct sums and dimension-preserving.
     """
-    if not 1 <= j <= jt.p:
-        raise ValidationError(f"power j={j} out of range 1..{jt.p}")
-    p_eff = max(2, -(-jt.p // j))
-    out = JordanType.zero(p_eff)
-    for i, a in enumerate(jt.mult):
-        if a:
-            out = out + a * restrict(i + 1, j, jt.p)
-    return out
+    occupied = ((i, a) for i, a in enumerate(jt.mult, 1) if a)
+    return _restrict_blocks(jt.p, j, occupied)
 
 
-def _dominance_key(jt: JordanType, convention: DominanceConvention) -> tuple[int, ...]:
-    if convention is DominanceConvention.IMAGE_DIM:
-        return tuple(jt.image_dim(j) for j in range(1, jt.p + 1))
-    return tuple(
-        sum((i + 1) * a for i, a in enumerate(jt.mult) if i + 1 >= j)
-        for j in range(1, jt.p + 1)
-    )
+def _dominance_key(jt: JordanType, convention: DominanceConvention) -> list[int]:
+    """Partial sums for j = p down to 1, in one pass.
+
+    With C_j and D_j the count and the dimension of the blocks of size
+    >= j, dim im t^j = D_j - j*C_j (IMAGE_DIM) and the tail sum is D_j.
+    """
+    image = convention is DominanceConvention.IMAGE_DIM
+    key, count, dim = [], 0, 0
+    for j in range(jt.p, 0, -1):
+        count += jt.mult[j - 1]
+        dim += j * jt.mult[j - 1]
+        key.append(dim - j * count if image else dim)
+    return key
+
+
+def pointwise_compare(u: Sequence[int], v: Sequence[int]) -> DominanceResult:
+    """Compare two equal-length integer vectors entry by entry.
+
+    GREATER means u >= v in every entry and u != v.
+    """
+    if u == v:
+        return DominanceResult.EQUAL
+    if all(x >= y for x, y in zip(u, v)):
+        return DominanceResult.GREATER
+    if all(x <= y for x, y in zip(u, v)):
+        return DominanceResult.LESS
+    return DominanceResult.INCOMPARABLE
 
 
 def dominance_compare(
@@ -326,12 +335,4 @@ def dominance_compare(
         raise ValidationError(
             f"dimension mismatch: {a.dimension()} vs {b.dimension()}"
         )
-    u = _dominance_key(a, convention)
-    v = _dominance_key(b, convention)
-    if u == v:
-        return DominanceResult.EQUAL
-    if all(x >= y for x, y in zip(u, v)):
-        return DominanceResult.GREATER
-    if all(x <= y for x, y in zip(u, v)):
-        return DominanceResult.LESS
-    return DominanceResult.INCOMPARABLE
+    return pointwise_compare(_dominance_key(a, convention), _dominance_key(b, convention))

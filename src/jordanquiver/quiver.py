@@ -255,6 +255,7 @@ def check_admissible(window: QuiverWindow, power: int = 1) -> AdmissibilityRepor
     predecessor condition on interior vertices; power = 0 denotes the
     trivial group.
     """
+    require_ints(power=power)
     if power < 0:
         raise ValidationError(f"power must be >= 0, got {power}")
     tested = 0
@@ -354,7 +355,7 @@ class VertexFunction:
                 f"function undefined on {len(missing)} window vertices, e.g. {missing[0]!r}"
             )
         for v, x in self.values.items():
-            if not isinstance(x, int) or x < 0:
+            if type(x) is not int or x < 0:
                 raise ValidationError(f"value at {v!r} must be a nonnegative integer")
 
     @classmethod
@@ -615,7 +616,7 @@ def _euclidean_graph(tc: TreeClass) -> tuple[ValuedGraph, dict]:
 _TRUNCATION = 10
 
 
-def minimal_additive_function(tc: TreeClass, truncation: int = _TRUNCATION) -> MinimalAdditiveFunction:
+def minimal_additive_function(tc: TreeClass) -> MinimalAdditiveFunction:
     """Minimal positive additive function on the orbit graph of a tree class.
 
     Euclidean classes take the tabulated null root of their diagram,
@@ -642,14 +643,12 @@ def minimal_additive_function(tc: TreeClass, truncation: int = _TRUNCATION) -> M
             raise ValidationError("null root failed the additivity check")
         return MinimalAdditiveFunction(tc, graph, values, len(set(values.values())), graph.nodes)
 
-    if truncation < 3:
-        raise ValidationError("truncation must be >= 3")
     if tc.kind is TreeClassKind.A_INFINITY:
         # 2 f(q) = f(q-1) + f(q+1), 2 f(1) = f(2): the staircase f(q) = q.
-        labels = list(range(1, truncation + 1))
+        labels = list(range(1, _TRUNCATION + 1))
         graph = _undirected(zip(labels, labels[1:]), labels)
         values = {1: 1, 2: 2}
-        for q in range(2, truncation):
+        for q in range(2, _TRUNCATION):
             values[q + 1] = 2 * values[q] - values[q - 1]
         interior = tuple(labels[:-1])
         unbounded = values[labels[-1]] > values[labels[-2]]
@@ -660,7 +659,7 @@ def minimal_additive_function(tc: TreeClass, truncation: int = _TRUNCATION) -> M
     if tc.kind is TreeClassKind.A_DOUBLE_INFINITY:
         # positive additive functions on the doubly infinite chain are
         # affine, and staying positive in both directions forces constants
-        labels = list(range(-truncation, truncation + 1))
+        labels = list(range(-_TRUNCATION, _TRUNCATION + 1))
         graph = _undirected(zip(labels, labels[1:]), labels)
         values = {v: 1 for v in labels}
         interior = tuple(labels[1:-1])
@@ -670,14 +669,14 @@ def minimal_additive_function(tc: TreeClass, truncation: int = _TRUNCATION) -> M
     if tc.kind is TreeClassKind.D_INFINITY:
         # two arms on a half-infinite chain: 2 f(arm) = f(c1) forces the
         # chain to start at twice the arm value, then stay constant
-        chain = [f"c{i}" for i in range(1, truncation + 1)]
+        chain = [f"c{i}" for i in range(1, _TRUNCATION + 1)]
         nodes = ["a", "b"] + chain
         edges = [("a", "c1"), ("b", "c1")] + list(zip(chain, chain[1:]))
         graph = _undirected(edges, nodes)
         values = {"a": 1, "b": 1, "c1": 2}
         # 2 f(c1) = f(a) + f(b) + f(c2), then 2 f(ck) = f(ck-1) + f(ck+1)
         values["c2"] = 2 * values["c1"] - values["a"] - values["b"]
-        for k in range(2, truncation):
+        for k in range(2, _TRUNCATION):
             values[f"c{k + 1}"] = 2 * values[f"c{k}"] - values[f"c{k - 1}"]
         interior = tuple(["a", "b"] + chain[:-1])
         tail_constant = values[chain[-1]] == values[chain[-2]]
@@ -691,21 +690,16 @@ def minimal_additive_function(tc: TreeClass, truncation: int = _TRUNCATION) -> M
 # ----------------------------------------------------------------- rendering
 
 
-def window_to_dot(
-    window: QuiverWindow,
-    overlay: VertexFunction | None = None,
-    annotate_additive: bool = False,
-) -> str:
+def window_to_dot(window: QuiverWindow, overlay: VertexFunction | None = None) -> str:
     """Render a window as DOT.  Translation arrows are dashed.
 
-    With an overlay, vertex labels carry the function value; with
-    annotate_additive also PASS/FAIL of the additivity equation at each
-    interior vertex.
+    With an overlay, vertex labels carry the function value and interior
+    vertices PASS/FAIL of the additivity equation.
     """
     names = {v: f"v{i}" for i, v in enumerate(window.vertices)}
     lines = ["digraph window {"]
     per_vertex_ok = {}
-    if overlay is not None and annotate_additive:
+    if overlay is not None:
         per_vertex_ok = {y: lhs == rhs for y, (lhs, rhs) in _additivity_balance(overlay).items()}
     for v in window.vertices:
         label = f"({v[0]},{v[1]})"

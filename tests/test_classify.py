@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -199,6 +200,21 @@ def test_ambient_numbers_must_be_nonnegative(field):
     with pytest.raises(ValidationError, match=f"ambient.{field} must be >= 0, got -1"):
         AmbientGeometry(**{field: -1})
     assert getattr(AmbientGeometry(**{field: 0}), field) == 0
+
+
+@pytest.mark.parametrize("kwargs,bad", [
+    ({"srk": "1"}, "ambient.srk must be an int, got '1'"),
+    ({"srk_quotient": True}, "ambient.srk_quotient must be an int, got True"),
+    ({"variety_dim": 2.0}, "ambient.variety_dim must be an int, got 2.0"),
+    ({"equidim": "no"}, "ambient.equidim must be a bool, got 'no'"),
+    ({"trigonalizable": 1}, "ambient.trigonalizable must be a bool, got 1"),
+    ({"is_finite_group": None}, "ambient.is_finite_group must be a bool, got None"),
+])
+def test_ambient_fields_are_type_checked_before_compared(kwargs, bad):
+    # "1" < 0 used to raise TypeError, and a non-bool flag was kept as given
+    with pytest.raises(ValidationError, match=re.escape(bad)):
+        AmbientGeometry(**kwargs)
+    assert AmbientGeometry(srk=None, equidim=True).equidim is True
 
 
 def test_rule_engine_rejects_p2():

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,56 @@ def test_usage_error_is_parse_error(capsys):
     assert code == EXIT_PARSE
     code, _, _ = run(capsys, "component", "--spec", "{}", "--jobs", "2")
     assert code == EXIT_PARSE
+
+
+def _jt_string(sizes, rng):
+    return "+".join(f"[{s}]" if c == 1 else f"{c}[{s}]"
+                    for s, c in ((s, rng.randint(1, 3)) for s in sizes))
+
+
+def _jt_corpus():
+    """argv of every jt op at moduli 1..31 on random, malformed and edge types,
+    with powers and block sizes just outside their ranges."""
+    rng = random.Random("jt-corpus")
+    for p in (1, 2, 3, 4, 5, 7, 11, 13, 31):
+        powers = sorted({-1, 0, 1, 2, p // 2, p - 1, p, p + 1})
+        types = ["", "[1]", f"[{p}]", f"2[{p}]+[1]", "[0]", f"[{p + 1}]", "2[3]+oops"]
+        types += [_jt_string(rng.sample(range(1, p + 1), min(p, rng.randint(1, 4))), rng)
+                  for _ in range(8)]
+        for t in types:
+            typed = ("--p", str(p), "--jt", t)
+            for op in ("dim", "stable", "syzygy"):
+                yield ("jt", op, *typed)
+            for op in ("ker", "image", "psi"):
+                for m in powers:
+                    yield ("jt", op, *typed, "--m", str(m))
+            for j in powers:
+                for fmt in ("tsv", "json"):
+                    yield ("jt", "restrict", *typed, "--j", str(j), "--format", fmt)
+        for i in range(-1, p + 2):
+            for j in powers:
+                yield ("jt", "restrict", "--p", str(p), "--i", str(i), "--j", str(j))
+        for t in types[:3] + types[7:]:
+            # an equal-dimension partner split at random, and a random other type
+            dim = sum(int(c or 1) * int(s) for c, s in re.findall(r"(\d*)\[(\d+)\]", t))
+            sizes = []
+            while dim > 0:
+                sizes.append(rng.randint(1, min(p, dim)))
+                dim -= sizes[-1]
+            for other in ("+".join(f"[{s}]" for s in sizes), rng.choice(types)):
+                for convention in ("image", "tail"):
+                    yield ("jt", "dominance", "--p", str(p), "--a", t, "--b", other,
+                           "--convention", convention)
+
+
+def test_jt_output_is_pinned(capsys):
+    # sha256 over argv, exit code, stdout and stderr of every jt op, captured
+    # when kernel sums, restriction and dominance keys were computed per entry
+    digest = hashlib.sha256()
+    for argv in _jt_corpus():
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == "43d94666211ebc6feccd8edebe0e2707edf3ff6300e40add2adf57ad749f2a15"
 
 
 # ----------------------------------------------------------------- component
@@ -375,6 +426,20 @@ def test_quiver_additive_overlay_all_pass(capsys):
     assert code == EXIT_OK
     assert "PASS" in out and "FAIL" not in out
     assert "eventual_level=1" in out
+
+
+def test_quiver_constant_overlay_takes_plain_digits_only(capsys):
+    spec = json.dumps({"kind": "tube", "rank": 1, "max_ql": 3})
+    # int() alone read these as 10, 2, 2 and 2
+    for text in ("const:1_0", "const: +2", "const:+2", "const:\uff12", "const:", "const:2 "):
+        code, out, err = run(capsys, "quiver", "--spec", spec, "--check-additive", text)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"parse error: bad constant overlay {text!r}\n"
+    code, out, err = run(capsys, "quiver", "--spec", spec, "--check-additive", "const:-2")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == "validation error: value at (0, 1) must be a nonnegative integer\n"
+    code, out, _ = run(capsys, "quiver", "--spec", spec, "--check-additive", "const:02")
+    assert code == EXIT_OK and 'label="(0,1) f=2' in out
 
 
 def test_quiver_admissibility_report(capsys):

@@ -148,8 +148,6 @@ def test_tube_forward_rejects_bad_vectors():
         (lambda: TubeProfile(3, (2.7, 0, 0), (0, 0, 0)), "slopes[0] must be an int, got 2.7"),
         (lambda: TubeProfile(3, (0, 0, 0), (0, 1.0, 0)), "intercepts[1] must be an int, got 1.0"),
         (lambda: TubeProfile(3.0, (0, 0, 0), (0, 0, 0)), "p must be an integer >= 2, got 3.0"),
-        (lambda: TubeProfile(3, (0, 0, 0), (0, 0, 0), start=1.5),
-         "start must be an integer >= 1, got 1.5"),
         (lambda: SplitProfile(3, (1.0, 0), 1), "d[0] must be an int, got 1.0"),
         (lambda: SplitProfile(3, (1, 0), 1.0), "stable-dimension slope 1.0 inconsistent"),
         (lambda: SplitProfile.from_d(3, [1.9, 0]), "d[0] must be an int, got 1.9"),
@@ -305,12 +303,22 @@ def test_profile_rows_match_per_vertex_types():
     assert profile_rows(tube, 6)[2][4] == 0  # row p zeroed without include_p
 
 
-def test_profile_rows_refuse_ql_below_start():
-    prof = TubeProfile(3, (1, 0, 0), (-2, 0, 0), start=2)
-    with pytest.raises(ValidationError, match="only valid from ql=2"):
-        profile_rows(prof, 4)
-    with pytest.raises(ValidationError, match="only valid from ql=2"):
-        prof.jordan_type_at(1)
+def test_profiles_are_claimed_from_ql_one():
+    prof = TubeProfile(3, (1, 0, 0), (0, 0, 0))
+    for ql in (0, -1):
+        with pytest.raises(ValidationError, match=f"only valid from ql=1, got {ql}$"):
+            prof.jordan_type_at(ql)
+    # the witness is the least ql >= 1 at which a row goes negative
+    for s in range(-3, 4):
+        for t in range(-7, 8):
+            values = [s * q + t for q in range(1, 12)]
+            if min(values) >= 0:
+                assert TubeProfile(3, (s, 0, 0), (t, 0, 0)).value(1, 1) == s + t
+                continue
+            with pytest.raises(NegativeMultiplicityError) as info:
+                TubeProfile(3, (0, s, 0), (0, t, 0))
+            q = next(q for q, x in enumerate(values, 1) if x < 0)
+            assert (info.value.index, info.value.ql, info.value.value) == (2, q, values[q - 1])
 
 
 # ------------------------------------------------------------ split profiles

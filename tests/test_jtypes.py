@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from jordanquiver.jtypes import (
     DominanceConvention,
     DominanceResult,
     JordanType,
+    _dominance_key,
     dominance_compare,
     restrict,
     restrict_type,
@@ -99,6 +101,14 @@ def test_psi_identities(jt):
         assert jt.ker_dim(m) == jt.psi(m) + m * jt.multiplicity(jt.p)
 
 
+@settings(max_examples=60)
+@given(jordan_types(max_mult=3))
+def test_ker_dim_matches_matrix_oracle(jt):
+    model = model_from_type(jt)
+    for m in range(1, jt.p + 1):
+        assert jt.ker_dim(m) == model.dim - model.rank_sequence[m]
+
+
 # ---------------------------------------------------------------- restrict
 
 
@@ -147,6 +157,14 @@ def test_restrict_matches_matrix_oracle(p, data):
     assert jordan_type_of(model) == restrict(i, j, p).with_modulus(p)
 
 
+@settings(max_examples=60)
+@given(jordan_types(max_mult=3), st.data())
+def test_restrict_type_matches_matrix_oracle(jt, data):
+    j = data.draw(st.integers(1, jt.p))
+    model = power_model(model_from_type(jt), j)
+    assert restrict_type(jt, j).with_modulus(jt.p) == jordan_type_of(model)
+
+
 # --------------------------------------------------------------- dominance
 
 
@@ -159,6 +177,40 @@ def partial_sum_dominates(a, b):
     ca = [sum(pa[: k + 1]) for k in range(length)]
     cb = [sum(pb[: k + 1]) for k in range(length)]
     return all(x >= y for x, y in zip(ca, cb))
+
+
+def reference_dominance_key(jt, convention):
+    """The partial sums for j = 1..p as first written, one O(p) sum per j."""
+    if convention is DominanceConvention.IMAGE_DIM:
+        return tuple(sum(max(i + 1 - j, 0) * a for i, a in enumerate(jt.mult))
+                     for j in range(1, jt.p + 1))
+    return tuple(sum((i + 1) * a for i, a in enumerate(jt.mult) if i + 1 >= j)
+                 for j in range(1, jt.p + 1))
+
+
+@given(jordan_types(max_mult=6))
+def test_dominance_keys_match_reference(jt):
+    for convention in DominanceConvention:
+        # the one-pass key runs from j = p down to 1
+        assert tuple(_dominance_key(jt, convention)[::-1]) == reference_dominance_key(jt, convention)
+    assert reference_dominance_key(jt, DominanceConvention.IMAGE_DIM) == tuple(
+        jt.image_dim(j) for j in range(1, jt.p + 1))
+
+
+def test_large_p_invariants_cost_one_pass():
+    # an O(p^2) dominance key took 2-8 s at p = 3001, and restrict_type,
+    # which added one scaled JordanType per block size, 6 s at p = 10007
+    ones = JordanType(3001, (1,) * 3001)
+    singles = JordanType.block(3001, 1, ones.dimension())
+    for convention in DominanceConvention:
+        start = time.perf_counter()
+        assert dominance_compare(ones, singles, convention) is DominanceResult.GREATER
+        assert time.perf_counter() - start < 1, convention
+    ones = JordanType(10007, (1,) * 10007)
+    start = time.perf_counter()
+    restricted = restrict_type(ones, 7)
+    assert time.perf_counter() - start < 1
+    assert restricted.p == 1430 and restricted.dimension() == ones.dimension()
 
 
 def test_dominance_two_conventions_disagree():

@@ -257,6 +257,20 @@ def test_function_must_be_total():
         VertexFunction.constant(z, -1)
 
 
+@pytest.mark.parametrize("value", [True, 1.0, "1"])
+def test_function_values_must_be_ints(value):
+    # isinstance(True, int) used to let a bool through as 1
+    with pytest.raises(ValidationError, match=r"value at \(0, 1\) must be a nonnegative integer"):
+        VertexFunction.constant(tube_window(1, 2), value)
+
+
+@pytest.mark.parametrize("power", [1.5, True, "1", None])
+def test_admissibility_power_must_be_an_int(power):
+    # 1.5 used to raise TypeError from math.gcd, and True was taken as 1
+    with pytest.raises(ValidationError, match=f"power must be an int, got {power!r}"):
+        check_admissible(tube_window(2, 3), power)
+
+
 # ------------------------------------------------------- positivity property
 
 
@@ -424,10 +438,10 @@ def test_dot_export_has_dashed_translation_arrows():
 def test_dot_overlay_marks_pass_fail():
     w = zt_a_infinity_window(0, 3, 5)
     f = VertexFunction.from_ql(w, lambda q: q)
-    dot = window_to_dot(w, f, annotate_additive=True)
+    dot = window_to_dot(w, f)
     assert "PASS" in dot and "FAIL" not in dot
     g = VertexFunction.constant(w, 2)
-    dot2 = window_to_dot(w, g, annotate_additive=True)
+    dot2 = window_to_dot(w, g)
     assert "FAIL" in dot2
 
 
