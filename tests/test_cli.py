@@ -311,6 +311,67 @@ def test_component_large_table_is_pinned(capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+COMPONENT_TREE_CLASSES = (
+    None, "A_inf", "A_inf_inf", "A12_tilde", "D_inf", "E6_tilde", "E7_tilde", "E8_tilde",
+    "D4_tilde", "D9_tilde", "A5", "Q9",
+)
+
+
+def _component_corpus():
+    """argv of seed and direct tube specs under every include_p/rank setting,
+    realizable or with a negative-multiplicity witness, and of split specs
+    over every tree class, each tabled and solved in both formats."""
+    rng = random.Random("component-corpus")
+    modes = [("--ql-max", "0")]
+    modes += [("--ql-max", q, "--format", f) for q in ("1", "7") for f in ("tsv", "json")]
+    modes += [("--solve", "--format", f) for f in ("tsv", "json")]
+    for p in (2, 3, 5, 7):
+        n = [rng.randint(0, 2) for _ in range(p - 1)]
+        n[-1] += 1
+        t = apply_a(n + [0])
+        tubes = [
+            # slopes >= 0 keep every row in N_0; then random seeds and rows,
+            # which mostly leave N_0 somewhere
+            {"seed": {"p": p, "mult": [max(0, -x) + x + rng.randint(0, 2) for x in t]},
+             "multiplicities": n},
+            {"seed": {"p": p, "mult": [rng.randint(0, 3) for _ in range(p)]},
+             "multiplicities": [rng.randint(0, 2) for _ in range(p - 1)]},
+            {"seed": {"p": p, "mult": [rng.randint(0, 1) for _ in range(p)]},
+             "multiplicities": [rng.randint(0, 3) for _ in range(p - 1)]},
+            {"slopes": [rng.randint(0, 2) for _ in range(p)], "intercepts": t},
+            {"slopes": [rng.randint(-1, 2) for _ in range(p)],
+             "intercepts": [rng.randint(-2, 3) for _ in range(p)]},
+            {"slopes": [rng.randint(0, 2) for _ in range(p - 1)] + [-2],
+             "intercepts": [rng.randint(0, 3) for _ in range(p - 1)] + [1]},
+        ]
+        for body in tubes:
+            for include_p in (None, True, False):
+                for rank in (1, 3):
+                    spec = {"kind": "tube", "p": p, **body, "rank": rank}
+                    if include_p is not None:
+                        spec["include_p"] = include_p
+                    for mode in modes:
+                        yield ("component", "--spec", json.dumps(spec), *mode)
+        d = [rng.randint(0, 2) for _ in range(p - 1)]
+        for tc in COMPONENT_TREE_CLASSES:
+            spec = {"kind": "split", "p": p, "d": d}
+            if tc is not None:
+                spec["tree_class"] = tc
+            for mode in modes[3:]:
+                yield ("component", "--spec", json.dumps(spec), *mode)
+
+
+def test_component_output_is_pinned(capsys):
+    # sha256 over argv, exit code, stdout and stderr of tube and split
+    # tables and solves, captured when an unasserted i = p row was still
+    # stored as given and zeroed on every read
+    digest = hashlib.sha256()
+    for argv in _component_corpus():
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == "f8059f1197136c81a977c1bf5d601f4c70a5a3830781facac4958b148844f32a"
+
+
 def test_component_bad_json_exit(capsys):
     code, _, err = run(capsys, "component", "--spec", "{not json")
     assert code == EXIT_PARSE
