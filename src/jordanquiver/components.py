@@ -18,11 +18,13 @@ from the intercept vector t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError, int_tuple, json_array, json_field
-from .jtypes import DominanceResult, JordanType, pointwise_compare
+from .jtypes import (
+    DominanceConvention, DominanceResult, JordanType, _dominance_key, pointwise_compare,
+)
 from .quiver import TreeClass
 
 def apply_a(n: Sequence[int]) -> list[int]:
@@ -64,7 +66,8 @@ class TubeProfile:
     """Affine profile alpha_i(X) = slopes[i-1]*ql(X) + intercepts[i-1] on a tube.
 
     The i = p row is asserted only when include_p is set (safe by default
-    only on homogeneous tubes, i.e. rank 1).  The profile is claimed from
+    only on homogeneous tubes, i.e. rank 1); otherwise it is stored as
+    (0, 0), so a_p reads 0 at every ql.  The profile is claimed from
     ql = 1, the quasi-simple layer.  That every relatively projective
     module in the tube is quasi-simple is a hypothesis the numeric data
     cannot verify; it is assumed, not checked.
@@ -82,11 +85,11 @@ class TubeProfile:
         intercepts = int_tuple(self.intercepts, "intercepts")
         if len(slopes) != self.p or len(intercepts) != self.p:
             raise ValidationError(f"profile rows must have length p={self.p}")
+        if not self.include_p:
+            slopes, intercepts = slopes[:-1] + (0,), intercepts[:-1] + (0,)
         object.__setattr__(self, "slopes", slopes)
         object.__setattr__(self, "intercepts", intercepts)
-        last = self.p if self.include_p else self.p - 1
-        for i in range(1, last + 1):
-            s, t = slopes[i - 1], intercepts[i - 1]
+        for i, (s, t) in enumerate(zip(slopes, intercepts), 1):
             if s < 0:
                 # the least ql >= 1 with s*ql + t < 0
                 q = max(1, t // -s + 1)
@@ -99,18 +102,11 @@ class TubeProfile:
             raise ValidationError(f"index i={i} out of range 1..{self.p}")
         return self.slopes[i - 1] * ql + self.intercepts[i - 1]
 
-    def affine_rows(self) -> list[tuple[int, int]]:
-        """(slope, intercept) of alpha_1..alpha_p; row p is (0, 0) unless include_p."""
-        pairs = list(zip(self.slopes, self.intercepts))
-        if not self.include_p:
-            pairs[-1] = (0, 0)
-        return pairs
-
     def jordan_type_at(self, ql: int) -> JordanType:
         """The Jordan type at quasi-length ql; a_p is 0 unless include_p."""
         if ql < 1:
             raise ValidationError(f"profile only valid from ql=1, got {ql}")
-        return JordanType(self.p, tuple(s * ql + t for s, t in self.affine_rows()))
+        return JordanType(self.p, tuple(s * ql + t for s, t in zip(self.slopes, self.intercepts)))
 
 
 def tube_profile_from_seed(
@@ -155,8 +151,8 @@ def tube_forward(
     return profile.jordan_type_at(ql)
 
 
-def tube_central(j: int, m: int, n: int, ql: int, p: int) -> JordanType:
-    """Type at quasi-length ql on a tube seeded by a central probe.
+def central_profile(j: int, m: int, n: int, p: int) -> TubeProfile:
+    """Profile of a tube seeded by a central probe (stable rows only).
 
     When the probe generates a central subalgebra the seed is m[j] and
     the propagation concentrates on the indices j-1, j, j+1:
@@ -171,22 +167,21 @@ def tube_central(j: int, m: int, n: int, ql: int, p: int) -> JordanType:
         raise ValidationError(f"multiplicity n={n} must be >= 1")
     if m < 2 * n:
         raise ValidationError(f"seed multiplicity m={m} violates m >= 2n = {2 * n}")
-    if ql < 1:
-        raise ValidationError(f"ql must be >= 1, got {ql}")
-    counts = {j: (m - 2 * n) * ql + 2 * n}
+    slopes, intercepts = [0] * p, [0] * p
+    slopes[j - 1], intercepts[j - 1] = m - 2 * n, 2 * n
     for i in (j - 1, j + 1):
         if 1 <= i <= p - 1:
-            counts[i] = n * (ql - 1)
-    return JordanType.from_counts(p, counts)
+            slopes[i - 1], intercepts[i - 1] = n, -n
+    return TubeProfile(p, tuple(slopes), tuple(intercepts))
 
 
-def central_profile(j: int, m: int, n: int, p: int) -> TubeProfile:
-    """The TubeProfile behind tube_central (stable rows only)."""
-    jt1 = tube_central(j, m, n, 1, p)
-    jt2 = tube_central(j, m, n, 2, p)
-    slopes = tuple(b - a for a, b in zip(jt1.mult, jt2.mult))
-    intercepts = tuple(a - s for a, s in zip(jt1.mult, slopes))
-    return TubeProfile(p, slopes, intercepts, include_p=False)
+def tube_central(j: int, m: int, n: int, ql: int, p: int) -> JordanType:
+    """Type at quasi-length ql on a tube seeded by a central probe; see
+    ``central_profile``."""
+    profile = central_profile(j, m, n, p)
+    if ql < 1:
+        raise ValidationError(f"ql must be >= 1, got {ql}")
+    return profile.jordan_type_at(ql)
 
 
 @dataclass(frozen=True)
@@ -202,18 +197,14 @@ def solve_multiplicities(profile: TubeProfile) -> SolveResult:
     """Recover the seed multiplicities n from a tube profile.
 
     The intercept vector t determines n = B t exactly.  When the profile
-    does not assert its i = p row, t_p is padded with 0 and the result is
+    does not assert its i = p row, t_p is the stored 0 and the result is
     flagged in the note.  A profile is rejected when the recovered n has
     a negative entry or a nonzero p-th entry, since no quasi-simple
     relatively projective seed could produce it.
     """
     p = profile.p
-    t = list(profile.intercepts)
-    note = ""
-    if not profile.include_p:
-        t[p - 1] = 0
-        note = "i=p intercept not asserted by the profile; padded with 0"
-    n = apply_b(t)
+    note = "" if profile.include_p else "i=p intercept not asserted by the profile; padded with 0"
+    n = apply_b(profile.intercepts)
     if n[p - 1] != 0:
         hint = (
             " (the profile omits its i=p row; the padded intercept may be wrong "
@@ -232,11 +223,10 @@ def solve_multiplicities(profile: TubeProfile) -> SolveResult:
             "profile is not realizable"
         )
     mult = tuple(n[: p - 1])
-    if all(x == 0 for x in mult):
-        extra = "locally split, no relative projectives"
-        note = f"{note}; {extra}" if note else extra
-        return SolveResult(mult, True, note)
-    return SolveResult(mult, False, note)
+    split = not any(mult)
+    if split:
+        note = "; ".join(filter(None, [note, "locally split, no relative projectives"]))
+    return SolveResult(mult, split, note)
 
 
 # ------------------------------------------------------------ split profiles
@@ -246,15 +236,15 @@ def solve_multiplicities(profile: TubeProfile) -> SolveResult:
 class SplitProfile:
     """d-vector of a locally split component: alpha_i = d[i-1] * f.
 
-    ``d_stable`` is the slope of the stable dimension (sum of i*d_i); the
-    projective multiplicity is deliberately not component data, since it
-    is only subadditive in general.
+    ``d_stable`` is derived: the slope of the stable dimension (sum of
+    i*d_i).  The projective multiplicity is deliberately not component
+    data, since it is only subadditive in general.
     """
 
     p: int
     d: tuple[int, ...]
-    d_stable: int
     tree_class: TreeClass | None = None
+    d_stable: int = field(init=False)
 
     def __post_init__(self):
         if type(self.p) is not int or self.p < 2:
@@ -264,18 +254,12 @@ class SplitProfile:
             raise ValidationError(f"d-vector must have length p-1={self.p - 1}")
         if any(x < 0 for x in d):
             raise ValidationError(f"d-vector entries must be >= 0, got {d}")
-        object.__setattr__(self, "d", d)
-        expected = sum((i + 1) * x for i, x in enumerate(d))
-        if type(self.d_stable) is not int or self.d_stable != expected:
+        if self.tree_class is not None and not isinstance(self.tree_class, TreeClass):
             raise ValidationError(
-                f"stable-dimension slope {self.d_stable} inconsistent with "
-                f"d-vector (expected {expected})"
+                f"tree_class must be a TreeClass or None, got {self.tree_class!r}"
             )
-
-    @classmethod
-    def from_d(cls, p: int, d: Sequence[int], tree_class: TreeClass | None = None):
-        d = int_tuple(d, "d")
-        return cls(p, d, sum((i + 1) * x for i, x in enumerate(d)), tree_class)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d_stable", sum(i * x for i, x in enumerate(d, 1)))
 
 
 def split_propagate(
@@ -313,7 +297,7 @@ def profile_rows(profile: "TubeProfile | SplitProfile", ql_max: int) -> list[lis
     qls = range(1, ql_max + 1)
     if isinstance(profile, SplitProfile):
         return [[x * q for x in profile.d] + [0] for q in qls]
-    pairs = profile.affine_rows()
+    pairs = list(zip(profile.slopes, profile.intercepts))
     return [[s * q + t for s, t in pairs] for q in qls]
 
 
@@ -334,7 +318,7 @@ def seed_to_split_profile(seed: JordanType, f_seed: int) -> SplitProfile:
                 "a locally split component with this f-value"
             )
         d.append(a // f_seed)
-    return SplitProfile.from_d(seed.p, d)
+    return SplitProfile(seed.p, d)
 
 
 def jordan_type_count(profiles: Iterable[SplitProfile]) -> int:
@@ -342,16 +326,10 @@ def jordan_type_count(profiles: Iterable[SplitProfile]) -> int:
 
     All profiles must live over the same p and tree class.
     """
-    seen = set()
-    p = None
-    tc = None
-    for prof in profiles:
-        if p is None:
-            p, tc = prof.p, prof.tree_class
-        elif prof.p != p or prof.tree_class != tc:
-            raise ValidationError("profiles must share p and tree class")
-        seen.add(prof.d)
-    return len(seen)
+    profiles = list(profiles)
+    if len({(prof.p, prof.tree_class) for prof in profiles}) > 1:
+        raise ValidationError("profiles must share p and tree class")
+    return len({prof.d for prof in profiles})
 
 
 def support_indices(profile: "SplitProfile | JordanType") -> frozenset[int]:
@@ -372,19 +350,18 @@ def dominance_on_component(pa: SplitProfile, pb: SplitProfile) -> DominanceResul
 
     A single verdict is valid at every vertex of the component: the
     image-dimension comparison reduces to the p-cleared integer forms
-    L_j = p * sum_{i=j}^{p-1} (i-j) d_i - (p-j) d_stable for j = 1..p.
+    L_j = p * sum_{i=j}^{p-1} (i-j) d_i - (p-j) d_stable for j = 1..p,
+    where the sum is the image-dimension dominance key of the d-vector.
     GREATER means pa dominates pb.
     """
     if pa.p != pb.p:
         raise ValidationError(f"modulus mismatch: p={pa.p} vs p={pb.p}")
     p = pa.p
 
-    def cleared(prof: SplitProfile) -> tuple[int, ...]:
-        return tuple(
-            p * sum((i - j) * prof.d[i - 1] for i in range(j, p))
-            - (p - j) * prof.d_stable
-            for j in range(1, p + 1)
-        )
+    def cleared(prof: SplitProfile) -> list[int]:
+        # the key runs j = p down to 1
+        key = _dominance_key(JordanType(p, (*prof.d, 0)), DominanceConvention.IMAGE_DIM)
+        return [p * k - (p - j) * prof.d_stable for j, k in zip(range(p, 0, -1), key)]
 
     return pointwise_compare(cleared(pa), cleared(pb))
 
@@ -469,5 +446,5 @@ def profile_from_json(spec: Mapping) -> "TubeProfile | SplitProfile":
     if kind == "split":
         tree_class = json_field(spec, "tree_class", str, default=None)
         tc = None if tree_class is None else TreeClass.parse(tree_class)
-        return SplitProfile.from_d(p, json_array(spec, "d", int), tc)
+        return SplitProfile(p, json_array(spec, "d", int), tc)
     raise ParseError(f"unknown component kind {kind!r}")

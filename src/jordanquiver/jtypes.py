@@ -21,7 +21,9 @@ from enum import Enum
 from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, ValidationError, int_tuple, json_array, json_field
+from .errors import (
+    ParseError, ValidationError, int_tuple, json_array, json_field, require_ints,
+)
 
 _TERM_RE = re.compile(r"(\d*)\s*\[\s*(\d+)\s*\]")
 
@@ -158,6 +160,7 @@ class JordanType:
         A block [i] contributes min(i, m), so this is
         sum_{i<m} i*a_i + m*sum_{i>=m} a_i.
         """
+        require_ints(m=m)
         if not 1 <= m <= self.p:
             raise ValidationError(f"power m={m} out of range 1..{self.p}")
         head = sum(i * a for i, a in enumerate(self.mult[: m - 1], 1))
@@ -165,6 +168,7 @@ class JordanType:
 
     def image_dim(self, m: int) -> int:
         """Dimension of im t^m, i.e. dimension() - ker_dim(m), for 0 <= m <= p."""
+        require_ints(m=m)
         if not 0 <= m <= self.p:
             raise ValidationError(f"power m={m} out of range 0..{self.p}")
         return self.dimension() - (self.ker_dim(m) if m else 0)
@@ -175,6 +179,7 @@ class JordanType:
         Equals sum_{i<m} i*a_i + m*sum_{i=m}^{p-1} a_i, i.e.
         ker_dim(m) - m*a_p, and is defined for 1 <= m <= p-1.
         """
+        require_ints(m=m)
         if not 1 <= m <= self.p - 1:
             raise ValidationError(f"power m={m} out of range 1..{self.p - 1}")
         return self.ker_dim(m) - m * self.mult[-1]
@@ -276,6 +281,9 @@ def restrict(i: int, j: int, p: int) -> JordanType:
     the order of t^j, so projectivity over the subalgebra stays
     decidable.
     """
+    if type(p) is not int or p < 2:
+        raise ValidationError(f"p must be an integer >= 2, got {p!r}")
+    require_ints(i=i, j=j)
     if not 1 <= i <= p:
         raise ValidationError(f"block size i={i} out of range 1..{p}")
     return _restrict_blocks(p, j, [(i, 1)])
@@ -286,6 +294,7 @@ def restrict_type(jt: JordanType, j: int) -> JordanType:
 
     Additive over direct sums and dimension-preserving.
     """
+    require_ints(j=j)
     occupied = ((i, a) for i, a in enumerate(jt.mult, 1) if a)
     return _restrict_blocks(jt.p, j, occupied)
 

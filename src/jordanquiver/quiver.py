@@ -563,128 +563,90 @@ class MinimalAdditiveFunction:
     interior: tuple
 
 
-def _undirected(edges, nodes) -> ValuedGraph:
+_TRUNCATION = 10
+
+
+def _orbit_graph(tc: TreeClass) -> tuple[ValuedGraph, dict, tuple]:
+    """Orbit graph of a tree class, its minimal additive function, and the
+    nodes whose neighbours all lie in the graph.
+
+    Euclidean diagrams are whole and carry their null root, the primitive
+    positive vector spanning the kernel of the Cartan matrix
+    (Happel-Preiser-Ringel 1980).  Infinite classes are cut after
+    _TRUNCATION nodes along each infinite arm, and the cut ends are not
+    interior.  Values are listed in node order.
+    """
+    kind, top = tc.kind, _TRUNCATION
+    ends, weight = (), 1
+    if kind is TreeClassKind.A_INFINITY:
+        # the staircase: 2 f(q) = f(q-1) + f(q+1) and 2 f(1) = f(2)
+        chain = range(1, top + 1)
+        values = {q: q for q in chain}
+        edges = list(zip(chain, chain[1:]))
+        ends = (top,)
+    elif kind is TreeClassKind.A_DOUBLE_INFINITY:
+        # positive additive functions on the doubly infinite chain are
+        # affine, and staying positive in both directions forces constants
+        chain = range(-top, top + 1)
+        values = dict.fromkeys(chain, 1)
+        edges = list(zip(chain, chain[1:]))
+        ends = (-top, top)
+    elif kind is TreeClassKind.A_TILDE_12:
+        # two nodes joined by a (2,2)-valued bond
+        values, edges, weight = {0: 1, 1: 1}, [(0, 1)], 2
+    elif kind in (TreeClassKind.D_INFINITY, TreeClassKind.D_TILDE):
+        # forks 'a','b' on the chain c1, c2, ..., which D~n closes after
+        # c_{n-3} with the forks 'y','z'; 2 f(c1) = f(a) + f(b) + f(c2)
+        # starts the chain at twice the fork value, and it stays there
+        closed = kind is TreeClassKind.D_TILDE
+        chain = [f"c{i}" for i in range(1, tc.n - 2 if closed else top + 1)]
+        forks = ["y", "z"] if closed else []
+        values = {"a": 1, "b": 1} | dict.fromkeys(chain, 2) | dict.fromkeys(forks, 1)
+        edges = [("a", "c1"), ("b", "c1"), *zip(chain, chain[1:])]
+        edges += [(chain[-1], v) for v in forks]
+        ends = () if closed else (chain[-1],)
+    elif kind is TreeClassKind.E6_TILDE:
+        # three arms of length 2 from the center
+        values = {"c": 3, "a1": 2, "a2": 1, "b1": 2, "b2": 1, "d1": 2, "d2": 1}
+        edges = [("c", "a1"), ("a1", "a2"), ("c", "b1"), ("b1", "b2"), ("c", "d1"), ("d1", "d2")]
+    elif kind is TreeClassKind.E7_TILDE:
+        # chain of 7 with one extra node on the center
+        chain = range(7)
+        values = dict(zip([*chain, "b"], (1, 2, 3, 4, 3, 2, 1, 2)))
+        edges = [*zip(chain, chain[1:]), (3, "b")]
+    elif kind is TreeClassKind.E8_TILDE:
+        # chain of 8 with the branch node attached at position 5
+        chain = range(8)
+        values = dict(zip([*chain, "b"], (1, 2, 3, 4, 5, 6, 4, 2, 3)))
+        edges = [*zip(chain, chain[1:]), (5, "b")]
+    else:
+        raise ValidationError(f"unsupported tree class {tc}")
     d = {}
     for a, b in edges:
-        d[(a, b)] = 1
-        d[(b, a)] = 1
-    return ValuedGraph(tuple(nodes), d)
-
-
-def _euclidean_graph(tc: TreeClass) -> tuple[ValuedGraph, dict]:
-    """The orbit graph of a Euclidean tree class and its null root delta.
-
-    delta is the primitive positive vector spanning the kernel of the
-    Cartan matrix (Happel-Preiser-Ringel 1980), tabulated per diagram.
-    """
-    if tc.kind is TreeClassKind.A_TILDE_12:
-        # two nodes joined by a (2,2)-valued bond
-        return ValuedGraph((0, 1), {(0, 1): 2, (1, 0): 2}), {0: 1, 1: 1}
-    if tc.kind is TreeClassKind.D_TILDE:
-        n = tc.n
-        # forks 'a','b' - chain c1..c_{n-3} - forks 'y','z'
-        chain = [f"c{i}" for i in range(1, n - 2)]
-        nodes = ["a", "b"] + chain + ["y", "z"]
-        edges = [("a", chain[0]), ("b", chain[0])]
-        edges += list(zip(chain, chain[1:]))
-        edges += [(chain[-1], "y"), (chain[-1], "z")]
-        delta = dict.fromkeys(nodes, 1) | dict.fromkeys(chain, 2)
-        return _undirected(edges, nodes), delta
-    if tc.kind is TreeClassKind.E6_TILDE:
-        # three arms of length 2 from the center
-        nodes = ["c", "a1", "a2", "b1", "b2", "d1", "d2"]
-        edges = [("c", "a1"), ("a1", "a2"), ("c", "b1"), ("b1", "b2"), ("c", "d1"), ("d1", "d2")]
-        delta = {"c": 3, "a1": 2, "a2": 1, "b1": 2, "b2": 1, "d1": 2, "d2": 1}
-        return _undirected(edges, nodes), delta
-    if tc.kind is TreeClassKind.E7_TILDE:
-        # chain of 7 with one extra node on the center
-        chain = list(range(7))
-        nodes = chain + ["b"]
-        edges = list(zip(chain, chain[1:])) + [(3, "b")]
-        delta = dict(zip(nodes, (1, 2, 3, 4, 3, 2, 1, 2)))
-        return _undirected(edges, nodes), delta
-    if tc.kind is TreeClassKind.E8_TILDE:
-        # chain of 8 with the branch node attached at position 5
-        chain = list(range(8))
-        nodes = chain + ["b"]
-        edges = list(zip(chain, chain[1:])) + [(5, "b")]
-        delta = dict(zip(nodes, (1, 2, 3, 4, 5, 6, 4, 2, 3)))
-        return _undirected(edges, nodes), delta
-    raise ValidationError(f"not a Euclidean tree class: {tc}")
-
-
-_TRUNCATION = 10
+        d[(a, b)] = d[(b, a)] = weight
+    graph = ValuedGraph(tuple(values), d)
+    return graph, values, tuple(v for v in graph.nodes if v not in ends)
 
 
 def minimal_additive_function(tc: TreeClass) -> MinimalAdditiveFunction:
     """Minimal positive additive function on the orbit graph of a tree class.
 
-    Euclidean classes take the tabulated null root of their diagram,
-    certified additive on the whole graph; infinite classes are solved
-    by the additive recurrence on a truncated window.  Finite Dynkin
-    classes are rejected, since there the zero function is the only
-    additive one.
+    The values come from the closed form of ``_orbit_graph`` and are
+    certified at run time: additive on the interior, with minimum 1.
+    Since the positive additive functions on a tree class form one ray,
+    that makes them the minimal one.  Finite Dynkin classes are rejected,
+    since there the zero function is the only additive one.
     """
     if tc.kind is TreeClassKind.FINITE_DYNKIN:
         raise ValidationError(
             "on a finite Dynkin tree class only f = 0 is additive; no minimal positive function exists"
         )
-    if tc.kind in (
-        TreeClassKind.A_TILDE_12,
-        TreeClassKind.D_TILDE,
-        TreeClassKind.E6_TILDE,
-        TreeClassKind.E7_TILDE,
-        TreeClassKind.E8_TILDE,
-    ):
-        graph, values = _euclidean_graph(tc)
-        # the Cartan kernel is one-dimensional, so additive values with
-        # minimum 1 are its primitive positive vector
-        if not is_additive_on_graph(graph, values) or min(values.values()) != 1:
-            raise ValidationError("null root failed the additivity check")
-        return MinimalAdditiveFunction(tc, graph, values, len(set(values.values())), graph.nodes)
-
-    if tc.kind is TreeClassKind.A_INFINITY:
-        # 2 f(q) = f(q-1) + f(q+1), 2 f(1) = f(2): the staircase f(q) = q.
-        labels = list(range(1, _TRUNCATION + 1))
-        graph = _undirected(zip(labels, labels[1:]), labels)
-        values = {1: 1, 2: 2}
-        for q in range(2, _TRUNCATION):
-            values[q + 1] = 2 * values[q] - values[q - 1]
-        interior = tuple(labels[:-1])
-        unbounded = values[labels[-1]] > values[labels[-2]]
-        image = None if unbounded else len(set(values.values()))
-        if not is_additive_on_graph(graph, values, interior):
-            raise ValidationError("recurrence solution failed the additivity check")
-        return MinimalAdditiveFunction(tc, graph, values, image, interior)
-    if tc.kind is TreeClassKind.A_DOUBLE_INFINITY:
-        # positive additive functions on the doubly infinite chain are
-        # affine, and staying positive in both directions forces constants
-        labels = list(range(-_TRUNCATION, _TRUNCATION + 1))
-        graph = _undirected(zip(labels, labels[1:]), labels)
-        values = {v: 1 for v in labels}
-        interior = tuple(labels[1:-1])
-        if not is_additive_on_graph(graph, values, interior):
-            raise ValidationError("constant solution failed the additivity check")
-        return MinimalAdditiveFunction(tc, graph, values, len(set(values.values())), interior)
-    if tc.kind is TreeClassKind.D_INFINITY:
-        # two arms on a half-infinite chain: 2 f(arm) = f(c1) forces the
-        # chain to start at twice the arm value, then stay constant
-        chain = [f"c{i}" for i in range(1, _TRUNCATION + 1)]
-        nodes = ["a", "b"] + chain
-        edges = [("a", "c1"), ("b", "c1")] + list(zip(chain, chain[1:]))
-        graph = _undirected(edges, nodes)
-        values = {"a": 1, "b": 1, "c1": 2}
-        # 2 f(c1) = f(a) + f(b) + f(c2), then 2 f(ck) = f(ck-1) + f(ck+1)
-        values["c2"] = 2 * values["c1"] - values["a"] - values["b"]
-        for k in range(2, _TRUNCATION):
-            values[f"c{k + 1}"] = 2 * values[f"c{k}"] - values[f"c{k - 1}"]
-        interior = tuple(["a", "b"] + chain[:-1])
-        tail_constant = values[chain[-1]] == values[chain[-2]]
-        image = len(set(values.values())) if tail_constant else None
-        if not is_additive_on_graph(graph, values, interior):
-            raise ValidationError("recurrence solution failed the additivity check")
-        return MinimalAdditiveFunction(tc, graph, values, image, interior)
-    raise ValidationError(f"unsupported tree class {tc}")
+    graph, values, interior = _orbit_graph(tc)
+    if not is_additive_on_graph(graph, values, interior) or min(values.values()) != 1:
+        raise ValidationError(f"the minimal additive function of {tc} failed its check")
+    # only the staircase of A_inf grows without bound
+    image = None if tc.kind is TreeClassKind.A_INFINITY else len(set(values.values()))
+    return MinimalAdditiveFunction(tc, graph, values, image, interior)
 
 
 # ----------------------------------------------------------------- rendering

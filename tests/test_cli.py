@@ -127,12 +127,22 @@ def _jt_corpus():
 
 def test_jt_output_is_pinned(capsys):
     # sha256 over argv, exit code, stdout and stderr of every jt op, captured
-    # when kernel sums, restriction and dominance keys were computed per entry
+    # when kernel sums, restriction and dominance keys were computed per entry;
+    # re-captured when `restrict --p 1 --i ...` began to reject p < 2 first
     digest = hashlib.sha256()
     for argv in _jt_corpus():
         code, out, err = run(capsys, *argv)
         digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
-    assert digest.hexdigest() == "43d94666211ebc6feccd8edebe0e2707edf3ff6300e40add2adf57ad749f2a15"
+    assert digest.hexdigest() == "a73f83fc50b986fda58f0d562e2c45264cd2d8745ddba92f8a4cfa48d46f3734"
+
+
+@pytest.mark.parametrize("p", ["1", "0", "-3"])
+def test_jt_restrict_rejects_small_p(capsys, p):
+    # `restrict --p 1 --i 1 --j 1` used to print [1]
+    for i in ("1", "2"):
+        code, out, err = run(capsys, "jt", "restrict", "--p", p, "--i", i, "--j", "1")
+        assert (code, out) == (EXIT_VALIDATION, "")
+        assert err == f"validation error: p must be an integer >= 2, got {p}\n"
 
 
 # ----------------------------------------------------------------- component

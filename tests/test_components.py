@@ -1,4 +1,6 @@
+import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -26,9 +28,10 @@ from jordanquiver.components import (
     tube_profile_from_seed,
 )
 from jordanquiver.errors import ParseError, ValidationError
-from jordanquiver.jtypes import DominanceResult, JordanType, dominance_compare
+from jordanquiver.jtypes import DominanceResult, JordanType, dominance_compare, pointwise_compare
 from dense_reference import dense, rank_mod_p
 from jordanquiver.oracle import model_from_type, power_model
+from jordanquiver.quiver import A_INFINITY
 
 
 def matmul(a, b):
@@ -149,9 +152,8 @@ def test_tube_forward_rejects_bad_vectors():
         (lambda: TubeProfile(3, (0, 0, 0), (0, 1.0, 0)), "intercepts[1] must be an int, got 1.0"),
         (lambda: TubeProfile(3.0, (0, 0, 0), (0, 0, 0)), "p must be an integer >= 2, got 3.0"),
         (lambda: SplitProfile(3, (1.0, 0), 1), "d[0] must be an int, got 1.0"),
-        (lambda: SplitProfile(3, (1, 0), 1.0), "stable-dimension slope 1.0 inconsistent"),
-        (lambda: SplitProfile.from_d(3, [1.9, 0]), "d[0] must be an int, got 1.9"),
-        (lambda: SplitProfile.from_d(3, [0, False]), "d[1] must be an int, got False"),
+        (lambda: SplitProfile(3, [1.9, 0]), "d[0] must be an int, got 1.9"),
+        (lambda: SplitProfile(3, [0, False]), "d[1] must be an int, got False"),
         (lambda: tube_profile_from_seed(JordanType(3, (2, 2, 1)), [1.9, 0]),
          "multiplicities[0] must be an int, got 1.9"),
     ],
@@ -297,7 +299,7 @@ def test_profile_rows_match_per_vertex_types():
         {"kind": "tube", "p": 5, "slopes": [0, 3, 2, 2, 1],
          "intercepts": [2, -1, 0, 0, 0], "include_p": False}
     )
-    split = SplitProfile.from_d(5, [1, 0, 2, 1])
+    split = SplitProfile(5, [1, 0, 2, 1])
     assert profile_rows(tube, 6) == [list(tube.jordan_type_at(q).mult) for q in range(1, 7)]
     assert profile_rows(split, 6) == [list(split_propagate(split, q).mult) for q in range(1, 7)]
     assert profile_rows(tube, 6)[2][4] == 0  # row p zeroed without include_p
@@ -321,13 +323,40 @@ def test_profiles_are_claimed_from_ql_one():
             assert (info.value.index, info.value.ql, info.value.value) == (2, q, values[q - 1])
 
 
+@pytest.mark.parametrize("include_p", [False, True])
+def test_value_matches_jordan_type_at(include_p):
+    # an unasserted row p is stored as 0, so value() reads what
+    # jordan_type_at() reports even when the given row leaves N_0
+    assert TubeProfile(3, (0, 0, -5), (1, 1, 0)).value(3, 2) == 0
+    rng = random.Random(f"value-{include_p}")
+    for p in (2, 3, 5, 7):
+        for _ in range(20):
+            slopes = [rng.randint(0, 3) for _ in range(p)]
+            intercepts = [rng.randint(-s, 3) for s in slopes]
+            if not include_p:
+                slopes[-1], intercepts[-1] = rng.randint(-5, 3), rng.randint(-5, 5)
+            profile = TubeProfile(p, slopes, intercepts, include_p)
+            for q in range(1, 6):
+                jt = profile.jordan_type_at(q)
+                assert [profile.value(i, q) for i in range(1, p + 1)] == list(jt.mult)
+
+
 # ------------------------------------------------------------ split profiles
+
+
+@pytest.mark.parametrize("tree_class", [1, "A_inf", 0.0])
+def test_split_profile_rejects_non_tree_class(tree_class):
+    # d_stable is derived, so an old positional d_stable would land here
+    with pytest.raises(ValidationError, match="tree_class must be a TreeClass or None"):
+        SplitProfile(3, (1, 0), tree_class)
+    prof = SplitProfile(3, (1, 0), A_INFINITY)
+    assert prof.tree_class is A_INFINITY and prof.d_stable == 1
 
 
 def test_split_propagate_carlson_shape():
     # hook d-vector propagates to f[1] + f[p-1] + m[p]
     p = 5
-    prof = SplitProfile.from_d(p, [1, 0, 0, 1])
+    prof = SplitProfile(p, [1, 0, 0, 1])
     for f in (1, 2, 3):
         jt = split_propagate(prof, f)
         assert jt.multiplicity(1) == f and jt.multiplicity(p - 1) == f
@@ -337,12 +366,12 @@ def test_split_propagate_carlson_shape():
 
 
 def test_split_propagate_constant_profile():
-    prof = SplitProfile.from_d(5, [0, 0, 1, 0])
+    prof = SplitProfile(5, [0, 0, 1, 0])
     assert split_propagate(prof, 1) == JordanType.block(5, 3)
 
 
 def test_split_propagate_divisibility_guard():
-    prof = SplitProfile.from_d(5, [1, 0, 0, 1])
+    prof = SplitProfile(5, [1, 0, 0, 1])
     with pytest.raises(ValidationError):
         split_propagate(prof, 1, total_dim=11)
 
@@ -360,7 +389,7 @@ def test_seed_to_split_profile():
 
 def test_seed_and_propagate_round_trip():
     p = 7
-    prof = SplitProfile.from_d(p, [2, 0, 1, 0, 0, 3])
+    prof = SplitProfile(p, [2, 0, 1, 0, 0, 3])
     for f in (1, 2, 5):
         assert seed_to_split_profile(split_propagate(prof, f), f).d == prof.d
 
@@ -368,21 +397,21 @@ def test_seed_and_propagate_round_trip():
 def test_jordan_type_count():
     p = 5
     profiles = [
-        SplitProfile.from_d(p, [1, 0, 0, 1]),
-        SplitProfile.from_d(p, [1, 0, 0, 1]),
-        SplitProfile.from_d(p, [0, 0, 0, 0]),
-        SplitProfile.from_d(p, [2, 0, 0, 2]),
+        SplitProfile(p, [1, 0, 0, 1]),
+        SplitProfile(p, [1, 0, 0, 1]),
+        SplitProfile(p, [0, 0, 0, 0]),
+        SplitProfile(p, [2, 0, 0, 2]),
     ]
     assert jordan_type_count(profiles) == 3
     assert jordan_type_count(profiles[:1]) == 1
     with pytest.raises(ValidationError):
-        jordan_type_count([profiles[0], SplitProfile.from_d(7, [0] * 6)])
+        jordan_type_count([profiles[0], SplitProfile(7, [0] * 6)])
 
 
 def test_support_indices():
     p = 5
-    assert support_indices(SplitProfile.from_d(p, [1, 0, 0, 1])) == {1, p - 1}
-    assert support_indices(SplitProfile.from_d(p, [0, 0, 0, 0])) == frozenset()
+    assert support_indices(SplitProfile(p, [1, 0, 0, 1])) == {1, p - 1}
+    assert support_indices(SplitProfile(p, [0, 0, 0, 0])) == frozenset()
     # a concrete all-projective type reports only the projective index
     assert support_indices(JordanType.block(p, p, 3)) == {p}
 
@@ -392,11 +421,44 @@ def test_support_indices():
 
 def test_dominance_on_component_examples():
     p = 5
-    hook = SplitProfile.from_d(p, [1, 0, 0, 1])
-    proj = SplitProfile.from_d(p, [0, 0, 0, 0])
+    hook = SplitProfile(p, [1, 0, 0, 1])
+    proj = SplitProfile(p, [0, 0, 0, 0])
     assert dominance_on_component(hook, hook) is DominanceResult.EQUAL
     assert dominance_on_component(proj, hook) is DominanceResult.GREATER
     assert dominance_on_component(hook, proj) is DominanceResult.LESS
+
+
+def reference_cleared(prof):
+    """The p-cleared forms L_j of dominance_on_component, one O(p) sum per j."""
+    p = prof.p
+    return tuple(
+        p * sum((i - j) * prof.d[i - 1] for i in range(j, p)) - (p - j) * prof.d_stable
+        for j in range(1, p + 1)
+    )
+
+
+def test_dominance_on_component_matches_reference():
+    rng = random.Random("cleared")
+    seen = set()
+    for p in (2, 3, 5, 7, 12):
+        for _ in range(200):
+            da = [rng.randint(0, 3) for _ in range(p - 1)]
+            db = [max(0, x + rng.randint(-1, 1)) for x in da]
+            pa, pb = SplitProfile(p, da), SplitProfile(p, db)
+            verdict = dominance_on_component(pa, pb)
+            assert verdict is pointwise_compare(reference_cleared(pa), reference_cleared(pb))
+            seen.add(verdict)
+    assert seen == set(DominanceResult)
+
+
+def test_dominance_on_component_costs_one_pass():
+    # one O(p) sum per j took 0.12-0.19 s at p = 1001
+    p = 1001
+    ones, hook = SplitProfile(p, [1] * (p - 1)), SplitProfile(p, [1] + [0] * (p - 3) + [1])
+    start = time.perf_counter()
+    verdict = dominance_on_component(ones, hook)
+    assert time.perf_counter() - start < 0.05
+    assert verdict is pointwise_compare(reference_cleared(ones), reference_cleared(hook))
 
 
 @settings(max_examples=60, deadline=None)
@@ -408,7 +470,7 @@ def test_dominance_on_component_matches_per_vertex(da, db):
     # the component verdict must agree with the per-vertex comparison at
     # every vertex where both types exist with a common dimension
     p = 5
-    pa, pb = SplitProfile.from_d(p, da), SplitProfile.from_d(p, db)
+    pa, pb = SplitProfile(p, da), SplitProfile(p, db)
     verdict = dominance_on_component(pa, pb)
     for f in (p, 2 * p, 3 * p, 4 * p, 5 * p):
         dim = max(pa.d_stable, pb.d_stable) * f + 3 * p

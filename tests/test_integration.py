@@ -187,7 +187,7 @@ def test_minimal_additive_staircase_matches_split_propagation():
     # on a staircase component the propagated stable dimension is linear
     # with slope d_stable, mirroring the minimal additive function
     result = minimal_additive_function(A_INFINITY)
-    prof = SplitProfile.from_d(5, [1, 0, 0, 1], tree_class=A_INFINITY)
+    prof = SplitProfile(5, [1, 0, 0, 1], tree_class=A_INFINITY)
     for node, value in result.values.items():
         jt = split_propagate(prof, value)
         assert jt.stable_part().dimension() == prof.d_stable * value

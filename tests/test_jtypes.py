@@ -371,6 +371,26 @@ def test_validation_rejects_non_int_entries(mult, bad):
         JordanType(3, mult)
 
 
+JT = JordanType.from_string(3, "2[2]+[3]")
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda: JT.ker_dim(1.5), "m must be an int, got 1.5"),
+    (lambda: JT.ker_dim(True), "m must be an int, got True"),
+    (lambda: JT.image_dim(2.0), "m must be an int, got 2.0"),
+    (lambda: JT.psi(False), "m must be an int, got False"),
+    (lambda: restrict(1.5, 1, 3), "i must be an int, got 1.5"),
+    (lambda: restrict(2, True, 3), "j must be an int, got True"),
+    (lambda: restrict(2, 1, 3.0), "p must be an integer >= 2, got 3.0"),
+    (lambda: restrict(1, 1, 1), "p must be an integer >= 2, got 1"),
+    (lambda: restrict_type(JT, "2"), "j must be an int, got '2'"),
+])
+def test_powers_and_sizes_must_be_ints(call, bad):
+    # ker_dim(1.5) used to raise TypeError and ker_dim(True) to act as 1
+    with pytest.raises(ValidationError, match=re.escape(bad)):
+        call()
+
+
 def test_direct_sum_and_scalar():
     a = JordanType.from_string(5, "[2]")
     b = JordanType.from_string(5, "[3]+[2]")

@@ -17,7 +17,7 @@ from jordanquiver.quiver import (
     Quiver,
     TreeClass,
     VertexFunction,
-    _euclidean_graph,
+    _orbit_graph,
     build_window,
     check_admissible,
     classify_function,
@@ -401,7 +401,7 @@ EUCLIDEAN = [A_TILDE_12] + [d_tilde(n) for n in range(4, 41)] + [E6_TILDE, E7_TI
 
 @pytest.mark.parametrize("tc", EUCLIDEAN, ids=str)
 def test_null_root_table_matches_cartan_kernel(tc):
-    graph, delta = _euclidean_graph(tc)
+    graph, delta, _ = _orbit_graph(tc)
     assert list(delta) == list(graph.nodes)
     kernel = integer_kernel_vector(cartan_matrix(graph))
     assert {v: kernel[k] for k, v in enumerate(graph.nodes)} == delta
