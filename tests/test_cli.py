@@ -481,6 +481,62 @@ def test_oracle_unknown_model(capsys):
     assert code == EXIT_PARSE
 
 
+ORACLE_JSON_MODELS = (
+    {"p": 5, "dim": 3, "entries": [[1, 0, 1], [2, 1, 1]]},
+    {"p": 7, "dim": 6, "entries": [[1, 0, 3], [2, 1, 5], [4, 3, 1], [5, 0, 2]]},
+    {"p": 3, "dim": 4, "entries": []},
+    {"p": 5, "dim": 0, "entries": []},
+    {"p": 5, "dim": 3, "entries": [[1, 0, 5], [2, 1, -4]]},  # reduced mod p
+    {"p": 5, "dim": 3, "entries": [[3, 0, 1]]},  # out of range
+    {"p": 5, "dim": 3, "entries": [[1, -1, 1]]},
+    {"p": 5, "dim": 3, "entries": [[1, 0, 1], [1, 0, 2]]},  # repeated
+    {"p": 5, "dim": 3, "entries": [[1, 0, 1.5]]},  # non-int
+    {"p": 5, "dim": 3, "entries": [[1, 0, True]]},
+    {"p": 5, "dim": 3, "entries": [["1", 0, 1]]},
+    {"p": 5, "dim": 3, "entries": [[1, 0]]},
+    {"p": 5, "dim": 2.0, "entries": []},
+    {"p": 4, "dim": 2, "entries": []},
+    {"p": 5, "dim": 2, "entries": [[0, 1, 1], [1, 0, 1]]},  # not nilpotent
+    {"p": 2, "dim": 3, "entries": [[1, 0, 1], [2, 1, 1]]},  # N^2 != 0
+    {"p": 5, "dim": 3},
+)
+
+
+def _oracle_corpus():
+    """argv of every named model at prime and non-prime moduli, sl2s weights
+    and sweep base blocks just outside their ranges, fuzzed runs under two
+    seeds, and valid and malformed JSON models."""
+    for p in (1, 2, 3, 4, 5, 7, 9, 11, 13, 31):
+        for model in ("heisenberg", "rank2", "ga2", "sl2s"):
+            yield ("oracle", model, "--p", str(p))
+        for i in range(p + 1):
+            yield ("oracle", "sl2s", "--p", str(p), "--i", str(i))
+        for b in range(p + 2):
+            yield ("oracle", "sweep", "--p", str(p), "--base-block", str(b))
+        yield ("oracle", "sweep", "--p", str(p))
+    yield ("oracle", "heisenberg")
+    for p in (3, 5, 7):
+        for model in ("heisenberg", "rank2", "ga2", "sl2s"):
+            for fuzz in ("0", "2"):
+                for seed in ("0", "11"):
+                    yield ("oracle", model, "--p", str(p), "--fuzz", fuzz, "--seed", seed)
+    for model in ORACLE_JSON_MODELS:
+        yield ("oracle", "json", "--module", json.dumps(model))
+        yield ("oracle", "json", "--module", json.dumps(model), "--fuzz", "2", "--seed", "3")
+    yield ("oracle", "json")
+
+
+def test_oracle_output_is_pinned(capsys):
+    # sha256 over argv, exit code, stdout and stderr of every named model,
+    # sweep and JSON model, captured when the sweep still went through a
+    # per-power helper and block models had their own constructor
+    digest = hashlib.sha256()
+    for argv in _oracle_corpus():
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == "12cff864b47e62b42113c9b2f8cdc7e58a8017be6d60aa8d5dde0c1b41d92edd"
+
+
 # -------------------------------------------------------------------- quiver
 
 
@@ -641,6 +697,72 @@ def test_classify_p_mismatch(capsys):
     desc = json.dumps({"p": 5, "degree": 4, "nilpotent": True})
     code, _, _ = run(capsys, "classify", "--descriptor", desc, "--p", "7")
     assert code == EXIT_VALIDATION
+
+
+CLASSIFY_AMBIENTS = (
+    # odd degree of constant type: COD3 on srk or srk_quotient, then COD5
+    [{"srk": s} for s in (0, 1, 2, 3)]
+    + [{"srk": 2, "srk_quotient": q} for q in (1, 2)]
+    + [{"srk": 1, "srk_quotient": q} for q in (1, 2)]
+    + [{"is_finite_group": g, "srk": 1} for g in (False, True)]
+    # even non-nilpotent: CNN1 needs 2n >= m + 3
+    + [{"ambient_dim": 5, "equidim": e, "variety_dim": n} for e in (False, True) for n in (3, 4)]
+    + [{"ambient_dim": 5, "min_component_dim": n} for n in (3, 4)]
+    + [{"ambient_dim": 4, "equidim": True, "variety_dim": 3, "min_component_dim": 4}]
+    + [{"equidim": True, "variety_dim": 9}]
+    + [{"pi_dim": 2, "trigonalizable": True}]
+)
+CLASSIFY_BAD = (
+    [{"p": p, "degree": 2} for p in (1, 2, 4, 9, -5, "5", 5.0, True, None)]
+    + [{"p": 5, "degree": d} for d in (0, -1, "2", 2.5, True)]
+    + [{"degree": 2}, {"p": 5}, {"p": 5, "degree": 2, "colour": "red"}]
+    + [{"p": 5, "degree": 2, "nilpotent": v} for v in ("true", 1, None)]
+    + [{"p": 5, "degree": 2, "dim_total": v} for v in (-1, "5", 5.5, True)]
+    + [{"p": 5, "degree": 3, "odd_pullback": v} for v in ("bogus", 3, True)]
+    + [{"p": 5, "degree": 3, "ambient": a}
+       for a in ([], 5, {"colour": 1}, {"srk": -1}, {"srk": "2"}, {"srk": True},
+                 {"equidim": 1}, {"is_finite_group": "yes"})]
+    + [[], [{"p": 5, "degree": 2}]]
+)
+
+
+def _classify_corpus():
+    """argv of every degree parity, nilpotency and odd-pullback mode with and
+    without dim_total, ambient data on each side of each rule, and malformed
+    descriptors, each in both formats."""
+    descs = []
+    for p in (3, 5, 7):
+        dims = (None, 0, 1, p - 2, p, 2 * p - 2, 3 * p, 3 * p - 2, 4 * p - 2)
+        for degree in (1, 2, 3, 4):
+            for nilpotent in (None, False, True):
+                for odd in (None, "mixed", "all-vanish", "none-vanish"):
+                    for dim in dims:
+                        desc = {"p": p, "degree": degree}
+                        for key, value in (("nilpotent", nilpotent), ("odd_pullback", odd),
+                                           ("dim_total", dim)):
+                            if value is not None:
+                                desc[key] = value
+                        descs.append(desc)
+        for degree, odd in ((2, None), (3, "all-vanish"), (5, "none-vanish"), (3, "mixed")):
+            for ambient in CLASSIFY_AMBIENTS:
+                descs.append({"p": p, "degree": degree, "odd_pullback": odd or "mixed",
+                              "ambient": ambient})
+    descs += CLASSIFY_BAD
+    for desc in descs:
+        for fmt in ("tsv", "json"):
+            yield ("classify", "--descriptor", json.dumps(desc), "--format", fmt)
+    for flags in (("--p", "5"), ("--p", "7"), ("--p", "4")):
+        yield ("classify", "--descriptor", json.dumps({"p": 5, "degree": 2}), *flags)
+
+
+def test_classify_output_is_pinned(capsys):
+    # sha256 over argv, exit code, stdout and stderr of the rule engine,
+    # captured before the library's pass-through wrappers were removed
+    digest = hashlib.sha256()
+    for argv in _classify_corpus():
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == "0c8bc7e86549cfd15c42afd8accac77655fac9542c77aa4d55d1a1b41f2d91d1"
 
 
 # ---------------------------------------------------------------- determinism
