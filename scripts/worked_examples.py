@@ -10,7 +10,7 @@ Run:  python3 scripts/worked_examples.py [--p 5] [--ql-max 6]
 
 import argparse
 
-from jordanquiver.components import solve_multiplicities, tube_forward, tube_profile_from_seed
+from jordanquiver.components import solve_multiplicities, tube_profile_from_seed
 from jordanquiver.jtypes import JordanType, restrict
 from jordanquiver.oracle import (
     abelian_rank2_models,
@@ -35,9 +35,9 @@ def heisenberg_section(p, ql_max):
     n = [1] + [0] * (p - 2)
     print(f"tube with multiplicities n = {tuple(n)}:")
     print("ql\ttype")
-    for ql in range(1, ql_max + 1):
-        print(f"{ql}\t{tube_forward(seed, n, ql, include_p=True)}")
     profile = tube_profile_from_seed(seed, n, include_p=True)
+    for ql in range(1, ql_max + 1):
+        print(f"{ql}\t{profile.jordan_type_at(ql)}")
     recovered = solve_multiplicities(profile).multiplicities
     print(f"inverse problem recovers n = {recovered}")
 

@@ -16,8 +16,6 @@ from .components import (
     TubeProfile,
     solve_multiplicities,
     split_propagate,
-    tube_central,
-    tube_forward,
 )
 from .quiver import (
     QuiverWindow,
@@ -72,6 +70,4 @@ __all__ = [
     "restrict_type",
     "solve_multiplicities",
     "split_propagate",
-    "tube_central",
-    "tube_forward",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, ValidationError, int_tuple, json_array, json_field
+from .errors import ParseError, ValidationError, int_tuple, json_array, json_field, require_ints
 from .jtypes import (
     DominanceConvention, DominanceResult, JordanType, _dominance_key, pointwise_compare,
 )
@@ -97,13 +97,9 @@ class TubeProfile:
             if s + t < 0:
                 raise NegativeMultiplicityError(i, 1, s + t)
 
-    def value(self, i: int, ql: int) -> int:
-        if not 1 <= i <= self.p:
-            raise ValidationError(f"index i={i} out of range 1..{self.p}")
-        return self.slopes[i - 1] * ql + self.intercepts[i - 1]
-
     def jordan_type_at(self, ql: int) -> JordanType:
         """The Jordan type at quasi-length ql; a_p is 0 unless include_p."""
+        require_ints(ql=ql)
         if ql < 1:
             raise ValidationError(f"profile only valid from ql=1, got {ql}")
         return JordanType(self.p, tuple(s * ql + t for s, t in zip(self.slopes, self.intercepts)))
@@ -134,23 +130,6 @@ def tube_profile_from_seed(
     return TubeProfile(p, tuple(slopes), tuple(t), include_p=include_p)
 
 
-def tube_forward(
-    seed: JordanType,
-    multiplicities: Sequence[int],
-    ql: int,
-    include_p: bool = False,
-) -> JordanType:
-    """Jordan type at quasi-length ql on the tube generated by the seed.
-
-    At ql = 1 this reproduces the seed (stable part, plus the p-row when
-    include_p).  The i = p row is only claimed on homogeneous tubes.
-    """
-    if ql < 1:
-        raise ValidationError(f"ql must be >= 1, got {ql}")
-    profile = tube_profile_from_seed(seed, multiplicities, include_p)
-    return profile.jordan_type_at(ql)
-
-
 def central_profile(j: int, m: int, n: int, p: int) -> TubeProfile:
     """Profile of a tube seeded by a central probe (stable rows only).
 
@@ -159,6 +138,7 @@ def central_profile(j: int, m: int, n: int, p: int) -> TubeProfile:
     alpha_j = (m - 2n) ql + 2n and alpha_{j +- 1} = n (ql - 1), with
     m >= 2n forced by nonnegativity.  The i = p row is omitted.
     """
+    require_ints(j=j, m=m, n=n, p=p)
     if p < 2:
         raise ValidationError(f"p must be >= 2, got {p}")
     if not 1 <= j <= p - 1:
@@ -173,15 +153,6 @@ def central_profile(j: int, m: int, n: int, p: int) -> TubeProfile:
         if 1 <= i <= p - 1:
             slopes[i - 1], intercepts[i - 1] = n, -n
     return TubeProfile(p, tuple(slopes), tuple(intercepts))
-
-
-def tube_central(j: int, m: int, n: int, ql: int, p: int) -> JordanType:
-    """Type at quasi-length ql on a tube seeded by a central probe; see
-    ``central_profile``."""
-    profile = central_profile(j, m, n, p)
-    if ql < 1:
-        raise ValidationError(f"ql must be >= 1, got {ql}")
-    return profile.jordan_type_at(ql)
 
 
 @dataclass(frozen=True)
@@ -272,6 +243,9 @@ def split_propagate(
     a_p = (total_dim - d_stable * f_value) / p with exact divisibility
     enforced.
     """
+    require_ints(f_value=f_value)
+    if total_dim is not None:
+        require_ints(total_dim=total_dim)
     if f_value < 1:
         raise ValidationError(f"f_value must be >= 1, got {f_value}")
     mult = [x * f_value for x in profile.d] + [0]
@@ -294,6 +268,7 @@ def profile_rows(profile: "TubeProfile | SplitProfile", ql_max: int) -> list[lis
     without building a JordanType per row: the profile was checked to stay
     >= 0 for every ql >= 1 when it was constructed.
     """
+    require_ints(ql_max=ql_max)
     qls = range(1, ql_max + 1)
     if isinstance(profile, SplitProfile):
         return [[x * q for x in profile.d] + [0] for q in qls]
@@ -307,6 +282,7 @@ def seed_to_split_profile(seed: JordanType, f_seed: int) -> SplitProfile:
     Fails when f_seed does not divide every stable multiplicity, i.e. the
     seed cannot sit on a locally split component at that f-value.
     """
+    require_ints(f_seed=f_seed)
     if f_seed < 1:
         raise ValidationError(f"f_seed must be >= 1, got {f_seed}")
     d = []
@@ -364,12 +340,6 @@ def dominance_on_component(pa: SplitProfile, pb: SplitProfile) -> DominanceResul
         return [p * k - (p - j) * prof.d_stable for j, k in zip(range(p, 0, -1), key)]
 
     return pointwise_compare(cleared(pa), cleared(pb))
-
-
-def top_multiplicity(simple_jt: JordanType, j: int) -> int:
-    """Multiplicity of a simple module in the top of the module induced
-    from the block [j]: the kernel dimension of t^j on the simple's type."""
-    return simple_jt.ker_dim(j)
 
 
 # ----------------------------------------------------------- obstruction

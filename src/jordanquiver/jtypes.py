@@ -95,11 +95,6 @@ class JordanType:
         return cls(p, tuple(mult))
 
     @classmethod
-    def from_blocks(cls, p: int, sizes: Iterable[int]) -> "JordanType":
-        """Build from an iterable of block sizes (with repetition)."""
-        return cls.from_counts(p, Counter(sizes))
-
-    @classmethod
     def from_string(cls, p: int, text: str) -> "JordanType":
         """Parse the compact grammar ``(<m>? "[" <i> "]" ("+" ...)*)?``.
 

@@ -246,13 +246,6 @@ def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentMode
 # ------------------------------------------------------------ constructors
 
 
-def jordan_block_model(p: int, i: int) -> NilpotentModel:
-    """The single i x i Jordan block (lower shift), 1 <= i <= p."""
-    if not 1 <= i <= p:
-        raise ValidationError(f"block size {i} out of range 1..{p}")
-    return NilpotentModel(p, i, [(r, r - 1, 1) for r in range(1, i)])
-
-
 def model_from_type(jt: JordanType) -> NilpotentModel:
     """Block-diagonal nilpotent matrix realizing a given Jordan type."""
     entries = []
@@ -345,25 +338,19 @@ def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
 # ------------------------------------------------------------------- sweep
 
 
-def power_restriction(jt: JordanType, j: int) -> JordanType:
-    """Stable Jordan type of t^j acting on a module of type jt, at modulus p.
-
-    The restriction splits blocks per the closed form in jtypes.restrict;
-    the result is re-embedded at the original modulus p and stripped of
-    projective blocks.  A probe operator of the form t^j * (unit) has the
-    same rank sequence as t^j, so this is the type seen by any probe whose
-    lowest-degree term is t^j.
-    """
-    return restrict_type(jt, j).with_modulus(jt.p).stable_part()
-
-
 def pi_point_sweep(base: "NilpotentModel | JordanType") -> set[JordanType]:
     """Set of stable Jordan types over all probe powers j = 1..p.
 
-    Only probes factoring through powers of the single given operator are
-    modelled; mixed two-parameter probes reduce to their lowest-degree
-    power, which has the same rank sequence.  The sweep covers the seed
+    The type at power j is that of t^j acting on the base: the restriction
+    splits blocks per the closed form in jtypes.restrict, and the result is
+    re-embedded at the original modulus p and stripped of projective
+    blocks.  A probe operator of the form t^j * (unit) has the same rank
+    sequence as t^j, so this is the type seen by any probe whose
+    lowest-degree term is t^j.  Only probes factoring through powers of
+    the single given operator are modelled; mixed two-parameter probes
+    reduce to their lowest-degree power.  The sweep covers the seed
     operator itself, not other vertices of its component.
     """
     jt = base if isinstance(base, JordanType) else jordan_type_of(base)
-    return {power_restriction(jt, j) for j in range(1, jt.p + 1)}
+    return {restrict_type(jt, j).with_modulus(jt.p).stable_part()
+            for j in range(1, jt.p + 1)}

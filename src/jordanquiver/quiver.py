@@ -327,14 +327,11 @@ def orbit_valued_graph(window: QuiverWindow, power: int = 1) -> ValuedGraph:
     return graph
 
 
-def is_additive_on_graph(
-    graph: ValuedGraph, values: Mapping, nodes: Iterable | None = None
-) -> bool:
-    """Check 2 f(j) = sum_i f(i) d(i, j) at the given nodes (default all)."""
-    todo = graph.nodes if nodes is None else tuple(nodes)
+def is_additive_on_graph(graph: ValuedGraph, values: Mapping, nodes: Iterable) -> bool:
+    """Check 2 f(j) = sum_i f(i) d(i, j) at the given nodes."""
     return all(
         2 * values[j] == sum(values[i] * graph.value(i, j) for i in graph.nodes)
-        for j in todo
+        for j in nodes
     )
 
 
@@ -539,14 +536,6 @@ E7_TILDE = TreeClass(TreeClassKind.E7_TILDE)
 E8_TILDE = TreeClass(TreeClassKind.E8_TILDE)
 
 
-def d_tilde(n: int) -> TreeClass:
-    return TreeClass(TreeClassKind.D_TILDE, n=n)
-
-
-def finite_dynkin(name: str) -> TreeClass:
-    return TreeClass(TreeClassKind.FINITE_DYNKIN, name=name)
-
-
 @dataclass(frozen=True)
 class MinimalAdditiveFunction:
     """The positive additive function all others are integer multiples of.
@@ -683,13 +672,12 @@ def window_to_dot(window: QuiverWindow, overlay: VertexFunction | None = None) -
     return "\n".join(lines)
 
 
-def valued_graph_to_dot(graph: ValuedGraph, values: Mapping | None = None) -> str:
-    """Render a valued graph as undirected DOT."""
+def valued_graph_to_dot(graph: ValuedGraph, values: Mapping) -> str:
+    """Render a valued graph as undirected DOT, each node labelled with its value."""
     names = {v: f"n{i}" for i, v in enumerate(graph.nodes)}
     lines = ["graph orbits {"]
     for v in graph.nodes:
-        label = str(v) if values is None else f"{v}: {values[v]}"
-        lines.append(f'  {names[v]} [label="{label}"];')
+        lines.append(f'  {names[v]} [label="{v}: {values[v]}"];')
     done = set()
     for (a, b), w in sorted(graph.d.items(), key=lambda kv: str(kv[0])):
         if (b, a) in done:

@@ -25,7 +25,6 @@ from jordanquiver.components import (
     apply_a,
     apply_b,
     solve_multiplicities,
-    tube_forward,
     tube_profile_from_seed,
 )
 from jordanquiver.jtypes import (
@@ -39,8 +38,8 @@ from jordanquiver.oracle import (
     abelian_rank2_models,
     ga2_model,
     heisenberg_model,
-    jordan_block_model,
     jordan_type_of,
+    model_from_type,
     pi_point_sweep,
     power_model,
 )
@@ -51,9 +50,10 @@ from jordanquiver.quiver import (
     E6_TILDE,
     E7_TILDE,
     E8_TILDE,
+    TreeClass,
+    TreeClassKind,
     VertexFunction,
     classify_function,
-    d_tilde,
     minimal_additive_function,
     tube_window,
 )
@@ -95,7 +95,7 @@ def test_criterion_02_restrict_oracle_equivalence():
     with criterion("02 block-splitting formula = matrix oracle"):
         for p in (3, 5, 7, 11, 13):
             for i in range(1, p + 1):
-                block = jordan_block_model(p, i)
+                block = model_from_type(JordanType.block(p, i))
                 for j in range(1, p + 1):
                     oracle_type = jordan_type_of(power_model(block, j))
                     assert oracle_type == restrict(i, j, p).with_modulus(p), (p, i, j)
@@ -109,7 +109,7 @@ def test_criterion_03_heisenberg_model_and_tube():
             assert jordan_type_of(model) == expected, p
             n = [1] + [0] * (p - 2)
             for ql in range(1, 11):
-                jt = tube_forward(expected, n, ql, include_p=True)
+                jt = tube_profile_from_seed(expected, n, include_p=True).jordan_type_at(ql)
                 assert jt.multiplicity(1) == 2, (p, ql)
                 if p > 2:
                     assert jt.multiplicity(2) == 3 * ql - 1, (p, ql)
@@ -160,9 +160,9 @@ def test_criterion_08_tree_class_counts():
             A_TILDE_12: 1,
             A_DOUBLE_INFINITY: 1,
             D_INFINITY: 2,
-            d_tilde(4): 2,
-            d_tilde(5): 2,
-            d_tilde(6): 2,
+            TreeClass(TreeClassKind.D_TILDE, n=4): 2,
+            TreeClass(TreeClassKind.D_TILDE, n=5): 2,
+            TreeClass(TreeClassKind.D_TILDE, n=6): 2,
             E6_TILDE: 3,
             E7_TILDE: 4,
             E8_TILDE: 6,

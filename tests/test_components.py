@@ -22,9 +22,6 @@ from jordanquiver.components import (
     solve_multiplicities,
     split_propagate,
     support_indices,
-    top_multiplicity,
-    tube_central,
-    tube_forward,
     tube_profile_from_seed,
 )
 from jordanquiver.errors import ParseError, ValidationError
@@ -74,27 +71,28 @@ def test_cartan_pair_random_sizes(p):
 
 
 HEISENBERG_SEED = JordanType(5, (2, 2, 2, 2, 1))
+HEISENBERG_TUBE = tube_profile_from_seed(HEISENBERG_SEED, [1, 0, 0, 0], include_p=True)
 
 
 def test_tube_forward_heisenberg_matches_printed_formulas():
     # component of the induced Heisenberg module: alpha_1 = 2,
     # alpha_2 = 3ql - 1, alpha_i = 2ql for 3 <= i <= p-1, alpha_p = ql
     for ql in range(1, 11):
-        jt = tube_forward(HEISENBERG_SEED, [1, 0, 0, 0], ql, include_p=True)
+        jt = HEISENBERG_TUBE.jordan_type_at(ql)
         assert jt.multiplicity(1) == 2
         assert jt.multiplicity(2) == 3 * ql - 1
         assert jt.multiplicity(3) == 2 * ql
         assert jt.multiplicity(4) == 2 * ql
         assert jt.multiplicity(5) == ql
-    assert str(tube_forward(HEISENBERG_SEED, [1, 0, 0, 0], 3, include_p=True)) == (
+    assert str(HEISENBERG_TUBE.jordan_type_at(3)) == (
         "3[5]+6[4]+6[3]+8[2]+2[1]"
     )
 
 
 def test_tube_forward_ql_one_is_seed():
-    assert tube_forward(HEISENBERG_SEED, [1, 0, 0, 0], 1, include_p=True) == HEISENBERG_SEED
+    assert HEISENBERG_TUBE.jordan_type_at(1) == HEISENBERG_SEED
     stable = HEISENBERG_SEED.stable_part()
-    assert tube_forward(HEISENBERG_SEED, [1, 0, 0, 0], 1) == stable
+    assert tube_profile_from_seed(HEISENBERG_SEED, [1, 0, 0, 0]).jordan_type_at(1) == stable
 
 
 def test_tube_forward_single_index_formula():
@@ -105,7 +103,7 @@ def test_tube_forward_single_index_formula():
     for j in range(1, p):
         n = [int(k == j) for k in range(1, p)]
         try:
-            jt = tube_forward(seed, n, 4)
+            jt = tube_profile_from_seed(seed, n).jordan_type_at(4)
         except NegativeMultiplicityError:
             continue
         for i in range(1, p):
@@ -114,10 +112,7 @@ def test_tube_forward_single_index_formula():
 
 
 def test_tube_forward_differences_are_affine():
-    rows = [
-        tube_forward(HEISENBERG_SEED, [1, 0, 0, 0], ql, include_p=True)
-        for ql in range(1, 8)
-    ]
+    rows = [HEISENBERG_TUBE.jordan_type_at(ql) for ql in range(1, 8)]
     for i in range(1, 6):
         diffs = [b.multiplicity(i) - a.multiplicity(i) for a, b in zip(rows, rows[1:])]
         assert len(set(diffs)) == 1
@@ -126,7 +121,7 @@ def test_tube_forward_differences_are_affine():
 def test_tube_forward_negative_multiplicity_is_rejected_with_witness():
     seed = JordanType(5, (1, 1, 0, 0, 0))
     with pytest.raises(NegativeMultiplicityError) as info:
-        tube_forward(seed, [1, 0, 0, 0], 3)
+        tube_profile_from_seed(seed, [1, 0, 0, 0]).jordan_type_at(3)
     err = info.value
     assert err.value < 0 and err.ql >= 1 and 1 <= err.index <= 5
     # the witness really is negative under the raw affine formula
@@ -138,11 +133,11 @@ def test_tube_forward_negative_multiplicity_is_rejected_with_witness():
 
 def test_tube_forward_rejects_bad_vectors():
     with pytest.raises(ValidationError):
-        tube_forward(HEISENBERG_SEED, [0, 0, 0, 0], 2)
+        tube_profile_from_seed(HEISENBERG_SEED, [0, 0, 0, 0]).jordan_type_at(2)
     with pytest.raises(ValidationError):
-        tube_forward(HEISENBERG_SEED, [1, 0, 0], 2)
+        tube_profile_from_seed(HEISENBERG_SEED, [1, 0, 0]).jordan_type_at(2)
     with pytest.raises(ValidationError):
-        tube_forward(HEISENBERG_SEED, [1, 0, 0, -1], 2)
+        tube_profile_from_seed(HEISENBERG_SEED, [1, 0, 0, -1]).jordan_type_at(2)
 
 
 @pytest.mark.parametrize(
@@ -164,6 +159,31 @@ def test_profiles_reject_non_int_entries(build, bad):
         build()
 
 
+@pytest.mark.parametrize(
+    "call,bad",
+    [
+        (lambda: HEISENBERG_TUBE.jordan_type_at(True), "ql must be an int, got True"),
+        (lambda: HEISENBERG_TUBE.jordan_type_at(1.5), "ql must be an int, got 1.5"),
+        (lambda: profile_rows(HEISENBERG_TUBE, 1.5), "ql_max must be an int, got 1.5"),
+        (lambda: profile_rows(SplitProfile(3, [1, 0]), True), "ql_max must be an int, got True"),
+        (lambda: split_propagate(SplitProfile(3, [1, 0]), 1.0), "f_value must be an int, got 1.0"),
+        (lambda: split_propagate(SplitProfile(3, [1, 0]), 1, True),
+         "total_dim must be an int, got True"),
+        (lambda: seed_to_split_profile(JordanType(3, (2, 0, 0)), True),
+         "f_seed must be an int, got True"),
+        (lambda: central_profile(2, 9.5, 1, 5), "m must be an int, got 9.5"),
+        (lambda: central_profile(True, 9, 1, 5), "j must be an int, got True"),
+        (lambda: central_profile(2, 9, "1", 5), "n must be an int, got '1'"),
+        (lambda: central_profile(2, 9, 1, 5.0), "p must be an int, got 5.0"),
+    ],
+)
+def test_profile_evaluators_check_int_arguments_first(call, bad):
+    # a bool was taken as 0 or 1, and a float failed naming a field of the
+    # result (mult[0], slopes[1]) or raised a bare TypeError
+    with pytest.raises(ValidationError, match=f"^{re.escape(bad)}$"):
+        call()
+
+
 # --------------------------------------------------------------- tube central
 
 
@@ -173,7 +193,7 @@ def test_tube_central_prime_power_seed():
     p, r, j = 5, 2, 3
     m = p**r
     for ql in (1, 2, 4):
-        jt = tube_central(j, m, 1, ql, p)
+        jt = central_profile(j, m, 1, p).jordan_type_at(ql)
         assert jt.multiplicity(j) == (m - 2) * ql + 2
         assert jt.multiplicity(j - 1) == ql - 1
         assert jt.multiplicity(j + 1) == ql - 1
@@ -181,12 +201,12 @@ def test_tube_central_prime_power_seed():
 
 
 def test_tube_central_ql_one_and_zero_slope():
-    assert tube_central(2, 9, 1, 1, 5) == JordanType.from_counts(5, {2: 9})
+    assert central_profile(2, 9, 1, 5).jordan_type_at(1) == JordanType.from_counts(5, {2: 9})
     for ql in (1, 3, 7):
-        jt = tube_central(2, 6, 3, ql, 5)
+        jt = central_profile(2, 6, 3, 5).jordan_type_at(ql)
         assert jt.multiplicity(2) == 6
     with pytest.raises(ValidationError):
-        tube_central(2, 5, 3, 1, 5)  # m < 2n
+        central_profile(2, 5, 3, 5).jordan_type_at(1)  # m < 2n
 
 
 def test_tube_central_stable_kernel_dim_is_multiple_of_p():
@@ -196,7 +216,7 @@ def test_tube_central_stable_kernel_dim_is_multiple_of_p():
         if j * m % p:
             continue
         for ql in range(1, 8):
-            jt = tube_central(j, m, n, ql, p)
+            jt = central_profile(j, m, n, p).jordan_type_at(ql)
             assert jt.psi(p - 1) % p == 0
     # bounded case: if the stable dimension agrees at ql = 1 and 2 it is constant
     for j, m, n in [(1, 4, 2), (2, 8, 4), (4, 6, 3)]:
@@ -315,30 +335,13 @@ def test_profiles_are_claimed_from_ql_one():
         for t in range(-7, 8):
             values = [s * q + t for q in range(1, 12)]
             if min(values) >= 0:
-                assert TubeProfile(3, (s, 0, 0), (t, 0, 0)).value(1, 1) == s + t
+                tube = TubeProfile(3, (s, 0, 0), (t, 0, 0))
+                assert tube.jordan_type_at(1).multiplicity(1) == s + t
                 continue
             with pytest.raises(NegativeMultiplicityError) as info:
                 TubeProfile(3, (0, s, 0), (0, t, 0))
             q = next(q for q, x in enumerate(values, 1) if x < 0)
             assert (info.value.index, info.value.ql, info.value.value) == (2, q, values[q - 1])
-
-
-@pytest.mark.parametrize("include_p", [False, True])
-def test_value_matches_jordan_type_at(include_p):
-    # an unasserted row p is stored as 0, so value() reads what
-    # jordan_type_at() reports even when the given row leaves N_0
-    assert TubeProfile(3, (0, 0, -5), (1, 1, 0)).value(3, 2) == 0
-    rng = random.Random(f"value-{include_p}")
-    for p in (2, 3, 5, 7):
-        for _ in range(20):
-            slopes = [rng.randint(0, 3) for _ in range(p)]
-            intercepts = [rng.randint(-s, 3) for s in slopes]
-            if not include_p:
-                slopes[-1], intercepts[-1] = rng.randint(-5, 3), rng.randint(-5, 5)
-            profile = TubeProfile(p, slopes, intercepts, include_p)
-            for q in range(1, 6):
-                jt = profile.jordan_type_at(q)
-                assert [profile.value(i, q) for i in range(1, p + 1)] == list(jt.mult)
 
 
 # ------------------------------------------------------------ split profiles
@@ -483,14 +486,14 @@ def test_top_multiplicity():
     p = 5
     one_dim = JordanType.block(p, 1)
     for j in range(1, p + 1):
-        assert top_multiplicity(one_dim, j) == 1
+        assert one_dim.ker_dim(j) == 1
     simple = JordanType.block(p, 3)
     for j in range(3, p + 1):
-        assert top_multiplicity(simple, j) == 3
+        assert simple.ker_dim(j) == 3
     # oracle: dim - rank of the j-th power for a 2[2] type
     jt = JordanType.from_string(p, "2[2]")
     model = power_model(model_from_type(jt), 1)
-    assert top_multiplicity(jt, 1) == 4 - rank_mod_p(dense(model), p) == 2
+    assert jt.ker_dim(1) == 4 - rank_mod_p(dense(model), p) == 2
 
 
 # ---------------------------------------------------------------- obstruction

@@ -166,14 +166,17 @@ def test_tube_profile_rows_and_kernel_statistics_on_a_window():
     prof = tube_profile_from_seed(seed, [1, 0, 0, 0], include_p=True)
     w = tube_window(1, 9)
     for i in range(1, p + 1):
-        f = VertexFunction.from_ql(w, lambda q, i=i: prof.value(i, q))
+        def alpha(q, i=i):
+            return prof.jordan_type_at(q).multiplicity(i)
+
+        f = VertexFunction.from_ql(w, alpha)
         report = classify_function(f)
         intercept = prof.intercepts[i - 1]
         assert report.eventual_level == (1 if intercept == 0 else 2)
         assert report.is_subadditive == (intercept >= 0)
-        form = extrapolate(2, prof.value(i, 1), prof.value(i, 2))
+        form = extrapolate(2, alpha(1), alpha(2))
         for q in range(2, 9):
-            assert form.value(q) == prof.value(i, q)
+            assert form.value(q) == alpha(q)
     for m in range(1, p):
         g = VertexFunction.from_ql(
             w, lambda q, m=m: prof.jordan_type_at(q).psi(m)

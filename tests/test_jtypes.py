@@ -1,6 +1,7 @@
 import json
 import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -309,7 +310,7 @@ def test_dominance_transitive(pair, data):
         )
         if partner is not None:
             rest = [s for m, s in enumerate(blocks) if m not in (k, partner)]
-            c = JordanType.from_blocks(b.p, rest + [size + blocks[partner]])
+            c = JordanType.from_counts(b.p, Counter(rest + [size + blocks[partner]]))
             break
     for x, y, z in [(a, b, c), (c, b, a)]:
         if (

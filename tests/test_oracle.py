@@ -20,7 +20,6 @@ from jordanquiver.oracle import (
     abelian_rank2_models,
     ga2_model,
     heisenberg_model,
-    jordan_block_model,
     jordan_type_of,
     model_from_type,
     pi_point_sweep,
@@ -101,7 +100,7 @@ def test_model_rejects_non_nilpotent():
 
 def test_jordan_type_of_basic_models():
     p = 5
-    assert jordan_type_of(jordan_block_model(p, p)) == JordanType.block(p, p)
+    assert jordan_type_of(model_from_type(JordanType.block(p, p))) == JordanType.block(p, p)
     zero = NilpotentModel(p, 4, [])
     assert jordan_type_of(zero) == JordanType.block(p, 1, 4)
 
@@ -176,7 +175,7 @@ def test_sl2_simple_types(p, n):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_restrict_equals_power_oracle(p):
     for i in range(1, p + 1):
-        block = jordan_block_model(p, i)
+        block = model_from_type(JordanType.block(p, i))
         for j in range(1, p + 1):
             got = jordan_type_of(power_model(block, j))
             assert got == restrict(i, j, p).with_modulus(p), (p, i, j)
@@ -254,11 +253,9 @@ def test_sweep_zero_model_and_first_power():
     sweep = pi_point_sweep(jt)
     assert jt.stable_part() in sweep
     # the j = 1 probe sees exactly the stable part of the base type
-    from jordanquiver.oracle import power_restriction
-
     for text in ["", "[4]+2[5]", "2[3]+[1]", "3[5]"]:
         base = JordanType.from_string(p, text)
-        assert power_restriction(base, 1) == base.stable_part()
+        assert restrict_type(base, 1).with_modulus(p).stable_part() == base.stable_part()
 
 
 def test_sweep_accepts_models_and_types_alike():

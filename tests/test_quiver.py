@@ -16,14 +16,13 @@ from jordanquiver.quiver import (
     E8_TILDE,
     Quiver,
     TreeClass,
+    TreeClassKind,
     VertexFunction,
     _orbit_graph,
     build_window,
     check_admissible,
     classify_function,
-    d_tilde,
     extrapolate,
-    finite_dynkin,
     is_additive_on_graph,
     minimal_additive_function,
     orbit_valued_graph,
@@ -363,9 +362,9 @@ def test_minimal_additive_image_sizes():
         A_TILDE_12: 1,
         A_DOUBLE_INFINITY: 1,
         D_INFINITY: 2,
-        d_tilde(4): 2,
-        d_tilde(5): 2,
-        d_tilde(6): 2,
+        TreeClass(TreeClassKind.D_TILDE, n=4): 2,
+        TreeClass(TreeClassKind.D_TILDE, n=5): 2,
+        TreeClass(TreeClassKind.D_TILDE, n=6): 2,
         E6_TILDE: 3,
         E7_TILDE: 4,
         E8_TILDE: 6,
@@ -396,7 +395,11 @@ def test_minimal_additive_e8_values_multiset():
     assert sorted(result.values.values()) == sorted([1, 2, 3, 4, 5, 6, 4, 2, 3])
 
 
-EUCLIDEAN = [A_TILDE_12] + [d_tilde(n) for n in range(4, 41)] + [E6_TILDE, E7_TILDE, E8_TILDE]
+EUCLIDEAN = (
+    [A_TILDE_12]
+    + [TreeClass(TreeClassKind.D_TILDE, n=n) for n in range(4, 41)]
+    + [E6_TILDE, E7_TILDE, E8_TILDE]
+)
 
 
 @pytest.mark.parametrize("tc", EUCLIDEAN, ids=str)
@@ -411,7 +414,7 @@ def test_null_root_table_matches_cartan_kernel(tc):
 
 def test_minimal_additive_rejects_finite_dynkin():
     with pytest.raises(ValidationError):
-        minimal_additive_function(finite_dynkin("A5"))
+        minimal_additive_function(TreeClass.parse("A5"))
 
 
 def test_tree_class_parse_round_trip():
@@ -420,7 +423,7 @@ def test_tree_class_parse_round_trip():
     with pytest.raises(ParseError):
         TreeClass.parse("Z9")
     with pytest.raises(ValidationError):
-        d_tilde(3)
+        TreeClass(TreeClassKind.D_TILDE, n=3)
 
 
 # ----------------------------------------------------------------- rendering

@@ -78,3 +78,19 @@ def test_readme_cli_examples():
         assert result.returncode == 0, (argv, result.stderr)
         for fragment in expected:
             assert fragment.strip() in result.stdout, (argv, fragment)
+
+
+def test_package_imports_only_stdlib():
+    # the library has no dependencies: importing it and its CLI may load
+    # nothing but the standard library.  `site` can preload third-party
+    # packages before the import starts, so only what the import adds counts
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import jordanquiver, jordanquiver.cli\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(added - set(sys.stdlib_module_names))))\n"
+    )
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["jordanquiver"]
