@@ -153,19 +153,10 @@ class TypePattern:
         return self.stable + JordanType.block(self.stable.p, self.stable.p, self.projectives)
 
     def __str__(self) -> str:
-        # descending block order, so the projective term leads
-        p = self.stable.p
-        stable = str(self.stable)
-        if self.projectives is None:
-            proj = f"n[{p}]"
-        elif self.projectives == 0:
-            proj = ""
-        else:
-            mult = "" if self.projectives == 1 else str(self.projectives)
-            proj = f"{mult}[{p}]"
-        if stable and proj:
-            return f"{proj}+{stable}"
-        return stable or proj or ""
+        if self.projectives is not None:
+            return str(self.resolved())
+        # descending block order, so the symbolic projective term leads
+        return "+".join(filter(None, [f"n[{self.stable.p}]", str(self.stable)]))
 
 
 @dataclass(frozen=True)

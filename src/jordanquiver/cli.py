@@ -9,6 +9,9 @@ classes).
 Exit codes: 0 success, 2 validation failure (mathematically inconsistent
 input), 3 parse error (malformed command line, type string, or JSON).
 Identical inputs always produce byte-identical output.
+
+Each subcommand returns ``(exit code, text)``; ``main`` is the only code
+that writes stdout.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import re
 import sys
@@ -53,58 +57,42 @@ def _load_json_arg(text: str):
         raise ParseError(f"bad JSON: {exc}") from exc
 
 
-def _emit(text: str):
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
-
-
 # ------------------------------------------------------------------------ jt
 
+# op -> result, from a parser of type strings at --p and the parsed args.
+# Names are looked up when the op runs, so a wrapper installed after import
+# (a profiler's, say) sees every call.
+_JT_OPS = {
+    "dim": lambda jt, args: jt(args.jt).dimension(),
+    "ker": lambda jt, args: jt(args.jt).ker_dim(args.m),
+    "image": lambda jt, args: jt(args.jt).image_dim(args.m),
+    "psi": lambda jt, args: jt(args.jt).psi(args.m),
+    "stable": lambda jt, args: jt(args.jt).stable_part(),
+    "syzygy": lambda jt, args: jt(args.jt).syzygy(),
+    # a single block --i is restricted without parsing --jt
+    "restrict": lambda jt, args: (
+        restrict(args.i, args.j, args.p) if args.i is not None
+        else restrict_type(jt(args.jt), args.j)
+    ),
+    "dominance": lambda jt, args: dominance_compare(
+        jt(args.a), jt(args.b), DominanceConvention(args.convention)
+    ).value,
+}
 
-def _cmd_jt(args) -> int:
-    p = args.p
-    op = args.op
-    if op == "dim":
-        _emit(str(JordanType.from_string(p, args.jt).dimension()))
-    elif op == "ker":
-        _emit(str(JordanType.from_string(p, args.jt).ker_dim(args.m)))
-    elif op == "image":
-        _emit(str(JordanType.from_string(p, args.jt).image_dim(args.m)))
-    elif op == "psi":
-        _emit(str(JordanType.from_string(p, args.jt).psi(args.m)))
-    elif op == "stable":
-        _emit(str(JordanType.from_string(p, args.jt).stable_part()))
-    elif op == "syzygy":
-        _emit(str(JordanType.from_string(p, args.jt).syzygy()))
-    elif op == "restrict":
-        if args.i is not None:
-            result = restrict(args.i, args.j, p)
-        else:
-            result = restrict_type(JordanType.from_string(p, args.jt), args.j)
-        if args.format == "json":
-            _emit(json.dumps(result.to_json_dict()))
-        else:
-            _emit(str(result))
-        return EXIT_OK
-    elif op == "dominance":
-        a = JordanType.from_string(p, args.a)
-        b = JordanType.from_string(p, args.b)
-        convention = (
-            DominanceConvention.TAIL_DIM
-            if args.convention == "tail"
-            else DominanceConvention.IMAGE_DIM
+
+def _cmd_jt(args) -> tuple[int, str]:
+    result = _JT_OPS[args.op](lambda text: JordanType.from_string(args.p, text), args)
+    if args.format == "json":
+        return EXIT_OK, json.dumps(
+            result.to_json_dict() if isinstance(result, JordanType) else result
         )
-        _emit(dominance_compare(a, b, convention).value)
-    else:
-        raise ParseError(f"unknown jt operation {op!r}")
-    return EXIT_OK
+    return EXIT_OK, str(result)
 
 
 # ----------------------------------------------------------------- component
 
 
-def _cmd_component(args) -> int:
+def _cmd_component(args) -> tuple[int, str]:
     spec = _load_json_arg(args.spec)
     profile = comp.profile_from_json(spec)
     if args.p is not None and profile.p != args.p:
@@ -114,97 +102,84 @@ def _cmd_component(args) -> int:
             raise ValidationError("--solve applies to tube profiles")
         result = comp.solve_multiplicities(profile)
         if args.format == "json":
-            _emit(
-                json.dumps(
-                    {
-                        "multiplicities": list(result.multiplicities),
-                        "locally_split": result.locally_split,
-                        "note": result.note,
-                    }
-                )
-            )
-        else:
-            _emit("n = (" + ", ".join(map(str, result.multiplicities)) + ")")
-            if result.note:
-                _emit(result.note)
-        return EXIT_OK
+            return EXIT_OK, json.dumps({
+                "multiplicities": list(result.multiplicities),
+                "locally_split": result.locally_split,
+                "note": result.note,
+            })
+        n = "n = (" + ", ".join(map(str, result.multiplicities)) + ")"
+        return EXIT_OK, "\n".join(filter(None, [n, result.note]))
     if args.ql_max < 1:
         raise ValidationError(f"--ql-max must be >= 1, got {args.ql_max}")
     rows = comp.profile_rows(profile, args.ql_max)
     p = profile.p
     if args.format == "json":
-        _emit(json.dumps([{"ql": q, "type": {"p": p, "mult": m}} for q, m in enumerate(rows, 1)]))
-    else:
-        columns = [f"\t{i}\t" for i in range(1, p + 1)]
-        lines = [f"{q}{c}{a}" for q, m in enumerate(rows, 1) for c, a in zip(columns, m)]
-        _emit("\n".join(["ql\ti\talpha_i", *lines]))
-    return EXIT_OK
+        return EXIT_OK, json.dumps(
+            [{"ql": q, "type": {"p": p, "mult": m}} for q, m in enumerate(rows, 1)]
+        )
+    columns = [f"\t{i}\t" for i in range(1, p + 1)]
+    lines = [f"{q}{c}{a}" for q, m in enumerate(rows, 1) for c, a in zip(columns, m)]
+    return EXIT_OK, "\n".join(["ql\ti\talpha_i", *lines])
 
 
 # -------------------------------------------------------------------- oracle
 
+# model name -> [(model, expected Jordan type or None)] at modulus p.  Each
+# model is built before its expected type, so a bad p or --i is reported by
+# the model's constructor.
+_ORACLE_MODELS = {
+    "heisenberg": lambda p, args: [(
+        oracle.heisenberg_model(p),
+        JordanType.from_counts(p, {**dict.fromkeys(range(1, p), 2), p: 1}),
+    )],
+    "rank2": lambda p, args: zip(
+        oracle.abelian_rank2_models(p),
+        (JordanType.block(p, 1, p), JordanType.from_counts(p, {1: p - 2, 2: 1})),
+    ),
+    "ga2": lambda p, args: zip(
+        oracle.ga2_model(p), (JordanType.block(p, 1, p), restrict(p, 2, p).with_modulus(p))
+    ),
+    "sl2s": lambda p, args: zip(
+        oracle.sl2s_models(p, args.i),
+        (JordanType.from_counts(p, {args.i: 1, p - args.i: 1}), JordanType.block(p, p)),
+    ),
+    "json": lambda p, args: [
+        (oracle.NilpotentModel.from_json_dict(_load_json_arg(args.module)), None)
+    ],
+}
 
-def _oracle_report(model, expected: JordanType) -> str:
-    got = oracle.jordan_type_of(model)
-    status = "PASS" if got == expected else f"FAIL (expected {expected})"
-    return f"{got} {status}"
 
-
-def _cmd_oracle(args) -> int:
-    p = args.p if args.p is not None else 5
-    name = args.model
-    lines = []
-    if name == "heisenberg":
-        model = oracle.heisenberg_model(p)
-        expected = JordanType.from_counts(p, {**{i: 2 for i in range(1, p)}, p: 1})
-        lines.append(_oracle_report(model, expected))
-        models = [model]
-    elif name == "rank2":
-        alpha, beta = oracle.abelian_rank2_models(p)
-        lines.append(_oracle_report(alpha, JordanType.block(p, 1, p)))
-        lines.append(_oracle_report(beta, JordanType.from_counts(p, {1: p - 2, 2: 1})))
-        models = [alpha, beta]
-    elif name == "ga2":
-        alpha, beta = oracle.ga2_model(p)
-        lines.append(_oracle_report(alpha, JordanType.block(p, 1, p)))
-        expected = restrict(p, 2, p).with_modulus(p)
-        lines.append(_oracle_report(beta, expected))
-        models = [alpha, beta]
-    elif name == "sl2s":
-        i = args.i if args.i is not None else 1
-        e_model, f_model = oracle.sl2s_models(p, i)
-        lines.append(_oracle_report(e_model, JordanType.from_counts(p, {i: 1, p - i: 1})))
-        lines.append(_oracle_report(f_model, JordanType.block(p, p)))
-        models = [e_model, f_model]
-    elif name == "sweep":
+def _cmd_oracle(args) -> tuple[int, str]:
+    if args.model == "sweep":
         if args.base_block is None:
             raise ParseError("sweep needs --base-block")
-        base = JordanType.block(p, args.base_block)
-        types = oracle.pi_point_sweep(base)
-        lines.append(f"{len(types)} distinct types")
+        types = oracle.pi_point_sweep(JordanType.block(args.p, args.base_block))
+        lines = [f"{len(types)} distinct types"]
         for jt in sorted(types, key=lambda t: (t.dimension(), t.mult)):
             lines.append(str(jt) if not jt.is_zero() else "(projective)")
-        models = []
-    elif name == "json":
-        if args.module is None:
-            raise ParseError("json oracle needs --module with model JSON")
-        model = oracle.NilpotentModel.from_json_dict(_load_json_arg(args.module))
-        lines.append(str(oracle.jordan_type_of(model)))
-        models = [model]
-    else:
-        raise ParseError(f"unknown model {name!r}")
-    if args.fuzz and models:
+        return EXIT_OK, "\n".join(lines)
+    if args.model == "json" and args.module is None:
+        raise ParseError("json oracle needs --module with model JSON")
+    lines, checked, code = [], [], EXIT_OK
+    for model, expected in _ORACLE_MODELS[args.model](args.p, args):
+        got = oracle.jordan_type_of(model)
+        checked.append((model, got))
+        if expected is None:
+            lines.append(str(got))
+        elif got == expected:
+            lines.append(f"{got} PASS")
+        else:
+            lines.append(f"{got} FAIL (expected {expected})")
+            code = EXIT_VALIDATION
+    if args.fuzz:
         rng = random.Random(args.seed)
-        for model in models:
-            jt = oracle.jordan_type_of(model)
+        for model, got in checked:
             for _ in range(args.fuzz):
-                if oracle.jordan_type_of(oracle.random_conjugate(model, rng)) != jt:
+                if oracle.jordan_type_of(oracle.random_conjugate(model, rng)) != got:
                     lines.append("fuzz FAIL: conjugation changed the Jordan type")
-                    _emit("\n".join(lines))
-                    return EXIT_VALIDATION
+                    return EXIT_VALIDATION, "\n".join(lines)
         lines.append(f"fuzz PASS ({args.fuzz} conjugations per model)")
-    _emit("\n".join(lines))
-    return EXIT_VALIDATION if any(" FAIL " in line for line in lines) else EXIT_OK
+    return code, "\n".join(lines)
 
 
 # -------------------------------------------------------------------- quiver
@@ -228,57 +203,47 @@ def _overlay_function(window, name: str):
     raise ParseError(f"unknown overlay {name!r} (use ql, qlm1, or const:<c>)")
 
 
-def _cmd_quiver(args) -> int:
+def _cmd_quiver(args) -> tuple[int, str]:
     if args.minimal_additive:
         tc = quiver.TreeClass.parse(args.minimal_additive)
         result = quiver.minimal_additive_function(tc)
         if args.format == "dot":
-            _emit(quiver.valued_graph_to_dot(result.graph, result.values))
-        elif args.format == "json":
-            _emit(
-                json.dumps(
-                    {
-                        "tree_class": str(tc),
-                        "values": {str(k): v for k, v in result.values.items()},
-                        "image_size": result.image_size,
-                    }
-                )
-            )
-        else:
-            lines = [f"{k}\t{result.values[k]}" for k in result.graph.nodes]
-            size = "unbounded" if result.image_size is None else str(result.image_size)
-            lines.append(f"image_size\t{size}")
-            _emit("\n".join(lines))
-        return EXIT_OK
+            return EXIT_OK, quiver.valued_graph_to_dot(result.graph, result.values)
+        if args.format == "json":
+            return EXIT_OK, json.dumps({
+                "tree_class": str(tc),
+                "values": {str(k): v for k, v in result.values.items()},
+                "image_size": result.image_size,
+            })
+        lines = [f"{k}\t{result.values[k]}" for k in result.graph.nodes]
+        size = "unbounded" if result.image_size is None else str(result.image_size)
+        return EXIT_OK, "\n".join([*lines, f"image_size\t{size}"])
     if args.spec is None:
         raise ParseError("quiver needs --spec or --minimal-additive")
+    if args.format != "dot":
+        raise ParseError(f"--format {args.format}: windows are DOT only")
     window = quiver.build_window(_load_json_arg(args.spec))
     if args.admissible is not None:
         report = quiver.check_admissible(window, args.admissible)
         if report.admissible:
-            _emit(f"admissible (tested {report.tested} vertices)")
-        else:
-            _emit(f"violation at {report.violation}")
-        return EXIT_OK
-    overlay = None
+            return EXIT_OK, f"admissible (tested {report.tested} vertices)"
+        return EXIT_OK, f"violation at {report.violation}"
     if args.check_additive:
         overlay = _overlay_function(window, args.check_additive)
         report = quiver.classify_function(overlay)
-        _emit(quiver.window_to_dot(window, overlay))
         level = "none" if report.eventual_level is None else str(report.eventual_level)
-        _emit(
+        trailer = (
             f"// subadditive={report.is_subadditive} additive={report.is_additive} "
             f"eventual_level={level}"
         )
-        return EXIT_OK
-    _emit(quiver.window_to_dot(window))
-    return EXIT_OK
+        return EXIT_OK, "\n".join([quiver.window_to_dot(window, overlay), trailer])
+    return EXIT_OK, quiver.window_to_dot(window)
 
 
 # ------------------------------------------------------------------ classify
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[int, str]:
     desc = clf.CohomologyClassDescriptor.from_json_dict(_load_json_arg(args.descriptor))
     if args.p is not None and desc.p != args.p:
         raise ValidationError(f"--p {args.p} disagrees with descriptor p={desc.p}")
@@ -296,13 +261,8 @@ def _cmd_classify(args) -> int:
                 jt.to_json_dict()
                 for jt in sorted(types.types, key=lambda t: t.mult)
             ]
-        _emit(json.dumps(payload))
-    else:
-        parts = [str(types), verdict.kind.value]
-        if verdict.rule:
-            parts.append(verdict.rule)
-        _emit(" ; ".join(parts))
-    return EXIT_OK
+        return EXIT_OK, json.dumps(payload)
+    return EXIT_OK, " ; ".join(filter(None, [str(types), verdict.kind.value, verdict.rule]))
 
 
 # -------------------------------------------------------------------- driver
@@ -327,10 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     jt = sub.add_parser(
         "jt", help="Jordan-type arithmetic", description="Jordan-type arithmetic"
     )
-    jt.add_argument(
-        "op",
-        choices=["dim", "ker", "image", "psi", "stable", "syzygy", "restrict", "dominance"],
-    )
+    jt.add_argument("op", choices=list(_JT_OPS))
     _add_common(jt)
     jt.add_argument("--jt", default="", help="Jordan type, e.g. '2[3]+[1]'")
     jt.add_argument("--m", type=int, default=1, help="power of t")
@@ -352,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument(
         "model", choices=["heisenberg", "rank2", "ga2", "sl2s", "sweep", "json"]
     )
-    _add_common(orc)
-    orc.add_argument("--i", type=int, default=None, help="highest-weight parameter")
+    orc.add_argument("--p", type=int, default=5, help="prime modulus")
+    orc.add_argument("--i", type=int, default=1, help="highest-weight parameter")
     orc.add_argument("--base-block", type=int, default=None, help="sweep base block size")
     orc.add_argument("--module", default=None, help="model JSON (inline or @file)")
     orc.add_argument("--fuzz", type=int, default=0, help="random conjugations to run")
@@ -379,12 +336,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its text to stdout; the only stdout writer."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "needs_p", False) and args.p is None:
+        if args.needs_p and args.p is None:
             raise ParseError("this command requires --p")
-        return args.func(args)
+        code, text = args.func(args)
+        # two writes: a table may run to megabytes, so no copy with "\n" added
+        sys.stdout.write(text)
+        if not text.endswith("\n"):
+            sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`), which is not an input error.
+        # Point stdout at devnull so the interpreter's final flush is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -394,6 +361,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    return code
 
 
 if __name__ == "__main__":

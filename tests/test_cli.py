@@ -840,6 +840,81 @@ def test_shared_parser_leaks_no_state(capsys):
     assert {EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, ("SystemExit", 0)} <= codes
 
 
+# ------------------------------------------------------------------- formats
+
+
+WINDOW_SPEC = json.dumps({"kind": "tube", "rank": 2, "max_ql": 3})
+FORMAT_SUBCOMMANDS = {
+    "jt-type": ("jt", "stable", "--p", "5", "--jt", "2[5]+[3]"),
+    "jt-restrict-block": ("jt", "restrict", "--p", "5", "--i", "5", "--j", "2"),
+    "jt-dominance": ("jt", "dominance", "--p", "3", "--a", "2[3]+[1]", "--b", "[3]+2[2]"),
+    "component": ("component", "--spec", HEIS_SPEC, "--ql-max", "2"),
+    "component-solve": ("component", "--spec", HEIS_SPEC, "--solve"),
+    "oracle": ("oracle", "rank2", "--p", "5"),
+    "quiver-window": ("quiver", "--spec", WINDOW_SPEC),
+    "quiver-admissible": ("quiver", "--spec", WINDOW_SPEC, "--admissible", "1"),
+    "quiver-minimal-additive": ("quiver", "--minimal-additive", "E6_tilde"),
+    "classify": ("classify", "--descriptor", json.dumps({"p": 5, "degree": 4, "nilpotent": True})),
+}
+# what each --format value does next to the default: "same" bytes (it is
+# the default), "changes" the bytes, or is "refused" with exit 3
+FORMAT_OUTCOMES = {
+    "jt-type": {"tsv": "same", "json": "changes"},
+    "jt-restrict-block": {"tsv": "same", "json": "changes"},
+    "jt-dominance": {"tsv": "same", "json": "changes"},
+    "component": {"tsv": "same", "json": "changes"},
+    "component-solve": {"tsv": "same", "json": "changes"},
+    "oracle": {"tsv": "refused", "json": "refused"},
+    "quiver-window": {"dot": "same", "tsv": "refused", "json": "refused"},
+    "quiver-admissible": {"dot": "same", "tsv": "refused", "json": "refused"},
+    "quiver-minimal-additive": {"dot": "same", "tsv": "changes", "json": "changes"},
+    "classify": {"tsv": "same", "json": "changes"},
+}
+
+
+@pytest.mark.parametrize("case,fmt,outcome", [
+    pytest.param(case, fmt, outcome, id=f"{case}-{fmt}")
+    for case, outcomes in FORMAT_OUTCOMES.items() for fmt, outcome in outcomes.items()
+])
+def test_every_format_is_honoured_or_refused(capsys, case, fmt, outcome):
+    argv = FORMAT_SUBCOMMANDS[case]
+    code, default, _ = run(capsys, *argv)
+    assert code == EXIT_OK and default
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    if outcome == "refused":
+        assert (code, out) == (EXIT_PARSE, "") and "--format" in err
+    else:
+        assert code == EXIT_OK and (out == default) == (outcome == "same")
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (("dim", "--jt", "2[5]+[3]"), int),
+    (("ker", "--jt", "2[5]+[3]", "--m", "2"), int),
+    (("image", "--jt", "2[5]+[3]", "--m", "2"), int),
+    (("psi", "--jt", "2[5]+[3]", "--m", "4"), int),
+    (("stable", "--jt", "2[5]+[3]"), dict),
+    (("stable", "--jt", "2[5]"), dict),
+    (("syzygy", "--jt", "[3]+[1]"), dict),
+    (("restrict", "--jt", "[5]+[4]", "--j", "2"), dict),
+    (("restrict", "--i", "4", "--j", "3"), dict),
+    (("dominance", "--a", "2[5]", "--b", "[5]+[3]+[2]"), str),
+    (("dominance", "--a", "2[5]", "--b", "[5]+[3]+[2]", "--convention", "tail"), str),
+])
+def test_jt_json_output_parses(capsys, argv, kind):
+    code, text, _ = run(capsys, "jt", *argv, "--p", "5")
+    assert code == EXIT_OK
+    code, out, _ = run(capsys, "jt", *argv, "--p", "5", "--format", "json")
+    assert code == EXIT_OK
+    value = json.loads(out)
+    assert type(value) is kind
+    if kind is dict:
+        # a type's JSON round-trips, and names the type the default format prints
+        jt = JordanType.from_json_dict(value)
+        assert jt.to_json_dict() == value and f"{jt}\n" == text
+    else:
+        assert f"{value}\n" == text
+
+
 # -------------------------------------------------------------- strict JSON
 
 

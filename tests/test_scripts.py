@@ -9,12 +9,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def run_python(*argv):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *argv], capture_output=True, text=True, env=ENV, timeout=120
     )
 
 
@@ -39,6 +39,20 @@ def test_python_m_runs_the_cli():
     assert result.stdout == (
         "[13]+2[12]+2[11]+2[10]+2[9]+2[8]+2[7]+2[6]+2[5]+2[4]+2[3]+2[2]+2[1] PASS\n"
     )
+
+
+def test_closed_stdout_is_not_an_error():
+    # a reader that stops early (`| head -1`) is not malformed input: the
+    # table runs to about 1 MB, so the writer is still writing when the pipe closes
+    spec = '{"kind":"split","p":5,"d":[1,0,0,1]}'
+    argv = ["-m", "jordanquiver", "component", "--spec", spec, "--ql-max", "20000"]
+    with subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=ENV) as proc:
+        assert proc.stdout.readline() == "ql\ti\talpha_i\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (0, "")
 
 
 def readme_cli_examples():
