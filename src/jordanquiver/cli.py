@@ -57,6 +57,21 @@ def _load_json_arg(text: str):
         raise ParseError(f"bad JSON: {exc}") from exc
 
 
+def _read_options(args, mode: str, unread=(), **defaults) -> None:
+    """Refuse each option in ``unread`` that was given, then fill in ``defaults``.
+
+    ``mode`` does not read the options in ``unread``.  The parser gives
+    each such option the default None, so a given one is told apart from
+    a left-out one, whose default is set here.
+    """
+    for flag in unread:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ParseError(f"{flag} is not read by {mode}")
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
 # ------------------------------------------------------------------------ jt
 
 # op -> result, from a parser of type strings at --p and the parsed args.
@@ -93,8 +108,8 @@ def _cmd_jt(args) -> tuple[int, str]:
 
 
 def _cmd_component(args) -> tuple[int, str]:
-    spec = _load_json_arg(args.spec)
-    profile = comp.profile_from_json(spec)
+    _read_options(args, "component --solve", ["--ql-max"] if args.solve else [], ql_max=5)
+    profile = comp.profile_from_json(_load_json_arg(args.spec))
     if args.p is not None and profile.p != args.p:
         raise ValidationError(f"--p {args.p} disagrees with spec p={profile.p}")
     if args.solve:
@@ -124,6 +139,13 @@ def _cmd_component(args) -> tuple[int, str]:
 
 # -------------------------------------------------------------------- oracle
 
+# the options each oracle mode does not read
+_ORACLE_UNREAD = {
+    **dict.fromkeys(["heisenberg", "rank2", "ga2"], ["--i", "--base-block", "--module"]),
+    "sl2s": ["--base-block", "--module"],
+    "sweep": ["--i", "--module", "--fuzz", "--seed"],
+    "json": ["--p", "--i", "--base-block"],
+}
 # model name -> [(model, expected Jordan type or None)] at modulus p.  Each
 # model is built before its expected type, so a bad p or --i is reported by
 # the model's constructor.
@@ -150,6 +172,8 @@ _ORACLE_MODELS = {
 
 
 def _cmd_oracle(args) -> tuple[int, str]:
+    _read_options(args, f"oracle {args.model}", _ORACLE_UNREAD[args.model],
+                  p=5, i=1, fuzz=0, seed=0)
     if args.model == "sweep":
         if args.base_block is None:
             raise ParseError("sweep needs --base-block")
@@ -204,8 +228,10 @@ def _overlay_function(window, name: str):
 
 
 def _cmd_quiver(args) -> tuple[int, str]:
-    if args.minimal_additive:
-        tc = quiver.TreeClass.parse(args.minimal_additive)
+    if args.minimal_additive is not None:
+        _read_options(args, "quiver --minimal-additive",
+                      ["--spec", "--admissible", "--check-additive"])
+        tc = quiver.TreeClass(args.minimal_additive)
         result = quiver.minimal_additive_function(tc)
         if args.format == "dot":
             return EXIT_OK, quiver.valued_graph_to_dot(result.graph, result.values)
@@ -222,13 +248,15 @@ def _cmd_quiver(args) -> tuple[int, str]:
         raise ParseError("quiver needs --spec or --minimal-additive")
     if args.format != "dot":
         raise ParseError(f"--format {args.format}: windows are DOT only")
+    admissible = args.admissible is not None
+    _read_options(args, "quiver --admissible", ["--check-additive"] if admissible else [])
     window = quiver.build_window(_load_json_arg(args.spec))
-    if args.admissible is not None:
+    if admissible:
         report = quiver.check_admissible(window, args.admissible)
         if report.admissible:
             return EXIT_OK, f"admissible (tested {report.tested} vertices)"
         return EXIT_OK, f"violation at {report.violation}"
-    if args.check_additive:
+    if args.check_additive is not None:
         overlay = _overlay_function(window, args.check_additive)
         report = quiver.classify_function(overlay)
         level = "none" if report.eventual_level is None else str(report.eventual_level)
@@ -268,9 +296,9 @@ def _cmd_classify(args) -> tuple[int, str]:
 # -------------------------------------------------------------------- driver
 
 
-def _add_common(sp, default_format="tsv", formats=("tsv", "json")):
+def _add_common(sp):
     sp.add_argument("--p", type=int, default=None, help="prime modulus")
-    sp.add_argument("--format", choices=formats, default=default_format)
+    sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
 
 @functools.cache
@@ -301,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     component = sub.add_parser("component", help="propagate profiles over a component")
     _add_common(component)
     component.add_argument("--spec", required=True, help="component spec JSON (inline or @file)")
-    component.add_argument("--ql-max", type=int, default=5)
+    component.add_argument("--ql-max", type=int, default=None, help="rows to table (default 5)")
     component.add_argument("--solve", action="store_true", help="recover multiplicities")
     component.set_defaults(func=_cmd_component, needs_p=False)
 
@@ -309,16 +337,18 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument(
         "model", choices=["heisenberg", "rank2", "ga2", "sl2s", "sweep", "json"]
     )
-    orc.add_argument("--p", type=int, default=5, help="prime modulus")
-    orc.add_argument("--i", type=int, default=1, help="highest-weight parameter")
-    orc.add_argument("--base-block", type=int, default=None, help="sweep base block size")
-    orc.add_argument("--module", default=None, help="model JSON (inline or @file)")
-    orc.add_argument("--fuzz", type=int, default=0, help="random conjugations to run")
-    orc.add_argument("--seed", type=int, default=0)
+    # an option a mode does not read is refused, so every default is None
+    # here and the one that applies is set by _cmd_oracle
+    orc.add_argument("--p", type=int, default=None, help="prime modulus (default 5)")
+    orc.add_argument("--i", type=int, default=None, help="highest weight, sl2s (default 1)")
+    orc.add_argument("--base-block", type=int, default=None, help="base block size, sweep")
+    orc.add_argument("--module", default=None, help="model JSON, json (inline or @file)")
+    orc.add_argument("--fuzz", type=int, default=None, help="random conjugations (default 0)")
+    orc.add_argument("--seed", type=int, default=None, help="seed of the conjugations (default 0)")
     orc.set_defaults(func=_cmd_oracle, needs_p=False)
 
     qv = sub.add_parser("quiver", help="windows, DOT export, additive overlays")
-    _add_common(qv, default_format="dot", formats=("dot", "tsv", "json"))
+    qv.add_argument("--format", choices=("dot", "tsv", "json"), default="dot")
     qv.add_argument("--spec", default=None, help="window spec JSON (inline or @file)")
     qv.add_argument("--check-additive", default=None, help="overlay: ql, qlm1, const:<c>")
     qv.add_argument("--admissible", type=int, default=None, help="test <tau^N> admissibility")

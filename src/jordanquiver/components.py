@@ -415,6 +415,6 @@ def profile_from_json(spec: Mapping) -> "TubeProfile | SplitProfile":
         return TubeProfile(p, slopes, json_array(spec, "intercepts", int), include_p=include_p)
     if kind == "split":
         tree_class = json_field(spec, "tree_class", str, default=None)
-        tc = None if tree_class is None else TreeClass.parse(tree_class)
+        tc = None if tree_class is None else TreeClass(tree_class)
         return SplitProfile(p, json_array(spec, "d", int), tc)
     raise ParseError(f"unknown component kind {kind!r}")

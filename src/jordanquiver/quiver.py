@@ -17,8 +17,8 @@ for equality on all vertices of quasi-length >= l.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain
 from typing import Callable, Iterable, Mapping
 
@@ -113,12 +113,18 @@ class QuiverWindow:
 # -------------------------------------------------------------- construction
 
 
+# a window is built whole, at about 1.3 kB a vertex; a larger one is
+# refused before anything of its size is allocated
+_MAX_VERTICES = 10**6
+
+
 def tube_window(rank: int, max_ql: int, valuation: Mapping | None = None) -> QuiverWindow:
     """Window of the tube Z[A_inf]/<tau^rank> with quasi-lengths 1..max_ql."""
     require_ints(rank=rank, max_ql=max_ql)
     if rank < 1:
         raise ValidationError(f"tube rank must be >= 1, got {rank}")
-    return _ql_window(range(rank), max_ql, valuation, rank)
+    chain = range(1, max_ql + 1)
+    return _window(range(rank), chain, zip(chain, chain[1:]), max_ql, valuation, rank)
 
 
 def zt_a_infinity_window(
@@ -128,43 +134,8 @@ def zt_a_infinity_window(
     require_ints(n_min=n_min, n_max=n_max, max_ql=max_ql)
     if n_max < n_min:
         raise ValidationError(f"empty translation range {n_min}..{n_max}")
-    return _ql_window(range(n_min, n_max + 1), max_ql, valuation)
-
-
-def _ql_window(ns: range, max_ql: int, valuation, rank: int | None = None) -> QuiverWindow:
-    """Vertices (n, q) for n in ns and quasi-lengths q in 1..max_ql.
-
-    Arrows run (n, q) -> (n, q+1) and (n, q+1) -> (n', q) for the index
-    n' after n; on a tube (``rank`` given) the first index follows the last.
-    """
-    if max_ql < 1:
-        raise ValidationError(f"max_ql must be >= 1, got {max_ql}")
-    after = dict(zip(ns, ns[1:]))
-    if rank is not None:
-        after[ns[-1]] = ns[0]
-    before = {m: n for n, m in after.items()}
-    # tuples are made from lists, not generators: tuple() resizes what a
-    # generator gives it, and CPython then parks each freed tuple on its
-    # per-size free list, which a long-running process keeps as RSS
-    vertices = tuple([(n, q) for n in ns for q in range(1, max_ql + 1)])
-    arrows = []
-    for n, q in vertices:
-        if q < max_ql:
-            arrows.append(((n, q), (n, q + 1)))
-            if n in after:
-                arrows.append(((n, q + 1), (after[n], q)))
-    tau = {(n, q): (before[n], q) for n, q in vertices if n in before}
-    return QuiverWindow(
-        vertices=vertices,
-        arrows=arrows,
-        tau=tau,
-        interior=tuple([v for v in tau if v[1] < max_ql]),
-        succ_complete=tuple(
-            [(n, q) for n, q in vertices if q < max_ql and (q == 1 or n in after)]
-        ),
-        valuation=dict(valuation or {}),
-        rank=rank,
-    )
+    chain = range(1, max_ql + 1)
+    return _window(range(n_min, n_max + 1), chain, zip(chain, chain[1:]), max_ql, valuation)
 
 
 def zt_window(
@@ -176,23 +147,61 @@ def zt_window(
         raise ValidationError(f"empty translation range {n_min}..{n_max}")
     if not tree.vertices:
         raise ValidationError("tree must have at least one vertex")
-    # tuples from lists, as in _ql_window
-    vertices = tuple([(n, t) for n in range(n_min, n_max + 1) for t in sorted(tree.vertices)])
+    return _window(range(n_min, n_max + 1), sorted(tree.vertices), tree.arrows, None,
+                   valuation, tree=tree)
+
+
+def _window(ns: range, nodes, tree_arrows, cut, valuation,
+            rank: int | None = None, tree: Quiver | None = None) -> QuiverWindow:
+    """Vertices (n, t) for n in ns and t in the sorted tree nodes.
+
+    Each tree arrow s -> t gives arrows (n, s) -> (n, t) and
+    (n, t) -> (n', s) for the index n' after n; on a tube (``rank``
+    given) the first index follows the last.  A Z[A_inf] window is the
+    one over the chain 1 -> 2 -> ... -> max_ql, whose ``cut`` node
+    max_ql has neighbours outside the window, so no vertex on it is
+    certified.  ``tree_arrows`` may be lazy: nothing of the window's
+    size is built before the vertex count is checked.
+    """
+    if not nodes:
+        # only a chain 1..max_ql can be empty: a tree has a vertex
+        raise ValidationError(f"max_ql must be >= 1, got {cut}")
+    # the chain 1..max_ql has max_ql nodes; len() of a range overflows
+    # past sys.maxsize, so the count is taken from the ends
+    count = (ns[-1] - ns[0] + 1) * (len(nodes) if tree is not None else cut)
+    if count > _MAX_VERTICES:
+        span = "rank" if rank is not None else "(n_max - n_min + 1)"
+        size = "len(tree.vertices)" if tree is not None else "max_ql"
+        raise ValidationError(
+            f"window of {span} * {size} = {count} vertices exceeds the bound of {_MAX_VERTICES}"
+        )
+    after = dict(zip(ns, ns[1:]))
+    if rank is not None:
+        after[ns[-1]] = ns[0]
+    before = {m: n for n, m in after.items()}
+    tree_arrows = list(tree_arrows)
+    targets = {t for _, t in tree_arrows}
+    # tuples are made from lists, not generators: tuple() resizes what a
+    # generator gives it, and CPython then parks each freed tuple on its
+    # per-size free list, which a long-running process keeps as RSS
+    vertices = tuple([(n, t) for n in ns for t in nodes])
     arrows = []
-    for n in range(n_min, n_max + 1):
-        for s, t in tree.arrows:
+    for n in ns:
+        for s, t in tree_arrows:
             arrows.append(((n, s), (n, t)))
-            if n + 1 <= n_max:
-                arrows.append(((n, t), (n + 1, s)))
-    targets = {t for _, t in tree.arrows}
+            if n in after:
+                arrows.append(((n, t), (after[n], s)))
+    tau = {(n, t): (before[n], t) for n, t in vertices if n in before}
     return QuiverWindow(
         vertices=vertices,
         arrows=arrows,
-        tau={(n, t): (n - 1, t) for (n, t) in vertices if n > n_min},
-        # every predecessor of (n, t) lies in layers n and n-1
-        interior=tuple([(n, t) for (n, t) in vertices if n > n_min]),
-        succ_complete=tuple([(n, t) for (n, t) in vertices if n < n_max or t not in targets]),
+        tau=tau,
+        interior=tuple([v for v in tau if v[1] != cut]),
+        succ_complete=tuple(
+            [(n, t) for n, t in vertices if t != cut and (n in after or t not in targets)]
+        ),
         valuation=dict(valuation or {}),
+        rank=rank,
         tree=tree,
     )
 
@@ -468,72 +477,53 @@ def extrapolate(level: int, value_prev: int, value_at: int) -> ClosedForm:
 # --------------------------------------------------------- minimal additive f
 
 
-class TreeClassKind(Enum):
-    A_INFINITY = "A_inf"
-    A_DOUBLE_INFINITY = "A_inf_inf"
-    A_TILDE_12 = "A12_tilde"
-    D_INFINITY = "D_inf"
-    D_TILDE = "D_tilde"
-    E6_TILDE = "E6_tilde"
-    E7_TILDE = "E7_tilde"
-    E8_TILDE = "E8_tilde"
-    FINITE_DYNKIN = "finite"
+# every tree class by its canonical name: D~n for n >= 4 in plain ASCII
+# decimal, and a finite Dynkin class as its letter and rank
+_TREE_CLASS = re.compile(
+    r"A_inf(_inf)?|A12_tilde|D_inf|E[678]_tilde|D(?P<n>[4-9]|[1-9][0-9]+)_tilde"
+    r"|(?P<finite>[ADE][0-9]+)"
+)
 
 
 @dataclass(frozen=True)
 class TreeClass:
-    """Tree class of a stable translation quiver component."""
+    """Tree class of a stable translation quiver component, stored as its name.
 
-    kind: TreeClassKind
-    n: int | None = None
-    name: str | None = None
+    ``TreeClass(name)`` accepts only the canonical name, so ``str``
+    gives back exactly the text it was built from.
+    """
+
+    name: str
 
     def __post_init__(self):
-        if self.kind is TreeClassKind.D_TILDE:
-            if self.n is None or self.n < 4:
-                raise ValidationError("D~ tree class needs an index n >= 4")
-        elif self.kind is TreeClassKind.FINITE_DYNKIN:
-            if not self.name:
-                raise ValidationError("finite Dynkin tree class needs a label")
+        if type(self.name) is not str:
+            raise ValidationError(f"tree class name must be a str, got {self.name!r}")
+        if not _TREE_CLASS.fullmatch(self.name):
+            what = "bad" if self.name.startswith("D") and self.name.endswith("_tilde") else "unknown"
+            raise ParseError(f"{what} tree class {self.name!r}")
 
-    @classmethod
-    def parse(cls, text: str) -> "TreeClass":
-        token = text.strip()
-        simple = {
-            "A_inf": TreeClassKind.A_INFINITY,
-            "A_inf_inf": TreeClassKind.A_DOUBLE_INFINITY,
-            "A12_tilde": TreeClassKind.A_TILDE_12,
-            "D_inf": TreeClassKind.D_INFINITY,
-            "E6_tilde": TreeClassKind.E6_TILDE,
-            "E7_tilde": TreeClassKind.E7_TILDE,
-            "E8_tilde": TreeClassKind.E8_TILDE,
-        }
-        if token in simple:
-            return cls(simple[token])
-        if token.endswith("_tilde") and token.startswith("D"):
-            try:
-                return cls(TreeClassKind.D_TILDE, n=int(token[1:-6]))
-            except ValueError as exc:
-                raise ParseError(f"bad tree class {text!r}") from exc
-        if token and token[0] in "ADE" and token[1:].isdigit():
-            return cls(TreeClassKind.FINITE_DYNKIN, name=token)
-        raise ParseError(f"unknown tree class {text!r}")
+    @property
+    def n(self) -> int | None:
+        """The index n of D~n, None for every other class."""
+        n = _TREE_CLASS.fullmatch(self.name).group("n")
+        return None if n is None else int(n)
+
+    @property
+    def finite(self) -> bool:
+        """Whether this is a finite Dynkin class such as A5."""
+        return _TREE_CLASS.fullmatch(self.name).group("finite") is not None
 
     def __str__(self) -> str:
-        if self.kind is TreeClassKind.D_TILDE:
-            return f"D{self.n}_tilde"
-        if self.kind is TreeClassKind.FINITE_DYNKIN:
-            return self.name or "finite"
-        return self.kind.value
+        return self.name
 
 
-A_INFINITY = TreeClass(TreeClassKind.A_INFINITY)
-A_DOUBLE_INFINITY = TreeClass(TreeClassKind.A_DOUBLE_INFINITY)
-A_TILDE_12 = TreeClass(TreeClassKind.A_TILDE_12)
-D_INFINITY = TreeClass(TreeClassKind.D_INFINITY)
-E6_TILDE = TreeClass(TreeClassKind.E6_TILDE)
-E7_TILDE = TreeClass(TreeClassKind.E7_TILDE)
-E8_TILDE = TreeClass(TreeClassKind.E8_TILDE)
+A_INFINITY = TreeClass("A_inf")
+A_DOUBLE_INFINITY = TreeClass("A_inf_inf")
+A_TILDE_12 = TreeClass("A12_tilde")
+D_INFINITY = TreeClass("D_inf")
+E6_TILDE = TreeClass("E6_tilde")
+E7_TILDE = TreeClass("E7_tilde")
+E8_TILDE = TreeClass("E8_tilde")
 
 
 @dataclass(frozen=True)
@@ -565,51 +555,50 @@ def _orbit_graph(tc: TreeClass) -> tuple[ValuedGraph, dict, tuple]:
     _TRUNCATION nodes along each infinite arm, and the cut ends are not
     interior.  Values are listed in node order.
     """
-    kind, top = tc.kind, _TRUNCATION
+    name, top = tc.name, _TRUNCATION
     ends, weight = (), 1
-    if kind is TreeClassKind.A_INFINITY:
+    if name == "A_inf":
         # the staircase: 2 f(q) = f(q-1) + f(q+1) and 2 f(1) = f(2)
         chain = range(1, top + 1)
         values = {q: q for q in chain}
         edges = list(zip(chain, chain[1:]))
         ends = (top,)
-    elif kind is TreeClassKind.A_DOUBLE_INFINITY:
+    elif name == "A_inf_inf":
         # positive additive functions on the doubly infinite chain are
         # affine, and staying positive in both directions forces constants
         chain = range(-top, top + 1)
         values = dict.fromkeys(chain, 1)
         edges = list(zip(chain, chain[1:]))
         ends = (-top, top)
-    elif kind is TreeClassKind.A_TILDE_12:
+    elif name == "A12_tilde":
         # two nodes joined by a (2,2)-valued bond
         values, edges, weight = {0: 1, 1: 1}, [(0, 1)], 2
-    elif kind in (TreeClassKind.D_INFINITY, TreeClassKind.D_TILDE):
+    elif name == "D_inf" or tc.n is not None:
         # forks 'a','b' on the chain c1, c2, ..., which D~n closes after
         # c_{n-3} with the forks 'y','z'; 2 f(c1) = f(a) + f(b) + f(c2)
         # starts the chain at twice the fork value, and it stays there
-        closed = kind is TreeClassKind.D_TILDE
-        chain = [f"c{i}" for i in range(1, tc.n - 2 if closed else top + 1)]
-        forks = ["y", "z"] if closed else []
+        n = tc.n
+        chain = [f"c{i}" for i in range(1, top + 1 if n is None else n - 2)]
+        forks = [] if n is None else ["y", "z"]
         values = {"a": 1, "b": 1} | dict.fromkeys(chain, 2) | dict.fromkeys(forks, 1)
         edges = [("a", "c1"), ("b", "c1"), *zip(chain, chain[1:])]
         edges += [(chain[-1], v) for v in forks]
-        ends = () if closed else (chain[-1],)
-    elif kind is TreeClassKind.E6_TILDE:
+        ends = (chain[-1],) if n is None else ()
+    elif name == "E6_tilde":
         # three arms of length 2 from the center
         values = {"c": 3, "a1": 2, "a2": 1, "b1": 2, "b2": 1, "d1": 2, "d2": 1}
         edges = [("c", "a1"), ("a1", "a2"), ("c", "b1"), ("b1", "b2"), ("c", "d1"), ("d1", "d2")]
-    elif kind is TreeClassKind.E7_TILDE:
+    elif name == "E7_tilde":
         # chain of 7 with one extra node on the center
         chain = range(7)
         values = dict(zip([*chain, "b"], (1, 2, 3, 4, 3, 2, 1, 2)))
         edges = [*zip(chain, chain[1:]), (3, "b")]
-    elif kind is TreeClassKind.E8_TILDE:
-        # chain of 8 with the branch node attached at position 5
+    else:
+        # E8_tilde, the last class left once the finite ones are refused:
+        # a chain of 8 with the branch node attached at position 5
         chain = range(8)
         values = dict(zip([*chain, "b"], (1, 2, 3, 4, 5, 6, 4, 2, 3)))
         edges = [*zip(chain, chain[1:]), (5, "b")]
-    else:
-        raise ValidationError(f"unsupported tree class {tc}")
     d = {}
     for a, b in edges:
         d[(a, b)] = d[(b, a)] = weight
@@ -626,7 +615,7 @@ def minimal_additive_function(tc: TreeClass) -> MinimalAdditiveFunction:
     that makes them the minimal one.  Finite Dynkin classes are rejected,
     since there the zero function is the only additive one.
     """
-    if tc.kind is TreeClassKind.FINITE_DYNKIN:
+    if tc.finite:
         raise ValidationError(
             "on a finite Dynkin tree class only f = 0 is additive; no minimal positive function exists"
         )
@@ -634,7 +623,7 @@ def minimal_additive_function(tc: TreeClass) -> MinimalAdditiveFunction:
     if not is_additive_on_graph(graph, values, interior) or min(values.values()) != 1:
         raise ValidationError(f"the minimal additive function of {tc} failed its check")
     # only the staircase of A_inf grows without bound
-    image = None if tc.kind is TreeClassKind.A_INFINITY else len(set(values.values()))
+    image = None if tc.name == "A_inf" else len(set(values.values()))
     return MinimalAdditiveFunction(tc, graph, values, image, interior)
 
 

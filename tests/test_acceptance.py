@@ -51,7 +51,6 @@ from jordanquiver.quiver import (
     E7_TILDE,
     E8_TILDE,
     TreeClass,
-    TreeClassKind,
     VertexFunction,
     classify_function,
     minimal_additive_function,
@@ -160,9 +159,9 @@ def test_criterion_08_tree_class_counts():
             A_TILDE_12: 1,
             A_DOUBLE_INFINITY: 1,
             D_INFINITY: 2,
-            TreeClass(TreeClassKind.D_TILDE, n=4): 2,
-            TreeClass(TreeClassKind.D_TILDE, n=5): 2,
-            TreeClass(TreeClassKind.D_TILDE, n=6): 2,
+            TreeClass("D4_tilde"): 2,
+            TreeClass("D5_tilde"): 2,
+            TreeClass("D6_tilde"): 2,
             E6_TILDE: 3,
             E7_TILDE: 4,
             E8_TILDE: 6,

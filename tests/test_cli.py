@@ -887,6 +887,41 @@ def test_every_format_is_honoured_or_refused(capsys, case, fmt, outcome):
         assert code == EXIT_OK and (out == default) == (outcome == "same")
 
 
+# argv that give an option the chosen mode does not read: each exits 3
+# naming the option
+REFUSED_OPTIONS = [
+    (("quiver", "--minimal-additive", "E6_tilde", "--spec", WINDOW_SPEC), "--spec"),
+    (("quiver", "--minimal-additive", "E6_tilde", "--admissible", "1"), "--admissible"),
+    (("quiver", "--minimal-additive", "E6_tilde", "--check-additive", "ql"), "--check-additive"),
+    (("quiver", "--spec", WINDOW_SPEC, "--admissible", "1", "--check-additive", "ql"),
+     "--check-additive"),
+    (("quiver", "--minimal-additive", "E6_tilde", "--p", "5"), "--p"),
+    (("oracle", "heisenberg", "--i", "2"), "--i"),
+    (("oracle", "sweep", "--p", "5", "--base-block", "2", "--i", "2"), "--i"),
+    (("oracle", "rank2", "--base-block", "2"), "--base-block"),
+    (("oracle", "sl2s", "--module", "{}"), "--module"),
+    (("oracle", "sweep", "--p", "5", "--base-block", "2", "--fuzz", "0"), "--fuzz"),
+    (("oracle", "sweep", "--p", "5", "--base-block", "2", "--seed", "1"), "--seed"),
+    (("oracle", "json", "--module", '{"p":5,"dim":1,"entries":[]}', "--p", "5"), "--p"),
+    (("component", "--spec", HEIS_SPEC, "--solve", "--ql-max", "0"), "--ql-max"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param(argv, flag, id=f"{argv[0]}-{argv[1]}-{flag}") for argv, flag in REFUSED_OPTIONS
+])
+def test_every_option_is_read_or_refused(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE, "") and flag in err and "Traceback" not in err
+
+
+def test_left_out_options_keep_their_defaults(capsys):
+    assert run(capsys, "oracle", "heisenberg") == run(capsys, "oracle", "heisenberg", "--p", "5")
+    assert run(capsys, "oracle", "sl2s") == run(capsys, "oracle", "sl2s", "--i", "1")
+    assert (run(capsys, "component", "--spec", HEIS_SPEC)
+            == run(capsys, "component", "--spec", HEIS_SPEC, "--ql-max", "5"))
+
+
 @pytest.mark.parametrize("argv,kind", [
     (("dim", "--jt", "2[5]+[3]"), int),
     (("ker", "--jt", "2[5]+[3]", "--m", "2"), int),
@@ -974,6 +1009,22 @@ def _case(case_id, argv, message, code=EXIT_PARSE, file_bytes=None):
         _case("tree-arrow-string", ["quiver", "--spec",
               '{"kind":"zt","tree":{"vertices":["a","b"],"arrows":["ab"]}}'],
               "tree.arrows[0] must be a list, got str"),
+        _case("tree-class-digit-separator", ["component", "--spec",
+              '{"kind":"split","p":3,"d":[1,0],"tree_class":"D1_0_tilde"}'],
+              "bad tree class 'D1_0_tilde'"),
+        _case("tree-class-spaces", ["component", "--spec",
+              '{"kind":"split","p":3,"d":[1,0],"tree_class":" E6_tilde "}'],
+              "unknown tree class ' E6_tilde '"),
+        _case("minimal-additive-sign", ["quiver", "--minimal-additive", "D+5_tilde"],
+              "bad tree class 'D+5_tilde'"),
+        _case("tube-too-large", ["quiver", "--spec", '{"kind":"tube","rank":10000000,"max_ql":1}'],
+              "rank * max_ql = 10000000 vertices", code=EXIT_VALIDATION),
+        _case("zt-too-large", ["quiver", "--spec", '{"kind":"zt","max_ql":1000000000}'],
+              "(n_max - n_min + 1) * max_ql = 4000000000 vertices", code=EXIT_VALIDATION),
+        _case("tree-window-too-large", ["quiver", "--spec",
+              '{"kind":"zt","tree":{"vertices":["a"],"arrows":[]},"n_max":1000000}'],
+              "(n_max - n_min + 1) * len(tree.vertices) = 1000001 vertices",
+              code=EXIT_VALIDATION),
         _case("nesting-too-deep", ["component", "--spec", "[" * 100_000], "bad JSON: "),
         _case("file-long-integer", ["component", "--spec", "@FILE"], "bad JSON: ",
               file_bytes=b'{"kind":"tube","p":' + b"9" * 4301 + b"}"),
@@ -1034,7 +1085,11 @@ def _json_flag(flag, values):
     return values.map(lambda v: [flag, json.dumps(v)])
 
 
-_TREE_CLASSES = st.sampled_from(["A_inf", "A_inf_inf", "D5_tilde", "E6_tilde", "A5", "Q9"])
+_TREE_CLASSES = st.sampled_from([
+    "A_inf", "A_inf_inf", "D5_tilde", "E6_tilde", "A5", "Q9",
+    # near misses of a canonical name, each refused
+    "D1_0_tilde", "D+5_tilde", "D 5_tilde", "D\u0665_tilde", "D05_tilde", " E6_tilde ",
+])
 _NAMES = st.sampled_from(["a", "b", "c"])
 _TSV_JSON = st.sampled_from(["tsv", "json"])
 

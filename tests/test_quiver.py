@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -16,8 +17,8 @@ from jordanquiver.quiver import (
     E8_TILDE,
     Quiver,
     TreeClass,
-    TreeClassKind,
     VertexFunction,
+    _TREE_CLASS,
     _orbit_graph,
     build_window,
     check_admissible,
@@ -119,6 +120,30 @@ def test_valuation_entries_are_checked():
 )
 def test_window_builders_reject_non_int_arguments(build, name):
     with pytest.raises(ValidationError, match=f"^{name} must be an int"):
+        build()
+
+
+PAIR = Quiver({"a", "b"}, [("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: tube_window(500_001, 2), "rank * max_ql = 1000002 vertices"),
+        (lambda: tube_window(1, 10**9), "rank * max_ql = 1000000000 vertices"),
+        (lambda: tube_window(10**30, 10**30), f"rank * max_ql = {10**60} vertices"),
+        (lambda: zt_a_infinity_window(0, 500_000, 2),
+         "(n_max - n_min + 1) * max_ql = 1000002 vertices"),
+        (lambda: zt_a_infinity_window(1, 1, 10**9),
+         "(n_max - n_min + 1) * max_ql = 1000000000 vertices"),
+        (lambda: zt_window(PAIR, -250_000, 250_000),
+         "(n_max - n_min + 1) * len(tree.vertices) = 1000002 vertices"),
+        (lambda: zt_window(PAIR, 1, 10**9),
+         "(n_max - n_min + 1) * len(tree.vertices) = 2000000000 vertices"),
+    ],
+)
+def test_window_builders_refuse_more_than_a_million_vertices(build, message):
+    with pytest.raises(ValidationError, match=re.escape(message) + " exceeds the bound of 1000000"):
         build()
 
 
@@ -362,9 +387,9 @@ def test_minimal_additive_image_sizes():
         A_TILDE_12: 1,
         A_DOUBLE_INFINITY: 1,
         D_INFINITY: 2,
-        TreeClass(TreeClassKind.D_TILDE, n=4): 2,
-        TreeClass(TreeClassKind.D_TILDE, n=5): 2,
-        TreeClass(TreeClassKind.D_TILDE, n=6): 2,
+        TreeClass("D4_tilde"): 2,
+        TreeClass("D5_tilde"): 2,
+        TreeClass("D6_tilde"): 2,
         E6_TILDE: 3,
         E7_TILDE: 4,
         E8_TILDE: 6,
@@ -397,7 +422,7 @@ def test_minimal_additive_e8_values_multiset():
 
 EUCLIDEAN = (
     [A_TILDE_12]
-    + [TreeClass(TreeClassKind.D_TILDE, n=n) for n in range(4, 41)]
+    + [TreeClass(f"D{n}_tilde") for n in range(4, 41)]
     + [E6_TILDE, E7_TILDE, E8_TILDE]
 )
 
@@ -414,16 +439,51 @@ def test_null_root_table_matches_cartan_kernel(tc):
 
 def test_minimal_additive_rejects_finite_dynkin():
     with pytest.raises(ValidationError):
-        minimal_additive_function(TreeClass.parse("A5"))
+        minimal_additive_function(TreeClass("A5"))
 
 
 def test_tree_class_parse_round_trip():
     for text in ["A_inf", "A_inf_inf", "A12_tilde", "D_inf", "D4_tilde", "E8_tilde", "A5"]:
-        assert str(TreeClass.parse(text)) == text
+        assert str(TreeClass(text)) == text
     with pytest.raises(ParseError):
-        TreeClass.parse("Z9")
-    with pytest.raises(ValidationError):
-        TreeClass(TreeClassKind.D_TILDE, n=3)
+        TreeClass("Z9")
+    with pytest.raises(ParseError):
+        TreeClass("D3_tilde")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("D1_0_tilde", "bad tree class 'D1_0_tilde'"),
+    ("D+5_tilde", "bad tree class 'D+5_tilde'"),
+    ("D 5_tilde", "bad tree class 'D 5_tilde'"),
+    ("D\u0665_tilde", "bad tree class 'D\u0665_tilde'"),
+    ("D05_tilde", "bad tree class 'D05_tilde'"),
+    ("D_tilde", "bad tree class 'D_tilde'"),
+    (" E6_tilde ", "unknown tree class ' E6_tilde '"),
+    ("A\u0665", "unknown tree class 'A\u0665'"),
+    ("E6_tilde\n", "unknown tree class 'E6_tilde\\n'"),
+])
+def test_tree_class_is_never_coerced(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        TreeClass(text)
+
+
+@pytest.mark.parametrize("name", [None, 5, b"A_inf", ["A_inf"]])
+def test_tree_class_name_must_be_a_str(name):
+    with pytest.raises(ValidationError, match="tree class name must be a str"):
+        TreeClass(name)
+
+
+@given(st.from_regex(_TREE_CLASS, fullmatch=True)
+       | st.text(alphabet="ADE_inftlde0123456789+ \u0665", max_size=12))
+def test_every_accepted_tree_class_prints_as_its_name(text):
+    try:
+        tc = TreeClass(text)
+    except ParseError:
+        return
+    assert str(tc) == text == tc.name
+    d_tilde = text[0] == "D" and text.endswith("_tilde")
+    assert tc.n == (int(text[1:-6]) if d_tilde else None)
+    assert tc.finite == text[1:].isdigit()
 
 
 # ----------------------------------------------------------------- rendering
