@@ -392,7 +392,10 @@ def sl2_family_types(
     {full-projective, [i]+[p-i]+(extra)[p]}; the extra count is ql-1 for
     SL2_1 (needs ql) and dim/p - 1 for SL2_1_TR (needs module_dim).
     """
-    if type(p) is int and p < 3:
+    optional = {"ql": ql, "module_dim": module_dim}.items()
+    require_ints(p=p, pi_dim=pi_dim, block_index=block_index,
+                 **{name: value for name, value in optional if value is not None})
+    if p < 3:
         raise ValidationError(f"need p >= 3, got {p}")
     require_prime(p)
     if pi_dim not in (0, 1):

@@ -11,7 +11,8 @@ input), 3 parse error (malformed command line, type string, or JSON).
 Identical inputs always produce byte-identical output.
 
 Each subcommand returns ``(exit code, text)``; ``main`` is the only code
-that writes stdout.
+that writes stdout.  A subcommand imports the modules it runs when it
+runs, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -25,9 +26,6 @@ import re
 import sys
 from pathlib import Path
 
-from . import classify as clf
-from . import components as comp
-from . import oracle, quiver
 from .errors import ParseError, ValidationError
 from .jtypes import DominanceConvention, JordanType, dominance_compare, restrict, restrict_type
 
@@ -108,6 +106,8 @@ def _cmd_jt(args) -> tuple[int, str]:
 
 
 def _cmd_component(args) -> tuple[int, str]:
+    from . import components as comp
+
     _read_options(args, "component --solve", ["--ql-max"] if args.solve else [], ql_max=5)
     profile = comp.profile_from_json(_load_json_arg(args.spec))
     if args.p is not None and profile.p != args.p:
@@ -146,32 +146,34 @@ _ORACLE_UNREAD = {
     "sweep": ["--i", "--module", "--fuzz", "--seed"],
     "json": ["--p", "--i", "--base-block"],
 }
-# model name -> [(model, expected Jordan type or None)] at modulus p.  Each
-# model is built before its expected type, so a bad p or --i is reported by
-# the model's constructor.
+# model name -> [(model, expected Jordan type or None)], from the oracle
+# module, the modulus p and the parsed args.  Each model is built before its
+# expected type, so a bad p or --i is reported by the model's constructor.
 _ORACLE_MODELS = {
-    "heisenberg": lambda p, args: [(
+    "heisenberg": lambda oracle, p, args: [(
         oracle.heisenberg_model(p),
         JordanType.from_counts(p, {**dict.fromkeys(range(1, p), 2), p: 1}),
     )],
-    "rank2": lambda p, args: zip(
+    "rank2": lambda oracle, p, args: zip(
         oracle.abelian_rank2_models(p),
         (JordanType.block(p, 1, p), JordanType.from_counts(p, {1: p - 2, 2: 1})),
     ),
-    "ga2": lambda p, args: zip(
+    "ga2": lambda oracle, p, args: zip(
         oracle.ga2_model(p), (JordanType.block(p, 1, p), restrict(p, 2, p).with_modulus(p))
     ),
-    "sl2s": lambda p, args: zip(
+    "sl2s": lambda oracle, p, args: zip(
         oracle.sl2s_models(p, args.i),
         (JordanType.from_counts(p, {args.i: 1, p - args.i: 1}), JordanType.block(p, p)),
     ),
-    "json": lambda p, args: [
+    "json": lambda oracle, p, args: [
         (oracle.NilpotentModel.from_json_dict(_load_json_arg(args.module)), None)
     ],
 }
 
 
 def _cmd_oracle(args) -> tuple[int, str]:
+    from . import oracle
+
     _read_options(args, f"oracle {args.model}", _ORACLE_UNREAD[args.model],
                   p=5, i=1, fuzz=0, seed=0)
     if args.model == "sweep":
@@ -185,7 +187,7 @@ def _cmd_oracle(args) -> tuple[int, str]:
     if args.model == "json" and args.module is None:
         raise ParseError("json oracle needs --module with model JSON")
     lines, checked, code = [], [], EXIT_OK
-    for model, expected in _ORACLE_MODELS[args.model](args.p, args):
+    for model, expected in _ORACLE_MODELS[args.model](oracle, args.p, args):
         got = oracle.jordan_type_of(model)
         checked.append((model, got))
         if expected is None:
@@ -210,6 +212,8 @@ def _cmd_oracle(args) -> tuple[int, str]:
 
 
 def _overlay_function(window, name: str):
+    from . import quiver
+
     if name == "ql":
         return quiver.VertexFunction.from_ql(window, lambda q: q)
     if name == "qlm1":
@@ -228,6 +232,8 @@ def _overlay_function(window, name: str):
 
 
 def _cmd_quiver(args) -> tuple[int, str]:
+    from . import quiver
+
     if args.minimal_additive is not None:
         _read_options(args, "quiver --minimal-additive",
                       ["--spec", "--admissible", "--check-additive"])
@@ -272,6 +278,8 @@ def _cmd_quiver(args) -> tuple[int, str]:
 
 
 def _cmd_classify(args) -> tuple[int, str]:
+    from . import classify as clf
+
     desc = clf.CohomologyClassDescriptor.from_json_dict(_load_json_arg(args.descriptor))
     if args.p is not None and desc.p != args.p:
         raise ValidationError(f"--p {args.p} disagrees with descriptor p={desc.p}")

@@ -77,18 +77,22 @@ class JordanType:
     @classmethod
     def zero(cls, p: int) -> "JordanType":
         """The Jordan type of the zero module."""
+        require_ints(p=p)
         return cls(p, (0,) * p)
 
     @classmethod
     def block(cls, p: int, i: int, count: int = 1) -> "JordanType":
         """count copies of the single block [i]."""
+        require_ints(i=i, count=count)
         return cls.from_counts(p, {i: count})
 
     @classmethod
     def from_counts(cls, p: int, counts: Mapping[int, int]) -> "JordanType":
         """Build from a mapping block size -> multiplicity."""
+        require_ints(p=p)
         mult = [0] * p
         for i, m in counts.items():
+            require_ints(**{"block size": i})
             if not 1 <= i <= p:
                 raise ValidationError(f"block size {i} out of range 1..{p}")
             mult[i - 1] += m
@@ -101,6 +105,7 @@ class JordanType:
         The empty string denotes the zero module.  Raises ParseError with
         the offending position on malformed input.
         """
+        require_ints(p=p)
         mult = [0] * p
         if text.strip() == "":
             return cls(p, tuple(mult))
@@ -131,6 +136,7 @@ class JordanType:
 
     def multiplicity(self, i: int) -> int:
         """Multiplicity a_i of the block [i]."""
+        require_ints(i=i)
         if not 1 <= i <= self.p:
             raise ValidationError(f"block size {i} out of range 1..{self.p}")
         return self.mult[i - 1]
@@ -195,6 +201,7 @@ class JordanType:
 
     def with_modulus(self, new_p: int) -> "JordanType":
         """Reinterpret the same block multiset at nilpotency order new_p."""
+        require_ints(new_p=new_p)
         if new_p < self.p:
             for i in range(new_p, self.p):
                 if self.mult[i]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ValidationError, int_tuple, json_field, json_value
+from .errors import ParseError, ValidationError, int_tuple, json_field, json_value, require_ints
 from .jtypes import JordanType, require_prime, restrict_type
 
 Column = tuple[tuple[int, int], ...]
@@ -199,15 +199,18 @@ def jordan_type_of(model: NilpotentModel) -> JordanType:
 
 
 def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentModel:
-    """The model g N g^{-1} for a random invertible g = P D T_1 ... T_dim over F_p.
+    """The model g N g^{-1} for a random invertible g = P D T_1 ... T_k over F_p.
 
     Each T = 1 + a E_ij (i != j, a != 0) is a random transvection, D a
     random invertible diagonal and P a random permutation.  Conjugating
     by T adds a times row j to row i, then subtracts a times column i
     from column j; conjugating by D and P rescales and relabels the
     entries.  Each factor is one row-and-column operation on the sparse
-    entries, so g^{-1} is never formed.  The zero model is its own
-    conjugate and is returned as it is.
+    entries, so g^{-1} is never formed.  The draws follow the entries,
+    not dim: k = min(dim, 2 * entries), and D and P are drawn only on
+    the indices that carry entries, P as a random injection of them
+    into range(dim).  The zero model is its own conjugate and is
+    returned as it is.
     """
     if not model.columns:
         return model
@@ -227,17 +230,18 @@ def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentMode
     for c, col in model.columns:
         for r, v in col:
             put(r, c, v)
-    for _ in range(dim if dim > 1 else 0):
+    # a nonzero nilpotent model has dim >= 2, so two indices can be drawn
+    for _ in range(min(dim, 2 * sum(len(col) for _, col in model.columns))):
         i, j = rng.sample(range(dim), 2)
         a = rng.randrange(1, p)
         for c, v in list(rows.get(j, {}).items()):
             put(i, c, rows.get(i, {}).get(c, 0) + a * v)
         for r, v in list(cols.get(i, {}).items()):
             put(r, j, cols.get(j, {}).get(r, 0) - a * v)
-    perm = list(range(dim))
-    rng.shuffle(perm)
-    scale = [rng.randrange(1, p) for _ in range(dim)]
-    inverse = [pow(s, -1, p) for s in scale]
+    support = sorted({k for c, col in cols.items() if col for k in (c, *col)})
+    perm = dict(zip(support, rng.sample(range(dim), len(support))))
+    scale = {k: rng.randrange(1, p) for k in support}
+    inverse = {k: pow(s, -1, p) for k, s in scale.items()}
     entries = [(perm[r], perm[c], scale[r] * v * inverse[c])
                for c, col in cols.items() for r, v in col.items()]
     return NilpotentModel(p, dim, entries)
@@ -258,6 +262,7 @@ def model_from_type(jt: JordanType) -> NilpotentModel:
 
 def power_model(model: NilpotentModel, j: int) -> NilpotentModel:
     """The model of N^j; nilpotent of every order that N is."""
+    require_ints(j=j)
     if j < 1:
         raise ValidationError(f"power j={j} must be >= 1")
     base = dict(model.columns)
@@ -275,6 +280,7 @@ def heisenberg_model(p: int) -> NilpotentModel:
     and the operator sends (n, m) to n * (n-1, m+1), zero when n = 0 or
     m = p-1.  Dimension p^2.
     """
+    require_ints(p=p)
     if p < 3:
         raise ValidationError(f"heisenberg model needs p >= 3, got {p}")
     idx = lambda n, m: n * p + m
@@ -288,6 +294,7 @@ def abelian_rank2_models(p: int) -> tuple[NilpotentModel, NilpotentModel]:
     The first generator x acts as zero; the perturbed operator x + y^(p-1)
     sends the basis vector e_0 to e_{p-1} and kills everything else.
     """
+    require_ints(p=p)
     if p < 3:
         raise ValidationError(f"rank-2 abelian models need p >= 3, got {p}")
     return NilpotentModel(p, p, []), NilpotentModel(p, p, [(p - 1, 0, 1)])
@@ -299,6 +306,7 @@ def ga2_model(p: int) -> tuple[NilpotentModel, NilpotentModel]:
     On k[u_1]/(u_1^p) the first generator acts as zero and the perturbed
     one as the square of the full shift.  Requires odd p.
     """
+    require_ints(p=p)
     if p < 3:
         raise ValidationError(f"height-2 model needs odd p >= 3, got {p}")
     return NilpotentModel(p, p, []), NilpotentModel(p, p, [(r, r - 2, 1) for r in range(2, p)])
@@ -311,6 +319,7 @@ def sl2s_models(p: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
     block [p]) and e acts by e.v_j = j(i - j) v_{j-1}, whose coefficient
     vanishes exactly at j = i, splitting off blocks [i] and [p-i].
     """
+    require_ints(p=p, i=i)
     if p < 3:
         raise ValidationError(f"sl(2) models need p >= 3, got {p}")
     if not 1 <= i <= p - 1:
@@ -326,6 +335,7 @@ def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
     Simple modules are cyclic for both generators, so each action is a
     single block [n].
     """
+    require_ints(p=p, n=n)
     if p < 3:
         raise ValidationError(f"sl(2) models need p >= 3, got {p}")
     if not 1 <= n <= p - 1:

@@ -1,6 +1,8 @@
 """Cross-module checks: closed forms, matrix oracle, component calculus,
 and classifier must tell one consistent story on the worked families."""
 
+import re
+
 import pytest
 
 from jordanquiver.classify import (
@@ -18,12 +20,16 @@ from jordanquiver.components import (
     support_indices,
     tube_profile_from_seed,
 )
+from jordanquiver.errors import ValidationError
 from jordanquiver.jtypes import JordanType, restrict_type
 from jordanquiver.oracle import (
+    abelian_rank2_models,
     ga2_model,
     heisenberg_model,
     jordan_type_of,
+    model_from_type,
     pi_point_sweep,
+    power_model,
     sl2_simple_models,
     sl2s_models,
 )
@@ -194,3 +200,44 @@ def test_minimal_additive_staircase_matches_split_propagation():
     for node, value in result.values.items():
         jt = split_propagate(prof, value)
         assert jt.stable_part().dimension() == prof.d_stable * value
+
+
+JT5 = JordanType.from_string(5, "[3]+[1]")
+MODEL = model_from_type(JT5)
+
+
+def sl2_tube(**args):
+    return sl2_family_types(Sl2Family.SL2_1, **{"p": 5, "pi_dim": 0, "block_index": 1,
+                                                 "ql": 2, **args})
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda: heisenberg_model("5"), "p must be an int, got '5'"),
+    (lambda: abelian_rank2_models("5"), "p must be an int, got '5'"),
+    (lambda: ga2_model("5"), "p must be an int, got '5'"),
+    (lambda: sl2s_models(5, "2"), "i must be an int, got '2'"),
+    (lambda: sl2_simple_models(5, 2.0), "n must be an int, got 2.0"),
+    (lambda: power_model(MODEL, 1.5), "j must be an int, got 1.5"),
+    (lambda: power_model(MODEL, "2"), "j must be an int, got '2'"),
+    (lambda: power_model(MODEL, True), "j must be an int, got True"),
+    (lambda: sl2_tube(block_index="1"), "block_index must be an int, got '1'"),
+    (lambda: sl2_tube(pi_dim=True), "pi_dim must be an int, got True"),
+    (lambda: sl2_tube(ql=2.5), "ql must be an int, got 2.5"),
+    (lambda: sl2_tube(pi_dim=1, block_index=4, ql=None, module_dim="9"),
+     "module_dim must be an int, got '9'"),
+    (lambda: JT5.multiplicity(1.5), "i must be an int, got 1.5"),
+    (lambda: JT5.multiplicity("2"), "i must be an int, got '2'"),
+    (lambda: JT5.multiplicity(True), "i must be an int, got True"),
+    (lambda: JT5.with_modulus(7.0), "new_p must be an int, got 7.0"),
+    (lambda: JT5.with_modulus("3"), "new_p must be an int, got '3'"),
+    (lambda: JordanType.block(5, 2.0), "i must be an int, got 2.0"),
+    (lambda: JordanType.block(5, 2, 1.0), "count must be an int, got 1.0"),
+    (lambda: JordanType.from_counts(5, {2.0: 1}), "block size must be an int, got 2.0"),
+    (lambda: JordanType.from_counts(5.0, {2: 1}), "p must be an int, got 5.0"),
+    (lambda: JordanType.zero(2.5), "p must be an int, got 2.5"),
+    (lambda: JordanType.from_string(5.0, "[1]"), "p must be an int, got 5.0"),
+])
+def test_entry_points_type_check_before_comparing(call, bad):
+    # each of these raised TypeError from a comparison, or took True as 1
+    with pytest.raises(ValidationError, match=f"^{re.escape(bad)}$"):
+        call()

@@ -95,16 +95,49 @@ def test_readme_cli_examples():
 
 
 def test_package_imports_only_stdlib():
-    # the library has no dependencies: importing it and its CLI may load
+    # the library has no dependencies: importing it and every module may load
     # nothing but the standard library.  `site` can preload third-party
-    # packages before the import starts, so only what the import adds counts
+    # packages before the import starts, so only what the import adds counts.
+    # The CLI imports most modules only when a subcommand runs, so each is named
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import jordanquiver, jordanquiver.cli\n"
+        "import jordanquiver.cli, jordanquiver.classify, jordanquiver.components\n"
+        "import jordanquiver.errors, jordanquiver.jtypes, jordanquiver.oracle\n"
+        "import jordanquiver.quiver\n"
         "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(' '.join(sorted(added - set(sys.stdlib_module_names))))\n"
     )
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["jordanquiver"]
+
+
+def package_modules_after(code):
+    """The jordanquiver modules in ``sys.modules`` once ``code`` has run."""
+    result = run_python("-c", code + "\nimport sys\n"
+                        "print(*sorted(n for n in sys.modules if n.startswith('jordanquiver')))")
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_importing_a_module_loads_only_what_it_imports():
+    # the package re-exports nothing, so one module does not load the rest
+    assert package_modules_after("import jordanquiver.jtypes") == [
+        "jordanquiver", "jordanquiver.errors", "jordanquiver.jtypes",
+    ]
+    assert package_modules_after("import jordanquiver.cli; jordanquiver.cli.build_parser()") == [
+        "jordanquiver", "jordanquiver.cli", "jordanquiver.errors", "jordanquiver.jtypes",
+    ]
+
+
+def test_jt_process_loads_no_other_layer():
+    # a subcommand imports the modules it runs when it runs; -X importtime
+    # names on stderr every module the process imports
+    result = run_python("-X", "importtime", "-m", "jordanquiver",
+                        "jt", "dim", "--p", "5", "--jt", "2[3]+[1]")
+    assert (result.returncode, result.stdout) == (0, "7\n"), result.stderr
+    loaded = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert {"jordanquiver.cli", "jordanquiver.jtypes"} <= loaded
+    assert not loaded & {f"jordanquiver.{m}" for m in ("classify", "components", "oracle", "quiver")}
