@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 validation failure (mathematically inconsistent
 input), 3 parse error (malformed command line, type string, or JSON).
 Identical inputs always produce byte-identical output.
 
-Each subcommand returns ``(exit code, text)``; ``main`` is the only code
-that writes stdout.  A subcommand imports the modules it runs when it
+Each subcommand returns ``(exit code, text)``, where the text of a
+component table is a generator of chunks; ``main`` is the only code that
+writes stdout.  A subcommand imports the modules it runs when it
 runs, so a process loads only those.
 """
 
@@ -24,7 +25,9 @@ import os
 import random
 import re
 import sys
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 from .errors import ParseError, ValidationError
 from .jtypes import DominanceConvention, JordanType, dominance_compare, restrict, restrict_type
@@ -105,7 +108,7 @@ def _cmd_jt(args) -> tuple[int, str]:
 # ----------------------------------------------------------------- component
 
 
-def _cmd_component(args) -> tuple[int, str]:
+def _cmd_component(args) -> tuple[int, str | Iterator[str]]:
     from . import components as comp
 
     _read_options(args, "component --solve", ["--ql-max"] if args.solve else [], ql_max=5)
@@ -126,15 +129,35 @@ def _cmd_component(args) -> tuple[int, str]:
         return EXIT_OK, "\n".join(filter(None, [n, result.note]))
     if args.ql_max < 1:
         raise ValidationError(f"--ql-max must be >= 1, got {args.ql_max}")
-    rows = comp.profile_rows(profile, args.ql_max)
+    rows = enumerate(comp.profile_rows(profile, args.ql_max), 1)
     p = profile.p
+    size = max(1, _CHUNK_CELLS // p)  # rows per chunk
     if args.format == "json":
-        return EXIT_OK, json.dumps(
-            [{"ql": q, "type": {"p": p, "mult": m}} for q, m in enumerate(rows, 1)]
-        )
-    columns = [f"\t{i}\t" for i in range(1, p + 1)]
-    lines = [f"{q}{c}{a}" for q, m in enumerate(rows, 1) for c, a in zip(columns, m)]
-    return EXIT_OK, "\n".join(["ql\ti\talpha_i", *lines])
+        # what json.dumps writes for {"ql": q, "type": {"p": p, "mult": m}}:
+        # every entry is an exact int, so the repr of m is its JSON
+        row = '{"ql": %d, "type": {"p": ' + str(p) + ', "mult": %s}}'
+        return EXIT_OK, _table_chunks("[", map(row.__mod__, rows), size, ", ", "]")
+    # the p lines of one ql: "{0}\t1\t{1}\n{0}\t2\t{2}..."
+    row = "\n".join(f"{{0}}\t{i}\t{{{i}}}" for i in range(1, p + 1)).format
+    return EXIT_OK, _table_chunks("ql\ti\talpha_i\n", (row(q, *m) for q, m in rows), size,
+                                  "\n", "\n")
+
+
+# multiplicities rendered into one chunk, or one row if a row has more: a
+# table's text is held one chunk at a time, whatever its --ql-max
+_CHUNK_CELLS = 20_000
+
+
+def _table_chunks(head: str, rows: Iterator[str], size: int, sep: str,
+                  tail: str) -> Iterator[str]:
+    """``head``, the text of ``rows`` joined by ``sep`` in chunks of ``size``
+    rows, then ``tail``."""
+    yield head
+    lead = ""
+    while batch := list(islice(rows, size)):
+        yield lead + sep.join(batch)
+        lead = sep
+    yield tail
 
 
 # -------------------------------------------------------------------- oracle
@@ -381,9 +404,12 @@ def main(argv=None) -> int:
         if args.needs_p and args.p is None:
             raise ParseError("this command requires --p")
         code, text = args.func(args)
-        # two writes: a table may run to megabytes, so no copy with "\n" added
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        # a table comes as chunks, each written as it is made; no copy of
+        # the text is made to add "\n"
+        last = ""
+        for last in [text] if isinstance(text, str) else text:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:

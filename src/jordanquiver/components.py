@@ -19,7 +19,7 @@ from the intercept vector t.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, ValidationError, int_tuple, json_array, json_field, require_ints
 from .jtypes import (
@@ -260,20 +260,22 @@ def split_propagate(
     return JordanType(profile.p, tuple(mult))
 
 
-def profile_rows(profile: "TubeProfile | SplitProfile", ql_max: int) -> list[list[int]]:
-    """Multiplicities [a_1, ..., a_p] at ql = 1..ql_max, one list per ql.
+def profile_rows(profile: "TubeProfile | SplitProfile", ql_max: int) -> Iterator[list[int]]:
+    """Multiplicities [a_1, ..., a_p] at ql = 1..ql_max, one list per ql, made lazily.
 
     Row q holds the mult of ``jordan_type_at(q)`` (tube) or of
     ``split_propagate(profile, q)`` (split), evaluated from the closed form
     without building a JordanType per row: the profile was checked to stay
-    >= 0 for every ql >= 1 when it was constructed.
+    >= 0 for every ql >= 1 when it was constructed.  ``ql_max`` is checked
+    when this is called; each row is made when it is drawn, so a table of
+    any length holds one row at a time.
     """
     require_ints(ql_max=ql_max)
     qls = range(1, ql_max + 1)
     if isinstance(profile, SplitProfile):
-        return [[x * q for x in profile.d] + [0] for q in qls]
+        return ([x * q for x in profile.d] + [0] for q in qls)
     pairs = list(zip(profile.slopes, profile.intercepts))
-    return [[s * q + t for s, t in pairs] for q in qls]
+    return ([s * q + t for s, t in pairs] for q in qls)
 
 
 def seed_to_split_profile(seed: JordanType, f_seed: int) -> SplitProfile:

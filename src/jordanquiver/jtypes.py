@@ -18,7 +18,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from math import isqrt
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -224,7 +223,8 @@ class JordanType:
         return JordanType(self.p, tuple(a + b for a, b in zip(self.mult, other.mult)))
 
     def __mul__(self, k: int) -> "JordanType":
-        if not isinstance(k, int):
+        # a bool is no int here: `* True` raises TypeError like `* 1.5`
+        if type(k) is not int:
             return NotImplemented
         if k < 0:
             raise ValidationError("multiplicity factor must be >= 0")
@@ -250,12 +250,45 @@ def _split_terms(text: str):
         pos += len(chunk) + 1
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality exactly
+# below _MR_BOUND (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def require_prime(p: int) -> None:
-    """ValidationError unless ``p`` is an int and prime, as F_p must be a field."""
+    """ValidationError unless ``p`` is an int and prime, as F_p must be a field.
+
+    A deterministic Miller-Rabin test; a ``p`` at or above the bound its
+    bases are proved for is refused, not guessed at.
+    """
     if type(p) is not int:
         raise ValidationError(f"p must be an int, got {p!r}")
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if p >= _MR_BOUND:
+        raise ValidationError(
+            f"p = {p} is too large to test for primality (the limit is {_MR_BOUND - 1})"
+        )
+    if p in _MR_BASES:
+        return
+    if p < 2 or any(p % a == 0 for a in _MR_BASES):
         raise ValidationError(f"p must be prime, got {p}")
+    if p < 43 * 43:
+        # a composite below 43^2 has a prime factor <= 41, one of the bases
+        return
+    # p - 1 = d 2^r with d odd
+    r = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            # a witnesses that p is composite
+            raise ValidationError(f"p must be prime, got {p}")
 
 
 def _restrict_blocks(p: int, j: int, blocks: Iterable[tuple[int, int]]) -> JordanType:

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jordanquiver.cli import EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, build_parser, main
+from jordanquiver.cli import (
+    _CHUNK_CELLS, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, build_parser, main,
+)
 from jordanquiver.components import (
     TubeProfile,
     apply_a,
     profile_from_json,
+    profile_rows,
     split_propagate,
 )
 from jordanquiver.jtypes import JordanType
@@ -319,6 +322,31 @@ def test_component_large_table_is_pinned(capsys, fmt, digest):
                        "--format", fmt)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p", [2, 5, 11, _CHUNK_CELLS // 2 + 1])
+def test_component_table_chunks_join_to_the_whole_table(capsys, p):
+    # the chunked templates write what json.dumps and one f-string per cell
+    # wrote for the whole table, around and across the chunk boundaries;
+    # a chunk holds at least one row, however large p
+    size = max(1, _CHUNK_CELLS // p)
+    spec = (_seeded_spec(random.Random(f"chunks-{p}"), p, "tube") if p < 100
+            else {"kind": "split", "p": p, "d": [1] * (p - 1)})
+    for ql_max in sorted({1, size - 1, size, size + 1, 2 * size + 1} - {0}):
+        rows = list(enumerate(profile_rows(profile_from_json(spec), ql_max), 1))
+        expected = {
+            "json": json.dumps([{"ql": q, "type": {"p": p, "mult": m}} for q, m in rows]),
+            "tsv": "\n".join(["ql\ti\talpha_i", *(f"{q}\t{i}\t{a}" for q, m in rows
+                                                  for i, a in enumerate(m, 1))]),
+        }
+        for fmt, text in expected.items():
+            argv = ["component", "--spec", json.dumps(spec), "--ql-max", str(ql_max),
+                    "--format", fmt]
+            args = build_parser().parse_args(argv)
+            code, chunks = args.func(args)
+            # the header, one chunk per `size` rows, the trailer
+            assert (code, len(list(chunks))) == (EXIT_OK, 2 - (-ql_max // size))
+            assert run(capsys, *argv) == (EXIT_OK, text + "\n", "")
 
 
 COMPONENT_TREE_CLASSES = (

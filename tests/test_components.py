@@ -1,6 +1,7 @@
 import random
 import re
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -320,9 +321,14 @@ def test_profile_rows_match_per_vertex_types():
          "intercepts": [2, -1, 0, 0, 0], "include_p": False}
     )
     split = SplitProfile(5, [1, 0, 2, 1])
-    assert profile_rows(tube, 6) == [list(tube.jordan_type_at(q).mult) for q in range(1, 7)]
-    assert profile_rows(split, 6) == [list(split_propagate(split, q).mult) for q in range(1, 7)]
-    assert profile_rows(tube, 6)[2][4] == 0  # row p zeroed without include_p
+    rows = list(profile_rows(tube, 6))
+    assert rows == [list(tube.jordan_type_at(q).mult) for q in range(1, 7)]
+    assert list(profile_rows(split, 6)) == [list(split_propagate(split, q).mult)
+                                            for q in range(1, 7)]
+    assert rows[2][4] == 0  # row p zeroed without include_p
+    # rows are made as they are drawn, so a table of any length starts at once
+    for profile in (tube, split):
+        assert list(islice(profile_rows(profile, 10**18), 6)) == list(profile_rows(profile, 6))
 
 
 def test_profiles_are_claimed_from_ql_one():

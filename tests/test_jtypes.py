@@ -385,10 +385,16 @@ JT = JordanType.from_string(3, "2[2]+[3]")
     (lambda: restrict(2, 1, 3.0), "p must be an integer >= 2, got 3.0"),
     (lambda: restrict(1, 1, 1), "p must be an integer >= 2, got 1"),
     (lambda: restrict_type(JT, "2"), "j must be an int, got '2'"),
+    # a scale factor is refused by the operator, as `* 1.5` always was
+    (lambda: JT * 1.5, "unsupported operand type(s) for *: 'JordanType' and 'float'"),
+    (lambda: JT * True, "unsupported operand type(s) for *: 'JordanType' and 'bool'"),
+    (lambda: False * JT, "unsupported operand type(s) for *: 'bool' and 'JordanType'"),
 ])
 def test_powers_and_sizes_must_be_ints(call, bad):
-    # ker_dim(1.5) used to raise TypeError and ker_dim(True) to act as 1
-    with pytest.raises(ValidationError, match=re.escape(bad)):
+    # ker_dim(1.5) used to raise TypeError and ker_dim(True) to act as 1;
+    # JT * True used to return JT and JT * False the zero type
+    error = TypeError if bad.startswith("unsupported operand") else ValidationError
+    with pytest.raises(error, match=re.escape(bad)):
         call()
 
 

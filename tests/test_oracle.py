@@ -1,5 +1,7 @@
 import json
 import random
+import time
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -344,6 +346,51 @@ def test_model_json_is_strict(data, message):
     with pytest.raises(ParseError) as info:
         NilpotentModel.from_json_dict(data)
     assert str(info.value) == message
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_require_prime_agrees_with_trial_division():
+    for n in range(-3, 10**5):
+        try:
+            require_prime(n)
+        except ValidationError as err:
+            assert str(err) == f"p must be prime, got {n}"
+            assert not _is_prime_by_trial_division(n), n
+        else:
+            assert _is_prime_by_trial_division(n), n
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+    561, 41041, 825265, 321197185, 5394826801, 232250619601, 9746347772161,  # Carmichael
+    3825123056546413051,  # strong pseudoprime to every prime base up to 31
+    318665857834031151167461,  # strong pseudoprime to every prime base up to 37
+])
+def test_require_prime_refuses_pseudoprimes(n):
+    with pytest.raises(ValidationError) as info:
+        require_prime(n)
+    assert str(info.value) == f"p must be prime, got {n}"
+
+
+@pytest.mark.parametrize("p", [10**12 + 39, 10**18 + 3, 2**61 - 1, 2**31 - 1])
+def test_require_prime_is_fast_on_large_primes(p):
+    # trial division up to sqrt(p) took minutes at 10**18 + 3
+    start = time.perf_counter()
+    require_prime(p)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("p", [3317044064679887385961981, 2**89 - 1, 10**30])
+def test_require_prime_refuses_p_beyond_its_bases(p):
+    # 13 bases decide primality only below 3317044064679887385961981
+    with pytest.raises(ValidationError) as info:
+        require_prime(p)
+    assert str(info.value) == (
+        f"p = {p} is too large to test for primality (the limit is 3317044064679887385961980)"
+    )
 
 
 def test_model_json_keeps_validation_messages():

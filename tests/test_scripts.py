@@ -3,9 +3,11 @@ README's CLI examples run end to end against src/."""
 
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +55,31 @@ def test_closed_stdout_is_not_an_error():
         err = proc.stderr.read()
         code = proc.wait(timeout=120)
     assert (code, err) == (0, "")
+
+
+# the README's direct tube
+DIRECT_TUBE = ('{"kind":"tube","p":5,"slopes":[0,0,0,0,1],'
+               '"intercepts":[0,1,1,0,-1],"include_p":true}')
+
+
+def test_a_table_of_any_length_streams():
+    # 10^8 rows would take gigabytes as one text; streamed, the header comes
+    # at once under a 1.5 GB address space, set in the child only
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+
+    argv = ["-m", "jordanquiver", "component", "--ql-max", "100000000",
+            "--spec", DIRECT_TUBE]
+    start = time.perf_counter()
+    with subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=ENV,
+                          preexec_fn=limit_address_space) as proc:
+        assert proc.stdout.readline() == "ql\ti\talpha_i\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (0, "")
+    assert time.perf_counter() - start < 5
 
 
 def readme_cli_examples():
