@@ -58,6 +58,21 @@ def _load_json_arg(text: str):
         raise ParseError(f"bad JSON: {exc}") from exc
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _int(text: str) -> int:
+    """Read plain ASCII decimal with an optional "-"; int() would also take
+    "1_0", "+5", " 5" and non-ASCII digits."""
+    if not _DECIMAL.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
+
+
+# argparse names the type in its message: "invalid int value: '1_0'"
+_int.__name__ = "int"
+
+
 def _read_options(args, mode: str, unread=(), **defaults) -> None:
     """Refuse each option in ``unread`` that was given, then fill in ``defaults``.
 
@@ -242,12 +257,8 @@ def _overlay_function(window, name: str):
     if name == "qlm1":
         return quiver.VertexFunction.from_ql(window, lambda q: q - 1)
     if name.startswith("const:"):
-        text = name.split(":", 1)[1]
         try:
-            if not re.fullmatch(r"-?[0-9]+", text):
-                # int() would also take "1_0", " +2" and non-ASCII digits
-                raise ValueError(text)
-            c = int(text)
+            c = _int(name.split(":", 1)[1])
         except ValueError as exc:
             raise ParseError(f"bad constant overlay {name!r}") from exc
         return quiver.VertexFunction.constant(window, c)
@@ -256,11 +267,12 @@ def _overlay_function(window, name: str):
 
 def _cmd_quiver(args) -> tuple[int, str]:
     from . import quiver
+    from .trees import TreeClass
 
     if args.minimal_additive is not None:
         _read_options(args, "quiver --minimal-additive",
                       ["--spec", "--admissible", "--check-additive"])
-        tc = quiver.TreeClass(args.minimal_additive)
+        tc = TreeClass(args.minimal_additive)
         result = quiver.minimal_additive_function(tc)
         if args.format == "dot":
             return EXIT_OK, quiver.valued_graph_to_dot(result.graph, result.values)
@@ -328,7 +340,7 @@ def _cmd_classify(args) -> tuple[int, str]:
 
 
 def _add_common(sp):
-    sp.add_argument("--p", type=int, default=None, help="prime modulus")
+    sp.add_argument("--p", type=_int, default=None, help="prime modulus")
     sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
 
@@ -349,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     jt.add_argument("op", choices=list(_JT_OPS))
     _add_common(jt)
     jt.add_argument("--jt", default="", help="Jordan type, e.g. '2[3]+[1]'")
-    jt.add_argument("--m", type=int, default=1, help="power of t")
-    jt.add_argument("--i", type=int, default=None, help="block size (restrict)")
-    jt.add_argument("--j", type=int, default=1, help="subalgebra power (restrict)")
+    jt.add_argument("--m", type=_int, default=1, help="power of t")
+    jt.add_argument("--i", type=_int, default=None, help="block size (restrict)")
+    jt.add_argument("--j", type=_int, default=1, help="subalgebra power (restrict)")
     jt.add_argument("--a", default="", help="left type (dominance)")
     jt.add_argument("--b", default="", help="right type (dominance)")
     jt.add_argument("--convention", choices=["image", "tail"], default="image")
@@ -360,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     component = sub.add_parser("component", help="propagate profiles over a component")
     _add_common(component)
     component.add_argument("--spec", required=True, help="component spec JSON (inline or @file)")
-    component.add_argument("--ql-max", type=int, default=None, help="rows to table (default 5)")
+    component.add_argument("--ql-max", type=_int, default=None, help="rows to table (default 5)")
     component.add_argument("--solve", action="store_true", help="recover multiplicities")
     component.set_defaults(func=_cmd_component, needs_p=False)
 
@@ -370,19 +382,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # an option a mode does not read is refused, so every default is None
     # here and the one that applies is set by _cmd_oracle
-    orc.add_argument("--p", type=int, default=None, help="prime modulus (default 5)")
-    orc.add_argument("--i", type=int, default=None, help="highest weight, sl2s (default 1)")
-    orc.add_argument("--base-block", type=int, default=None, help="base block size, sweep")
+    orc.add_argument("--p", type=_int, default=None, help="prime modulus (default 5)")
+    orc.add_argument("--i", type=_int, default=None, help="highest weight, sl2s (default 1)")
+    orc.add_argument("--base-block", type=_int, default=None, help="base block size, sweep")
     orc.add_argument("--module", default=None, help="model JSON, json (inline or @file)")
-    orc.add_argument("--fuzz", type=int, default=None, help="random conjugations (default 0)")
-    orc.add_argument("--seed", type=int, default=None, help="seed of the conjugations (default 0)")
+    orc.add_argument("--fuzz", type=_int, default=None, help="random conjugations (default 0)")
+    orc.add_argument("--seed", type=_int, default=None, help="seed of the conjugations (default 0)")
     orc.set_defaults(func=_cmd_oracle, needs_p=False)
 
     qv = sub.add_parser("quiver", help="windows, DOT export, additive overlays")
     qv.add_argument("--format", choices=("dot", "tsv", "json"), default="dot")
     qv.add_argument("--spec", default=None, help="window spec JSON (inline or @file)")
     qv.add_argument("--check-additive", default=None, help="overlay: ql, qlm1, const:<c>")
-    qv.add_argument("--admissible", type=int, default=None, help="test <tau^N> admissibility")
+    qv.add_argument("--admissible", type=_int, default=None, help="test <tau^N> admissibility")
     qv.add_argument(
         "--minimal-additive", default=None, help="tree class, e.g. E8_tilde"
     )

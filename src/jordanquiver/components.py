@@ -25,7 +25,8 @@ from .errors import ParseError, ValidationError, int_tuple, json_array, json_fie
 from .jtypes import (
     DominanceConvention, DominanceResult, JordanType, _dominance_key, pointwise_compare,
 )
-from .quiver import TreeClass
+from .trees import TreeClass
+
 
 def apply_a(n: Sequence[int]) -> list[int]:
     """A n in O(p): the stencil 2 n_i - n_{i-1} - n_{i+1}, with A_pp = 1."""

@@ -24,7 +24,8 @@ from .errors import (
     ParseError, ValidationError, int_tuple, json_array, json_field, require_ints,
 )
 
-_TERM_RE = re.compile(r"(\d*)\s*\[\s*(\d+)\s*\]")
+# counts and sizes are ASCII digits: \d would also read "[５]" as [5]
+_TERM_RE = re.compile(r"([0-9]*)\s*\[\s*([0-9]+)\s*\]")
 
 
 class DominanceResult(Enum):

@@ -1,4 +1,4 @@
-"""Finite windows of valued stable translation quivers.
+"""Finite windows of stable translation quivers.
 
 The infinite quiver Z[T] over a directed tree T has vertices (n, t) and
 arrows (n, s) -> (n, t), (n, t) -> (n+1, s) for every tree arrow s -> t,
@@ -9,7 +9,7 @@ predecessor set in the infinite object lies inside the window, so a
 truncation can never manufacture a false positive.
 
 A vertex function f is subadditive when
-    f(y) + f(tau(y)) >= sum over predecessors x of f(x) * nu(x, y)[0]
+    f(y) + f(tau(y)) >= sum over predecessors x of f(x)
 and additive when equality holds; "eventually additive at level l" asks
 for equality on all vertices of quasi-length >= l.
 """
@@ -17,17 +17,14 @@ for equality on all vertices of quasi-length >= l.
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
     ParseError, ValidationError, json_array, json_field, json_value, require_ints,
 )
-
-Vertex = tuple
-Arrow = tuple  # (source, target)
+from .trees import TreeClass
 
 
 @dataclass(frozen=True)
@@ -58,8 +55,7 @@ class QuiverWindow:
     are fully inside the window; analysis is restricted to it.
     ``vertices``, ``arrows``, ``interior`` and ``succ_complete`` are
     sorted tuples and ``tau`` is keyed in vertex order, so every consumer
-    walks them as they are.  ``valuation`` holds only the arrows whose
-    valuation is not (1, 1).
+    walks them as they are.
     """
 
     vertices: tuple
@@ -67,7 +63,6 @@ class QuiverWindow:
     tau: dict
     interior: tuple
     succ_complete: tuple
-    valuation: dict = field(default_factory=dict)
     rank: int | None = None
     tree: Quiver | None = None
 
@@ -78,36 +73,12 @@ class QuiverWindow:
         for s, t in self.arrows:
             self._preds[t].append(s)
             self._succs[s].append(t)
-        if not self.valuation:
-            return
-        arrows = set(self.arrows)
-        for arrow, nu in self.valuation.items():
-            if arrow not in arrows:
-                raise ValidationError(f"valuation on {arrow!r}, which is not a window arrow")
-            if type(nu) is not tuple or list(map(type, nu)) != [int, int] or min(nu) < 1:
-                raise ValidationError(
-                    f"valuation on {arrow!r} must be a pair of positive ints, got {nu!r}"
-                )
-        self.valuation = {arrow: nu for arrow, nu in self.valuation.items() if nu != (1, 1)}
-        # nu(tau(b), a) must be the swap of nu(a, b) whenever both arrows
-        # lie in the window
-        for a, b in self.arrows:
-            tb = self.tau.get(b)
-            if (tb, a) in arrows:
-                m, n = self.valuation.get((a, b), (1, 1))
-                if self.valuation.get((tb, a), (1, 1)) != (n, m):
-                    raise ValidationError(
-                        f"valuation violates translation compatibility on arrow ({a!r}, {b!r})"
-                    )
 
     def predecessors(self, v) -> list:
         return self._preds[v]
 
     def successors(self, v) -> list:
         return self._succs[v]
-
-    def arrow_weight(self, x, y) -> int:
-        return self.valuation.get((x, y), (1, 1))[0]
 
 
 # -------------------------------------------------------------- construction
@@ -118,40 +89,35 @@ class QuiverWindow:
 _MAX_VERTICES = 10**6
 
 
-def tube_window(rank: int, max_ql: int, valuation: Mapping | None = None) -> QuiverWindow:
+def tube_window(rank: int, max_ql: int) -> QuiverWindow:
     """Window of the tube Z[A_inf]/<tau^rank> with quasi-lengths 1..max_ql."""
     require_ints(rank=rank, max_ql=max_ql)
     if rank < 1:
         raise ValidationError(f"tube rank must be >= 1, got {rank}")
     chain = range(1, max_ql + 1)
-    return _window(range(rank), chain, zip(chain, chain[1:]), max_ql, valuation, rank)
+    return _window(range(rank), chain, zip(chain, chain[1:]), max_ql, rank)
 
 
-def zt_a_infinity_window(
-    n_min: int, n_max: int, max_ql: int, valuation: Mapping | None = None
-) -> QuiverWindow:
+def zt_a_infinity_window(n_min: int, n_max: int, max_ql: int) -> QuiverWindow:
     """Window of Z[A_inf]: translation indices n_min..n_max, ql 1..max_ql."""
     require_ints(n_min=n_min, n_max=n_max, max_ql=max_ql)
     if n_max < n_min:
         raise ValidationError(f"empty translation range {n_min}..{n_max}")
     chain = range(1, max_ql + 1)
-    return _window(range(n_min, n_max + 1), chain, zip(chain, chain[1:]), max_ql, valuation)
+    return _window(range(n_min, n_max + 1), chain, zip(chain, chain[1:]), max_ql)
 
 
-def zt_window(
-    tree: Quiver, n_min: int, n_max: int, valuation: Mapping | None = None
-) -> QuiverWindow:
+def zt_window(tree: Quiver, n_min: int, n_max: int) -> QuiverWindow:
     """Window of Z[T] over an explicit finite tree (or quiver) T."""
     require_ints(n_min=n_min, n_max=n_max)
     if n_max < n_min:
         raise ValidationError(f"empty translation range {n_min}..{n_max}")
     if not tree.vertices:
         raise ValidationError("tree must have at least one vertex")
-    return _window(range(n_min, n_max + 1), sorted(tree.vertices), tree.arrows, None,
-                   valuation, tree=tree)
+    return _window(range(n_min, n_max + 1), sorted(tree.vertices), tree.arrows, None, tree=tree)
 
 
-def _window(ns: range, nodes, tree_arrows, cut, valuation,
+def _window(ns: range, nodes, tree_arrows, cut,
             rank: int | None = None, tree: Quiver | None = None) -> QuiverWindow:
     """Vertices (n, t) for n in ns and t in the sorted tree nodes.
 
@@ -200,7 +166,6 @@ def _window(ns: range, nodes, tree_arrows, cut, valuation,
         succ_complete=tuple(
             [(n, t) for n, t in vertices if t != cut and (n in after or t not in targets)]
         ),
-        valuation=dict(valuation or {}),
         rank=rank,
         tree=tree,
     )
@@ -296,45 +261,6 @@ class ValuedGraph:
     def value(self, i, j) -> int:
         return self.d.get((i, j), 0)
 
-    def check(self):
-        for (i, j), v in self.d.items():
-            if i == j:
-                raise ValidationError(f"valued graph has d({i!r},{i!r}) != 0")
-            if v <= 0:
-                raise ValidationError("stored valuations must be positive")
-            if (j, i) not in self.d:
-                raise ValidationError(
-                    f"support is not symmetric: d({i!r},{j!r}) != 0 but d({j!r},{i!r}) = 0"
-                )
-
-
-def orbit_valued_graph(window: QuiverWindow, power: int = 1) -> ValuedGraph:
-    """The valued graph on <tau^power>-orbits of the window.
-
-    d([x], [y]) is the first valuation component of any arrow from [x]
-    to [y]; admissibility (checked first) makes this well defined and
-    forces d(i, i) = 0 with symmetric support.
-    """
-    report = check_admissible(window, power)
-    if not report.admissible:
-        raise ValidationError(
-            f"subgroup <tau^{power}> is not admissible; violating pair {report.violation!r}"
-        )
-    nodes = sorted({_orbit_key(window, power, v) for v in window.vertices})
-    d: dict = {}
-    for a, b in window.arrows:
-        ka, kb = _orbit_key(window, power, a), _orbit_key(window, power, b)
-        w = window.arrow_weight(a, b)
-        prev = d.get((ka, kb))
-        if prev is not None and prev != w:
-            raise ValidationError(
-                f"orbit valuation ill-defined between {ka!r} and {kb!r}"
-            )
-        d[(ka, kb)] = w
-    graph = ValuedGraph(tuple(nodes), d)
-    graph.check()
-    return graph
-
 
 def is_additive_on_graph(graph: ValuedGraph, values: Mapping, nodes: Iterable) -> bool:
     """Check 2 f(j) = sum_i f(i) d(i, j) at the given nodes."""
@@ -397,11 +323,10 @@ class FunctionReport:
 
 
 def _additivity_balance(f: VertexFunction) -> dict:
-    """(f(y) + f(tau y), sum of f(x) * nu(x, y)[0] over predecessors x) per interior y."""
+    """(f(y) + f(tau y), sum of f(x) over predecessors x) per interior y."""
     window = f.window
     return {
-        y: (f(y) + f(window.tau[y]),
-            sum(f(x) * window.arrow_weight(x, y) for x in window.predecessors(y)))
+        y: (f(y) + f(window.tau[y]), sum(map(f, window.predecessors(y))))
         for y in window.interior
     }
 
@@ -429,101 +354,7 @@ def classify_function(f: VertexFunction) -> FunctionReport:
     return FunctionReport(subadd, not unbalanced, tau_inv, level, False, note)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
-    """Affine closed form f(ql) = slope*(ql - level) + base, valid for ql >= level.
-
-    When the slope is zero the function is constant from level-1 on
-    (``constant_from``), matching the bounded case of eventually additive
-    functions on A_inf components.
-    """
-
-    level: int
-    slope: int
-    base: int
-
-    @property
-    def constant_from(self) -> int | None:
-        return max(1, self.level - 1) if self.slope == 0 else None
-
-    def value(self, ql: int) -> int:
-        lo = self.constant_from if self.slope == 0 else self.level
-        if ql < lo:
-            raise ValidationError(f"closed form only valid for ql >= {lo}, got {ql}")
-        return self.slope * (ql - self.level) + self.base
-
-
-def extrapolate(level: int, value_prev: int, value_at: int) -> ClosedForm:
-    """Closed form of an eventually additive function from two layer values.
-
-    ``value_prev`` is the value at quasi-length level-1 (forced 0 when
-    level == 1) and ``value_at`` the value at quasi-length level.  The
-    slope must be nonnegative for the form to stay within N_0.
-    """
-    if level < 1:
-        raise ValidationError(f"level must be >= 1, got {level}")
-    if value_prev < 0 or value_at < 0:
-        raise ValidationError("layer values must be nonnegative")
-    if level == 1 and value_prev != 0:
-        raise ValidationError("at level 1 the value below the window is 0 by convention")
-    slope = value_at - value_prev
-    if slope < 0:
-        raise ValidationError(
-            "negative slope cannot arise for N_0-valued functions on an infinite component"
-        )
-    return ClosedForm(level=level, slope=slope, base=value_at)
-
-
 # --------------------------------------------------------- minimal additive f
-
-
-# every tree class by its canonical name: D~n for n >= 4 in plain ASCII
-# decimal, and a finite Dynkin class as its letter and rank
-_TREE_CLASS = re.compile(
-    r"A_inf(_inf)?|A12_tilde|D_inf|E[678]_tilde|D(?P<n>[4-9]|[1-9][0-9]+)_tilde"
-    r"|(?P<finite>[ADE][0-9]+)"
-)
-
-
-@dataclass(frozen=True)
-class TreeClass:
-    """Tree class of a stable translation quiver component, stored as its name.
-
-    ``TreeClass(name)`` accepts only the canonical name, so ``str``
-    gives back exactly the text it was built from.
-    """
-
-    name: str
-
-    def __post_init__(self):
-        if type(self.name) is not str:
-            raise ValidationError(f"tree class name must be a str, got {self.name!r}")
-        if not _TREE_CLASS.fullmatch(self.name):
-            what = "bad" if self.name.startswith("D") and self.name.endswith("_tilde") else "unknown"
-            raise ParseError(f"{what} tree class {self.name!r}")
-
-    @property
-    def n(self) -> int | None:
-        """The index n of D~n, None for every other class."""
-        n = _TREE_CLASS.fullmatch(self.name).group("n")
-        return None if n is None else int(n)
-
-    @property
-    def finite(self) -> bool:
-        """Whether this is a finite Dynkin class such as A5."""
-        return _TREE_CLASS.fullmatch(self.name).group("finite") is not None
-
-    def __str__(self) -> str:
-        return self.name
-
-
-A_INFINITY = TreeClass("A_inf")
-A_DOUBLE_INFINITY = TreeClass("A_inf_inf")
-A_TILDE_12 = TreeClass("A12_tilde")
-D_INFINITY = TreeClass("D_inf")
-E6_TILDE = TreeClass("E6_tilde")
-E7_TILDE = TreeClass("E7_tilde")
-E8_TILDE = TreeClass("E8_tilde")
 
 
 @dataclass(frozen=True)
@@ -649,9 +480,7 @@ def window_to_dot(window: QuiverWindow, overlay: VertexFunction | None = None) -
             label += " PASS" if per_vertex_ok[v] else " FAIL"
         lines.append(f'  {names[v]} [label="{label}"];')
     for a, b in window.arrows:
-        nu = window.valuation.get((a, b))
-        attr = "" if nu is None else f' [label="({nu[0]},{nu[1]})"]'
-        lines.append(f"  {names[a]} -> {names[b]}{attr};")
+        lines.append(f"  {names[a]} -> {names[b]};")
     for v, tv in window.tau.items():
         lines.append(f"  {names[v]} -> {names[tv]} [style=dashed];")
     if per_vertex_ok:

@@ -44,6 +44,12 @@ from jordanquiver.oracle import (
     power_model,
 )
 from jordanquiver.quiver import (
+    VertexFunction,
+    classify_function,
+    minimal_additive_function,
+    tube_window,
+)
+from jordanquiver.trees import (
     A_DOUBLE_INFINITY,
     A_TILDE_12,
     D_INFINITY,
@@ -51,10 +57,6 @@ from jordanquiver.quiver import (
     E7_TILDE,
     E8_TILDE,
     TreeClass,
-    VertexFunction,
-    classify_function,
-    minimal_additive_function,
-    tube_window,
 )
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanquiver.cli import (
-    _CHUNK_CELLS, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, build_parser, main,
+    _CHUNK_CELLS, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, _int, build_parser, main,
 )
 from jordanquiver.components import (
     TubeProfile,
@@ -86,6 +86,65 @@ def test_usage_error_is_parse_error(capsys):
     assert code == EXIT_PARSE
     code, _, _ = run(capsys, "component", "--spec", "{}", "--jobs", "2")
     assert code == EXIT_PARSE
+
+
+# per subcommand, an argv that runs with exit 0 without the integer option
+_VALID_ARGV = {
+    "jt": ["jt", "dim", "--p", "5", "--jt", "[1]"],
+    "component": ["component", "--spec", '{"kind":"split","p":3,"d":[1,0]}'],
+    "oracle": ["oracle", "heisenberg"],
+    "quiver": ["quiver", "--spec", '{"kind":"tube","rank":1,"max_ql":3}'],
+    "classify": ["classify", "--descriptor", '{"p":5,"degree":4}'],
+}
+# every option read by the strict integer reader, found in the parser itself
+INTEGER_OPTIONS = [
+    (name, flag)
+    for name, sub in next(a for a in build_parser()._actions if a.dest == "command").choices.items()
+    for action in sub._actions if action.type is _int
+    for flag in action.option_strings
+]
+
+
+@pytest.mark.parametrize("text", ["1_1", "+5", " 5", "５", "٣"],
+                         ids=["underscore", "plus", "space", "fullwidth", "arabic-indic"])
+@pytest.mark.parametrize("command,flag", INTEGER_OPTIONS)
+def test_integer_options_take_plain_decimal_only(capsys, command, flag, text):
+    # int() alone would read these as 11, 5, 5, 5 and 3
+    assert run(capsys, *_VALID_ARGV[command])[0] == EXIT_OK
+    code, out, err = run(capsys, *_VALID_ARGV[command], flag, text)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.endswith(f"parse error: argument {flag}: invalid int value: {text!r}\n")
+
+
+def test_every_integer_option_is_read_strictly(capsys):
+    assert len(INTEGER_OPTIONS) == 13
+    assert {flag for _, flag in INTEGER_OPTIONS} == {
+        "--p", "--m", "--i", "--j", "--ql-max", "--base-block", "--fuzz", "--seed", "--admissible",
+    }
+    # a negative value is plain decimal, and is then checked by its command
+    code, out, err = run(capsys, *_VALID_ARGV["component"], "--ql-max", "-1")
+    assert (code, out, err) == (EXIT_VALIDATION, "", "validation error: --ql-max must be >= 1, got -1\n")
+
+
+@pytest.mark.parametrize("flags,text,term,position", [
+    (("--jt",), "[５]", "[５]", 0),
+    (("--jt",), "[٣]", "[٣]", 0),
+    (("--jt",), "２[3]", "２[3]", 0),
+    (("--jt",), "[1]+٢[2]", "٢[2]", 4),
+    (("--a", "--b"), "[٣]", "[٣]", 0),
+    (("--a", "--b"), "2[3]+[\U0001d7d1]", "[\U0001d7d1]", 5),
+    (("--b", "--a"), "१[1]", "१[1]", 0),
+    (("--b", "--a"), "[1]+[３]", "[３]", 4),
+])
+def test_jordan_types_take_ascii_digits_only(capsys, flags, text, term, position):
+    # \d alone would match any Unicode digit and read "[５]" as [5]
+    op = "dim" if flags == ("--jt",) else "dominance"
+    argv = ["jt", op, "--p", "5", flags[0], text]
+    if len(flags) == 2:
+        argv += [flags[1], "[1]"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"parse error: bad Jordan-type term {term!r} at position {position}\n"
 
 
 def _jt_string(sizes, rng):

@@ -29,7 +29,7 @@ from jordanquiver.errors import ParseError, ValidationError
 from jordanquiver.jtypes import DominanceResult, JordanType, dominance_compare, pointwise_compare
 from dense_reference import dense, rank_mod_p
 from jordanquiver.oracle import model_from_type, power_model
-from jordanquiver.quiver import A_INFINITY
+from jordanquiver.trees import A_INFINITY
 
 
 def matmul(a, b):

@@ -34,13 +34,12 @@ from jordanquiver.oracle import (
     sl2s_models,
 )
 from jordanquiver.quiver import (
-    A_INFINITY,
     VertexFunction,
     classify_function,
-    extrapolate,
     minimal_additive_function,
     tube_window,
 )
+from jordanquiver.trees import A_INFINITY
 
 
 def stable_split_set(n, j, p):
@@ -180,9 +179,9 @@ def test_tube_profile_rows_and_kernel_statistics_on_a_window():
         intercept = prof.intercepts[i - 1]
         assert report.eventual_level == (1 if intercept == 0 else 2)
         assert report.is_subadditive == (intercept >= 0)
-        form = extrapolate(2, alpha(1), alpha(2))
+        # alpha_i = s_i * ql + t_i: the line through its values at ql = 1 and 2
         for q in range(2, 9):
-            assert form.value(q) == alpha(q)
+            assert alpha(q) == (alpha(2) - alpha(1)) * (q - 2) + alpha(2)
     for m in range(1, p):
         g = VertexFunction.from_ql(
             w, lambda q, m=m: prof.jordan_type_at(q).psi(m)

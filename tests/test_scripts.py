@@ -131,7 +131,7 @@ def test_package_imports_only_stdlib():
         "before = set(sys.modules)\n"
         "import jordanquiver.cli, jordanquiver.classify, jordanquiver.components\n"
         "import jordanquiver.errors, jordanquiver.jtypes, jordanquiver.oracle\n"
-        "import jordanquiver.quiver\n"
+        "import jordanquiver.quiver, jordanquiver.trees\n"
         "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(' '.join(sorted(added - set(sys.stdlib_module_names))))\n"
     )
@@ -158,13 +158,26 @@ def test_importing_a_module_loads_only_what_it_imports():
     ]
 
 
+def modules_loaded_by(*argv, stdout):
+    """The modules a ``python -m jordanquiver`` process imports, which
+    ``-X importtime`` names on stderr, once it has printed ``stdout``."""
+    result = run_python("-X", "importtime", "-m", "jordanquiver", *argv)
+    assert (result.returncode, result.stdout) == (0, stdout), result.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 def test_jt_process_loads_no_other_layer():
-    # a subcommand imports the modules it runs when it runs; -X importtime
-    # names on stderr every module the process imports
-    result = run_python("-X", "importtime", "-m", "jordanquiver",
-                        "jt", "dim", "--p", "5", "--jt", "2[3]+[1]")
-    assert (result.returncode, result.stdout) == (0, "7\n"), result.stderr
-    loaded = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
-              if line.startswith("import time:")}
+    # a subcommand imports the modules it runs when it runs
+    layers = {f"jordanquiver.{m}" for m in ("classify", "components", "oracle", "quiver", "trees")}
+    loaded = modules_loaded_by("jt", "dim", "--p", "5", "--jt", "2[3]+[1]", stdout="7\n")
     assert {"jordanquiver.cli", "jordanquiver.jtypes"} <= loaded
-    assert not loaded & {f"jordanquiver.{m}" for m in ("classify", "components", "oracle", "quiver")}
+    assert not loaded & layers
+    # a tree class is read from trees, so neither of its two readers loads the other
+    loaded = modules_loaded_by("component", "--ql-max", "1", "--spec",
+                               '{"kind":"split","p":3,"d":[1,0],"tree_class":"E8_tilde"}',
+                               stdout="ql\ti\talpha_i\n1\t1\t1\n1\t2\t0\n1\t3\t0\n")
+    assert loaded & layers == {"jordanquiver.components", "jordanquiver.trees"}
+    loaded = modules_loaded_by("quiver", "--minimal-additive", "A12_tilde", "--format", "tsv",
+                               stdout="0\t1\n1\t1\nimage_size\t1\n")
+    assert loaded & layers == {"jordanquiver.quiver", "jordanquiver.trees"}
