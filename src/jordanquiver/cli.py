@@ -25,7 +25,7 @@ import os
 import random
 import re
 import sys
-from itertools import islice
+from itertools import islice, starmap
 from pathlib import Path
 from typing import Iterator
 
@@ -144,18 +144,17 @@ def _cmd_component(args) -> tuple[int, str | Iterator[str]]:
         return EXIT_OK, "\n".join(filter(None, [n, result.note]))
     if args.ql_max < 1:
         raise ValidationError(f"--ql-max must be >= 1, got {args.ql_max}")
-    rows = enumerate(comp.profile_rows(profile, args.ql_max), 1)
+    rows = comp.profile_rows(profile, args.ql_max)
     p = profile.p
     size = max(1, _CHUNK_CELLS // p)  # rows per chunk
     if args.format == "json":
-        # what json.dumps writes for {"ql": q, "type": {"p": p, "mult": m}}:
-        # every entry is an exact int, so the repr of m is its JSON
-        row = '{"ql": %d, "type": {"p": ' + str(p) + ', "mult": %s}}'
-        return EXIT_OK, _table_chunks("[", map(row.__mod__, rows), size, ", ", "]")
+        # what json.dumps writes for {"ql": q, "type": {"p": p, "mult": [a_1, ...]}}:
+        # every entry is an exact int, so str() of each is its JSON
+        row = '{{"ql": {}, "type": {{"p": %d, "mult": [%s]}}}}' % (p, ", ".join(["{}"] * p))
+        return EXIT_OK, _table_chunks("[", starmap(row.format, rows), size, ", ", "]")
     # the p lines of one ql: "{0}\t1\t{1}\n{0}\t2\t{2}..."
-    row = "\n".join(f"{{0}}\t{i}\t{{{i}}}" for i in range(1, p + 1)).format
-    return EXIT_OK, _table_chunks("ql\ti\talpha_i\n", (row(q, *m) for q, m in rows), size,
-                                  "\n", "\n")
+    row = "\n".join(f"{{0}}\t{i}\t{{{i}}}" for i in range(1, p + 1))
+    return EXIT_OK, _table_chunks("ql\ti\talpha_i\n", starmap(row.format, rows), size, "\n", "\n")
 
 
 # multiplicities rendered into one chunk, or one row if a row has more: a

@@ -19,6 +19,7 @@ from the intercept vector t.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, ValidationError, int_tuple, json_array, json_field, require_ints
@@ -261,22 +262,19 @@ def split_propagate(
     return JordanType(profile.p, tuple(mult))
 
 
-def profile_rows(profile: "TubeProfile | SplitProfile", ql_max: int) -> Iterator[list[int]]:
-    """Multiplicities [a_1, ..., a_p] at ql = 1..ql_max, one list per ql, made lazily.
+def profile_rows(profile: "TubeProfile | SplitProfile", ql_max: int) -> Iterator[tuple]:
+    """Rows (q, a_1, ..., a_p) at ql = q = 1..ql_max, made lazily.
 
-    Row q holds the mult of ``jordan_type_at(q)`` (tube) or of
-    ``split_propagate(profile, q)`` (split), evaluated from the closed form
-    without building a JordanType per row: the profile was checked to stay
-    >= 0 for every ql >= 1 when it was constructed.  ``ql_max`` is checked
-    when this is called; each row is made when it is drawn, so a table of
-    any length holds one row at a time.
+    a_i is mult[i-1] of ``jordan_type_at(q)`` (tube) or ``split_propagate``
+    (split, where s_i = d_i, t_i = 0 and a_p = 0): the progression s_i*q +
+    t_i, a ``range`` or, if s_i = 0, ``repeat(t_i)``, so no Python code runs
+    per row.  Construction checked s_i >= 0.  The q range bounds the columns.
     """
     require_ints(ql_max=ql_max)
-    qls = range(1, ql_max + 1)
-    if isinstance(profile, SplitProfile):
-        return ([x * q for x in profile.d] + [0] for q in qls)
-    pairs = list(zip(profile.slopes, profile.intercepts))
-    return ([s * q + t for s, t in pairs] for q in qls)
+    pairs = (zip((*profile.d, 0), repeat(0)) if isinstance(profile, SplitProfile)
+             else zip(profile.slopes, profile.intercepts))
+    columns = [range(s + t, s * ql_max + t + 1, s) if s else repeat(t) for s, t in pairs]
+    return zip(range(1, ql_max + 1), *columns)
 
 
 def seed_to_split_profile(seed: JordanType, f_seed: int) -> SplitProfile:

@@ -24,8 +24,9 @@ from .errors import (
     ParseError, ValidationError, int_tuple, json_array, json_field, require_ints,
 )
 
-# counts and sizes are ASCII digits: \d would also read "[５]" as [5]
-_TERM_RE = re.compile(r"([0-9]*)\s*\[\s*([0-9]+)\s*\]")
+# ASCII only: a Unicode \d would read "[５]" as [5], a Unicode \s "2\u3000[3]" as 2[3]
+_TERM_RE = re.compile(r"(\d*)\s*\[\s*(\d+)\s*\]", re.ASCII)
+_SPACE = " \t\n\r\f\v"  # what _TERM_RE's \s matches; str.strip() takes any Unicode space
 
 
 class DominanceResult(Enum):
@@ -106,15 +107,15 @@ class JordanType:
         the offending position on malformed input.
         """
         require_ints(p=p)
+        if p < 2:  # before any block size is checked against it
+            raise ValidationError(f"p must be an integer >= 2, got {p!r}")
         mult = [0] * p
-        if text.strip() == "":
+        if text.strip(_SPACE) == "":
             return cls(p, tuple(mult))
         for start, chunk in _split_terms(text):
-            m = _TERM_RE.fullmatch(chunk.strip())
+            m = _TERM_RE.fullmatch(term := chunk.strip(_SPACE))
             if m is None:
-                raise ParseError(
-                    f"bad Jordan-type term {chunk.strip()!r} at position {start}"
-                )
+                raise ParseError(f"bad Jordan-type term {term!r} at position {start}")
             count = int(m.group(1)) if m.group(1) else 1
             size = int(m.group(2))
             if not 1 <= size <= p:

@@ -16,7 +16,6 @@ from jordanquiver.components import (
     TubeProfile,
     apply_a,
     profile_from_json,
-    profile_rows,
     split_propagate,
 )
 from jordanquiver.jtypes import JordanType
@@ -147,6 +146,39 @@ def test_jordan_types_take_ascii_digits_only(capsys, flags, text, term, position
     assert err == f"parse error: bad Jordan-type term {term!r} at position {position}\n"
 
 
+@pytest.mark.parametrize("text,term,position", [
+    ("2\u3000[3]", "2\u3000[3]", 0),
+    ("[3]\u3000", "[3]\u3000", 0),
+    ("\u3000", "\u3000", 0),
+    ("\u00a0[2]", "\u00a0[2]", 0),
+    ("[\u20022]", "[\u20022]", 0),
+    ("[2]+\u2003[1]", "\u2003[1]", 4),
+    ("[1] +\x85[2]", "\x85[2]", 5),
+    ("[1]\x1f", "[1]\x1f", 0),
+])
+def test_jordan_types_take_ascii_whitespace_only(capsys, text, term, position):
+    # a Unicode \s or str.strip() would read "2\u3000[3]" as 2[3] and "\u3000" as
+    # the zero module; ASCII spacing around and inside a term is still read
+    code, out, err = run(capsys, "jt", "dim", "--p", "5", "--jt", text)
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err == f"parse error: bad Jordan-type term {term!r} at position {position}\n"
+    spaced = text.translate(dict.fromkeys(map(ord, "\u3000\u00a0\u2002\u2003\x85\x1f"), " \t"))
+    assert run(capsys, "jt", "dim", "--p", "5", "--jt", spaced)[0] == EXIT_OK
+
+
+@pytest.mark.parametrize("p", ["-5", "0", "1"])
+@pytest.mark.parametrize("flag,text", [
+    ("--jt", ""), ("--jt", "[1]"), ("--jt", "[7]"), ("--jt", "2[3]+oops"), ("--a", "[1]"),
+])
+def test_a_bad_p_is_refused_before_the_type_is_read(capsys, p, flag, text):
+    # the block sizes of --jt were checked against p first, so "[1]" at
+    # --p -5 exited 3 ("block size 1 out of range 1..-5") and "" exited 2
+    argv = ["jt", "dominance" if flag == "--a" else "dim", "--p", p, flag, text]
+    assert run(capsys, *argv) == (
+        EXIT_VALIDATION, "", f"validation error: p must be an integer >= 2, got {p}\n"
+    )
+
+
 def _jt_string(sizes, rng):
     return "+".join(f"[{s}]" if c == 1 else f"{c}[{s}]"
                     for s, c in ((s, rng.randint(1, 3)) for s in sizes))
@@ -190,12 +222,13 @@ def _jt_corpus():
 def test_jt_output_is_pinned(capsys):
     # sha256 over argv, exit code, stdout and stderr of every jt op, captured
     # when kernel sums, restriction and dominance keys were computed per entry;
-    # re-captured when `restrict --p 1 --i ...` began to reject p < 2 first
+    # re-captured when `restrict --p 1 --i ...` began to reject p < 2 first,
+    # and when `--p 1 --jt "[2]"` (69 argv) did too, exit 2 where it was 3
     digest = hashlib.sha256()
     for argv in _jt_corpus():
         code, out, err = run(capsys, *argv)
         digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
-    assert digest.hexdigest() == "a73f83fc50b986fda58f0d562e2c45264cd2d8745ddba92f8a4cfa48d46f3734"
+    assert digest.hexdigest() == "2a9b1b8af1a6a6ad71afa9ef8eac9f70fe489656648c7301fb9ea196f98f09f9"
 
 
 @pytest.mark.parametrize("p", ["1", "0", "-3"])
@@ -385,27 +418,21 @@ def test_component_large_table_is_pinned(capsys, fmt, digest):
 
 @pytest.mark.parametrize("p", [2, 5, 11, _CHUNK_CELLS // 2 + 1])
 def test_component_table_chunks_join_to_the_whole_table(capsys, p):
-    # the chunked templates write what json.dumps and one f-string per cell
-    # wrote for the whole table, around and across the chunk boundaries;
-    # a chunk holds at least one row, however large p
+    # the chunked templates write the per-vertex table around and across the
+    # chunk boundaries; a chunk holds at least one row, however large p
     size = max(1, _CHUNK_CELLS // p)
     spec = (_seeded_spec(random.Random(f"chunks-{p}"), p, "tube") if p < 100
             else {"kind": "split", "p": p, "d": [1] * (p - 1)})
+    profile = profile_from_json(spec)
     for ql_max in sorted({1, size - 1, size, size + 1, 2 * size + 1} - {0}):
-        rows = list(enumerate(profile_rows(profile_from_json(spec), ql_max), 1))
-        expected = {
-            "json": json.dumps([{"ql": q, "type": {"p": p, "mult": m}} for q, m in rows]),
-            "tsv": "\n".join(["ql\ti\talpha_i", *(f"{q}\t{i}\t{a}" for q, m in rows
-                                                  for i, a in enumerate(m, 1))]),
-        }
-        for fmt, text in expected.items():
+        for fmt in ("json", "tsv"):
             argv = ["component", "--spec", json.dumps(spec), "--ql-max", str(ql_max),
                     "--format", fmt]
             args = build_parser().parse_args(argv)
             code, chunks = args.func(args)
             # the header, one chunk per `size` rows, the trailer
             assert (code, len(list(chunks))) == (EXIT_OK, 2 - (-ql_max // size))
-            assert run(capsys, *argv) == (EXIT_OK, text + "\n", "")
+            assert run(capsys, *argv) == (EXIT_OK, _per_vertex_table(profile, ql_max, fmt), "")
 
 
 COMPONENT_TREE_CLASSES = (

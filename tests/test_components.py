@@ -315,20 +315,36 @@ def test_round_trip_random_sweep_p7(mult, n):
 # ------------------------------------------------------------ profile rows
 
 
+def _per_vertex_rows(profile, ql_max):
+    """Rows (q, a_1, ..., a_p) from one JordanType per ql."""
+    return [(q, *(profile.jordan_type_at(q) if isinstance(profile, TubeProfile)
+                  else split_propagate(profile, q)).mult) for q in range(1, ql_max + 1)]
+
+
+ROW_PROFILES = {
+    # column 1 has slope 0 (a repeat), columns 2..4 rise, row 5 unasserted
+    "tube": TubeProfile(5, (0, 3, 2, 2, 1), (2, -1, 0, 0, 0)),
+    "tube-include-p": TubeProfile(5, (0, 3, 2, 2, 1), (2, -1, 0, 0, 0), include_p=True),
+    "tube-all-zero-slopes": TubeProfile(3, (0, 0, 0), (1, 0, 4), include_p=True),
+    "tube-p2": TubeProfile(2, (1, 2), (0, -1), include_p=True),
+    "split": SplitProfile(5, [1, 0, 2, 1]),
+    "split-all-zero-d": SplitProfile(4, [0, 0, 0]),
+    "split-p2": SplitProfile(2, [3]),
+}
+
+
 def test_profile_rows_match_per_vertex_types():
-    tube = profile_from_json(
-        {"kind": "tube", "p": 5, "slopes": [0, 3, 2, 2, 1],
-         "intercepts": [2, -1, 0, 0, 0], "include_p": False}
-    )
-    split = SplitProfile(5, [1, 0, 2, 1])
-    rows = list(profile_rows(tube, 6))
-    assert rows == [list(tube.jordan_type_at(q).mult) for q in range(1, 7)]
-    assert list(profile_rows(split, 6)) == [list(split_propagate(split, q).mult)
-                                            for q in range(1, 7)]
-    assert rows[2][4] == 0  # row p zeroed without include_p
-    # rows are made as they are drawn, so a table of any length starts at once
-    for profile in (tube, split):
-        assert list(islice(profile_rows(profile, 10**18), 6)) == list(profile_rows(profile, 6))
+    for name, profile in ROW_PROFILES.items():
+        for ql_max in (0, 1, 2, 7):
+            rows = list(profile_rows(profile, ql_max))
+            assert rows == _per_vertex_rows(profile, ql_max), (name, ql_max)
+        if isinstance(profile, TubeProfile) and not profile.include_p:
+            assert {row[-1] for row in rows} == {0}, name  # a_p reads 0
+        # the columns are lazy and the q range bounds them, so a table longer
+        # than sys.maxsize starts at once, and an all-repeat profile stays finite
+        start = time.perf_counter()
+        assert list(islice(profile_rows(profile, 2**64), 6)) == _per_vertex_rows(profile, 6), name
+        assert time.perf_counter() - start < 0.5, name
 
 
 def test_profiles_are_claimed_from_ql_one():
