@@ -11,13 +11,12 @@ Run:  python3 scripts/worked_examples.py [--p 5] [--ql-max 6]
 import argparse
 
 from jordanquiver.components import solve_multiplicities, tube_profile_from_seed
-from jordanquiver.jtypes import JordanType, restrict
+from jordanquiver.jtypes import JordanType, pi_point_sweep, restrict
 from jordanquiver.oracle import (
     abelian_rank2_models,
     ga2_model,
     heisenberg_model,
     jordan_type_of,
-    pi_point_sweep,
     sl2s_models,
 )
 

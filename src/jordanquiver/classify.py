@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ValidationError, json_field, json_value, require_ints
-from .jtypes import JordanType, require_prime
+from .errors import ParseError, ValidationError, json_field, json_object, json_value, require_ints
+from .jtypes import JordanType, projective_count, require_prime
 
 
 class OddPullback(Enum):
@@ -77,9 +77,7 @@ class AmbientGeometry:
             f.name: bool if f.default is False else int
             for f in cls.__dataclass_fields__.values()
         }
-        bad = set(json_value(data, dict, "ambient")) - set(kinds)
-        if bad:
-            raise ParseError(f"unknown ambient fields {sorted(bad)}")
+        json_object(data, kinds, "ambient")
         return cls(**{k: json_value(v, kinds[k], f"ambient.{k}") for k, v in data.items()})
 
 
@@ -118,10 +116,7 @@ class CohomologyClassDescriptor:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CohomologyClassDescriptor":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(json_value(data, dict, "")) - known
-        if bad:
-            raise ParseError(f"unknown descriptor fields {sorted(bad)}")
+        json_object(data, cls.__dataclass_fields__, name="descriptor")
         odd = json_field(data, "odd_pullback", str, default="mixed")
         try:
             odd_pb = OddPullback(odd)
@@ -173,16 +168,11 @@ class CarlsonTypes:
         return "{" + ", ".join(str(p) for p in self.patterns) + "}"
 
 
-def _projective_count(dim: int | None, stable_dim: int, p: int) -> int | None:
-    if dim is None:
-        return None
-    rem = dim - stable_dim
-    if rem < 0 or rem % p:
-        raise ValidationError(
-            f"total dimension {dim} is inconsistent with stable part of "
-            f"dimension {stable_dim} mod {p}"
-        )
-    return rem // p
+def _pattern(p: int, counts: Mapping[int, int], dim: int | None) -> TypePattern:
+    """The stable type ``counts`` plus n[p], n read off the total dimension if known."""
+    stable = JordanType.from_counts(p, counts)
+    return TypePattern(stable, None if dim is None
+                       else projective_count(dim, stable.dimension(), p))
 
 
 def carlson_type_set(desc: CohomologyClassDescriptor) -> CarlsonTypes:
@@ -196,30 +186,16 @@ def carlson_type_set(desc: CohomologyClassDescriptor) -> CarlsonTypes:
     """
     p = desc.p
     dim = desc.dim_total
-    if not desc.is_odd and not desc.nilpotent:
-        if dim is not None and (dim <= 0 or dim % p):
+    if not desc.is_odd:
+        if not desc.nilpotent and dim is not None and (dim <= 0 or dim % p):
             raise ValidationError(
                 f"an even non-nilpotent class has summands of dimension "
                 f"divisible by p; got {dim}"
             )
-        hook = JordanType.from_counts(p, {1: 1, p - 1: 1})
-        return CarlsonTypes(
-            (
-                TypePattern(JordanType.zero(p), None if dim is None else dim // p),
-                TypePattern(hook, _projective_count(dim, p, p)),
-            )
-        )
-    if not desc.is_odd:
-        hook = JordanType.from_counts(p, {1: 1, p - 1: 1})
-        return CarlsonTypes((TypePattern(hook, _projective_count(dim, p, p)),))
-    vanish = TypePattern(
-        JordanType.from_counts(p, {p - 1: 2}),
-        _projective_count(dim, 2 * (p - 1), p),
-    )
-    nonvanish = TypePattern(
-        JordanType.from_counts(p, {p - 2: 1}),
-        _projective_count(dim, p - 2, p),
-    )
+        hook = _pattern(p, {1: 1, p - 1: 1}, dim)
+        return CarlsonTypes((hook,) if desc.nilpotent else (_pattern(p, {}, dim), hook))
+    vanish = _pattern(p, {p - 1: 2}, dim)
+    nonvanish = _pattern(p, {p - 2: 1}, dim)
     if desc.odd_pullback is OddPullback.ALL_VANISH:
         return CarlsonTypes((vanish,))
     if desc.odd_pullback is OddPullback.NONE_VANISH:
@@ -406,12 +382,7 @@ def sl2_family_types(
             raise ValidationError(f"constant block index {i} out of range 1..{p - 1}")
         if module_dim is None:
             raise ValidationError("constant-type components need module_dim")
-        rem = module_dim - i
-        if rem < 0 or rem % p:
-            raise ValidationError(
-                f"module dimension {module_dim} incompatible with stable block [{i}] mod {p}"
-            )
-        return frozenset({JordanType.from_counts(p, {i: 1, p: rem // p})})
+        return frozenset({JordanType.from_counts(p, {i: 1, p: projective_count(module_dim, i, p)})})
     if not 1 <= i <= (p - 1) // 2:
         raise ValidationError(f"tube block index {i} out of range 1..{(p - 1) // 2}")
     if family is Sl2Family.SL2_1:

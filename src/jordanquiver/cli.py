@@ -29,8 +29,10 @@ from itertools import islice, starmap
 from pathlib import Path
 from typing import Iterator
 
-from .errors import ParseError, ValidationError
-from .jtypes import DominanceConvention, JordanType, dominance_compare, restrict, restrict_type
+from .errors import ParseError, ValidationError, require_printable
+from .jtypes import (
+    DominanceConvention, JordanType, dominance_compare, pi_point_sweep, restrict, restrict_type,
+)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -113,6 +115,8 @@ _JT_OPS = {
 
 def _cmd_jt(args) -> tuple[int, str]:
     result = _JT_OPS[args.op](lambda text: JordanType.from_string(args.p, text), args)
+    if not isinstance(result, str):
+        require_printable(result.mult if isinstance(result, JordanType) else [result], "the result")
     if args.format == "json":
         return EXIT_OK, json.dumps(
             result.to_json_dict() if isinstance(result, JordanType) else result
@@ -134,6 +138,7 @@ def _cmd_component(args) -> tuple[int, str | Iterator[str]]:
         if not isinstance(profile, comp.TubeProfile):
             raise ValidationError("--solve applies to tube profiles")
         result = comp.solve_multiplicities(profile)
+        require_printable(result.multiplicities, "a recovered multiplicity")
         if args.format == "json":
             return EXIT_OK, json.dumps({
                 "multiplicities": list(result.multiplicities),
@@ -144,6 +149,10 @@ def _cmd_component(args) -> tuple[int, str | Iterator[str]]:
         return EXIT_OK, "\n".join(filter(None, [n, result.note]))
     if args.ql_max < 1:
         raise ValidationError(f"--ql-max must be >= 1, got {args.ql_max}")
+    # the last row holds the largest entries, so it is checked before any row is written
+    last = (profile.jordan_type_at(args.ql_max) if isinstance(profile, comp.TubeProfile)
+            else comp.split_propagate(profile, args.ql_max))
+    require_printable(last.mult, "a table entry")
     rows = comp.profile_rows(profile, args.ql_max)
     p = profile.p
     size = max(1, _CHUNK_CELLS // p)  # rows per chunk
@@ -209,18 +218,19 @@ _ORACLE_MODELS = {
 
 
 def _cmd_oracle(args) -> tuple[int, str]:
-    from . import oracle
-
     _read_options(args, f"oracle {args.model}", _ORACLE_UNREAD[args.model],
                   p=5, i=1, fuzz=0, seed=0)
     if args.model == "sweep":
+        # a closed form on Jordan types, so the oracle module is not loaded for it
         if args.base_block is None:
             raise ParseError("sweep needs --base-block")
-        types = oracle.pi_point_sweep(JordanType.block(args.p, args.base_block))
+        types = pi_point_sweep(JordanType.block(args.p, args.base_block))
         lines = [f"{len(types)} distinct types"]
         for jt in sorted(types, key=lambda t: (t.dimension(), t.mult)):
             lines.append(str(jt) if not jt.is_zero() else "(projective)")
         return EXIT_OK, "\n".join(lines)
+    from . import oracle
+
     if args.model == "json" and args.module is None:
         raise ParseError("json oracle needs --module with model JSON")
     lines, checked, code = [], [], EXIT_OK

@@ -22,9 +22,12 @@ from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ParseError, ValidationError, int_tuple, json_array, json_field, require_ints
+from .errors import (
+    ParseError, ValidationError, int_tuple, json_array, json_field, json_object, require_ints,
+)
 from .jtypes import (
     DominanceConvention, DominanceResult, JordanType, _dominance_key, pointwise_compare,
+    projective_count, require_modulus,
 )
 from .trees import TreeClass
 
@@ -81,8 +84,7 @@ class TubeProfile:
     include_p: bool = False
 
     def __post_init__(self):
-        if type(self.p) is not int or self.p < 2:
-            raise ValidationError(f"p must be an integer >= 2, got {self.p!r}")
+        require_modulus(self.p)
         slopes = int_tuple(self.slopes, "slopes")
         intercepts = int_tuple(self.intercepts, "intercepts")
         if len(slopes) != self.p or len(intercepts) != self.p:
@@ -136,7 +138,8 @@ def central_profile(j: int, m: int, n: int, p: int) -> TubeProfile:
     """Profile of a tube seeded by a central probe (stable rows only).
 
     When the probe generates a central subalgebra the seed is m[j] and
-    the propagation concentrates on the indices j-1, j, j+1:
+    its multiplicity vector is n at j and 0 elsewhere, so the seed formula
+    concentrates the propagation on the indices j-1, j, j+1:
     alpha_j = (m - 2n) ql + 2n and alpha_{j +- 1} = n (ql - 1), with
     m >= 2n forced by nonnegativity.  The i = p row is omitted.
     """
@@ -149,12 +152,7 @@ def central_profile(j: int, m: int, n: int, p: int) -> TubeProfile:
         raise ValidationError(f"multiplicity n={n} must be >= 1")
     if m < 2 * n:
         raise ValidationError(f"seed multiplicity m={m} violates m >= 2n = {2 * n}")
-    slopes, intercepts = [0] * p, [0] * p
-    slopes[j - 1], intercepts[j - 1] = m - 2 * n, 2 * n
-    for i in (j - 1, j + 1):
-        if 1 <= i <= p - 1:
-            slopes[i - 1], intercepts[i - 1] = n, -n
-    return TubeProfile(p, tuple(slopes), tuple(intercepts))
+    return tube_profile_from_seed(JordanType.block(p, j, m), [n * (i == j) for i in range(1, p)])
 
 
 @dataclass(frozen=True)
@@ -220,8 +218,7 @@ class SplitProfile:
     d_stable: int = field(init=False)
 
     def __post_init__(self):
-        if type(self.p) is not int or self.p < 2:
-            raise ValidationError(f"p must be an integer >= 2, got {self.p!r}")
+        require_modulus(self.p)
         d = int_tuple(self.d, "d")
         if len(d) != self.p - 1:
             raise ValidationError(f"d-vector must have length p-1={self.p - 1}")
@@ -252,13 +249,7 @@ def split_propagate(
         raise ValidationError(f"f_value must be >= 1, got {f_value}")
     mult = [x * f_value for x in profile.d] + [0]
     if total_dim is not None:
-        rem = total_dim - profile.d_stable * f_value
-        if rem < 0 or rem % profile.p:
-            raise ValidationError(
-                f"dimension {total_dim} is inconsistent with stable dimension "
-                f"{profile.d_stable * f_value} mod p={profile.p}"
-            )
-        mult[profile.p - 1] = rem // profile.p
+        mult[-1] = projective_count(total_dim, profile.d_stable * f_value, profile.p)
     return JordanType(profile.p, tuple(mult))
 
 
@@ -399,14 +390,20 @@ def profile_from_json(spec: Mapping) -> "TubeProfile | SplitProfile":
     "intercepts": [...], "include_p": true}``.
     Split: ``{"kind": "split", "p": 5, "d": [...], "tree_class": "A_inf"}``.
     When the rank is given and include_p is not, include_p defaults to
-    rank == 1 (the homogeneous case).
+    rank == 1 (the homogeneous case).  A field the form does not read,
+    such as a seed beside slopes, is a ParseError.
     """
     kind = json_field(spec, "kind", str)
     p = json_field(spec, "p", int)
     if kind == "tube":
+        # a seeded tube reads no slopes or intercepts, a direct one no seed data
+        seeded = "seed" in spec
+        data = ("seed", "multiplicities") if seeded else ("slopes", "intercepts")
+        json_object(spec, ("kind", "p", "rank", "include_p", *data),
+                    name="seeded tube" if seeded else "tube")
         homogeneous = json_field(spec, "rank", int, default=0) == 1
         include_p = json_field(spec, "include_p", bool, default=homogeneous)
-        if "seed" in spec:
+        if seeded:
             seed = JordanType.from_json_dict(spec["seed"], "seed")
             if seed.p != p:
                 raise ValidationError(f"seed has p={seed.p}, spec says p={p}")
@@ -415,6 +412,7 @@ def profile_from_json(spec: Mapping) -> "TubeProfile | SplitProfile":
         slopes = json_array(spec, "slopes", int)
         return TubeProfile(p, slopes, json_array(spec, "intercepts", int), include_p=include_p)
     if kind == "split":
+        json_object(spec, ("kind", "p", "d", "tree_class"), name="split")
         tree_class = json_field(spec, "tree_class", str, default=None)
         tc = None if tree_class is None else TreeClass(tree_class)
         return SplitProfile(p, json_array(spec, "d", int), tc)

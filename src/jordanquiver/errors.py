@@ -11,9 +11,13 @@ and ``json_array``.  ``kind`` is int, bool, str, list or dict, the type
 It must match exactly and nothing is converted, so ``5.9`` never becomes
 5 and ``"false"`` never becomes true.  Errors name the JSON path of the
 offending field, such as ``seed.mult[0]``; the empty path is the input.
-``int_tuple`` and ``require_ints`` hold the library constructors to the
-same rule.
+An object names its fields with ``json_object``, so a field that no
+reader reads, such as a misspelt ``include_P``, is refused rather than
+ignored.  ``int_tuple`` and ``require_ints`` hold the library
+constructors to the same rule.
 """
+
+import sys
 
 
 class ValidationError(ValueError):
@@ -57,6 +61,30 @@ def require_ints(**args) -> None:
     for name, value in args.items():
         if type(value) is not int:
             raise ValidationError(f"{name} must be an int, got {value!r}")
+
+
+def json_object(data, fields, path: str = "", name: str = "") -> dict:
+    """The object ``data`` at ``path``, ParseError if it has a key outside ``fields``.
+
+    The message names the object by its path, or by ``name`` at the top.
+    """
+    bad = set(json_value(data, dict, path)) - set(fields)
+    if bad:
+        raise ParseError(f"unknown {path or name} fields {sorted(bad)}")
+    return data
+
+
+def require_printable(values, what: str) -> None:
+    """ValidationError if ``str`` cannot write an int in ``values``, as it has
+    more digits than ``sys.get_int_max_str_digits()`` allows (0: no limit)."""
+    # Python 3.10.0 to 3.10.6 have no limit, and no get_int_max_str_digits
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # below 2**(3 limit) < 10**limit an int is short enough, so 10**limit is
+    # computed only for a value that may not be
+    if limit and any(abs(v) >= 10 ** limit for v in values if v.bit_length() > 3 * limit):
+        raise ValidationError(
+            f"{what} has more than {limit} digits, the limit for printing an integer"
+        )
 
 
 def json_field(data, key: str, kind: type, path: str = "", default=_REQUIRED):

@@ -15,13 +15,14 @@ the compact grammar ``2[3]+[1]`` with blocks in descending size.
 from __future__ import annotations
 
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    ParseError, ValidationError, int_tuple, json_array, json_field, require_ints,
+    ParseError, ValidationError, int_tuple, json_array, json_field, json_object, require_ints,
 )
 
 # ASCII only: a Unicode \d would read "[５]" as [5], a Unicode \s "2\u3000[3]" as 2[3]
@@ -62,8 +63,7 @@ class JordanType:
     mult: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.p, int) or self.p < 2:
-            raise ValidationError(f"p must be an integer >= 2, got {self.p!r}")
+        require_modulus(self.p)
         mult = int_tuple(self.mult, "mult")
         if len(mult) != self.p:
             raise ValidationError(
@@ -107,8 +107,7 @@ class JordanType:
         the offending position on malformed input.
         """
         require_ints(p=p)
-        if p < 2:  # before any block size is checked against it
-            raise ValidationError(f"p must be an integer >= 2, got {p!r}")
+        require_modulus(p)  # before any block size is checked against it
         mult = [0] * p
         if text.strip(_SPACE) == "":
             return cls(p, tuple(mult))
@@ -116,8 +115,12 @@ class JordanType:
             m = _TERM_RE.fullmatch(term := chunk.strip(_SPACE))
             if m is None:
                 raise ParseError(f"bad Jordan-type term {term!r} at position {start}")
-            count = int(m.group(1)) if m.group(1) else 1
-            size = int(m.group(2))
+            try:
+                count, size = int(m.group(1) or 1), int(m.group(2))
+            except ValueError:  # the digits are ASCII, so only their number is wrong
+                raise ParseError(f"a number at position {start} has more than "
+                                 f"{sys.get_int_max_str_digits()} digits, the limit for reading "
+                                 "an integer") from None
             if not 1 <= size <= p:
                 raise ParseError(
                     f"block size {size} out of range 1..{p} at position {start}"
@@ -128,6 +131,7 @@ class JordanType:
     @classmethod
     def from_json_dict(cls, data: Mapping, path: str = "") -> "JordanType":
         """Read ``{"p": ..., "mult": [...]}`` found at JSON path ``path``."""
+        json_object(data, ("p", "mult"), path, "Jordan type")
         return cls(json_field(data, "p", int, path), json_array(data, "mult", int, path))
 
     def to_json_dict(self) -> dict:
@@ -244,6 +248,24 @@ class JordanType:
         return "+".join(terms)
 
 
+def require_modulus(p: int) -> None:
+    """ValidationError unless ``p`` is exactly an int >= 2 (a bool is none)."""
+    if type(p) is not int or p < 2:
+        raise ValidationError(f"p must be an integer >= 2, got {p!r}")
+
+
+def projective_count(dim: int, stable_dim: int, p: int) -> int:
+    """The count n of blocks [p] in ``dim`` = ``stable_dim`` + n*p.
+
+    ValidationError unless ``dim - stable_dim`` is a multiple of p that is >= 0.
+    """
+    rem = dim - stable_dim
+    if rem < 0 or rem % p:
+        raise ValidationError(f"total dimension {dim} is inconsistent with stable part "
+                              f"of dimension {stable_dim} mod {p}")
+    return rem // p
+
+
 def _split_terms(text: str):
     """Yield (start_position, chunk) for '+'-separated terms."""
     pos = 0
@@ -318,8 +340,7 @@ def restrict(i: int, j: int, p: int) -> JordanType:
     the order of t^j, so projectivity over the subalgebra stays
     decidable.
     """
-    if type(p) is not int or p < 2:
-        raise ValidationError(f"p must be an integer >= 2, got {p!r}")
+    require_modulus(p)
     require_ints(i=i, j=j)
     if not 1 <= i <= p:
         raise ValidationError(f"block size i={i} out of range 1..{p}")
@@ -334,6 +355,23 @@ def restrict_type(jt: JordanType, j: int) -> JordanType:
     require_ints(j=j)
     occupied = ((i, a) for i, a in enumerate(jt.mult, 1) if a)
     return _restrict_blocks(jt.p, j, occupied)
+
+
+def pi_point_sweep(jt: JordanType) -> set[JordanType]:
+    """Set of stable Jordan types over all probe powers j = 1..p.
+
+    The type at power j is that of t^j acting on the base: the restriction
+    splits blocks per the closed form in ``restrict``, and the result is
+    re-embedded at the original modulus p and stripped of projective
+    blocks.  A probe operator of the form t^j * (unit) has the same rank
+    sequence as t^j, so this is the type seen by any probe whose
+    lowest-degree term is t^j.  Only probes factoring through powers of
+    the single given operator are modelled; mixed two-parameter probes
+    reduce to their lowest-degree power.  The sweep covers the seed
+    operator itself, not other vertices of its component.
+    """
+    return {restrict_type(jt, j).with_modulus(jt.p).stable_part()
+            for j in range(1, jt.p + 1)}
 
 
 def _dominance_key(jt: JordanType, convention: DominanceConvention) -> list[int]:

@@ -19,8 +19,10 @@ from __future__ import annotations
 import random
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ValidationError, int_tuple, json_field, json_value, require_ints
-from .jtypes import JordanType, require_prime, restrict_type
+from .errors import (
+    ParseError, ValidationError, int_tuple, json_field, json_object, json_value, require_ints,
+)
+from .jtypes import JordanType, require_prime
 
 Column = tuple[tuple[int, int], ...]
 
@@ -170,6 +172,7 @@ class NilpotentModel:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "NilpotentModel":
+        json_object(data, ("p", "dim", "entries"), name="model")
         p = json_field(data, "p", int)
         dim = json_field(data, "dim", int)
         if dim < 0:
@@ -324,9 +327,7 @@ def sl2s_models(p: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
         raise ValidationError(f"sl(2) models need p >= 3, got {p}")
     if not 1 <= i <= p - 1:
         raise ValidationError(f"highest-weight parameter i={i} out of range 1..{p - 1}")
-    e = [(j - 1, j, j * (i - j)) for j in range(1, p)]
-    f = [(r, r - 1, 1) for r in range(1, p)]
-    return NilpotentModel(p, p, e), NilpotentModel(p, p, f)
+    return _sl2_chain(p, p, i)
 
 
 def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -340,27 +341,12 @@ def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
         raise ValidationError(f"sl(2) models need p >= 3, got {p}")
     if not 1 <= n <= p - 1:
         raise ValidationError(f"simple-module dimension n={n} out of range 1..{p - 1}")
-    e = [(j - 1, j, j * (n - j)) for j in range(1, n)]
-    f = [(r, r - 1, 1) for r in range(1, n)]
-    return NilpotentModel(p, n, e), NilpotentModel(p, n, f)
+    return _sl2_chain(p, n, n)
 
 
-# ------------------------------------------------------------------- sweep
-
-
-def pi_point_sweep(base: "NilpotentModel | JordanType") -> set[JordanType]:
-    """Set of stable Jordan types over all probe powers j = 1..p.
-
-    The type at power j is that of t^j acting on the base: the restriction
-    splits blocks per the closed form in jtypes.restrict, and the result is
-    re-embedded at the original modulus p and stripped of projective
-    blocks.  A probe operator of the form t^j * (unit) has the same rank
-    sequence as t^j, so this is the type seen by any probe whose
-    lowest-degree term is t^j.  Only probes factoring through powers of
-    the single given operator are modelled; mixed two-parameter probes
-    reduce to their lowest-degree power.  The sweep covers the seed
-    operator itself, not other vertices of its component.
-    """
-    jt = base if isinstance(base, JordanType) else jordan_type_of(base)
-    return {restrict_type(jt, j).with_modulus(jt.p).stable_part()
-            for j in range(1, jt.p + 1)}
+def _sl2_chain(p: int, dim: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
+    """(e, f) on the weight basis v_0..v_{dim-1}: e.v_j = j(i - j) v_{j-1}
+    and f.v_j = v_{j+1}, zero past the ends of the chain."""
+    e = [(j - 1, j, j * (i - j)) for j in range(1, dim)]
+    f = [(r, r - 1, 1) for r in range(1, dim)]
+    return NilpotentModel(p, dim, e), NilpotentModel(p, dim, f)

@@ -22,7 +22,7 @@ from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
-    ParseError, ValidationError, json_array, json_field, json_value, require_ints,
+    ParseError, ValidationError, json_array, json_field, json_object, json_value, require_ints,
 )
 from .trees import TreeClass
 
@@ -101,8 +101,6 @@ def tube_window(rank: int, max_ql: int) -> QuiverWindow:
 def zt_a_infinity_window(n_min: int, n_max: int, max_ql: int) -> QuiverWindow:
     """Window of Z[A_inf]: translation indices n_min..n_max, ql 1..max_ql."""
     require_ints(n_min=n_min, n_max=n_max, max_ql=max_ql)
-    if n_max < n_min:
-        raise ValidationError(f"empty translation range {n_min}..{n_max}")
     chain = range(1, max_ql + 1)
     return _window(range(n_min, n_max + 1), chain, zip(chain, chain[1:]), max_ql)
 
@@ -110,10 +108,6 @@ def zt_a_infinity_window(n_min: int, n_max: int, max_ql: int) -> QuiverWindow:
 def zt_window(tree: Quiver, n_min: int, n_max: int) -> QuiverWindow:
     """Window of Z[T] over an explicit finite tree (or quiver) T."""
     require_ints(n_min=n_min, n_max=n_max)
-    if n_max < n_min:
-        raise ValidationError(f"empty translation range {n_min}..{n_max}")
-    if not tree.vertices:
-        raise ValidationError("tree must have at least one vertex")
     return _window(range(n_min, n_max + 1), sorted(tree.vertices), tree.arrows, None, tree=tree)
 
 
@@ -129,9 +123,11 @@ def _window(ns: range, nodes, tree_arrows, cut,
     certified.  ``tree_arrows`` may be lazy: nothing of the window's
     size is built before the vertex count is checked.
     """
+    if not ns:
+        raise ValidationError(f"empty translation range {ns.start}..{ns.stop - 1}")
     if not nodes:
-        # only a chain 1..max_ql can be empty: a tree has a vertex
-        raise ValidationError(f"max_ql must be >= 1, got {cut}")
+        raise ValidationError("tree must have at least one vertex" if tree is not None
+                              else f"max_ql must be >= 1, got {cut}")
     # the chain 1..max_ql has max_ql nodes; len() of a range overflows
     # past sys.maxsize, so the count is taken from the ends
     count = (ns[-1] - ns[0] + 1) * (len(nodes) if tree is not None else cut)
@@ -178,16 +174,22 @@ def build_window(spec: Mapping) -> QuiverWindow:
     Z[A_inf]: ``{"kind": "zt", "max_ql": 4, "n_min": 0, "n_max": 3}``.
     Generic Z[T]: ``{"kind": "zt", "tree": {"vertices": [...],
     "arrows": [[s, t], ...]}, "n_min": 0, "n_max": 3}``.
+    A field the form does not read, such as a tree beside max_ql, is a
+    ParseError.
     """
     kind = json_field(spec, "kind", str)
     if kind == "tube":
+        json_object(spec, ("kind", "rank", "max_ql"), name="tube window")
         return tube_window(json_field(spec, "rank", int), json_field(spec, "max_ql", int))
     if kind == "zt":
+        # Z[A_inf] is cut at max_ql, and a given tree is not
+        form = "tree" if "tree" in spec else "max_ql"
+        json_object(spec, ("kind", "n_min", "n_max", form), name="zt window")
         n_min = json_field(spec, "n_min", int, default=0)
         n_max = json_field(spec, "n_max", int, default=n_min + 3)
-        if "tree" not in spec:
+        if form == "max_ql":
             return zt_a_infinity_window(n_min, n_max, json_field(spec, "max_ql", int))
-        tree = json_field(spec, "tree", dict)
+        tree = json_object(spec["tree"], ("vertices", "arrows"), "tree")
         arrows = []
         for n, arrow in enumerate(json_array(tree, "arrows", list, "tree")):
             if len(arrow) != 2:

@@ -32,6 +32,7 @@ from jordanquiver.jtypes import (
     DominanceResult,
     JordanType,
     dominance_compare,
+    pi_point_sweep,
     restrict,
 )
 from jordanquiver.oracle import (
@@ -40,7 +41,6 @@ from jordanquiver.oracle import (
     heisenberg_model,
     jordan_type_of,
     model_from_type,
-    pi_point_sweep,
     power_model,
 )
 from jordanquiver.quiver import (

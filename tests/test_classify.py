@@ -326,5 +326,7 @@ def test_sl2_family_validation():
         sl2_family_types(Sl2Family.SL2_1, p=5, pi_dim=0, block_index=1)
     with pytest.raises(ValidationError):
         sl2_family_types(Sl2Family.SL2_1_TR, p=5, pi_dim=0, block_index=1, module_dim=7)
-    with pytest.raises(ValidationError):
+    # the constant type [4] + n[5] has 10 - 4 = 6 dimensions past [4]: no multiple of 5
+    with pytest.raises(ValidationError, match="^total dimension 10 is inconsistent with "
+                       "stable part of dimension 4 mod 5$"):
         sl2_family_types(Sl2Family.SL2_1, p=5, pi_dim=1, block_index=4, module_dim=10)

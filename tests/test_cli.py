@@ -1071,6 +1071,12 @@ def _case(case_id, argv, message, code=EXIT_PARSE, file_bytes=None):
     return pytest.param(argv, file_bytes, code, message, id=case_id)
 
 
+# specs that each reader accepts, with room for one more field
+_TUBE = '{"kind":"tube","p":3,"slopes":[0,0,1],"intercepts":[0,1,0]%s}'
+_SEEDED = '{"kind":"tube","p":3,"seed":{"p":3,"mult":[2,0,0]%s},"multiplicities":[1,0]%s}'
+_TREE = '{"kind":"zt","tree":{"vertices":["a","b"],"arrows":[["a","b"]]%s}%s}'
+
+
 @pytest.mark.parametrize(
     "argv,file_bytes,code,message",
     [
@@ -1142,6 +1148,34 @@ def _case(case_id, argv, message, code=EXIT_PARSE, file_bytes=None):
         _case("nesting-too-deep", ["component", "--spec", "[" * 100_000], "bad JSON: "),
         _case("file-long-integer", ["component", "--spec", "@FILE"], "bad JSON: ",
               file_bytes=b'{"kind":"tube","p":' + b"9" * 4301 + b"}"),
+        # each reader with a field that it does not read
+        _case("tube-unknown-field", ["component", "--spec", _TUBE % ',"include_P":true'],
+              "unknown tube fields ['include_P']"),
+        _case("tube-seed-data", ["component", "--spec", _TUBE % ',"multiplicities":[1,0]'],
+              "unknown tube fields ['multiplicities']"),
+        _case("seeded-tube-slopes", ["component", "--spec", _SEEDED % ("", ',"slopes":[0,0,1]')],
+              "unknown seeded tube fields ['slopes']"),
+        _case("seed-unknown-field", ["component", "--spec", _SEEDED % (',"colour":1', "")],
+              "unknown seed fields ['colour']"),
+        _case("split-seed", ["component", "--spec",
+              '{"kind":"split","p":3,"d":[1,0],"seed":{"p":3,"mult":[1,0,0]}}'],
+              "unknown split fields ['seed']"),
+        _case("tube-window-zt-fields", ["quiver", "--spec",
+              '{"kind":"tube","rank":2,"max_ql":3,"n_min":0,'
+              '"tree":{"vertices":["a"],"arrows":[]}}'],
+              "unknown tube window fields ['n_min', 'tree']"),
+        _case("zt-window-rank", ["quiver", "--spec", '{"kind":"zt","max_ql":3,"rank":2}'],
+              "unknown zt window fields ['rank']"),
+        _case("tree-window-max-ql", ["quiver", "--spec", _TREE % ("", ',"max_ql":3')],
+              "unknown zt window fields ['max_ql']"),
+        _case("tree-unknown-field", ["quiver", "--spec", _TREE % (',"edges":[]', "")],
+              "unknown tree fields ['edges']"),
+        _case("model-unknown-field", ["oracle", "json", "--module",
+              '{"p":5,"dim":1,"entries":[],"colour":"red"}'], "unknown model fields ['colour']"),
+        _case("descriptor-unknown-field", ["classify", "--descriptor",
+              '{"p":5,"degree":2,"degre":2}'], "unknown descriptor fields ['degre']"),
+        _case("ambient-unknown-field", ["classify", "--descriptor",
+              '{"p":5,"degree":2,"ambient":{"srk2":1}}'], "unknown ambient fields ['srk2']"),
     ],
 )
 def test_json_input_is_strict_in_every_subcommand(capsys, tmp_path, argv, file_bytes, code, message):
@@ -1152,6 +1186,33 @@ def test_json_input_is_strict_in_every_subcommand(capsys, tmp_path, argv, file_b
     got, out, err = run(capsys, *argv)
     assert got == code and out == ""
     assert message in err and "Traceback" not in err
+
+
+_NINES = "9" * 4300  # the most digits str() and int() take by default
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    pytest.param(["component", "--ql-max", "12", "--spec",
+                  '{"kind":"tube","p":2,"slopes":[%s,0],"intercepts":[0,0]}' % _NINES[1:]],
+                 EXIT_VALIDATION, "a table entry has more than 4300 digits", id="table"),
+    pytest.param(["jt", "dim", "--p", "5", "--jt", _NINES + "9[3]"],
+                 EXIT_PARSE, "a number at position 0 has more than 4300 digits", id="count"),
+    pytest.param(["jt", "dim", "--p", "5", "--jt", f"[3]+[{_NINES}9]"],
+                 EXIT_PARSE, "a number at position 4 has more than 4300 digits", id="size"),
+    pytest.param(["jt", "dim", "--p", "5", "--jt", _NINES + "[3]"],
+                 EXIT_VALIDATION, "the result has more than 4300 digits", id="dim"),
+    # n = B t, and n_11 = 1 + 2 + ... + 10 times 10**4299, less 11 times 5 * 10**4299, is 0
+    pytest.param(["component", "--solve", "--spec", json.dumps({
+                     "kind": "tube", "p": 11, "slopes": [0] * 10 + [5 * 10**4299],
+                     "intercepts": [10**4299] * 10 + [-5 * 10**4299], "include_p": True})],
+                 EXIT_VALIDATION, "a recovered multiplicity has more than 4300 digits", id="solve"),
+])
+def test_an_integer_too_long_to_write_is_refused_with_a_message(capsys, argv, code, message):
+    # str() and int() refuse an int past sys.get_int_max_str_digits() with a
+    # ValueError; the table is checked before its first row is written
+    prefix, use = ("parse", "reading") if code == EXIT_PARSE else ("validation", "printing")
+    expected = f"{prefix} error: {message}, the limit for {use} an integer\n"
+    assert run(capsys, *argv) == (code, "", expected)
 
 
 # Random argv and JSON for every subcommand, mixing right-typed fields with

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -201,6 +202,19 @@ def test_tube_central_prime_power_seed():
         assert all(jt.multiplicity(i) == 0 for i in (1, p))
 
 
+def test_central_profile_is_the_seed_formula_written_out():
+    # alpha_j = (m - 2n) ql + 2n and alpha_{j +- 1} = n (ql - 1) below i = p
+    for p in range(2, 12):
+        for j, n in itertools.product(range(1, p), range(1, 4)):
+            for m in range(2 * n, 2 * n + 4):
+                slopes, intercepts = [0] * p, [0] * p
+                slopes[j - 1], intercepts[j - 1] = m - 2 * n, 2 * n
+                for i in (j - 1, j + 1):
+                    if 1 <= i <= p - 1:
+                        slopes[i - 1], intercepts[i - 1] = n, -n
+                assert central_profile(j, m, n, p) == TubeProfile(p, slopes, intercepts)
+
+
 def test_tube_central_ql_one_and_zero_slope():
     assert central_profile(2, 9, 1, 5).jordan_type_at(1) == JordanType.from_counts(5, {2: 9})
     for ql in (1, 3, 7):
@@ -397,7 +411,9 @@ def test_split_propagate_constant_profile():
 
 def test_split_propagate_divisibility_guard():
     prof = SplitProfile(5, [1, 0, 0, 1])
-    with pytest.raises(ValidationError):
+    # the stable part [4]+[1] has dimension 5, and 11 - 5 is no multiple of 5
+    with pytest.raises(ValidationError, match="^total dimension 11 is inconsistent with "
+                       "stable part of dimension 5 mod 5$"):
         split_propagate(prof, 1, total_dim=11)
 
 

@@ -21,14 +21,13 @@ from jordanquiver.components import (
     tube_profile_from_seed,
 )
 from jordanquiver.errors import ValidationError
-from jordanquiver.jtypes import JordanType, restrict_type
+from jordanquiver.jtypes import JordanType, pi_point_sweep, restrict_type
 from jordanquiver.oracle import (
     abelian_rank2_models,
     ga2_model,
     heisenberg_model,
     jordan_type_of,
     model_from_type,
-    pi_point_sweep,
     power_model,
     sl2_simple_models,
     sl2s_models,

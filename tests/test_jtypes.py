@@ -14,6 +14,8 @@ from jordanquiver.jtypes import (
     JordanType,
     _dominance_key,
     dominance_compare,
+    projective_count,
+    require_modulus,
     restrict,
     restrict_type,
 )
@@ -351,6 +353,36 @@ def test_parse_errors_carry_position():
 def test_json_round_trip(jt):
     data = json.loads(json.dumps(jt.to_json_dict()))
     assert JordanType.from_json_dict(data) == jt
+
+
+def test_json_reader_refuses_fields_it_does_not_read():
+    data = {"p": 2, "mult": [1, 0], "colour": 0}
+    with pytest.raises(ParseError, match=r"^unknown Jordan type fields \['colour'\]$"):
+        JordanType.from_json_dict(data)
+    # a nested type is named by its JSON path
+    with pytest.raises(ParseError, match=r"^unknown seed fields \['colour'\]$"):
+        JordanType.from_json_dict(data, "seed")
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**70])
+def test_require_modulus_takes_every_int_from_two(p):
+    assert require_modulus(p) is None
+
+
+@pytest.mark.parametrize("p", [1, 0, -5, True, 5.0, "5", None])
+def test_require_modulus_refuses_the_rest_with_one_message(p):
+    with pytest.raises(ValidationError) as info:
+        require_modulus(p)
+    assert str(info.value) == f"p must be an integer >= 2, got {p!r}"
+
+
+def test_projective_count_is_the_quotient_of_the_dimension_past_the_stable_part():
+    assert projective_count(17, 2, 5) == 3
+    assert projective_count(2, 2, 5) == 0
+    for dim in (1, 9):  # below the stable part, and not a multiple of p past it
+        with pytest.raises(ValidationError, match=f"^total dimension {dim} is inconsistent "
+                           "with stable part of dimension 2 mod 5$"):
+            projective_count(dim, 2, 5)
 
 
 def test_validation_rejects_bad_vectors():

@@ -16,7 +16,7 @@ from dense_reference import (
     rank_mod_p,
 )
 from jordanquiver.errors import ParseError, ValidationError
-from jordanquiver.jtypes import JordanType, require_prime, restrict, restrict_type
+from jordanquiver.jtypes import JordanType, pi_point_sweep, require_prime, restrict, restrict_type
 from jordanquiver.oracle import (
     NilpotentModel,
     abelian_rank2_models,
@@ -24,7 +24,6 @@ from jordanquiver.oracle import (
     heisenberg_model,
     jordan_type_of,
     model_from_type,
-    pi_point_sweep,
     power_model,
     random_conjugate,
     sl2_simple_models,
@@ -250,7 +249,7 @@ def test_sweep_of_full_block():
 def test_sweep_zero_model_and_first_power():
     p = 5
     zero = NilpotentModel(p, 3, [])
-    assert pi_point_sweep(zero) == {JordanType.block(p, 1, 3)}
+    assert pi_point_sweep(jordan_type_of(zero)) == {JordanType.block(p, 1, 3)}
     jt = JordanType.from_string(p, "[4]+2[5]")
     sweep = pi_point_sweep(jt)
     assert jt.stable_part() in sweep
@@ -258,12 +257,6 @@ def test_sweep_zero_model_and_first_power():
     for text in ["", "[4]+2[5]", "2[3]+[1]", "3[5]"]:
         base = JordanType.from_string(p, text)
         assert restrict_type(base, 1).with_modulus(p).stable_part() == base.stable_part()
-
-
-def test_sweep_accepts_models_and_types_alike():
-    p = 5
-    model = heisenberg_model(p)
-    assert pi_point_sweep(model) == pi_point_sweep(jordan_type_of(model))
 
 
 # ---------------------------------------------------------------------- JSON

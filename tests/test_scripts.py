@@ -181,3 +181,19 @@ def test_jt_process_loads_no_other_layer():
     loaded = modules_loaded_by("quiver", "--minimal-additive", "A12_tilde", "--format", "tsv",
                                stdout="0\t1\n1\t1\nimage_size\t1\n")
     assert loaded & layers == {"jordanquiver.quiver", "jordanquiver.trees"}
+    # a sweep is a closed form on Jordan types, so it builds no matrix model
+    loaded = modules_loaded_by("oracle", "sweep", "--p", "7", "--base-block", "4",
+                               stdout="4 distinct types\n[4]\n2[2]\n[2]+2[1]\n4[1]\n")
+    assert not loaded & layers
+
+
+def test_the_digit_limit_is_read_when_the_command_runs():
+    # PYTHONINTMAXSTRDIGITS sets sys.get_int_max_str_digits(); 640 is its least value
+    argv = ("-m", "jordanquiver", "jt", "dim", "--p", "5", "--jt", "9" * 700 + "[1]")
+    assert run_python(*argv).stdout == "9" * 700 + "\n"
+    env = {**ENV, "PYTHONINTMAXSTRDIGITS": "640"}
+    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env,
+                            timeout=120)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert result.stderr == ("parse error: a number at position 0 has more than 640 digits, "
+                             "the limit for reading an integer\n")
