@@ -111,9 +111,21 @@ _JT_OPS = {
         jt(args.a), jt(args.b), DominanceConvention(args.convention)
     ).value,
 }
+# the options each jt op does not read; restrict reads --jt only without --i
+_JT_UNREAD = {
+    **dict.fromkeys(["dim", "stable", "syzygy"],
+                    ["--m", "--i", "--j", "--a", "--b", "--convention"]),
+    **dict.fromkeys(["ker", "image", "psi"], ["--i", "--j", "--a", "--b", "--convention"]),
+    "restrict": ["--m", "--a", "--b", "--convention"],
+    "restrict --i": ["--jt", "--m", "--a", "--b", "--convention"],
+    "dominance": ["--jt", "--m", "--i", "--j"],
+}
 
 
 def _cmd_jt(args) -> tuple[int, str]:
+    mode = "restrict --i" if args.op == "restrict" and args.i is not None else args.op
+    _read_options(args, f"jt {mode}", _JT_UNREAD[mode],
+                  jt="", m=1, j=1, a="", b="", convention="image")
     result = _JT_OPS[args.op](lambda text: JordanType.from_string(args.p, text), args)
     if not isinstance(result, str):
         require_printable(result.mult if isinstance(result, JordanType) else [result], "the result")
@@ -369,13 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jt.add_argument("op", choices=list(_JT_OPS))
     _add_common(jt)
-    jt.add_argument("--jt", default="", help="Jordan type, e.g. '2[3]+[1]'")
-    jt.add_argument("--m", type=_int, default=1, help="power of t")
+    # an option an op does not read is refused, so every default is None
+    # here and the one that applies is set by _cmd_jt
+    jt.add_argument("--jt", default=None, help="Jordan type, e.g. '2[3]+[1]' (default '')")
+    jt.add_argument("--m", type=_int, default=None, help="power of t (default 1)")
     jt.add_argument("--i", type=_int, default=None, help="block size (restrict)")
-    jt.add_argument("--j", type=_int, default=1, help="subalgebra power (restrict)")
-    jt.add_argument("--a", default="", help="left type (dominance)")
-    jt.add_argument("--b", default="", help="right type (dominance)")
-    jt.add_argument("--convention", choices=["image", "tail"], default="image")
+    jt.add_argument("--j", type=_int, default=None, help="subalgebra power (restrict, default 1)")
+    jt.add_argument("--a", default=None, help="left type (dominance, default '')")
+    jt.add_argument("--b", default=None, help="right type (dominance, default '')")
+    jt.add_argument("--convention", choices=["image", "tail"], default=None,
+                    help="dominance convention (default image)")
     jt.set_defaults(func=_cmd_jt, needs_p=True)
 
     component = sub.add_parser("component", help="propagate profiles over a component")

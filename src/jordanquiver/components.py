@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     ParseError, ValidationError, int_tuple, json_array, json_field, json_object, require_ints,
+    require_printable,
 )
 from .jtypes import (
     DominanceConvention, DominanceResult, JordanType, _dominance_key, pointwise_compare,
@@ -60,10 +61,16 @@ class NegativeMultiplicityError(ValidationError):
         self.index = index
         self.ql = ql
         self.value = value
-        super().__init__(
-            f"block multiplicity alpha_{index} becomes {value} at ql={ql}; "
-            "the seed/multiplicity pair cannot sit on a tube"
-        )
+        try:
+            message = (f"block multiplicity alpha_{index} becomes {value} at ql={ql}; "
+                       "the seed/multiplicity pair cannot sit on a tube")
+        except ValueError:
+            # str() refuses an int with too many digits.  The digits are
+            # checked only then: most rejected profiles are small, and this
+            # error is the common outcome of building one
+            require_printable([ql, value], f"the quasi-length at which alpha_{index} goes negative")
+            raise
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -183,6 +190,7 @@ def solve_multiplicities(profile: TubeProfile) -> SolveResult:
             if not profile.include_p
             else ""
         )
+        require_printable([n[p - 1]], "the recovered n_p")
         raise ValidationError(
             f"recovered n_p = {n[p - 1]} != 0; profile is not realizable by a "
             f"non-projective quasi-simple seed{hint}"

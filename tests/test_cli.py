@@ -1018,6 +1018,15 @@ REFUSED_OPTIONS = [
     (("oracle", "sweep", "--p", "5", "--base-block", "2", "--seed", "1"), "--seed"),
     (("oracle", "json", "--module", '{"p":5,"dim":1,"entries":[]}', "--p", "5"), "--p"),
     (("component", "--spec", HEIS_SPEC, "--solve", "--ql-max", "0"), "--ql-max"),
+    (("jt", "dim", "--p", "5", "--jt", "[2]", "--m", "3"), "--m"),
+    (("jt", "restrict", "--p", "5", "--i", "2", "--jt", "[3]", "--j", "1"), "--jt"),
+    (("jt", "restrict", "--p", "5", "--jt", "[3]", "--m", "2"), "--m"),
+    (("jt", "stable", "--p", "5", "--jt", "[3]", "--j", "2"), "--j"),
+    (("jt", "syzygy", "--p", "5", "--jt", "[3]", "--i", "2"), "--i"),
+    (("jt", "ker", "--p", "5", "--jt", "[3]", "--convention", "tail"), "--convention"),
+    (("jt", "psi", "--p", "5", "--jt", "[3]", "--a", "[3]"), "--a"),
+    (("jt", "dominance", "--p", "5", "--a", "[3]", "--b", "[3]", "--jt", "[3]"), "--jt"),
+    (("jt", "dominance", "--p", "5", "--a", "[3]", "--b", "[3]", "--m", "2"), "--m"),
 ]
 
 
@@ -1034,6 +1043,16 @@ def test_left_out_options_keep_their_defaults(capsys):
     assert run(capsys, "oracle", "sl2s") == run(capsys, "oracle", "sl2s", "--i", "1")
     assert (run(capsys, "component", "--spec", HEIS_SPEC)
             == run(capsys, "component", "--spec", HEIS_SPEC, "--ql-max", "5"))
+    assert run(capsys, "jt", "dim", "--p", "5") == run(capsys, "jt", "dim", "--p", "5", "--jt", "")
+    ker = ("jt", "ker", "--p", "5", "--jt", "2[5]+[3]")
+    assert run(capsys, *ker) == run(capsys, *ker, "--m", "1")
+    for restrict in (("jt", "restrict", "--p", "5", "--jt", "[5]+[4]"),
+                     ("jt", "restrict", "--p", "5", "--i", "4")):
+        assert run(capsys, *restrict) == run(capsys, *restrict, "--j", "1")
+    dominance = ("jt", "dominance", "--p", "3", "--a", "2[3]+[1]", "--b", "[3]+2[2]")
+    assert run(capsys, *dominance) == run(capsys, *dominance, "--convention", "image")
+    assert (run(capsys, "jt", "dominance", "--p", "3")
+            == run(capsys, "jt", "dominance", "--p", "3", "--a", "", "--b", ""))
 
 
 @pytest.mark.parametrize("argv,kind", [
@@ -1206,6 +1225,17 @@ _NINES = "9" * 4300  # the most digits str() and int() take by default
                      "kind": "tube", "p": 11, "slopes": [0] * 10 + [5 * 10**4299],
                      "intercepts": [10**4299] * 10 + [-5 * 10**4299], "include_p": True})],
                  EXIT_VALIDATION, "a recovered multiplicity has more than 4300 digits", id="solve"),
+    # n = B t has n_3 = 3 times the intercept, 4301 digits, in the rejection message
+    pytest.param(["component", "--solve", "--spec",
+                  '{"kind":"tube","p":3,"slopes":[0,0,0],"intercepts":[%s,%s,0],"include_p":true}'
+                  % (_NINES, _NINES)],
+                 EXIT_VALIDATION, "the recovered n_p has more than 4300 digits", id="solve-n_p"),
+    # alpha_1 = 10**4300 - 1 - ql first goes negative at ql = 10**4300
+    pytest.param(["component", "--spec",
+                  '{"kind":"tube","p":2,"slopes":[-1,0],"intercepts":[%s,0]}' % _NINES],
+                 EXIT_VALIDATION,
+                 "the quasi-length at which alpha_1 goes negative has more than 4300 digits",
+                 id="negative-ql"),
 ])
 def test_an_integer_too_long_to_write_is_refused_with_a_message(capsys, argv, code, message):
     # str() and int() refuse an int past sys.get_int_max_str_digits() with a

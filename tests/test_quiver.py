@@ -346,6 +346,31 @@ def test_null_root_table_matches_cartan_kernel(tc):
     assert result.values == delta and result.interior == graph.nodes
 
 
+def _balanced_nodes(graph, values) -> set:
+    """The nodes j with (C f)_j = 0, for the Cartan matrix C of the reference."""
+    f = [values[v] for v in graph.nodes]
+    return {
+        v for v, row in zip(graph.nodes, cartan_matrix(graph))
+        if sum(x * y for x, y in zip(row, f)) == 0
+    }
+
+
+@pytest.mark.parametrize("tc", [A_INFINITY, A_DOUBLE_INFINITY, D_INFINITY, *EUCLIDEAN], ids=str)
+def test_additivity_check_matches_the_cartan_matrix(tc):
+    # 2 f(j) - sum_i d(i, j) f(i) is (C f)_j, since bonds are symmetric
+    graph, table, interior = _orbit_graph(tc)
+    c = cartan_matrix(graph)
+    assert c == [list(column) for column in zip(*c)]
+    rng = random.Random(str(tc))
+    maps = [table, {v: 3 * x for v, x in table.items()}]
+    maps += [{v: rng.randint(0, 4) for v in graph.nodes} for _ in range(5)]
+    maps += [table | {v: table[v] + rng.choice((-1, 1))} for v in graph.nodes]
+    for values in maps:
+        balanced = _balanced_nodes(graph, values)
+        for nodes in (interior, graph.nodes, *([v] for v in graph.nodes)):
+            assert is_additive_on_graph(graph, values, nodes) == balanced.issuperset(nodes)
+
+
 def test_minimal_additive_rejects_finite_dynkin():
     with pytest.raises(ValidationError):
         minimal_additive_function(TreeClass("A5"))
