@@ -232,6 +232,8 @@ _ORACLE_MODELS = {
 def _cmd_oracle(args) -> tuple[int, str]:
     _read_options(args, f"oracle {args.model}", _ORACLE_UNREAD[args.model],
                   p=5, i=1, fuzz=0, seed=0)
+    if args.fuzz < 0:
+        raise ValidationError(f"--fuzz must be >= 0, got {args.fuzz}")
     if args.model == "sweep":
         # a closed form on Jordan types, so the oracle module is not loaded for it
         if args.base_block is None:
@@ -429,14 +431,33 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--descriptor", required=True, help="descriptor JSON (inline or @file)")
     cls.set_defaults(func=_cmd_classify, needs_p=False)
 
+    # name -> subcommand parser, for main to parse a command with its own parser
+    parser.subcommands = sub.choices
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` gives, parsing argv once.
+
+    The top-level parser hands everything after a subcommand name to that
+    subcommand's parser ("-h" and "--" included), so such an argv is parsed
+    by that parser alone; any other argv (empty, help, an unknown name) by
+    the top-level parser, which owns help and the usage errors.
+    """
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return args
 
 
 def main(argv=None) -> int:
     """Run one command and write its text to stdout; the only stdout writer."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         if args.needs_p and args.p is None:
             raise ParseError("this command requires --p")
         code, text = args.func(args)

@@ -79,6 +79,7 @@ class JordanType:
     def zero(cls, p: int) -> "JordanType":
         """The Jordan type of the zero module."""
         require_ints(p=p)
+        require_modulus(p)  # before (0,) * p is built
         return cls(p, (0,) * p)
 
     @classmethod
@@ -91,11 +92,14 @@ class JordanType:
     def from_counts(cls, p: int, counts: Mapping[int, int]) -> "JordanType":
         """Build from a mapping block size -> multiplicity."""
         require_ints(p=p)
-        mult = [0] * p
-        for i, m in counts.items():
+        # the block sizes are read before p, so at a p below 2 a bad size is named
+        for i in counts:
             require_ints(**{"block size": i})
             if not 1 <= i <= p:
                 raise ValidationError(f"block size {i} out of range 1..{p}")
+        require_modulus(p)  # before [0] * p is built
+        mult = [0] * p
+        for i, m in counts.items():
             mult[i - 1] += m
         return cls(p, tuple(mult))
 
@@ -249,9 +253,12 @@ class JordanType:
 
 
 def require_modulus(p: int) -> None:
-    """ValidationError unless ``p`` is exactly an int >= 2 (a bool is none)."""
+    """ValidationError unless ``p`` is exactly an int >= 2 (a bool is none) and
+    at most ``sys.maxsize``, the longest list of multiplicities Python can size."""
     if type(p) is not int or p < 2:
         raise ValidationError(f"p must be an integer >= 2, got {p!r}")
+    if p > sys.maxsize:
+        raise ValidationError(f"p must be at most sys.maxsize = {sys.maxsize}, got {p}")
 
 
 def projective_count(dim: int, stable_dim: int, p: int) -> int:

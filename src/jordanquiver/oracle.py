@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 from .errors import (
     ParseError, ValidationError, int_tuple, json_field, json_object, json_value, require_ints,
 )
-from .jtypes import JordanType, require_prime
+from .jtypes import JordanType, require_modulus, require_prime
 
 Column = tuple[tuple[int, int], ...]
 
@@ -129,6 +129,7 @@ class NilpotentModel:
     def __init__(self, p: int, dim: int, entries: Iterable[Iterable[int]]):
         # ranks are computed by elimination over F_p, which needs a field
         require_prime(p)
+        require_modulus(p)  # before a rank sequence of length p + 1 is built
         if type(dim) is not int or dim < 0:
             raise ValidationError(f"dim must be an int >= 0, got {dim!r}")
         cols: dict[int, dict[int, int]] = {}

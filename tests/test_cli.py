@@ -4,13 +4,14 @@ import io
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanquiver.cli import (
-    _CHUNK_CELLS, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, _int, build_parser, main,
+    _CHUNK_CELLS, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, _int, _parse, build_parser, main,
 )
 from jordanquiver.components import (
     TubeProfile,
@@ -18,6 +19,7 @@ from jordanquiver.components import (
     profile_from_json,
     split_propagate,
 )
+from jordanquiver.errors import ParseError
 from jordanquiver.jtypes import JordanType
 
 
@@ -238,6 +240,33 @@ def test_jt_restrict_rejects_small_p(capsys, p):
         code, out, err = run(capsys, "jt", "restrict", "--p", p, "--i", i, "--j", "1")
         assert (code, out) == (EXIT_VALIDATION, "")
         assert err == f"validation error: p must be an integer >= 2, got {p}\n"
+
+
+_PRIME_PAST_MAXSIZE = 2**64 - 59
+
+
+@pytest.mark.parametrize("argv,p", [
+    (["jt", "dim", "--p", "99999999999999999999", "--jt", ""], 99999999999999999999),
+    (["jt", "restrict", "--p", "99999999999999999999", "--i", "1", "--j", "1"],
+     99999999999999999999),
+    (["oracle", "sweep", "--p", "99999999999999999999", "--base-block", "1"],
+     99999999999999999999),
+    (["jt", "dim", "--p", str(sys.maxsize + 1), "--jt", "[1]"], sys.maxsize + 1),
+    # a prime p passes require_prime, and is refused before a list of length p + 1
+    (["oracle", "rank2", "--p", str(_PRIME_PAST_MAXSIZE)], _PRIME_PAST_MAXSIZE),
+    (["oracle", "ga2", "--p", str(_PRIME_PAST_MAXSIZE)], _PRIME_PAST_MAXSIZE),
+    (["oracle", "json", "--module", '{"p":%d,"dim":1,"entries":[]}' % _PRIME_PAST_MAXSIZE],
+     _PRIME_PAST_MAXSIZE),
+    (["classify", "--descriptor", '{"p":%d,"degree":2}' % _PRIME_PAST_MAXSIZE],
+     _PRIME_PAST_MAXSIZE),
+], ids=["jt-dim", "jt-restrict", "oracle-sweep", "maxsize+1", "oracle-rank2", "oracle-ga2",
+        "oracle-json", "classify"])
+def test_a_p_past_maxsize_is_refused_with_a_message(capsys, argv, p):
+    # [0] * p raised OverflowError, a traceback with exit 1
+    assert run(capsys, *argv) == (
+        EXIT_VALIDATION, "", f"validation error: p must be at most sys.maxsize = {sys.maxsize}, "
+        f"got {p}\n"
+    )
 
 
 # ----------------------------------------------------------------- component
@@ -539,6 +568,18 @@ def test_oracle_sweep(capsys):
 def test_oracle_fuzz(capsys):
     code, out, _ = run(capsys, "oracle", "heisenberg", "--p", "3", "--fuzz", "3")
     assert code == EXIT_OK and "fuzz PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["heisenberg", "--p", "5"], ["rank2"], ["ga2", "--p", "3"], ["sl2s", "--i", "2"],
+    ["json", "--module", '{"p":5,"dim":1,"entries":[]}'],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("fuzz", ["-1", "-7"])
+def test_a_negative_fuzz_is_refused(capsys, argv, fuzz):
+    # it printed "fuzz PASS (-1 conjugations per model)" with exit 0
+    assert run(capsys, "oracle", *argv, "--fuzz", fuzz) == (
+        EXIT_VALIDATION, "", f"validation error: --fuzz must be >= 0, got {fuzz}\n"
+    )
 
 
 def test_oracle_json_model(capsys):
@@ -952,6 +993,69 @@ def test_shared_parser_leaks_no_state(capsys):
     assert shared == fresh * 2
     codes = {code for code, _, _ in fresh}
     assert {EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, ("SystemExit", 0)} <= codes
+
+
+_J = ["jt", "dim", "--p", "5", "--jt", "[2]"]
+_SPLIT = '{"kind":"split","p":3,"d":[1,0]}'
+# argv at the edges of the dispatch: help, "--", options before and after
+# positionals, "=" and abbreviated options, unknown words and subcommands
+EDGE_ARGV = [
+    [], ["--help"], ["-h"], ["--"], ["--", "--", *_J], ["--help", "jt"], ["-h", "jt", "dim"],
+    ["jt", "-h"], ["jt", "dim", "--p", "5", "-h"], [*_J, "--help"], [*_J, "--h"],
+    ["oracle", "--help"], ["component", "-h"], ["quiver", "-h"], ["classify", "-h"],
+    [*_J, "extra"], [*_J, "--bogus"], [*_J, "extra", "--bogus", "x"], [*_J, "--bogus=1"],
+    [*_J, "-"], [*_J, "--"], [*_J, "--", "extra"], ["jt", "--", "dim", "--p", "5"],
+    ["oracle", "heisenberg", "--p", "5", "extra"],
+    ["classify", "--descriptor", '{"p":5,"degree":4}', "trailing"],
+    ["quiver", "--minimal-additive", "A5", "--bogus=1"],
+    ["jt", "dim", "--p=5", "--jt=[2]"], ["component", "--sp", _SPLIT, "--ql", "2"],
+    ["component", "--s", _SPLIT], ["jt", "--p", "5", "dim", "--jt", "[2]"], [*_J, "--p", "7"],
+    ["frobnicate"], ["JT", "dim", "--p", "5"], ["j", "dim"], [" jt", "dim"],
+    ["--p", "5", "jt", "dim"], ["--version"],
+    [*_J, "--format", "xml"], ["quiver", "--format", "xml", "--minimal-additive", "A5"],
+    ["jt"], ["jt", "dim"], ["jt", "--p", "5"], ["jt", "di", "--p", "5"], ["jt", "dim", "--p"],
+    ["jt", "dim", "--P", "5"], ["jt", "dim", "--p", "5", "--jt", "-x"],
+    ["component", "--spec", _SPLIT, "--ql-max"], ["oracle"], ["quiver"], ["classify"],
+    [*_J, "--format", "json"],
+]
+
+
+def test_dispatch_edge_argv_are_pinned(capsys, monkeypatch):
+    # sha256 over argv, exit code, stdout and stderr, captured when the
+    # top-level parser parsed every argv and passed it on to the subcommand's
+    # parser.  argparse wraps usage and help to the terminal width, and
+    # Python 3.13 wraps them differently: at 200 columns no line wraps.
+    monkeypatch.setenv("COLUMNS", "200")
+    digest = hashlib.sha256()
+    for argv in EDGE_ARGV:
+        code, out, err = _outcome(capsys, argv)
+        # later Python patch releases list argparse's choices without quotes
+        err = re.sub(r"\(choose from [^)]*\)", lambda m: m[0].replace("'", ""), err)
+        digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
+    assert digest.hexdigest() == "76739da45c5a2b22e986332516415a2861df17f2042ac45eb7823a8fc770e1a5"
+
+
+def test_dispatch_matches_the_top_level_parser(capsys):
+    # main parses an argv that starts with a subcommand name with that
+    # subcommand's parser alone.  Whatever the interpreter's argparse does
+    # (a leading "--" is refused by 3.13.0 and skipped by later 3.13
+    # releases, so it is not pinned), main parses as the top-level parser does.
+    def outcome(parse, argv):
+        try:
+            got = vars(parse(list(argv)))
+            got.pop("command", None)  # the top-level parser's name for the subcommand
+        except (ParseError, SystemExit) as exc:
+            got = type(exc), str(exc)
+        return got, capsys.readouterr()
+
+    for argv in [*EDGE_ARGV, ["--", *_J]]:
+        assert outcome(_parse, argv) == outcome(build_parser().parse_args, argv), argv
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["jordanquiver", *_J])
+    assert main() == EXIT_OK
+    assert capsys.readouterr() == ("2\n", "")
 
 
 # ------------------------------------------------------------------- formats

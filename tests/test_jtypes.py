@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import time
 from collections import Counter
 
@@ -364,9 +365,22 @@ def test_json_reader_refuses_fields_it_does_not_read():
         JordanType.from_json_dict(data, "seed")
 
 
-@pytest.mark.parametrize("p", [2, 3, 2**70])
+@pytest.mark.parametrize("p", [2, 3, sys.maxsize])
 def test_require_modulus_takes_every_int_from_two(p):
+    # up to sys.maxsize, the longest list of p multiplicities
     assert require_modulus(p) is None
+
+
+@pytest.mark.parametrize("p", [sys.maxsize + 1, 2**70])
+def test_require_modulus_refuses_p_past_maxsize(p):
+    with pytest.raises(ValidationError) as info:
+        require_modulus(p)
+    assert str(info.value) == f"p must be at most sys.maxsize = {sys.maxsize}, got {p}"
+    # the constructors check p before they build a list of length p
+    for build in (JordanType.zero, lambda p: JordanType.block(p, 1),
+                  lambda p: JordanType.from_string(p, "[1]")):
+        with pytest.raises(ValidationError, match="at most sys.maxsize"):
+            build(p)
 
 
 @pytest.mark.parametrize("p", [1, 0, -5, True, 5.0, "5", None])
