@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     ParseError, ValidationError, int_tuple, json_array, json_field, json_object, require_ints,
@@ -139,27 +139,6 @@ def tube_profile_from_seed(
     t = apply_a(n + [0])
     slopes = [seed.mult[i] - t[i] for i in range(p)]
     return TubeProfile(p, tuple(slopes), tuple(t), include_p=include_p)
-
-
-def central_profile(j: int, m: int, n: int, p: int) -> TubeProfile:
-    """Profile of a tube seeded by a central probe (stable rows only).
-
-    When the probe generates a central subalgebra the seed is m[j] and
-    its multiplicity vector is n at j and 0 elsewhere, so the seed formula
-    concentrates the propagation on the indices j-1, j, j+1:
-    alpha_j = (m - 2n) ql + 2n and alpha_{j +- 1} = n (ql - 1), with
-    m >= 2n forced by nonnegativity.  The i = p row is omitted.
-    """
-    require_ints(j=j, m=m, n=n, p=p)
-    if p < 2:
-        raise ValidationError(f"p must be >= 2, got {p}")
-    if not 1 <= j <= p - 1:
-        raise ValidationError(f"index j={j} out of range 1..{p - 1}")
-    if n < 1:
-        raise ValidationError(f"multiplicity n={n} must be >= 1")
-    if m < 2 * n:
-        raise ValidationError(f"seed multiplicity m={m} violates m >= 2n = {2 * n}")
-    return tube_profile_from_seed(JordanType.block(p, j, m), [n * (i == j) for i in range(1, p)])
 
 
 @dataclass(frozen=True)
@@ -297,30 +276,6 @@ def seed_to_split_profile(seed: JordanType, f_seed: int) -> SplitProfile:
     return SplitProfile(seed.p, d)
 
 
-def jordan_type_count(profiles: Iterable[SplitProfile]) -> int:
-    """Number of distinct Jordan types on a component: |{d-vectors}|.
-
-    All profiles must live over the same p and tree class.
-    """
-    profiles = list(profiles)
-    if len({(prof.p, prof.tree_class) for prof in profiles}) > 1:
-        raise ValidationError("profiles must share p and tree class")
-    return len({prof.d for prof in profiles})
-
-
-def support_indices(profile: "SplitProfile | JordanType") -> frozenset[int]:
-    """Indices of the nonzero block multiplicities.
-
-    For a SplitProfile this is the component invariant
-    {i in 1..p-1 : d_i != 0} (the stable support, shared by every vertex).
-    For a concrete JordanType all occupied block sizes are reported, so an
-    all-projective type yields {p} while its stable support is empty.
-    """
-    if isinstance(profile, SplitProfile):
-        return frozenset(i + 1 for i, x in enumerate(profile.d) if x)
-    return frozenset(i + 1 for i, x in enumerate(profile.mult) if x)
-
-
 def dominance_on_component(pa: SplitProfile, pb: SplitProfile) -> DominanceResult:
     """Vertex-independent dominance comparison of two probe profiles.
 
@@ -340,50 +295,6 @@ def dominance_on_component(pa: SplitProfile, pb: SplitProfile) -> DominanceResul
         return [p * k - (p - j) * prof.d_stable for j, k in zip(range(p, 0, -1), key)]
 
     return pointwise_compare(cleared(pa), cleared(pb))
-
-
-# ----------------------------------------------------------- obstruction
-
-
-class ObstructionStatus:
-    NOT_RELATIVELY_PROJECTIVE = "NotRelativelyProjective"
-    INCONCLUSIVE = "Inconclusive"
-
-
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    status: str
-    reason: str
-
-
-def obstruction_check(seed: JordanType, trigonalizable: bool) -> ObstructionVerdict:
-    """Small stable multiplicities obstruct relative projectivity.
-
-    Over a trigonalizable group scheme of infinite representation type, a
-    seed with every stable multiplicity <= 1 cannot be relatively
-    projective: propagation would force alpha_j(X) = (alpha_j - 2) ql + 2
-    negative for large ql.  Without trigonalizability the test says
-    nothing; e.g. Verma modules over restricted sl(2) have all stable
-    multiplicities <= 1 at the relevant probes yet are relatively
-    projective.
-    """
-    small = all(seed.multiplicity(i) <= 1 for i in range(1, seed.p))
-    if small and trigonalizable:
-        return ObstructionVerdict(
-            ObstructionStatus.NOT_RELATIVELY_PROJECTIVE,
-            "all stable multiplicities <= 1 under the trigonalizable hypothesis",
-        )
-    if small:
-        return ObstructionVerdict(
-            ObstructionStatus.INCONCLUSIVE,
-            "all stable multiplicities <= 1, but without trigonalizability this "
-            "does not obstruct relative projectivity (restricted sl(2) Verma "
-            "modules are the standard counterexample)",
-        )
-    return ObstructionVerdict(
-        ObstructionStatus.INCONCLUSIVE,
-        "some stable multiplicity exceeds 1; the obstruction does not apply",
-    )
 
 
 # -------------------------------------------------------------------- JSON

@@ -287,6 +287,7 @@ def heisenberg_model(p: int) -> NilpotentModel:
     require_ints(p=p)
     if p < 3:
         raise ValidationError(f"heisenberg model needs p >= 3, got {p}")
+    require_modulus(p)  # before the p^2 entries are built
     idx = lambda n, m: n * p + m
     entries = [(idx(n - 1, m + 1), idx(n, m), n) for n in range(1, p) for m in range(p - 1)]
     return NilpotentModel(p, p * p, entries)
@@ -326,6 +327,7 @@ def sl2s_models(p: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
     require_ints(p=p, i=i)
     if p < 3:
         raise ValidationError(f"sl(2) models need p >= 3, got {p}")
+    require_modulus(p)  # before the 2(p - 1) entries are built
     if not 1 <= i <= p - 1:
         raise ValidationError(f"highest-weight parameter i={i} out of range 1..{p - 1}")
     return _sl2_chain(p, p, i)

@@ -255,12 +255,15 @@ _PRIME_PAST_MAXSIZE = 2**64 - 59
     # a prime p passes require_prime, and is refused before a list of length p + 1
     (["oracle", "rank2", "--p", str(_PRIME_PAST_MAXSIZE)], _PRIME_PAST_MAXSIZE),
     (["oracle", "ga2", "--p", str(_PRIME_PAST_MAXSIZE)], _PRIME_PAST_MAXSIZE),
+    # and before a named model builds its p^2 or 2(p - 1) entries
+    (["oracle", "heisenberg", "--p", str(_PRIME_PAST_MAXSIZE)], _PRIME_PAST_MAXSIZE),
+    (["oracle", "sl2s", "--p", str(_PRIME_PAST_MAXSIZE)], _PRIME_PAST_MAXSIZE),
     (["oracle", "json", "--module", '{"p":%d,"dim":1,"entries":[]}' % _PRIME_PAST_MAXSIZE],
      _PRIME_PAST_MAXSIZE),
     (["classify", "--descriptor", '{"p":%d,"degree":2}' % _PRIME_PAST_MAXSIZE],
      _PRIME_PAST_MAXSIZE),
 ], ids=["jt-dim", "jt-restrict", "oracle-sweep", "maxsize+1", "oracle-rank2", "oracle-ga2",
-        "oracle-json", "classify"])
+        "oracle-heisenberg", "oracle-sl2s", "oracle-json", "classify"])
 def test_a_p_past_maxsize_is_refused_with_a_message(capsys, argv, p):
     # [0] * p raised OverflowError, a traceback with exit 1
     assert run(capsys, *argv) == (

@@ -11,19 +11,14 @@ from hypothesis import strategies as st
 from cartan_reference import build_cartan_pair
 from jordanquiver.components import (
     NegativeMultiplicityError,
-    ObstructionStatus,
     SplitProfile,
     TubeProfile,
-    central_profile,
     dominance_on_component,
-    jordan_type_count,
-    obstruction_check,
     profile_from_json,
     profile_rows,
     seed_to_split_profile,
     solve_multiplicities,
     split_propagate,
-    support_indices,
     tube_profile_from_seed,
 )
 from jordanquiver.errors import ParseError, ValidationError
@@ -173,20 +168,18 @@ def test_profiles_reject_non_int_entries(build, bad):
          "total_dim must be an int, got True"),
         (lambda: seed_to_split_profile(JordanType(3, (2, 0, 0)), True),
          "f_seed must be an int, got True"),
-        (lambda: central_profile(2, 9.5, 1, 5), "m must be an int, got 9.5"),
-        (lambda: central_profile(True, 9, 1, 5), "j must be an int, got True"),
-        (lambda: central_profile(2, 9, "1", 5), "n must be an int, got '1'"),
-        (lambda: central_profile(2, 9, 1, 5.0), "p must be an int, got 5.0"),
     ],
 )
 def test_profile_evaluators_check_int_arguments_first(call, bad):
     # a bool was taken as 0 or 1, and a float failed naming a field of the
-    # result (mult[0], slopes[1]) or raised a bare TypeError
+    # result (mult[0]) or raised a bare TypeError
     with pytest.raises(ValidationError, match=f"^{re.escape(bad)}$"):
         call()
 
 
 # --------------------------------------------------------------- tube central
+# A central probe seeds the tube with m[j] and the multiplicity vector n at j,
+# 0 elsewhere: tube_profile_from_seed(JordanType.block(p, j, m), [n at j]).
 
 
 def test_tube_central_prime_power_seed():
@@ -194,15 +187,16 @@ def test_tube_central_prime_power_seed():
     # alpha_j = (p^r - 2) ql + 2, alpha_{j+-1} = ql - 1
     p, r, j = 5, 2, 3
     m = p**r
+    prof = tube_profile_from_seed(JordanType.block(p, j, m), [int(i == j) for i in range(1, p)])
     for ql in (1, 2, 4):
-        jt = central_profile(j, m, 1, p).jordan_type_at(ql)
+        jt = prof.jordan_type_at(ql)
         assert jt.multiplicity(j) == (m - 2) * ql + 2
         assert jt.multiplicity(j - 1) == ql - 1
         assert jt.multiplicity(j + 1) == ql - 1
         assert all(jt.multiplicity(i) == 0 for i in (1, p))
 
 
-def test_central_profile_is_the_seed_formula_written_out():
+def test_central_seed_formula_written_out():
     # alpha_j = (m - 2n) ql + 2n and alpha_{j +- 1} = n (ql - 1) below i = p
     for p in range(2, 12):
         for j, n in itertools.product(range(1, p), range(1, 4)):
@@ -212,16 +206,19 @@ def test_central_profile_is_the_seed_formula_written_out():
                 for i in (j - 1, j + 1):
                     if 1 <= i <= p - 1:
                         slopes[i - 1], intercepts[i - 1] = n, -n
-                assert central_profile(j, m, n, p) == TubeProfile(p, slopes, intercepts)
+                prof = tube_profile_from_seed(JordanType.block(p, j, m),
+                                              [n * (i == j) for i in range(1, p)])
+                assert prof == TubeProfile(p, slopes, intercepts)
 
 
 def test_tube_central_ql_one_and_zero_slope():
-    assert central_profile(2, 9, 1, 5).jordan_type_at(1) == JordanType.from_counts(5, {2: 9})
+    prof = tube_profile_from_seed(JordanType.block(5, 2, 9), [0, 1, 0, 0])
+    assert prof.jordan_type_at(1) == JordanType.from_counts(5, {2: 9})
+    prof = tube_profile_from_seed(JordanType.block(5, 2, 6), [0, 3, 0, 0])
     for ql in (1, 3, 7):
-        jt = central_profile(2, 6, 3, 5).jordan_type_at(ql)
-        assert jt.multiplicity(2) == 6
-    with pytest.raises(ValidationError):
-        central_profile(2, 5, 3, 5).jordan_type_at(1)  # m < 2n
+        assert prof.jordan_type_at(ql).multiplicity(2) == 6
+    with pytest.raises(NegativeMultiplicityError):
+        tube_profile_from_seed(JordanType.block(5, 2, 5), [0, 3, 0, 0])  # m < 2n
 
 
 def test_tube_central_stable_kernel_dim_is_multiple_of_p():
@@ -230,12 +227,12 @@ def test_tube_central_stable_kernel_dim_is_multiple_of_p():
     for j, m, n in [(1, 10, 2), (2, 10, 1), (4, 5, 2), (3, 15, 4)]:
         if j * m % p:
             continue
+        prof = tube_profile_from_seed(JordanType.block(p, j, m), [n * (i == j) for i in range(1, p)])
         for ql in range(1, 8):
-            jt = central_profile(j, m, n, p).jordan_type_at(ql)
-            assert jt.psi(p - 1) % p == 0
+            assert prof.jordan_type_at(ql).psi(p - 1) % p == 0
     # bounded case: if the stable dimension agrees at ql = 1 and 2 it is constant
     for j, m, n in [(1, 4, 2), (2, 8, 4), (4, 6, 3)]:
-        prof = central_profile(j, m, n, 5)
+        prof = tube_profile_from_seed(JordanType.block(5, j, m), [n * (i == j) for i in range(1, 5)])
         psi1 = prof.jordan_type_at(1).psi(4)
         psi2 = prof.jordan_type_at(2).psi(4)
         if psi1 == psi2 == 5:
@@ -435,28 +432,6 @@ def test_seed_and_propagate_round_trip():
         assert seed_to_split_profile(split_propagate(prof, f), f).d == prof.d
 
 
-def test_jordan_type_count():
-    p = 5
-    profiles = [
-        SplitProfile(p, [1, 0, 0, 1]),
-        SplitProfile(p, [1, 0, 0, 1]),
-        SplitProfile(p, [0, 0, 0, 0]),
-        SplitProfile(p, [2, 0, 0, 2]),
-    ]
-    assert jordan_type_count(profiles) == 3
-    assert jordan_type_count(profiles[:1]) == 1
-    with pytest.raises(ValidationError):
-        jordan_type_count([profiles[0], SplitProfile(7, [0] * 6)])
-
-
-def test_support_indices():
-    p = 5
-    assert support_indices(SplitProfile(p, [1, 0, 0, 1])) == {1, p - 1}
-    assert support_indices(SplitProfile(p, [0, 0, 0, 0])) == frozenset()
-    # a concrete all-projective type reports only the projective index
-    assert support_indices(JordanType.block(p, p, 3)) == {p}
-
-
 # ----------------------------------------------------------------- dominance
 
 
@@ -532,21 +507,6 @@ def test_top_multiplicity():
     jt = JordanType.from_string(p, "2[2]")
     model = power_model(model_from_type(jt), 1)
     assert jt.ker_dim(1) == 4 - rank_mod_p(dense(model), p) == 2
-
-
-# ---------------------------------------------------------------- obstruction
-
-
-def test_obstruction_check():
-    p = 7
-    hook = JordanType.from_counts(p, {1: 1, p - 1: 1})
-    verdict = obstruction_check(hook, trigonalizable=True)
-    assert verdict.status == ObstructionStatus.NOT_RELATIVELY_PROJECTIVE
-    wide = JordanType.from_counts(p, {1: 2})
-    assert obstruction_check(wide, True).status == ObstructionStatus.INCONCLUSIVE
-    soft = obstruction_check(JordanType.from_counts(p, {2: 1, 5: 1}), False)
-    assert soft.status == ObstructionStatus.INCONCLUSIVE
-    assert "sl(2)" in soft.reason
 
 
 # ----------------------------------------------------------------------- JSON

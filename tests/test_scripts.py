@@ -1,6 +1,7 @@
 """Smoke test: the scripts in scripts/, ``python -m jordanquiver`` and the
 README's CLI examples run end to end against src/."""
 
+import ast
 import os
 import re
 import resource
@@ -197,3 +198,46 @@ def test_the_digit_limit_is_read_when_the_command_runs():
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr == ("parse error: a number at position 0 has more than 640 digits, "
                              "the limit for reading an integer\n")
+
+
+# Public names that only tests call, each kept for a reason
+_TEST_ONLY_KEPT = {
+    "benson_constraint",  # ROADMAP item 2: a Carlson-module oracle will give it a computed route
+    "endo_trivial",  # ROADMAP item 8: tensor products of Jordan types will compute it
+    "sl2_family_types",  # ROADMAP item 11: a u(sl(2)) module oracle will check it
+    "dominance_on_component",  # ROADMAP item 12: the paper's vertex-independent dominance
+    "seed_to_split_profile",  # ROADMAP item 12: kept until a route reads it
+    "model_from_type",  # the oracle's reference model of a given Jordan type
+    "power_model",  # the oracle's reference model of an operator's power
+    "sl2_simple_models",  # the oracle's reference models of the simple sl(2) modules
+}
+
+
+def name_of(node):
+    """The name an AST node reads, imports or takes as an attribute, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # a public function or class of the package that only tests name is
+    # surface kept for the tests alone: delete it, or keep it with a reason
+    package = ROOT / "src" / "jordanquiver"
+    defined, named = set(), set()
+    for path in [*package.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        for stmt in ast.parse(path.read_text()).body:
+            own = None
+            if (path.parent == package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                own = stmt.name
+                defined.add(own)
+            # a definition that names only itself has no caller
+            named.update(name for name in map(name_of, ast.walk(stmt)) if name != own)
+    assert "JordanType" in defined
+    assert sorted(defined - named - _TEST_ONLY_KEPT) == []
