@@ -2,13 +2,24 @@
 
 The Jordan type of a concrete operator N with N^p = 0 is recovered from
 its rank sequence r_m = rank(N^m) via a_i = r_{i-1} - 2 r_i + r_{i+1}.
-r_m is the dimension of the image chain im N ⊇ im N^2 ⊇ ...: a sparse
+r_m is the dimension of the image chain im N ⊇ im N^2 ⊇ ...: an
 echelon basis of each term, mapped through N, spans the next, and no
 power N^m is ever formed.  The arithmetic is exact mod p, so every
 answer here is independent of the closed-form routines in the other
 modules and can be used to cross-check them.  A model stores N once,
 as its nonzero columns, so building one costs what its nonzero entries
 cost; powers and conjugates are composed on that store as well.
+
+Each step of the chain runs on one of two kernels, picked from what the
+step can observe of its own operator A on F_p^n: a dict kit of sparse
+vectors, or a packed kit that holds each vector in one int, one
+fixed-width unsigned slot per coordinate, and does row operations as
+big-integer multiply-adds.  A step is packed when A is dense (more than
+0.3 n^2 nonzero entries) and the slot bound (p-1) + n (p-1)^2 fits an
+array item of at most 64 bits; any other step, and so every step of the
+monomial named models, runs on dicts.  Both kernels compute the same
+ranks, and ``--fuzz`` on a named model checks the packed kernel against
+the dict kit at run time whenever conjugation fills a step past 0.3.
 
 Models serialize as JSON ``{"p": 5, "dim": 25, "entries": [[r, c, v], ...]}``
 with sparse triplets.
@@ -17,7 +28,10 @@ with sparse triplets.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Mapping
+import sys
+from array import array
+from itertools import compress
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ParseError, ValidationError, int_tuple, json_field, json_object, json_value, require_ints,
@@ -25,6 +39,9 @@ from .errors import (
 from .jtypes import JordanType, require_modulus, require_prime
 
 Column = tuple[tuple[int, int], ...]
+# an operator on a term of the image chain: its nonzero columns, each
+# as the (row, value) pairs of its nonzero entries
+Operator = Mapping[int, Sequence[tuple[int, int]]]
 
 
 # ------------------------------------------------------------ sparse F_p kit
@@ -80,32 +97,158 @@ def _apply(cols: Mapping[int, Iterable[tuple[int, int]]], vec: Iterable[tuple[in
     return [(r, y % p) for r, y in out.items() if y % p]
 
 
+def _dict_step(cols: Operator, p: int) -> tuple[int, Operator]:
+    """rank A, and A restricted to im A, for A over F_p given by its nonzero columns.
+
+    The restriction is in the coordinates of the reduced echelon basis
+    of im A: a vector w of the span is the sum of w[q] * b_q over the
+    pivots q, so its coordinates are its pivot entries, and column i of
+    the result is A b_i read at the pivots.
+    """
+    basis = _reduced_echelon((dict(col) for col in cols.values()), p)
+    coord = {q: i for i, q in enumerate(basis)}
+    at_pivots = {c: [(coord[r], v) for r, v in col if r in coord] for c, col in cols.items()}
+    restricted = {}
+    for i, vec in enumerate(basis.values()):
+        col = _apply(at_pivots, vec.items(), p)
+        if col:
+            restricted[i] = col
+    return len(basis), restricted
+
+
+# ------------------------------------------------------------ packed F_p kit
+
+# Fill (nonzero entries against n^2) above which a chain step on n
+# coordinates runs on packed vectors.  One step costs the same on both
+# kits near fill 0.3 at n = 29; at n = 60 the packed kit already wins
+# from about 0.15, so 0.3 errs toward dicts.  It stays above 1/4: a
+# monomial nilpotent operator, such as every named model and each of
+# its restrictions, has at most n - 1 entries, a fill of at most 1/4.
+_DENSE_FILL = 0.3
+
+
+def _slot_type(n: int, p: int) -> str | None:
+    """The narrowest unsigned array type whose items hold (p-1) + n (p-1)^2, if any.
+
+    A packed vector over F_p keeps each coordinate in one slot of that
+    width, reduced mod p only when the vector becomes a pivot or a
+    column of the next operator.  In between, a slot starts at most at
+    p - 1 and gains at most (p - 1)^2 from each of at most n
+    multiply-adds, so the bound holds it.
+    """
+    bound = (p - 1) + n * (p - 1) ** 2
+    return next((code for code in "BHIQ" if bound < 1 << 8 * array(code).itemsize), None)
+
+
+def _packed_step(cols: Operator, n: int, p: int, code: str) -> tuple[int, Operator]:
+    """``_dict_step`` for an operator on F_p^n, on vectors packed into ints.
+
+    Coordinate j of a vector is slot j of an int: bits [j w, (j + 1) w),
+    w the item width of the array type ``code`` (see ``_slot_type``).
+    ``array`` and ``memoryview`` convert a vector to and from its slots
+    in native byte order, so the ints are read and written in
+    ``sys.byteorder``.  The lowest nonzero slot of v is found from the
+    lowest set bit, ``v & -v``; a row operation is one multiply-add of
+    ints, and a slot whose value is 0 mod p is cleared as it is met.
+    The basis and the restricted operator come out as in ``_dict_step``,
+    with the pivots in increasing order.
+    """
+    size = array(code).itemsize
+    w, nbytes, mask = 8 * size, n * size, (1 << 8 * size) - 1
+
+    def pack(slots) -> int:
+        return int.from_bytes(array(code, slots).tobytes(), sys.byteorder)
+
+    def unpack(v: int) -> list[int]:
+        return memoryview(v.to_bytes(nbytes, sys.byteorder)).cast(code).tolist()
+
+    packed = {}
+    for c, col in cols.items():
+        slots = array(code, bytes(nbytes))
+        for r, v in col:
+            slots[r] = v
+        packed[c] = pack(slots)
+    # forward elimination; a pivot row is kept without its lead 1, as
+    # an int and as its list of slots
+    rows: dict[int, tuple[int, list[int]]] = {}
+    for v in packed.values():
+        while v:
+            lead = ((v & -v).bit_length() - 1) // w
+            x = v >> lead * w & mask
+            v ^= x << lead * w
+            f = -x % p
+            if f:
+                row = rows.get(lead)
+                if row is None:
+                    inv = pow(x, -1, p)
+                    slots = [y * inv % p for y in unpack(v)]
+                    rows[lead] = pack(slots), slots
+                    break
+                v += f * row[0]
+    # back substitution, from the last pivot: a row already reduced is
+    # 0 at every other pivot, so the pivot slots of the row being
+    # reduced keep the values read before
+    reduced: dict[int, tuple[int, list[int]]] = {}
+    for lead in sorted(rows, reverse=True):
+        v, slots = rows[lead]
+        for q, (qrow, _) in reduced.items():
+            x = slots[q]
+            if x:
+                v += (p - x) * qrow - (x << q * w)
+        slots = [y % p for y in unpack(v)]
+        reduced[lead] = pack(slots), slots
+    # column i of the restriction: A b_i = A e_lead + sum_j b_i[j] A e_j,
+    # read at the pivots
+    pivots = sorted(reduced)
+    at_pivot = [j in reduced for j in range(n)]
+    restricted = {}
+    for i, lead in enumerate(pivots):
+        slots = reduced[lead][1]
+        v = packed.get(lead, 0)
+        for j in compress(range(n), slots):
+            v += slots[j] * packed.get(j, 0)
+        col = [y % p for y in compress(unpack(v), at_pivot)]
+        if any(col):
+            restricted[i] = list(zip(compress(range(len(pivots)), col), filter(None, col)))
+    return len(pivots), restricted
+
+
+# ------------------------------------------------------------------ chain
+
+
+def _chain_step(cols: Operator, n: int, p: int) -> tuple[int, Operator]:
+    """rank A and A restricted to im A, for A on F_p^n given by its nonzero columns.
+
+    Packed when A is dense (see ``_DENSE_FILL``) and ``_slot_type``
+    finds a slot width, on dicts otherwise.  The fill is counted against
+    this step's n, so a sparse operator on a huge space never allocates
+    n slots.
+    """
+    code = _slot_type(n, p) if sum(map(len, cols.values())) > _DENSE_FILL * n * n else None
+    return _packed_step(cols, n, p, code) if code else _dict_step(cols, p)
+
+
 def _image_chain_ranks(dim: int, columns: Iterable[tuple[int, Column]], p: int) -> list[int]:
     """(rank N^0, ..., rank N^p) for a dim x dim N over F_p, given by its nonzero columns.
 
     rank N^m is the dimension of im N^m, and im N^(m+1) = N(im N^m): a
     basis of im N^m mapped through N spans the next term of the chain.
     Each step keeps the operator restricted to the current term, in the
-    coordinates of its reduced echelon basis: a vector w of the span is
-    the sum of w[q] * b_q over the pivots q, so its coordinates are its
-    pivot entries, and the operator shrinks with the chain.  The chain
+    coordinates of its reduced echelon basis, so the operator shrinks
+    with the chain.  ``_chain_step`` runs one step on one of two
+    kernels: packed ints when the step's operator fills more than
+    ``_DENSE_FILL`` of its n^2 entries and the slot bound
+    (p-1) + n (p-1)^2 fits 64 bits, dicts otherwise.  The chain
     decreases; once it is zero or stops shrinking it is constant, and
     the remaining ranks repeat the last one.
     """
     cols = dict(columns)
     ranks = [dim]
     while True:
-        basis = _reduced_echelon((dict(col) for col in cols.values()), p)
-        ranks.append(len(basis))
-        if len(ranks) > p or not basis or ranks[-1] == ranks[-2]:
+        rank, cols = _chain_step(cols, ranks[-1], p)
+        ranks.append(rank)
+        if len(ranks) > p or not rank or ranks[-1] == ranks[-2]:
             return ranks + [ranks[-1]] * (p + 1 - len(ranks))
-        coord = {q: i for i, q in enumerate(basis)}
-        at_pivots = {c: [(coord[r], v) for r, v in col if r in coord] for c, col in cols.items()}
-        cols = {}
-        for i, vec in enumerate(basis.values()):
-            col = _apply(at_pivots, vec.items(), p)
-            if col:
-                cols[i] = col
 
 
 # -------------------------------------------------------------------- model
@@ -197,9 +340,7 @@ def jordan_type_of(model: NilpotentModel) -> JordanType:
     """Extract the Jordan type from the rank sequence of the model."""
     r = list(model.rank_sequence) + [0]
     mult = [r[i - 1] - 2 * r[i] + r[i + 1] for i in range(1, model.p + 1)]
-    jt = JordanType(model.p, tuple(mult))
-    assert jt.dimension() == model.dim
-    return jt
+    return JordanType(model.p, tuple(mult))
 
 
 def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentModel:

@@ -1,6 +1,10 @@
+import inspect
 import json
 import random
 import time
+import tracemalloc
+from array import array
+from collections import Counter
 from math import isqrt
 
 import pytest
@@ -15,6 +19,7 @@ from dense_reference import (
     random_invertible,
     rank_mod_p,
 )
+from jordanquiver import oracle
 from jordanquiver.errors import ParseError, ValidationError
 from jordanquiver.jtypes import JordanType, pi_point_sweep, require_prime, restrict, restrict_type
 from jordanquiver.oracle import (
@@ -59,6 +64,9 @@ def dense_rank_sequence(p, rows):
     ranks = []
     for _ in range(p + 1):
         ranks.append(rank_mod_p(power, p) if dim else 0)
+        if not any(map(any, power)):
+            # every later power is zero too
+            return tuple(ranks + [0] * (p + 1 - len(ranks)))
         power = mat_mul_mod_p(power, rows, p)
     return tuple(ranks)
 
@@ -183,7 +191,7 @@ def test_restrict_equals_power_oracle(p):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from([3, 5, 7]), st.data())
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.data())
 def test_jordan_type_invariant_under_conjugation(p, data):
     mult = data.draw(st.lists(st.integers(0, 2), min_size=p, max_size=p))
     jt = JordanType(p, tuple(mult))
@@ -192,6 +200,43 @@ def test_jordan_type_invariant_under_conjugation(p, data):
         return
     rng = random.Random(data.draw(st.integers(0, 10**6)))
     assert jordan_type_of(random_conjugate(model, rng)) == jt
+
+
+def random_blocks(rng, top, dim):
+    """Random block sizes of at most top, summing to dim."""
+    sizes = []
+    while dim:
+        sizes.append(rng.randint(1, min(top, dim)))
+        dim -= sizes[-1]
+    return sizes
+
+
+def shift_rows(sizes):
+    """The block-diagonal shift with Jordan blocks of the given sizes, as rows."""
+    dim = sum(sizes)
+    rows = [[0] * dim for _ in range(dim)]
+    offset = 0
+    for size in sizes:
+        for r in range(offset + 1, offset + size):
+            rows[r][r - 1] = 1
+        offset += size
+    return rows
+
+
+def dense_conjugate(rows, p, rng):
+    """g N g^-1 for a dense random invertible g over F_p, as rows."""
+    g = random_invertible(len(rows), p, rng)
+    return mat_mul_mod_p(mat_mul_mod_p(g, rows, p), invert_mod_p(g, p), p)
+
+
+@pytest.mark.parametrize("p", [17, 23, 31])
+def test_dense_conjugates_at_larger_primes(p):
+    # one [p] block, so the chain runs to N^p, and dim <= 2p
+    rng = random.Random(p)
+    for _ in range(3):
+        sizes = [p, *random_blocks(rng, p, rng.randint(1, p))]
+        conj = from_dense(p, dense_conjugate(shift_rows(sizes), p, rng))
+        assert jordan_type_of(conj) == JordanType.from_counts(p, Counter(sizes))
 
 
 def test_random_conjugate_moves_the_entries():
@@ -221,6 +266,233 @@ def test_power_model_matches_dense_powers():
         for j in range(1, p + 2):
             assert dense(power_model(model, j)) == power, (p, rows, j)
             power = mat_mul_mod_p(power, rows, p)
+
+
+# ------------------------------------------------------------- chain kernels
+
+
+def kernel_log(monkeypatch):
+    """Wrap both chain kernels; the list names the kernel of each step on a nonzero operator."""
+    log = []
+    for name in ("_dict_step", "_packed_step"):
+        def logged(cols, *args, kernel=getattr(oracle, name), name=name):
+            if cols:
+                log.append(name)
+            return kernel(cols, *args)
+        monkeypatch.setattr(oracle, name, logged)
+    return log
+
+
+def refuse(monkeypatch, name):
+    """Make the chain kernel ``name`` raise on any nonzero operator."""
+    def refused(cols, *args, kernel=getattr(oracle, name)):
+        if cols:
+            raise AssertionError(f"{name} ran")
+        return kernel(cols, *args)
+    monkeypatch.setattr(oracle, name, refused)
+
+
+def chain_ranks(rows, p):
+    """The ranks of the image chain of a matrix, one ``_chain_step`` at a time, up to
+    where the chain stops: no padding to p + 1 terms, so p may be past what a
+    ``NilpotentModel`` can hold."""
+    n = len(rows)
+    cols = {c: [(r, rows[r][c] % p) for r in range(n) if rows[r][c] % p] for c in range(n)}
+    cols = {c: col for c, col in cols.items() if col}
+    ranks = [n]
+    while ranks[-1] and len(ranks) <= p:
+        rank, cols = oracle._chain_step(cols, ranks[-1], p)
+        ranks.append(rank)
+        if rank == ranks[-2]:
+            break
+    return ranks
+
+
+def fill(rows):
+    return sum(map(bool, (x for row in rows for x in row))) / len(rows) ** 2
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_packed_kernel_matches_dense_reference(p, monkeypatch):
+    rng = random.Random(p)
+    log = kernel_log(monkeypatch)
+    nilpotent = 0
+    for trial in range(8):
+        kind = trial % 4
+        if kind == 0:  # dense and nilpotent: a dense conjugate of a random type
+            rows = dense_conjugate(shift_rows(random_blocks(rng, p, rng.randint(10, 40))), p, rng)
+        elif kind == 1:  # half dense: strictly lower triangular, relabelled; nilpotent iff N^p = 0
+            dim = rng.randint(10, 40 if p > 7 else 16)
+            perm = rng.sample(range(dim), dim)
+            rows = [[rng.randrange(p) if perm[c] < perm[r] else 0 for c in range(dim)]
+                    for r in range(dim)]
+        elif kind == 2:  # dense, every entry drawn
+            dim = rng.randint(10, 16)
+            rows = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
+        else:  # half dense, each entry nonzero with probability about 1/2
+            dim = rng.randint(10, 16)
+            rows = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(dim)]
+                    for _ in range(dim)]
+        expected = dense_rank_sequence(p, rows)
+        log.clear()
+        if expected[p] == 0:
+            nilpotent += 1
+            assert from_dense(p, rows).rank_sequence == expected, (p, rows)
+        else:
+            message = f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {expected[p]})"
+            with pytest.raises(ValidationError) as info:
+                from_dense(p, rows)
+            assert str(info.value) == message, (p, rows)
+        assert log[0] == "_packed_step", (p, kind, fill(rows))
+    assert 2 <= nilpotent <= 6
+
+
+def block_ranks(sizes, top):
+    """rank N^m = sum of max(size - m, 0) over the Jordan blocks of N, for m = 0..top."""
+    return [sum(max(size - m, 0) for size in sizes) for m in range(top + 1)]
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_kernels_agree_along_a_fill_sweep(p, monkeypatch):
+    # from a monomial model (fill under 1/4, all dicts) through repeated
+    # conjugation up to a full matrix, each kernel run on every step
+    rng = random.Random(p)
+    sizes = [p, *random_blocks(rng, p, min(p, 12))]
+    jt = JordanType.from_counts(p, Counter(sizes))
+    model = model_from_type(jt)
+    fills = []
+    while not fills or fills[-1] < 0.8:
+        assert len(fills) < 12
+        fills.append(sum(len(col) for _, col in model.columns) / model.dim ** 2)
+        for rule in (float("inf"), -1.0):
+            monkeypatch.setattr(oracle, "_DENSE_FILL", rule)
+            assert oracle._image_chain_ranks(model.dim, model.columns, p) == block_ranks(sizes, p)
+        monkeypatch.undo()
+        assert jordan_type_of(model) == jt
+        model = random_conjugate(model, rng)
+    assert fills[0] < oracle._DENSE_FILL < fills[-1]
+
+
+def _slot_codes():
+    # one array type per item size, as _slot_type tries them
+    widths = {}
+    for code in "BHIQ":
+        widths.setdefault(array(code).itemsize, code)
+    return list(widths.values())
+
+
+def _next_prime(n):
+    while True:
+        try:
+            require_prime(n)
+            return n
+        except ValidationError:
+            n += 1
+
+
+@pytest.mark.parametrize("code", _slot_codes())
+def test_packed_kernel_at_the_largest_n_of_each_slot_width(code, monkeypatch):
+    # p with about 40 coordinates to the width, and the largest n whose
+    # slot bound (p-1) + n (p-1)^2 the width holds
+    w = 8 * array(code).itemsize
+    p = _next_prime(max(3, isqrt(2**w // 40)))
+    n = (2**w - 1 - (p - 1)) // (p - 1) ** 2
+    assert (p - 1) + n * (p - 1) ** 2 < 2**w <= (p - 1) + (n + 1) * (p - 1) ** 2
+    assert oracle._slot_type(n, p) == code
+    assert oracle._slot_type(n + 1, p) != code
+    # at p = 2 the bound is 1 + n, so the start value p - 1 counts too
+    assert oracle._slot_type(2**w - 2, 2) == code != oracle._slot_type(2**w - 1, 2)
+    log = kernel_log(monkeypatch)
+    # every entry p - 1: N = (p-1) J with J^2 = n J, so the chain stops at N^2
+    rows = [[p - 1] * n for _ in range(n)]
+    square = mat_mul_mod_p(rows, rows, p)
+    assert chain_ranks(rows, p) == [n, rank_mod_p(rows, p), rank_mod_p(square, p)]
+    assert log[0] == "_packed_step"
+    # and a dense conjugate of a nilpotent shift, where elimination runs in earnest
+    rng = random.Random(w)
+    sizes = random_blocks(rng, min(p, n), n)
+    log.clear()
+    expected = block_ranks(sizes, max(sizes))
+    assert chain_ranks(dense_conjugate(shift_rows(sizes), p, rng), p) == expected
+    assert log[0] == "_packed_step"
+
+
+def test_a_slot_summing_to_its_top_bit_is_read_whole(monkeypatch):
+    # at p = 2 the pivot rows e_j + e_200 (j < 128) eliminate the sum of
+    # their leads one by one, each adding 1 at 200: the 8-bit slot 200
+    # reaches 128 = 0 mod 2, whose lowest set bit is the slot's top bit
+    p, n = 2, 254
+    columns = [(j, ((j, 1), (200, 1))) for j in range(128)]
+    columns.append((128, tuple((j, 1) for j in range(128))))
+    assert oracle._slot_type(n, p) == "B"
+    ranks = []
+    for rule in (float("inf"), -1.0):
+        monkeypatch.setattr(oracle, "_DENSE_FILL", rule)
+        ranks.append(oracle._image_chain_ranks(n, columns, p))
+    assert ranks[0] == ranks[1] == [n, 128, 128]
+
+
+def test_a_modulus_past_64_bit_slots_stays_on_dicts(monkeypatch):
+    p = 2**61 - 1
+    refuse(monkeypatch, "_packed_step")
+    assert oracle._slot_type(4, p) is None
+    rows = dense_conjugate(shift_rows([3, 1]), p, random.Random(61))
+    assert fill(rows) > oracle._DENSE_FILL
+    assert chain_ranks(rows, p) == [4, 2, 1, 0]
+
+
+SIX_BY_SIX = (
+    '{"p":5,"dim":6,"entries":[[0,0,2],[0,1,4],[0,2,2],[0,3,3],[0,4,3],[0,5,4],[1,0,1],'
+    '[1,1,1],[1,2,3],[1,3,2],[1,4,3],[1,5,3],[2,0,2],[2,1,3],[2,2,4],[2,3,3],[2,4,3],[2,5,4],'
+    '[3,0,1],[3,1,3],[3,2,4],[3,3,3],[3,4,4],[3,5,3],[4,0,3],[4,1,2],[4,2,1],[4,3,1],[4,4,2],'
+    '[4,5,2],[5,0,4],[5,1,3],[5,2,4],[5,3,4],[5,4,4],[5,5,3]]}'
+)
+
+
+def test_dense_models_reach_the_packed_kernel(monkeypatch):
+    refuse(monkeypatch, "_dict_step")
+    model = NilpotentModel.from_json_dict(json.loads(SIX_BY_SIX))
+    assert jordan_type_of(model) == JordanType.from_string(5, "[4]+[2]")
+    rng = random.Random(5)
+    for p, sizes in [(7, [7, 4, 2, 2]), (13, [13, 6, 1])]:
+        model = from_dense(p, dense_conjugate(shift_rows(sizes), p, rng))
+        assert jordan_type_of(model) == JordanType.from_counts(p, Counter(sizes))
+
+
+def test_named_models_stay_on_dicts(monkeypatch):
+    refuse(monkeypatch, "_packed_step")
+    for p in [3, 5, 7, 13, 31]:
+        heisenberg_model(p)
+        abelian_rank2_models(p)
+        ga2_model(p)
+        for i in range(1, p):
+            sl2s_models(p, i)
+            sl2_simple_models(p, i)
+            power_model(model_from_type(JordanType.block(p, p)), i)
+        model_from_type(JordanType(p, (2,) * p))
+    huge = NilpotentModel(5, 10**5, [(1, 0, 1), (2, 1, 1), (3, 2, 1)])
+    assert huge.rank_sequence == (10**5, 3, 2, 1, 0, 0)
+
+
+def test_a_huge_sparse_dim_allocates_no_slots():
+    # the fill is counted against each step's n, so 10^5 coordinates
+    # with three entries never reach the packed kit and its n slots
+    tracemalloc.start()
+    try:
+        NilpotentModel(5, 10**5, [(1, 0, 1), (2, 1, 1), (3, 2, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+
+
+def test_no_option_selects_the_kernel():
+    # the kernel of a step follows from its operator and p alone
+    assert list(inspect.signature(NilpotentModel).parameters) == ["p", "dim", "entries"]
+    assert list(inspect.signature(oracle._image_chain_ranks).parameters) == ["dim", "columns", "p"]
+    assert list(inspect.signature(oracle._chain_step).parameters) == ["cols", "n", "p"]
+    source = inspect.getsource(oracle)
+    assert "environ" not in source and "getenv" not in source
 
 
 # --------------------------------------------------------------------- sweep
