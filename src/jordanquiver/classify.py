@@ -15,11 +15,12 @@ rank) are trusted numbers; nothing is computed from cohomology here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .errors import ParseError, ValidationError, json_field, json_object, json_value, require_ints
+from .errors import (
+    ParseError, ValidationError, Value, json_field, json_object, json_value, require_ints,
+)
 from .jtypes import JordanType, projective_count, require_prime
 
 
@@ -35,8 +36,7 @@ class OddPullback(Enum):
     NONE_VANISH = "none-vanish"
 
 
-@dataclass(frozen=True)
-class AmbientGeometry:
+class AmbientGeometry(Value):
     """Trusted geometric data about the ambient group scheme.
 
     variety_dim / ambient_dim describe the support variety of the trivial
@@ -47,42 +47,39 @@ class AmbientGeometry:
     subgroup; when present it takes precedence over srk.
     """
 
-    pi_dim: int | None = None
-    equidim: bool = False
-    variety_dim: int | None = None
-    ambient_dim: int | None = None
-    min_component_dim: int | None = None
-    srk: int | None = None
-    srk_quotient: int | None = None
-    is_finite_group: bool = False
-    trigonalizable: bool = False
+    # each field's kind, in field order: a flag is exactly a bool and
+    # defaults to False; a dimension or rank is trusted, but exactly an int
+    # and never negative, or None, its default
+    _KINDS = {"pi_dim": int, "equidim": bool, "variety_dim": int, "ambient_dim": int,
+              "min_component_dim": int, "srk": int, "srk_quotient": int,
+              "is_finite_group": bool, "trigonalizable": bool}
+    __slots__ = tuple(_KINDS)
 
-    def __post_init__(self):
-        # flags are exactly bools; dimensions and ranks are trusted, but
-        # exactly ints (or None) and never negative
-        for f in self.__dataclass_fields__.values():
-            value, where = getattr(self, f.name), f"ambient.{f.name}"
-            if f.default is False:
+    def __init__(self, pi_dim: int | None = None, equidim: bool = False,
+                 variety_dim: int | None = None, ambient_dim: int | None = None,
+                 min_component_dim: int | None = None, srk: int | None = None,
+                 srk_quotient: int | None = None, is_finite_group: bool = False,
+                 trigonalizable: bool = False):
+        values = (pi_dim, equidim, variety_dim, ambient_dim, min_component_dim, srk,
+                  srk_quotient, is_finite_group, trigonalizable)
+        for (name, kind), value in zip(self._KINDS.items(), values):
+            where = f"ambient.{name}"
+            if kind is bool:
                 if type(value) is not bool:
                     raise ValidationError(f"{where} must be a bool, got {value!r}")
             elif value is not None:
                 require_ints(**{where: value})
                 if value < 0:
                     raise ValidationError(f"{where} must be >= 0, got {value}")
+        self._set(*values)
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "AmbientGeometry":
-        # flags default to False, numbers to None
-        kinds = {
-            f.name: bool if f.default is False else int
-            for f in cls.__dataclass_fields__.values()
-        }
-        json_object(data, kinds, "ambient")
-        return cls(**{k: json_value(v, kinds[k], f"ambient.{k}") for k, v in data.items()})
+        json_object(data, cls._KINDS, "ambient")
+        return cls(**{k: json_value(v, cls._KINDS[k], f"ambient.{k}") for k, v in data.items()})
 
 
-@dataclass(frozen=True)
-class CohomologyClassDescriptor:
+class CohomologyClassDescriptor(Value):
     """Numeric shadow of a nonzero homogeneous cohomology class.
 
     ``dim_total`` is the dimension of the attached kernel module when
@@ -90,25 +87,23 @@ class CohomologyClassDescriptor:
     rule engine assumes p >= 3 throughout.
     """
 
-    p: int
-    degree: int
-    nilpotent: bool = False
-    dim_total: int | None = None
-    odd_pullback: OddPullback = OddPullback.MIXED
-    ambient: AmbientGeometry = field(default_factory=AmbientGeometry)
+    __slots__ = ("p", "degree", "nilpotent", "dim_total", "odd_pullback", "ambient")
 
-    def __post_init__(self):
+    def __init__(self, p: int, degree: int, nilpotent: bool = False,
+                 dim_total: int | None = None, odd_pullback: OddPullback = OddPullback.MIXED,
+                 ambient: AmbientGeometry = AmbientGeometry()):
         # a non-int p goes straight to require_prime, which names it
-        if type(self.p) is int and self.p < 3:
-            raise ValidationError(f"the rule engine needs p >= 3, got {self.p}")
-        require_prime(self.p)
-        require_ints(degree=self.degree)
-        if self.degree < 1:
-            raise ValidationError(f"degree must be >= 1, got {self.degree}")
-        if self.dim_total is not None:
-            require_ints(dim_total=self.dim_total)
-            if self.dim_total < 0:
+        if type(p) is int and p < 3:
+            raise ValidationError(f"the rule engine needs p >= 3, got {p}")
+        require_prime(p)
+        require_ints(degree=degree)
+        if degree < 1:
+            raise ValidationError(f"degree must be >= 1, got {degree}")
+        if dim_total is not None:
+            require_ints(dim_total=dim_total)
+            if dim_total < 0:
                 raise ValidationError("dim_total must be >= 0")
+        self._set(p, degree, nilpotent, dim_total, odd_pullback, ambient)
 
     @property
     def is_odd(self) -> bool:
@@ -116,7 +111,7 @@ class CohomologyClassDescriptor:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CohomologyClassDescriptor":
-        json_object(data, cls.__dataclass_fields__, name="descriptor")
+        json_object(data, cls.__slots__, name="descriptor")
         odd = json_field(data, "odd_pullback", str, default="mixed")
         try:
             odd_pb = OddPullback(odd)
@@ -135,12 +130,14 @@ class CohomologyClassDescriptor:
 # ---------------------------------------------------------------- type sets
 
 
-@dataclass(frozen=True)
-class TypePattern:
+class TypePattern(Value):
     """A Jordan type with a possibly symbolic projective multiplicity."""
 
-    stable: JordanType
-    projectives: int | None  # None = symbolic
+    __slots__ = ("stable", "projectives")
+
+    def __init__(self, stable: JordanType, projectives: int | None):
+        # projectives None is symbolic
+        self._set(stable, projectives)
 
     def resolved(self) -> JordanType:
         if self.projectives is None:
@@ -154,11 +151,13 @@ class TypePattern:
         return "+".join(filter(None, [f"n[{self.stable.p}]", str(self.stable)]))
 
 
-@dataclass(frozen=True)
-class CarlsonTypes:
+class CarlsonTypes(Value):
     """Predicted set of Jordan types of a kernel module (or its summand)."""
 
-    patterns: tuple[TypePattern, ...]
+    __slots__ = ("patterns",)
+
+    def __init__(self, patterns: tuple[TypePattern, ...]):
+        self._set(patterns)
 
     @property
     def types(self) -> frozenset[JordanType]:
@@ -213,15 +212,11 @@ class VerdictKind(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: VerdictKind
-    rule: str | None
-    citation: str
+class Verdict(Value):
+    __slots__ = ("kind", "rule", "citation")
 
-    def __post_init__(self):
-        if self.kind is not VerdictKind.UNKNOWN and not self.rule:
-            raise ValidationError("a decided verdict must carry exactly one rule tag")
+    def __init__(self, kind: VerdictKind, rule: str | None, citation: str):
+        self._set(kind, rule, citation)
 
 
 def carlson_indecomposability(desc: CohomologyClassDescriptor) -> Verdict:
@@ -303,11 +298,11 @@ def endo_trivial(types: Iterable[JordanType]) -> bool:
     return stable in (JordanType.block(p, 1), JordanType.block(p, p - 1))
 
 
-@dataclass(frozen=True)
-class BensonCheck:
-    ok: bool
-    violation: bool
-    caveat: str | None = None
+class BensonCheck(Value):
+    __slots__ = ("ok", "violation", "caveat")
+
+    def __init__(self, ok: bool, violation: bool, caveat: str | None = None):
+        self._set(ok, violation, caveat)
 
 
 def benson_constraint(jt: JordanType, has_abelian_unipotent_cx2: bool) -> BensonCheck:

@@ -18,13 +18,12 @@ from the intercept vector t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
-    ParseError, ValidationError, int_tuple, json_array, json_field, json_object, require_ints,
-    require_printable,
+    ParseError, ValidationError, Value, int_tuple, json_array, json_field, json_object,
+    require_ints, require_printable,
 )
 from .jtypes import (
     DominanceConvention, DominanceResult, JordanType, _dominance_key, pointwise_compare,
@@ -73,8 +72,7 @@ class NegativeMultiplicityError(ValidationError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class TubeProfile:
+class TubeProfile(Value):
     """Affine profile alpha_i(X) = slopes[i-1]*ql(X) + intercepts[i-1] on a tube.
 
     The i = p row is asserted only when include_p is set (safe by default
@@ -85,21 +83,17 @@ class TubeProfile:
     cannot verify; it is assumed, not checked.
     """
 
-    p: int
-    slopes: tuple[int, ...]
-    intercepts: tuple[int, ...]
-    include_p: bool = False
+    __slots__ = ("p", "slopes", "intercepts", "include_p")
 
-    def __post_init__(self):
-        require_modulus(self.p)
-        slopes = int_tuple(self.slopes, "slopes")
-        intercepts = int_tuple(self.intercepts, "intercepts")
-        if len(slopes) != self.p or len(intercepts) != self.p:
-            raise ValidationError(f"profile rows must have length p={self.p}")
-        if not self.include_p:
+    def __init__(self, p: int, slopes: Sequence[int], intercepts: Sequence[int],
+                 include_p: bool = False):
+        require_modulus(p)
+        slopes = int_tuple(slopes, "slopes")
+        intercepts = int_tuple(intercepts, "intercepts")
+        if len(slopes) != p or len(intercepts) != p:
+            raise ValidationError(f"profile rows must have length p={p}")
+        if not include_p:
             slopes, intercepts = slopes[:-1] + (0,), intercepts[:-1] + (0,)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "intercepts", intercepts)
         for i, (s, t) in enumerate(zip(slopes, intercepts), 1):
             if s < 0:
                 # the least ql >= 1 with s*ql + t < 0
@@ -107,6 +101,11 @@ class TubeProfile:
                 raise NegativeMultiplicityError(i, q, s * q + t)
             if s + t < 0:
                 raise NegativeMultiplicityError(i, 1, s + t)
+        # set directly, not through Value._set: a loop costs a hot constructor
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "intercepts", intercepts)
+        object.__setattr__(self, "include_p", include_p)
 
     def jordan_type_at(self, ql: int) -> JordanType:
         """The Jordan type at quasi-length ql; a_p is 0 unless include_p."""
@@ -141,13 +140,16 @@ def tube_profile_from_seed(
     return TubeProfile(p, tuple(slopes), tuple(t), include_p=include_p)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(Value):
     """Outcome of the inverse multiplicity problem n = B t."""
 
-    multiplicities: tuple[int, ...]
-    locally_split: bool
-    note: str = ""
+    __slots__ = ("multiplicities", "locally_split", "note")
+
+    def __init__(self, multiplicities: tuple[int, ...], locally_split: bool, note: str = ""):
+        # set directly, not through Value._set: a loop costs a hot constructor
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "locally_split", locally_split)
+        object.__setattr__(self, "note", note)
 
 
 def solve_multiplicities(profile: TubeProfile) -> SolveResult:
@@ -190,8 +192,7 @@ def solve_multiplicities(profile: TubeProfile) -> SolveResult:
 # ------------------------------------------------------------ split profiles
 
 
-@dataclass(frozen=True)
-class SplitProfile:
+class SplitProfile(Value):
     """d-vector of a locally split component: alpha_i = d[i-1] * f.
 
     ``d_stable`` is derived: the slope of the stable dimension (sum of
@@ -199,24 +200,18 @@ class SplitProfile:
     data, since it is only subadditive in general.
     """
 
-    p: int
-    d: tuple[int, ...]
-    tree_class: TreeClass | None = None
-    d_stable: int = field(init=False)
+    __slots__ = ("p", "d", "tree_class", "d_stable")
 
-    def __post_init__(self):
-        require_modulus(self.p)
-        d = int_tuple(self.d, "d")
-        if len(d) != self.p - 1:
-            raise ValidationError(f"d-vector must have length p-1={self.p - 1}")
+    def __init__(self, p: int, d: Sequence[int], tree_class: TreeClass | None = None):
+        require_modulus(p)
+        d = int_tuple(d, "d")
+        if len(d) != p - 1:
+            raise ValidationError(f"d-vector must have length p-1={p - 1}")
         if any(x < 0 for x in d):
             raise ValidationError(f"d-vector entries must be >= 0, got {d}")
-        if self.tree_class is not None and not isinstance(self.tree_class, TreeClass):
-            raise ValidationError(
-                f"tree_class must be a TreeClass or None, got {self.tree_class!r}"
-            )
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "d_stable", sum(i * x for i, x in enumerate(d, 1)))
+        if tree_class is not None and not isinstance(tree_class, TreeClass):
+            raise ValidationError(f"tree_class must be a TreeClass or None, got {tree_class!r}")
+        self._set(p, d, tree_class, sum(i * x for i, x in enumerate(d, 1)))
 
 
 def split_propagate(

@@ -15,9 +15,19 @@ An object names its fields with ``json_object``, so a field that no
 reader reads, such as a misspelt ``include_P``, is refused rather than
 ignored.  ``int_tuple`` and ``require_ints`` hold the library
 constructors to the same rule.
+
+``Value`` is the base of the package's immutable records: a Jordan type,
+a tube or split profile, a tree class, a descriptor, a report.  A record
+lists its fields in ``__slots__`` and its ``__init__`` checks the
+arguments, works out the normalised fields and sets each once.  It then
+refuses assignment and deletion, equals only a record of its own class
+with equal fields, hashes as the tuple of its fields, so the order of a
+set of records depends on the fields alone, and prints as
+``Name(field=value, ...)``.
 """
 
 import sys
+from operator import attrgetter
 
 
 class ValidationError(ValueError):
@@ -26,6 +36,42 @@ class ValidationError(ValueError):
 
 class ParseError(ValueError):
     """Textual or JSON input could not be parsed."""
+
+
+class Value:
+    """An immutable record whose fields are its class's ``__slots__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # ``_fields(record)``, the tuple of the fields, read in C; an
+        # attrgetter of one name gives the bare value
+        get = attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda record: (get(record),))
+
+    def _set(self, *values) -> None:
+        """Set the fields, in ``__slots__`` order; only ``__init__`` calls it."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return fields(self) == fields(other)
+
+    def __hash__(self):
+        return hash(self._fields(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 _KINDS = {int: "a JSON integer", bool: "a JSON boolean", str: "a JSON string",

@@ -17,12 +17,12 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    ParseError, ValidationError, int_tuple, json_array, json_field, json_object, require_ints,
+    ParseError, ValidationError, Value, int_tuple, json_array, json_field, json_object,
+    require_ints,
 )
 
 # ASCII only: a Unicode \d would read "[５]" as [5], a Unicode \s "2\u3000[3]" as 2[3]
@@ -50,8 +50,7 @@ class DominanceConvention(Enum):
     TAIL_DIM = "tail"
 
 
-@dataclass(frozen=True)
-class JordanType:
+class JordanType(Value):
     """Multiplicity vector of Jordan blocks for a p-nilpotent operator.
 
     Attributes:
@@ -59,28 +58,20 @@ class JordanType:
         mult: tuple of length p, ``mult[i-1]`` = multiplicity of block [i].
     """
 
-    p: int
-    mult: tuple[int, ...]
+    __slots__ = ("p", "mult")
 
-    def __post_init__(self):
-        require_modulus(self.p)
-        mult = int_tuple(self.mult, "mult")
-        if len(mult) != self.p:
-            raise ValidationError(
-                f"multiplicity vector must have length p={self.p}, got {len(mult)}"
-            )
+    def __init__(self, p: int, mult: Iterable[int]):
+        require_modulus(p)
+        mult = int_tuple(mult, "mult")
+        if len(mult) != p:
+            raise ValidationError(f"multiplicity vector must have length p={p}, got {len(mult)}")
         if any(m < 0 for m in mult):
             raise ValidationError(f"multiplicities must be >= 0, got {mult}")
+        # set directly, not through Value._set: a loop costs a hot constructor
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "mult", mult)
 
     # ---------------------------------------------------------------- build
-
-    @classmethod
-    def zero(cls, p: int) -> "JordanType":
-        """The Jordan type of the zero module."""
-        require_ints(p=p)
-        require_modulus(p)  # before (0,) * p is built
-        return cls(p, (0,) * p)
 
     @classmethod
     def block(cls, p: int, i: int, count: int = 1) -> "JordanType":

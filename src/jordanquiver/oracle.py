@@ -34,7 +34,8 @@ from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    ParseError, ValidationError, int_tuple, json_field, json_object, json_value, require_ints,
+    ParseError, ValidationError, Value, int_tuple, json_field, json_object, json_value,
+    require_ints,
 )
 from .jtypes import JordanType, require_modulus, require_prime
 
@@ -254,7 +255,7 @@ def _image_chain_ranks(dim: int, columns: Iterable[tuple[int, Column]], p: int) 
 # -------------------------------------------------------------------- model
 
 
-class NilpotentModel:
+class NilpotentModel(Value):
     """A dim x dim matrix N over F_p with N^p = 0.
 
     ``entries`` are (r, c, v) triples of ints with 0 <= r, c < dim, each
@@ -294,18 +295,12 @@ class NilpotentModel:
             col = tuple(sorted((r, v) for r, v in cols[c].items() if v))
             if col:
                 columns.append((c, col))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "columns", tuple(columns))
         ranks = _image_chain_ranks(dim, columns, p)
         if ranks[p] != 0:
             raise ValidationError(
                 f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {ranks[p]})"
             )
-        object.__setattr__(self, "rank_sequence", tuple(ranks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NilpotentModel is immutable")
+        self._set(p, dim, tuple(columns), tuple(ranks))
 
     def __repr__(self):
         return f"NilpotentModel(p={self.p}, dim={self.dim})"

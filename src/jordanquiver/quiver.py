@@ -17,34 +17,32 @@ for equality on all vertices of quasi-length >= l.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
-    ParseError, ValidationError, json_array, json_field, json_object, json_value, require_ints,
+    ParseError, ValidationError, Value, json_array, json_field, json_object, json_value,
+    require_ints,
 )
 from .trees import TreeClass
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(Value):
     """A finite quiver without loops or multiple arrows."""
 
-    vertices: frozenset
-    arrows: frozenset
+    __slots__ = ("vertices", "arrows")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "arrows", frozenset(tuple(a) for a in self.arrows))
-        for s, t in self.arrows:
+    def __init__(self, vertices: Iterable, arrows: Iterable):
+        vertices = frozenset(vertices)
+        arrows = frozenset(tuple(a) for a in arrows)
+        for s, t in arrows:
             if s == t:
                 raise ValidationError(f"loop at vertex {s!r} is not allowed")
-            if s not in self.vertices or t not in self.vertices:
+            if s not in vertices or t not in vertices:
                 raise ValidationError(f"arrow ({s!r}, {t!r}) leaves the vertex set")
+        self._set(vertices, arrows)
 
 
-@dataclass(eq=False)
 class QuiverWindow:
     """A finite fragment of Z[T] or of a tube, with its translation.
 
@@ -58,18 +56,17 @@ class QuiverWindow:
     walks them as they are.
     """
 
-    vertices: tuple
-    arrows: tuple
-    tau: dict
-    interior: tuple
-    succ_complete: tuple
-    rank: int | None = None
-    tree: Quiver | None = None
-
-    def __post_init__(self):
-        self.arrows = tuple(sorted(self.arrows))
-        self._preds = {v: [] for v in self.vertices}
-        self._succs = {v: [] for v in self.vertices}
+    def __init__(self, vertices: tuple, arrows: Iterable, tau: dict, interior: tuple,
+                 succ_complete: tuple, rank: int | None = None, tree: Quiver | None = None):
+        self.vertices = vertices
+        self.arrows = tuple(sorted(arrows))
+        self.tau = tau
+        self.interior = interior
+        self.succ_complete = succ_complete
+        self.rank = rank
+        self.tree = tree
+        self._preds = {v: [] for v in vertices}
+        self._succs = {v: [] for v in vertices}
         for s, t in self.arrows:
             self._preds[t].append(s)
             self._succs[s].append(t)
@@ -204,11 +201,12 @@ def build_window(spec: Mapping) -> QuiverWindow:
 # -------------------------------------------------------------- admissibility
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    violation: tuple | None  # (x, y) with |orbit(x) & ({y} | y+-)| > 1
-    tested: int
+class AdmissibilityReport(Value):
+    __slots__ = ("admissible", "violation", "tested")
+
+    def __init__(self, admissible: bool, violation: tuple | None, tested: int):
+        # violation: (x, y) with |orbit(x) & ({y} | y+-)| > 1
+        self._set(admissible, violation, tested)
 
 
 def _orbit_key(window: QuiverWindow, power: int, v):
@@ -253,13 +251,14 @@ def check_admissible(window: QuiverWindow, power: int = 1) -> AdmissibilityRepor
 # ---------------------------------------------------------------- orbit graph
 
 
-@dataclass
-class ValuedGraph:
+class ValuedGraph(Value):
     """A valued graph (I, d) with symmetric bonds: d(i, j) = d(j, i), and
     d(i, i) = 0.  ``d`` holds each bond in both orientations and no zeros."""
 
-    nodes: tuple
-    d: dict
+    __slots__ = ("nodes", "d")
+
+    def __init__(self, nodes: tuple, d: dict):
+        self._set(nodes, d)
 
 
 def is_additive_on_graph(graph: ValuedGraph, values: Mapping, nodes: Iterable) -> bool:
@@ -273,22 +272,20 @@ def is_additive_on_graph(graph: ValuedGraph, values: Mapping, nodes: Iterable) -
 # ------------------------------------------------------------ vertex functions
 
 
-@dataclass(eq=False)
 class VertexFunction:
     """A total map from window vertices to nonnegative integers."""
 
-    window: QuiverWindow
-    values: dict
-
-    def __post_init__(self):
-        missing = [v for v in self.window.vertices if v not in self.values]
+    def __init__(self, window: QuiverWindow, values: dict):
+        missing = [v for v in window.vertices if v not in values]
         if missing:
             raise ValidationError(
                 f"function undefined on {len(missing)} window vertices, e.g. {missing[0]!r}"
             )
-        for v, x in self.values.items():
+        for v, x in values.items():
             if type(x) is not int or x < 0:
                 raise ValidationError(f"value at {v!r} must be a nonnegative integer")
+        self.window = window
+        self.values = values
 
     @classmethod
     def from_ql(cls, window: QuiverWindow, fn: Callable[[int], int]) -> "VertexFunction":
@@ -304,8 +301,7 @@ class VertexFunction:
         return self.values[v]
 
 
-@dataclass(frozen=True)
-class FunctionReport:
+class FunctionReport(Value):
     """Outcome of classifying a vertex function on a window.
 
     All verdicts refer to the interior only.  ``eventual_level`` is the
@@ -314,12 +310,14 @@ class FunctionReport:
     was actually verified; otherwise it stays None and ``note`` says why.
     """
 
-    is_subadditive: bool | None
-    is_additive: bool | None
-    is_tau_invariant: bool | None
-    eventual_level: int | None
-    indeterminate: bool
-    note: str = ""
+    __slots__ = ("is_subadditive", "is_additive", "is_tau_invariant", "eventual_level",
+                 "indeterminate", "note")
+
+    def __init__(self, is_subadditive: bool | None, is_additive: bool | None,
+                 is_tau_invariant: bool | None, eventual_level: int | None,
+                 indeterminate: bool, note: str = ""):
+        self._set(is_subadditive, is_additive, is_tau_invariant, eventual_level, indeterminate,
+                  note)
 
 
 def _additivity_balance(f: VertexFunction) -> dict:
@@ -357,8 +355,7 @@ def classify_function(f: VertexFunction) -> FunctionReport:
 # --------------------------------------------------------- minimal additive f
 
 
-@dataclass(frozen=True)
-class MinimalAdditiveFunction:
+class MinimalAdditiveFunction(Value):
     """The positive additive function all others are integer multiples of.
 
     For truncations of infinite graphs, additivity is certified on the
@@ -366,11 +363,11 @@ class MinimalAdditiveFunction:
     image on the infinite graph: None means unbounded (tree class A_inf).
     """
 
-    tree_class: TreeClass
-    graph: ValuedGraph
-    values: dict
-    image_size: int | None
-    interior: tuple
+    __slots__ = ("tree_class", "graph", "values", "image_size", "interior")
+
+    def __init__(self, tree_class: TreeClass, graph: ValuedGraph, values: dict,
+                 image_size: int | None, interior: tuple):
+        self._set(tree_class, graph, values, image_size, interior)
 
 
 _TRUNCATION = 10

@@ -10,9 +10,8 @@ the other for it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, Value
 
 # every tree class by its canonical name: D~n for n >= 4 in plain ASCII
 # decimal, and a finite Dynkin class as its letter and rank
@@ -22,22 +21,22 @@ _TREE_CLASS = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class TreeClass:
+class TreeClass(Value):
     """Tree class of a stable translation quiver component, stored as its name.
 
     ``TreeClass(name)`` accepts only the canonical name, so ``str``
     gives back exactly the text it was built from.
     """
 
-    name: str
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if type(self.name) is not str:
-            raise ValidationError(f"tree class name must be a str, got {self.name!r}")
-        if not _TREE_CLASS.fullmatch(self.name):
-            what = "bad" if self.name.startswith("D") and self.name.endswith("_tilde") else "unknown"
-            raise ParseError(f"{what} tree class {self.name!r}")
+    def __init__(self, name: str):
+        if type(name) is not str:
+            raise ValidationError(f"tree class name must be a str, got {name!r}")
+        if not _TREE_CLASS.fullmatch(name):
+            what = "bad" if name.startswith("D") and name.endswith("_tilde") else "unknown"
+            raise ParseError(f"{what} tree class {name!r}")
+        self._set(name)
 
     @property
     def n(self) -> int | None:

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from jordanquiver.cli import (
     _CHUNK_CELLS, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, _int, _parse, build_parser, main,
 )
+from jordanquiver.classify import (
+    CohomologyClassDescriptor, VerdictKind, carlson_indecomposability,
+)
 from jordanquiver.components import (
     TubeProfile,
     apply_a,
@@ -921,6 +924,22 @@ def test_classify_output_is_pinned(capsys):
         code, out, err = run(capsys, *argv)
         digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
     assert digest.hexdigest() == "0c8bc7e86549cfd15c42afd8accac77655fac9542c77aa4d55d1a1b41f2d91d1"
+
+
+def test_every_decided_verdict_of_the_corpus_carries_a_rule_tag():
+    # Verdict does not check this itself: carlson_indecomposability builds
+    # every decided verdict with a literal tag, and this holds it to that
+    decided = 0
+    for argv in _classify_corpus():
+        try:
+            desc = CohomologyClassDescriptor.from_json_dict(json.loads(argv[2]))
+        except ValueError:  # a malformed descriptor, refused before any rule runs
+            continue
+        verdict = carlson_indecomposability(desc)
+        if verdict.kind is not VerdictKind.UNKNOWN:
+            decided += 1
+            assert verdict.rule, argv
+    assert decided > 100
 
 
 # ---------------------------------------------------------------- determinism

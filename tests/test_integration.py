@@ -44,7 +44,7 @@ def stable_split_set(n, j, p):
     """Independent enumeration of the block-splitting set-builder:
     (j-r)[a] + r[a+1] for n = a*j + r with 0 <= r < j <= n, else n[1]."""
     if j > n:
-        return JordanType.from_counts(p, {1: n}) if n else JordanType.zero(p)
+        return JordanType.from_counts(p, {1: n})
     a, r = divmod(n, j)
     counts = {}
     if a:
@@ -72,7 +72,7 @@ def test_verma_stable_type_set_assembles_from_both_generators(p, i):
     e_model, f_model = sl2s_models(p, i)
     e_type = jordan_type_of(e_model)
     f_type = jordan_type_of(f_model)
-    impl = (pi_point_sweep(f_type) - {JordanType.zero(p)}) | pi_point_sweep(e_type)
+    impl = (pi_point_sweep(f_type) - {JordanType.from_counts(p, {})}) | pi_point_sweep(e_type)
 
     expected = set()
     # f-direction: p = a*j + r with 1 <= r < j <= p
@@ -231,7 +231,7 @@ def sl2_tube(**args):
     (lambda: JordanType.block(5, 2, 1.0), "count must be an int, got 1.0"),
     (lambda: JordanType.from_counts(5, {2.0: 1}), "block size must be an int, got 2.0"),
     (lambda: JordanType.from_counts(5.0, {2: 1}), "p must be an int, got 5.0"),
-    (lambda: JordanType.zero(2.5), "p must be an int, got 2.5"),
+    (lambda: JordanType.from_counts(2.5, {}), "p must be an int, got 2.5"),
     (lambda: JordanType.from_string(5.0, "[1]"), "p must be an int, got 5.0"),
 ])
 def test_entry_points_type_check_before_comparing(call, bad):

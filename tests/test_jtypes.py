@@ -42,7 +42,7 @@ def jordan_types(p=None, max_mult=4):
 def test_dimension_examples():
     assert JordanType.from_string(5, "[1]+[4]").dimension() == 5
     assert JordanType.from_string(5, "2[3]+[5]").dimension() == 11
-    assert JordanType.zero(3).dimension() == 0
+    assert JordanType.from_counts(3, {}).dimension() == 0
 
 
 def test_ker_dim_examples():
@@ -249,7 +249,7 @@ def test_dominance_reflexive(jt):
 
 def equal_dim_pairs():
     def pad(p, blocks):
-        out = JordanType.zero(p)
+        out = JordanType.from_counts(p, {})
         for i in blocks:
             out = out + JordanType.block(p, i)
         return out
@@ -338,7 +338,7 @@ def test_parse_and_format_round_trip():
 def test_canonical_form_is_descending_and_coalesced():
     jt = JordanType.from_string(5, "[1]+[3]+[3]")
     assert str(jt) == "2[3]+[1]"
-    assert str(JordanType.zero(5)) == ""
+    assert str(JordanType.from_counts(5, {})) == ""
 
 
 def test_parse_errors_carry_position():
@@ -377,8 +377,7 @@ def test_require_modulus_refuses_p_past_maxsize(p):
         require_modulus(p)
     assert str(info.value) == f"p must be at most sys.maxsize = {sys.maxsize}, got {p}"
     # the constructors check p before they build a list of length p
-    for build in (JordanType.zero, lambda p: JordanType.block(p, 1),
-                  lambda p: JordanType.from_string(p, "[1]")):
+    for build in (lambda p: JordanType.block(p, 1), lambda p: JordanType.from_string(p, "[1]")):
         with pytest.raises(ValidationError, match="at most sys.maxsize"):
             build(p)
 

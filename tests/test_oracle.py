@@ -511,7 +511,7 @@ def test_sweep_of_full_block():
                 for j in range(1, p + 1)}
     assert types == expected
     # all nonempty members split as (j-r)[a] + r[a+1] for p = a*j + r
-    assert JordanType.zero(p) in types
+    assert JordanType.from_counts(p, {}) in types
     for j in range(2, p):
         a, r = divmod(p, j)
         member = JordanType.from_counts(p, {a: j - r, a + 1: r} if r else {a: j})

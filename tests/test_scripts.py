@@ -11,6 +11,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
@@ -188,6 +190,22 @@ def test_jt_process_loads_no_other_layer():
     assert not loaded & layers
 
 
+@pytest.mark.parametrize("argv,stdout", [
+    (("jt", "dim", "--p", "5", "--jt", "[1]"), "1\n"),
+    (("component", "--ql-max", "1", "--spec", '{"kind":"split","p":3,"d":[1,0],"tree_class":"A_inf"}'),
+     "ql\ti\talpha_i\n1\t1\t1\n1\t2\t0\n1\t3\t0\n"),
+    (("oracle", "heisenberg", "--p", "5"), "[5]+2[4]+2[3]+2[2]+2[1] PASS\n"),
+    (("quiver", "--minimal-additive", "A12_tilde", "--format", "tsv"),
+     "0\t1\n1\t1\nimage_size\t1\n"),
+    (("classify", "--descriptor", '{"p":5,"degree":3,"ambient":{"srk":2}}'),
+     "{n[5]+2[4], n[5]+[3]} ; Indecomposable ; COD1.2\n"),
+], ids=["jt", "component", "oracle", "quiver", "classify"])
+def test_no_command_loads_dataclasses_or_inspect(argv, stdout):
+    # the records are errors.Value classes: dataclasses would import
+    # inspect, ast, dis and tokenize into every process
+    assert not modules_loaded_by(*argv, stdout=stdout) & {"dataclasses", "inspect"}
+
+
 def test_the_digit_limit_is_read_when_the_command_runs():
     # PYTHONINTMAXSTRDIGITS sets sys.get_int_max_str_digits(); 640 is its least value
     argv = ("-m", "jordanquiver", "jt", "dim", "--p", "5", "--jt", "9" * 700 + "[1]")
@@ -224,20 +242,37 @@ def name_of(node):
     return None
 
 
+def parts_of(stmt, in_package):
+    """(part, own) pairs that cover a module's top-level ``stmt``: ``own``
+    holds the public names the package defines by that part.
+
+    A public class is split into its members, so each public method, such
+    as a classmethod, is a definition of its own.
+    """
+    public = (in_package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+              and not stmt.name.startswith("_"))
+    own = {stmt.name} if public else set()
+    if not (public and isinstance(stmt, ast.ClassDef)):
+        return [(stmt, own)]
+    parts = [(node, own) for node in (*stmt.bases, *stmt.keywords, *stmt.decorator_list)]
+    for member in stmt.body:
+        method = isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+        parts.append((member, own | {member.name} if method else own))
+    return parts
+
+
 def test_every_public_name_has_a_caller_outside_tests():
-    # a public function or class of the package that only tests name is
-    # surface kept for the tests alone: delete it, or keep it with a reason
+    # a public function, class or method of the package that only tests
+    # name is surface kept for the tests alone: delete it, or keep it with
+    # a reason
     package = ROOT / "src" / "jordanquiver"
     defined, named = set(), set()
     for path in [*package.glob("*.py"), *(ROOT / "scripts").glob("*.py"),
                  *(ROOT / "perfbench").glob("*.py")]:
         for stmt in ast.parse(path.read_text()).body:
-            own = None
-            if (path.parent == package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
-                own = stmt.name
-                defined.add(own)
-            # a definition that names only itself has no caller
-            named.update(name for name in map(name_of, ast.walk(stmt)) if name != own)
-    assert "JordanType" in defined
+            for part, own in parts_of(stmt, path.parent == package):
+                defined |= own
+                # a definition that names only itself has no caller
+                named.update(name for name in map(name_of, ast.walk(part)) if name not in own)
+    assert {"JordanType", "from_counts", "from_json_dict"} <= defined
     assert sorted(defined - named - _TEST_ONLY_KEPT) == []

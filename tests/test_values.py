@@ -15,6 +15,7 @@ from jordanquiver.classify import (
 )
 from jordanquiver.components import SolveResult, SplitProfile, TubeProfile
 from jordanquiver.jtypes import JordanType
+from jordanquiver.oracle import NilpotentModel
 from jordanquiver.quiver import (
     AdmissibilityReport, FunctionReport, MinimalAdditiveFunction, Quiver, QuiverWindow,
     ValuedGraph, VertexFunction, tube_window,
@@ -84,6 +85,9 @@ VALUES = [
 ]
 # records with a dict field: equal and immutable like the rest, but unhashable
 UNHASHABLE = [
+    (ValuedGraph, {"nodes": (0, 1), "d": {(0, 1): 2, (1, 0): 2}},
+     {"nodes": (0, 1), "d": {(0, 1): 2, (1, 0): 2}},
+     "ValuedGraph(nodes=(0, 1), d={(0, 1): 2, (1, 0): 2})"),
     (MinimalAdditiveFunction, {"tree_class": A_TILDE_12, "graph": GRAPH, "values": {0: 1, 1: 1},
                                "image_size": 1, "interior": (0, 1)},
      {"tree_class": A_TILDE_12, "graph": GRAPH, "values": {0: 1, 1: 1}, "image_size": 1,
@@ -149,6 +153,22 @@ def test_constructors_keep_their_defaults():
     desc = CohomologyClassDescriptor(5, 2)
     assert (desc.nilpotent, desc.dim_total, desc.odd_pullback, desc.ambient) == (
         False, None, OddPullback.MIXED, AmbientGeometry())
+
+
+def test_a_model_is_a_record_that_prints_its_size():
+    model = NilpotentModel(3, 2, [(0, 1, 1)])
+    fields = {"p": 3, "dim": 2, "columns": ((1, ((0, 1),)),), "rank_sequence": (2, 1, 0, 0)}
+    assert tuple(getattr(model, name) for name in fields) == tuple(fields.values())
+    # entries are reduced mod p, so a model equals every model of the same matrix
+    assert model == NilpotentModel(3, 2, [[0, 1, 4]])
+    assert model != NilpotentModel(3, 2, [])
+    assert hash(model) == hash(tuple(fields.values()))
+    assert repr(model) == "NilpotentModel(p=3, dim=2)"
+    for name in fields:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(model, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(model, name)
 
 
 def test_a_window_and_a_vertex_function_are_equal_only_to_themselves():
