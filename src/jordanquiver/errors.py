@@ -67,6 +67,11 @@ class Value:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
+    def __setstate__(self, state):
+        # copy and pickle restore a slotted object from (None, {name: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

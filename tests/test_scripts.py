@@ -192,7 +192,8 @@ def test_jt_process_loads_no_other_layer():
 
 @pytest.mark.parametrize("argv,stdout", [
     (("jt", "dim", "--p", "5", "--jt", "[1]"), "1\n"),
-    (("component", "--ql-max", "1", "--spec", '{"kind":"split","p":3,"d":[1,0],"tree_class":"A_inf"}'),
+    (("component", "--ql-max", "1", "--spec",
+      '{"kind":"split","p":3,"d":[1,0],"tree_class":"A_inf"}'),
      "ql\ti\talpha_i\n1\t1\t1\n1\t2\t0\n1\t3\t0\n"),
     (("oracle", "heisenberg", "--p", "5"), "[5]+2[4]+2[3]+2[2]+2[1] PASS\n"),
     (("quiver", "--minimal-additive", "A12_tilde", "--format", "tsv"),

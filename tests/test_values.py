@@ -7,6 +7,9 @@ prints as ``Name(field=value, ...)`` and refuses assignment and deletion.
 Its constructor takes its fields by position or keyword, with defaults.
 """
 
+import copy
+import pickle
+
 import pytest
 
 from jordanquiver.classify import (
@@ -42,7 +45,8 @@ VALUES = [
     (SplitProfile, {"p": 3, "d": [1, 2], "tree_class": A_TILDE_12},
      {"p": 3, "d": (1, 2), "tree_class": A_TILDE_12, "d_stable": 5},
      "SplitProfile(p=3, d=(1, 2), tree_class=TreeClass(name='A12_tilde'), d_stable=5)"),
-    (Quiver, {"vertices": ["a"], "arrows": []}, {"vertices": frozenset({"a"}), "arrows": frozenset()},
+    (Quiver, {"vertices": ["a"], "arrows": []},
+     {"vertices": frozenset({"a"}), "arrows": frozenset()},
      "Quiver(vertices=frozenset({'a'}), arrows=frozenset())"),
     (AdmissibilityReport, {"admissible": False, "violation": ((0, 1), (1, 1)), "tested": 4},
      {"admissible": False, "violation": ((0, 1), (1, 1)), "tested": 4},
@@ -122,6 +126,14 @@ def test_a_record_is_its_fields(cls, kwargs, fields, text):
     assert tuple(getattr(value, name) for name in fields) == tuple(fields.values())
 
 
+@pytest.mark.parametrize("cls,kwargs,fields,text", VALUES + UNHASHABLE,
+                         ids=_ids(VALUES + UNHASHABLE))
+def test_a_record_survives_copy_and_pickle(cls, kwargs, fields, text):
+    value = cls(**kwargs)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value
+
+
 @pytest.mark.parametrize("cls,kwargs,fields,text", VALUES, ids=_ids(VALUES))
 def test_a_record_hashes_as_the_tuple_of_its_fields(cls, kwargs, fields, text):
     value = cls(**kwargs)
@@ -164,6 +176,7 @@ def test_a_model_is_a_record_that_prints_its_size():
     assert model != NilpotentModel(3, 2, [])
     assert hash(model) == hash(tuple(fields.values()))
     assert repr(model) == "NilpotentModel(p=3, dim=2)"
+    assert pickle.loads(pickle.dumps(model)) == copy.deepcopy(model) == model
     for name in fields:
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(model, name, None)
