@@ -44,7 +44,7 @@ def stable_split_set(n, j, p):
     """Independent enumeration of the block-splitting set-builder:
     (j-r)[a] + r[a+1] for n = a*j + r with 0 <= r < j <= n, else n[1]."""
     if j > n:
-        return JordanType.from_counts(p, {1: n})
+        return JordanType.from_counts(p, {1: n}) if n else JordanType.from_counts(p, {})
     a, r = divmod(n, j)
     counts = {}
     if a:

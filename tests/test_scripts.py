@@ -275,5 +275,6 @@ def test_every_public_name_has_a_caller_outside_tests():
                 defined |= own
                 # a definition that names only itself has no caller
                 named.update(name for name in map(name_of, ast.walk(part)) if name not in own)
-    assert {"JordanType", "from_counts", "from_json_dict"} <= defined
+    assert "JordanType" in defined
+    assert {"from_counts", "from_json_dict"} <= defined  # methods are definitions too
     assert sorted(defined - named - _TEST_ONLY_KEPT) == []
