@@ -698,6 +698,71 @@ def test_oracle_output_is_pinned(capsys):
     assert digest.hexdigest() == "12cff864b47e62b42113c9b2f8cdc7e58a8017be6d60aa8d5dde0c1b41d92edd"
 
 
+# three 5 x 5 strictly lower triangular blocks: 30 entries, N^5 = 0 at p = 5
+_BLOCKS_30 = [[5 * b + r, 5 * b + c, 1 + (r + 2 * c + b) % 4]
+              for b in range(3) for r in range(5) for c in range(r)]
+
+
+def _entry_faults(entry, other):
+    """(name, item) for each way one item of ``entries`` can be malformed;
+    ``entry`` is the valid item it replaces, ``other`` another valid item."""
+    r, c, v = entry
+    yield from [("non-list", 7), ("non-list", "0,1,1"), ("non-list", None),
+                ("non-list", {"r": r}), ("short", []), ("short", [r, c]),
+                ("long", [r, c, v, 0])]
+    for k in range(3):
+        for bad in (1.5, True, "1", None):
+            yield f"type-{k}", [*entry[:k], bad, *entry[k + 1:]]
+    yield from [("range-r", [15, c, v]), ("range-c", [r, 10**30, v]),
+                ("negative-r", [-1, c, v]), ("negative-c", [r, -3, v]), ("repeat", other)]
+
+
+def _malformed_models(p):
+    """Models with one fault first, in the middle or last of a valid
+    30-entry model, and models with two faults, where the first is named."""
+    n = len(_BLOCKS_30)
+    for at in (0, n // 2, n - 1):
+        # a repeat at position 0 makes the later copy the repeat
+        other = _BLOCKS_30[at - 1 if at else 1]
+        for _, item in _entry_faults(_BLOCKS_30[at], other):
+            entries = list(_BLOCKS_30)
+            entries[at] = item
+            yield {"p": p, "dim": 15, "entries": entries}
+    firsts = list(_entry_faults(_BLOCKS_30[3], _BLOCKS_30[2]))
+    seconds = list(_entry_faults(_BLOCKS_30[20], _BLOCKS_30[19]))
+    for (name, first), (_, second) in zip(firsts, seconds[3:] + seconds[:3]):
+        entries = list(_BLOCKS_30)
+        entries[3], entries[20] = first, second
+        yield {"p": p, "dim": 15, "entries": entries}
+        if name in ("type-0", "type-1"):
+            # a second bad slot later in the same item: the first is named
+            entries[3] = [*first[:2], 0.5]
+            yield {"p": p, "dim": 15, "entries": entries}
+
+
+def test_malformed_oracle_models_are_pinned(capsys):
+    # sha256 over argv, exit code, stdout and stderr, captured when
+    # from_json_dict checked each entry and __init__ checked it again
+    valid = {"p": 5, "dim": 15, "entries": _BLOCKS_30}
+    assert run(capsys, "oracle", "json", "--module", json.dumps(valid)) == (EXIT_OK, "3[5]\n", "")
+    assert run(capsys, "oracle", "json", "--module", json.dumps({**valid, "p": 4})) == (
+        EXIT_VALIDATION, "", "validation error: p must be prime, got 4\n"
+    )
+    digest = hashlib.sha256()
+    count = 0
+    for p in (5, 4, _PRIME_PAST_MAXSIZE):
+        for model in _malformed_models(p):
+            argv = ("oracle", "json", "--module", json.dumps(model))
+            code, out, err = run(capsys, *argv)
+            digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
+            # an entry error comes before a non-prime p or a p past sys.maxsize
+            assert (code, out) == (EXIT_PARSE, ""), argv
+            assert err.startswith("parse error: ") and "Traceback" not in err, argv
+            count += 1
+    assert count == 3 * 104
+    assert digest.hexdigest() == "1b2e0e8e186e6f5edd8b8dacd2f54ac0e39ae505133fba88bf997e30ae53eaa8"
+
+
 # -------------------------------------------------------------------- quiver
 
 
