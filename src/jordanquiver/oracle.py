@@ -289,10 +289,19 @@ class NilpotentModel(Value):
             col = cols.setdefault(c, {})
             if r in col:
                 raise ValidationError(f"entries[{n}] repeats entry ({r},{c})")
-            col[r] = v % p
+            col[r] = v
+        self._build(p, dim, cols)
+
+    def _build(self, p: int, dim: int, cols: Mapping[int, Mapping[int, int]]) -> None:
+        """Set the fields from checked ``cols``, ``{c: {r: v}}`` with v any int.
+
+        The last step of both entry points, once p, dim and every entry
+        have passed their checks: it reduces v mod p, drops zeros, sorts
+        the columns, runs the image chain and checks nilpotency.
+        """
         columns = []
         for c in sorted(cols):
-            col = tuple(sorted((r, v) for r, v in cols[c].items() if v))
+            col = tuple(sorted((r, x) for r, v in cols[c].items() if (x := v % p)))
             if col:
                 columns.append((c, col))
         ranks = _image_chain_ranks(dim, columns, p)
@@ -311,24 +320,40 @@ class NilpotentModel(Value):
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "NilpotentModel":
+        """The model of strict model JSON, each entry read and checked once.
+
+        Fields are checked in order: ``p`` and ``dim`` as JSON integers,
+        ``dim >= 0``, then each item of ``entries`` in one pass, for its
+        shape ``[r, c, v]``, its JSON integers, its range and a repeated
+        (r, c), all as ParseErrors.  Only then is ``p`` tested for a prime
+        and against ``sys.maxsize``, as a ValidationError, so an entry
+        error comes first.  The entries are not checked again: the model
+        is built by the step that ends ``__init__``.
+        """
         json_object(data, ("p", "dim", "entries"), name="model")
         p = json_field(data, "p", int)
         dim = json_field(data, "dim", int)
         if dim < 0:
             raise ParseError(f"dim must be >= 0, got {dim}")
-        entries = []
-        seen = set()
+        cols: dict[int, dict[int, int]] = {}
         for n, item in enumerate(json_field(data, "entries", list)):
             if not isinstance(item, list) or len(item) != 3:
                 raise ParseError(f"entries[{n}] must be [r, c, v], got {item!r}")
-            r, c, v = (json_value(x, int, f"entries[{n}][{k}]") for k, x in enumerate(item))
+            r, c, v = item
+            if type(r) is not int or type(c) is not int or type(v) is not int:
+                for k, x in enumerate(item):
+                    json_value(x, int, f"entries[{n}][{k}]")  # raises, naming the field
             if not (0 <= r < dim and 0 <= c < dim):
                 raise ParseError(f"entry ({r},{c}) outside a {dim}x{dim} matrix")
-            if (r, c) in seen:
+            col = cols.setdefault(c, {})
+            if r in col:
                 raise ParseError(f"entries[{n}] repeats entry ({r},{c})")
-            seen.add((r, c))
-            entries.append((r, c, v))
-        return cls(p, dim, entries)
+            col[r] = v
+        require_prime(p)
+        require_modulus(p)
+        model = cls.__new__(cls)
+        model._build(p, dim, cols)
+        return model
 
 
 def jordan_type_of(model: NilpotentModel) -> JordanType:

@@ -19,8 +19,8 @@ from dense_reference import (
     random_invertible,
     rank_mod_p,
 )
-from jordanquiver import oracle
-from jordanquiver.errors import ParseError, ValidationError
+from jordanquiver import cli, errors, oracle
+from jordanquiver.errors import ParseError, ValidationError, json_value
 from jordanquiver.jtypes import JordanType, pi_point_sweep, require_prime, restrict, restrict_type
 from jordanquiver.oracle import (
     NilpotentModel,
@@ -587,6 +587,70 @@ def test_model_json_round_trip():
     back = NilpotentModel.from_json_dict(data)
     assert back.columns == model.columns and back.p == model.p
     assert jordan_type_of(back) == jordan_type_of(model)
+
+
+def _valid_models():
+    """Named models, their random conjugates and dense conjugates at p = 5, 7, 13."""
+    rng = random.Random(24)
+    for p in (3, 5, 7, 13):
+        named = [heisenberg_model(p), *abelian_rank2_models(p), *ga2_model(p),
+                 *sl2s_models(p, p // 2), *sl2_simple_models(p, p - 2),
+                 power_model(model_from_type(JordanType.block(p, p, 2)), 2)]
+        yield from named
+        yield from (random_conjugate(model, rng) for model in named)
+    for p in (5, 7, 13):
+        for _ in range(3):
+            sizes = [p, *random_blocks(rng, p, rng.randint(1, 2 * p))]
+            yield from_dense(p, dense_conjugate(shift_rows(sizes), p, rng))
+
+
+def test_both_entry_points_build_the_same_model():
+    rng = random.Random(9)
+    for model in _valid_models():
+        p, dim = model.p, model.dim
+        # each value moved by a multiple of p, some below 0, in a shuffled
+        # order, and entries that reduce to 0 at positions N leaves empty
+        entries = [[r, c, v + p * rng.randint(-3, 3)] for r, c, v in model.to_json_dict()["entries"]]
+        taken = {(r, c) for r, c, _ in entries}
+        entries += [[r, c, p * rng.randint(-2, 2)]
+                    for r, c in {(rng.randrange(dim), rng.randrange(dim)) for _ in range(3)} - taken]
+        rng.shuffle(entries)
+        data = json.loads(json.dumps({"p": p, "dim": dim, "entries": entries}))
+        built = NilpotentModel(p, dim, [tuple(entry) for entry in entries])
+        assert NilpotentModel.from_json_dict(data) == built == model, (p, dim)
+        assert NilpotentModel.from_json_dict(json.loads(json.dumps(model.to_json_dict()))) == model
+
+
+def test_a_json_model_is_read_without_the_constructor(capsys, monkeypatch):
+    # the entries were checked by from_json_dict and again by __init__
+    def init(*args):
+        raise AssertionError("NilpotentModel.__init__ called")
+
+    monkeypatch.setattr(NilpotentModel, "__init__", init)
+    code = cli.main(["oracle", "json", "--module", SIX_BY_SIX])
+    assert (code, capsys.readouterr().out) == (cli.EXIT_OK, "[4]+[2]\n")
+
+
+def test_json_value_runs_a_fixed_number_of_times_per_model(monkeypatch):
+    calls = []
+
+    def counted(value, kind, path):
+        calls.append(path)
+        return json_value(value, kind, path)
+
+    monkeypatch.setattr(errors, "json_value", counted)
+    monkeypatch.setattr(oracle, "json_value", counted)
+    rng = random.Random(13)
+    model = from_dense(13, dense_conjugate(shift_rows([13, 13, 13, 13]), 13, rng))
+    data = model.to_json_dict()
+    assert len(data["entries"]) > 2400
+    counts = []
+    for entries in (data["entries"], [[1, 0, 1]], []):
+        calls.clear()
+        NilpotentModel.from_json_dict({**data, "entries": entries})
+        counts.append(len(calls))
+    # the object, p, dim and entries, whatever the number of entries
+    assert counts == [7, 7, 7]
 
 
 @pytest.mark.parametrize(
