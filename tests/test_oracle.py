@@ -610,19 +610,21 @@ def test_both_entry_points_build_the_same_model():
         p, dim = model.p, model.dim
         # each value moved by a multiple of p, some below 0, in a shuffled
         # order, and entries that reduce to 0 at positions N leaves empty
-        entries = [[r, c, v + p * rng.randint(-3, 3)] for r, c, v in model.to_json_dict()["entries"]]
+        entries = [[r, c, v + p * rng.randint(-3, 3)]
+                   for r, c, v in model.to_json_dict()["entries"]]
         taken = {(r, c) for r, c, _ in entries}
-        entries += [[r, c, p * rng.randint(-2, 2)]
-                    for r, c in {(rng.randrange(dim), rng.randrange(dim)) for _ in range(3)} - taken]
+        empty = {(rng.randrange(dim), rng.randrange(dim)) for _ in range(3)} - taken
+        entries += [[r, c, p * rng.randint(-2, 2)] for r, c in empty]
         rng.shuffle(entries)
         data = json.loads(json.dumps({"p": p, "dim": dim, "entries": entries}))
         built = NilpotentModel(p, dim, [tuple(entry) for entry in entries])
         assert NilpotentModel.from_json_dict(data) == built == model, (p, dim)
-        assert NilpotentModel.from_json_dict(json.loads(json.dumps(model.to_json_dict()))) == model
+        round_trip = json.loads(json.dumps(model.to_json_dict()))
+        assert NilpotentModel.from_json_dict(round_trip) == model
 
 
 def test_a_json_model_is_read_without_the_constructor(capsys, monkeypatch):
-    # the entries were checked by from_json_dict and again by __init__
+    # from_json_dict checks the entries itself; __init__ would check them again
     def init(*args):
         raise AssertionError("NilpotentModel.__init__ called")
 
