@@ -19,6 +19,7 @@ from the intercept vector t.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -92,15 +93,28 @@ class TubeProfile(Value):
         intercepts = int_tuple(intercepts, "intercepts")
         if len(slopes) != p or len(intercepts) != p:
             raise ValidationError(f"profile rows must have length p={p}")
+        self._build(p, slopes, intercepts, include_p)
+
+    def _build(self, p: int, slopes: tuple[int, ...], intercepts: tuple[int, ...],
+               include_p: bool) -> None:
+        """Set the fields from p >= 2 and two tuples of p ints.
+
+        The last step of ``__init__`` and of ``tube_profile_from_seed``: it
+        zeroes row p unless include_p and raises NegativeMultiplicityError,
+        naming the first bad index, if a row goes negative at some ql >= 1.
+        """
         if not include_p:
             slopes, intercepts = slopes[:-1] + (0,), intercepts[:-1] + (0,)
-        for i, (s, t) in enumerate(zip(slopes, intercepts), 1):
-            if s < 0:
-                # the least ql >= 1 with s*ql + t < 0
-                q = max(1, t // -s + 1)
-                raise NegativeMultiplicityError(i, q, s * q + t)
-            if s + t < 0:
-                raise NegativeMultiplicityError(i, 1, s + t)
+        # a row is negative somewhere iff s < 0 or s + t < 0; the loop only
+        # finds the first such row
+        if min(slopes) < 0 or min(map(add, slopes, intercepts)) < 0:
+            for i, (s, t) in enumerate(zip(slopes, intercepts), 1):
+                if s < 0:
+                    # the least ql >= 1 with s*ql + t < 0
+                    q = max(1, t // -s + 1)
+                    raise NegativeMultiplicityError(i, q, s * q + t)
+                if s + t < 0:
+                    raise NegativeMultiplicityError(i, 1, s + t)
         # set directly, not through Value._set: a loop costs a hot constructor
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "slopes", slopes)
@@ -112,7 +126,9 @@ class TubeProfile(Value):
         require_ints(ql=ql)
         if ql < 1:
             raise ValidationError(f"profile only valid from ql=1, got {ql}")
-        return JordanType(self.p, tuple(s * ql + t for s, t in zip(self.slopes, self.intercepts)))
+        # construction checked that every row is >= 0 from ql = 1
+        return JordanType._trusted(
+            self.p, tuple(s * ql + t for s, t in zip(self.slopes, self.intercepts)))
 
 
 def tube_profile_from_seed(
@@ -131,13 +147,16 @@ def tube_profile_from_seed(
     n = list(int_tuple(multiplicities, "multiplicities"))
     if len(n) != p - 1:
         raise ValidationError(f"multiplicity vector must have length p-1={p - 1}")
-    if any(x < 0 for x in n):
+    if min(n) < 0:  # p >= 2, so n is not empty
         raise ValidationError(f"multiplicities must be >= 0, got {n}")
-    if all(x == 0 for x in n):
+    if not any(n):
         raise ValidationError("multiplicity vector must be nonzero on a non-split tube")
     t = apply_a(n + [0])
-    slopes = [seed.mult[i] - t[i] for i in range(p)]
-    return TubeProfile(p, tuple(slopes), tuple(t), include_p=include_p)
+    # seed and n are checked, so the rows are ints of length p: only the
+    # negativity check is left, in the step that ends TubeProfile()
+    profile = TubeProfile.__new__(TubeProfile)
+    profile._build(p, tuple(map(sub, seed.mult, t)), tuple(t), include_p)
+    return profile
 
 
 class SolveResult(Value):
@@ -232,7 +251,7 @@ def split_propagate(
     mult = [x * f_value for x in profile.d] + [0]
     if total_dim is not None:
         mult[-1] = projective_count(total_dim, profile.d_stable * f_value, profile.p)
-    return JordanType(profile.p, tuple(mult))
+    return JordanType._trusted(profile.p, tuple(mult))
 
 
 def profile_rows(profile: "TubeProfile | SplitProfile", ql_max: int) -> Iterator[tuple]:

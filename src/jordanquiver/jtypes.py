@@ -65,11 +65,26 @@ class JordanType(Value):
         mult = int_tuple(mult, "mult")
         if len(mult) != p:
             raise ValidationError(f"multiplicity vector must have length p={p}, got {len(mult)}")
-        if any(m < 0 for m in mult):
+        if min(mult) < 0:  # p >= 2, so mult is not empty
             raise ValidationError(f"multiplicities must be >= 0, got {mult}")
+        self._fill(p, mult)
+
+    def _fill(self, p: int, mult: tuple[int, ...]) -> None:
+        """Set the fields; the last step of ``__init__`` and of ``_trusted``."""
         # set directly, not through Value._set: a loop costs a hot constructor
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "mult", mult)
+
+    @classmethod
+    def _trusted(cls, p: int, mult: tuple[int, ...]) -> "JordanType":
+        """The type with fields ``p`` and ``mult``, set without the input checks.
+
+        Only for a type derived from checked values, where ``p`` has passed
+        ``require_modulus`` and ``mult`` is a tuple of p ints >= 0.
+        """
+        jt = cls.__new__(cls)
+        jt._fill(p, mult)
+        return jt
 
     # ---------------------------------------------------------------- build
 
@@ -189,7 +204,7 @@ class JordanType(Value):
 
     def stable_part(self) -> "JordanType":
         """Drop all blocks of size p."""
-        return JordanType(self.p, self.mult[:-1] + (0,))
+        return JordanType._trusted(self.p, self.mult[:-1] + (0,))
 
     def syzygy(self) -> "JordanType":
         """Kernel of the projective cover, blockwise: [i] -> [p-i].
@@ -197,11 +212,12 @@ class JordanType(Value):
         Blocks of size p are projective and are dropped (projective-free
         convention), so syzygy∘syzygy equals stable_part.
         """
-        return JordanType(self.p, self.mult[-2::-1] + (0,))
+        return JordanType._trusted(self.p, self.mult[-2::-1] + (0,))
 
     def with_modulus(self, new_p: int) -> "JordanType":
         """Reinterpret the same block multiset at nilpotency order new_p."""
         require_ints(new_p=new_p)
+        require_modulus(new_p)
         if new_p < self.p:
             for i in range(new_p, self.p):
                 if self.mult[i]:
@@ -211,7 +227,7 @@ class JordanType(Value):
         mult = [0] * new_p
         for i, a in enumerate(self.mult[: min(self.p, new_p)]):
             mult[i] = a
-        return JordanType(new_p, tuple(mult))
+        return JordanType._trusted(new_p, tuple(mult))
 
     # ------------------------------------------------------------- algebra
 

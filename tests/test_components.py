@@ -13,6 +13,7 @@ from jordanquiver.components import (
     NegativeMultiplicityError,
     SplitProfile,
     TubeProfile,
+    apply_a,
     dominance_on_component,
     profile_from_json,
     profile_rows,
@@ -321,6 +322,144 @@ def test_round_trip_random_sweep_p7(mult, n):
     except NegativeMultiplicityError:
         return
     assert solve_multiplicities(prof).multiplicities == tuple(n)
+
+
+# ------------------------------------- derived values and the checked constructor
+# Profiles from a seed and types derived from a checked value are built without
+# the checks for user input; each must equal what the checked constructor builds
+# on the same fields, and a profile must fail with the same error.
+
+
+def _round_trip_grid(p5_step=1):
+    """(seed, n) over the criterion-09 grid at p = 3 and 5 (seed entries 0..3,
+    n entries 0..2, n nonzero), every ``p5_step``-th seed at p = 5, then
+    seeded samples at p = 7 and 11: half drawn like the grid, mostly
+    rejected, and half built to stay in N_0."""
+    for p, step in ((3, 1), (5, p5_step)):
+        seeds = [JordanType(p, seed) for seed in itertools.product(range(4), repeat=p)][::step]
+        vectors = [list(n) for n in itertools.product(range(3), repeat=p - 1) if any(n)]
+        yield from itertools.product(seeds, vectors)
+    rng = random.Random(2511)
+    for p in (7, 11):
+        for k in range(200):
+            n = [0] * (p - 1)
+            while not any(n):
+                n = [rng.randint(0, 2) for _ in range(p - 1)]
+            t = apply_a([*n, 0])
+            seed = ([rng.randint(0, 3) for _ in range(p)] if k % 2
+                    else [max(x, 0) + rng.randint(0, 3) for x in t])
+            yield JordanType(p, seed), n
+
+
+def _checked_profile(seed, n, include_p):
+    t = apply_a([*n, 0])
+    return TubeProfile(seed.p, [a - x for a, x in zip(seed.mult, t)], t, include_p)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except NegativeMultiplicityError as err:
+        return "rejected", err.index, err.ql, err.value, str(err)
+
+
+def test_seeded_profiles_equal_checked_profiles():
+    accepted = rejected = 0
+    for seed, n in _round_trip_grid():
+        for include_p in (True, False):
+            got = _outcome(tube_profile_from_seed, seed, n, include_p)
+            assert got == _outcome(_checked_profile, seed, n, include_p), (seed, n, include_p)
+            if isinstance(got, TubeProfile):
+                accepted += 1
+            else:
+                rejected += 1
+    assert accepted > 1000 and rejected > 1000
+
+
+def _assert_checked(jt):
+    # the checked constructor accepts the fields and builds an equal type
+    assert jt == JordanType(jt.p, jt.mult) and hash(jt) == hash(JordanType(jt.p, jt.mult))
+
+
+def test_derived_types_equal_checked_types():
+    # every accepted profile of the grid, with every 32nd seed at p = 5;
+    # derivations at three quasi-lengths
+    accepted = 0
+    for seed, n in _round_trip_grid(p5_step=32):
+        for include_p in (True, False):
+            prof = _outcome(tube_profile_from_seed, seed, n, include_p)
+            if not isinstance(prof, TubeProfile):
+                continue
+            accepted += 1
+            p = prof.p
+            for q in range(1, 51):
+                jt = prof.jordan_type_at(q)
+                _assert_checked(jt)
+                if q not in (1, 7, 50):
+                    continue
+                _assert_checked(jt.stable_part())
+                _assert_checked(jt.syzygy())
+                _assert_checked(jt.syzygy().syzygy())
+                for new_p in sorted({2, p - 1, p, p + 1, 2 * p}):
+                    if any(jt.mult[new_p:]):
+                        with pytest.raises(ValidationError, match="does not fit below"):
+                            jt.with_modulus(new_p)
+                    else:
+                        _assert_checked(jt.with_modulus(new_p))
+                split = SplitProfile(p, jt.mult[:-1])
+                for f in (1, 3):
+                    _assert_checked(split_propagate(split, f))
+                    _assert_checked(split_propagate(split, f, split.d_stable * f + 2 * p))
+    assert accepted > 1000
+
+
+@pytest.mark.parametrize(
+    "slopes,intercepts,include_p,first",
+    [
+        # s + t < 0 at index 1 comes before s < 0 at index 2
+        ((1, -1, 0), (-2, 5, 0), True, (1, 1, -1)),
+        # s < 0 at index 1, negative from ql = 4, comes before s + t < 0 at index 2
+        ((-1, 1, 0), (3, -5, 0), True, (1, 4, -1)),
+        ((2, -3, 1), (0, 100, -9), True, (2, 34, -2)),
+        # s < 0 and s + t < 0 at one index: the slope branch names ql = 1
+        ((0, -1, 0), (0, -3, 0), True, (2, 1, -4)),
+        ((0, -1, -1, 0), (0, -3, -9, 0), True, (2, 1, -4)),
+        # a zero slope with a negative intercept
+        ((0, 0, 1), (1, -2, 0), True, (2, 1, -2)),
+        ((0, 0, 0, 0, 0), (0, 0, 0, 0, -1), True, (5, 1, -1)),
+        # row p is dropped unless include_p
+        ((0, 0, -5), (0, -1, 0), False, (2, 1, -1)),
+        ((0, 0, -5), (0, -1, 0), True, (2, 1, -1)),
+        ((1, 0, -5), (0, 0, 7), True, (3, 2, -3)),
+    ],
+)
+def test_first_negative_multiplicity_is_pinned(slopes, intercepts, include_p, first):
+    with pytest.raises(NegativeMultiplicityError) as info:
+        TubeProfile(len(slopes), slopes, intercepts, include_p)
+    err = info.value
+    assert (err.index, err.ql, err.value) == first
+    index, ql, value = first
+    assert str(err) == (f"block multiplicity alpha_{index} becomes {value} at ql={ql}; "
+                        "the seed/multiplicity pair cannot sit on a tube")
+
+
+@pytest.mark.parametrize(
+    "seed,n,include_p,first",
+    [
+        # slopes (-2, 1, 0, 0, 0), intercepts (2, -1, 0, 0, 0)
+        ((0, 0, 0, 0, 0), (1, 0, 0, 0), True, (1, 2, -2)),
+        # slopes (1, -2, 2, -2, 1): two bad indices, 2 and 4
+        ((0, 0, 0, 0, 0), (0, 1, 0, 1), True, (2, 2, -2)),
+        # slopes (-3, 2, 4, -4, 5): the first bad index, not the larger value
+        ((1, 0, 2, 0, 3), (2, 0, 0, 2), True, (1, 2, -2)),
+        ((3, 0, 0, 1, 0), (0, 2, 0, 1), False, (2, 2, -4)),
+        ((0, 0, 0), (1, 0), False, (1, 2, -2)),
+    ],
+)
+def test_first_negative_multiplicity_from_a_seed_is_pinned(seed, n, include_p, first):
+    with pytest.raises(NegativeMultiplicityError) as info:
+        tube_profile_from_seed(JordanType(len(seed), seed), n, include_p)
+    assert (info.value.index, info.value.ql, info.value.value) == first
 
 
 # ------------------------------------------------------------ profile rows

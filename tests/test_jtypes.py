@@ -389,6 +389,24 @@ def test_require_modulus_refuses_the_rest_with_one_message(p):
     assert str(info.value) == f"p must be an integer >= 2, got {p!r}"
 
 
+@pytest.mark.parametrize("mult,new_p,message", [
+    # an OverflowError and a "does not fit below order -3" before the check
+    ((1, 0, 0, 0, 0), 10**30, f"p must be at most sys.maxsize = {sys.maxsize}, got {10**30}"),
+    ((1, 0, 0, 0, 0), sys.maxsize + 1,
+     f"p must be at most sys.maxsize = {sys.maxsize}, got {sys.maxsize + 1}"),
+    ((0, 0, 1, 0, 0), -3, "p must be an integer >= 2, got -3"),
+    ((1, 0, 0, 0, 0), 1, "p must be an integer >= 2, got 1"),
+    ((0, 0, 0, 0, 0), 0, "p must be an integer >= 2, got 0"),
+], ids=["1e30", "maxsize+1", "-3", "1", "0"])
+def test_with_modulus_checks_the_new_modulus(mult, new_p, message):
+    with pytest.raises(ValidationError) as info:
+        JordanType(5, mult).with_modulus(new_p)
+    assert str(info.value) == message
+    # an int is still asked for first, by its own name
+    with pytest.raises(ValidationError, match=r"^new_p must be an int, got True$"):
+        JordanType(5, mult).with_modulus(True)
+
+
 def test_projective_count_is_the_quotient_of_the_dimension_past_the_stable_part():
     assert projective_count(17, 2, 5) == 3
     assert projective_count(2, 2, 5) == 0
