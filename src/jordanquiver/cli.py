@@ -431,27 +431,90 @@ def build_parser() -> argparse.ArgumentParser:
     cls.add_argument("--descriptor", required=True, help="descriptor JSON (inline or @file)")
     cls.set_defaults(func=_cmd_classify, needs_p=False)
 
-    # name -> subcommand parser, for main to parse a command with its own parser
+    # name -> subcommand parser, whose actions _plain reads a plain argv by
     parser.subcommands = sub.choices
     return parser
+
+
+@functools.cache
+def _plain_table(name: str):
+    """What ``_plain`` reads a ``name`` command with, taken from that
+    subcommand's parser on the first command that names it.
+
+    The namespace's defaults, each action by its option string (help left
+    out), the positional actions, and the dests of the required options.
+    The subcommands hold only store actions, which take one value, and
+    store_true flags, which take none.
+    """
+    sub = build_parser().subcommands[name]
+    actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+    # what parse_args sets before it reads a word: each action's default,
+    # the parser's own defaults for any other dest, and the command's name
+    defaults = {**sub._defaults, **{a.dest: a.default for a in actions}, "command": name}
+    options = {flag: a for a in actions for flag in a.option_strings}
+    positionals = [a for a in actions if not a.option_strings]
+    required = {a.dest for a in actions if a.required and a.option_strings}
+    return defaults, options, positionals, required
+
+
+def _plain_value(action: argparse.Action, text: str):
+    """``text`` read by ``action``'s type and checked against its choices;
+    ValueError where argparse could read it otherwise or refuse it."""
+    # argparse reads "-3" as a value, and "-x" as an option
+    if text.startswith("-"):
+        raise ValueError(text)
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(text)
+    return value
+
+
+def _plain(argv: list[str]) -> argparse.Namespace | None:
+    """What ``build_parser().parse_args(argv)`` gives for a plain argv, or
+    None for any other.
+
+    A plain argv is a subcommand name, then words that are each an exact
+    option string or a positional not starting with "-".  Each option but
+    a flag is followed by its value, which does not start with "-"; every
+    value passes its action's type and choices, and every positional and
+    required option is given.  Anything else ("=" forms, abbreviations,
+    "-h", "--", a value such as "-3", an unknown word, a bad int or
+    choice, a missing option) is left to argparse.
+    """
+    if not argv or argv[0] not in build_parser().subcommands:
+        return None
+    defaults, options, positionals, required = _plain_table(argv[0])
+    values, seen, words = dict(defaults), set(), []
+    tokens = iter(argv[1:])
+    try:
+        for token in tokens:
+            action = options.get(token)
+            if action is None:
+                # a positional; _plain_value refuses it if it starts with "-"
+                words.append(token)
+                continue
+            # a missing value reads as "-", which _plain_value refuses too
+            values[action.dest] = (action.const if action.nargs == 0
+                                   else _plain_value(action, next(tokens, "-")))
+            seen.add(action.dest)
+        if len(words) != len(positionals) or not required <= seen:
+            return None
+        for action, word in zip(positionals, words):
+            values[action.dest] = _plain_value(action, word)
+    # what argparse turns into a usage error
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    return argparse.Namespace(**values)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """What ``build_parser().parse_args(argv)`` gives, parsing argv once.
 
-    The top-level parser hands everything after a subcommand name to that
-    subcommand's parser ("-h" and "--" included), so such an argv is parsed
-    by that parser alone; any other argv (empty, help, an unknown name) by
-    the top-level parser, which owns help and the usage errors.
+    A plain argv is read by ``_plain``; argparse parses every other one,
+    and so writes every help text, usage line and error.
     """
-    parser = build_parser()
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:])
-    if extra:
-        parser.error("unrecognized arguments: " + " ".join(extra))
-    return args
+    args = _plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

@@ -383,9 +383,13 @@ def pi_point_sweep(jt: JordanType) -> set[JordanType]:
     the single given operator are modelled; mixed two-parameter probes
     reduce to their lowest-degree power.  The sweep covers the seed
     operator itself, not other vertices of its component.
+
+    At every j from the largest block b up, each block [i] splits into
+    i[1], so j stops at b (at 1 for the zero type, which every j fixes).
     """
+    top = max((i for i, a in enumerate(jt.mult, 1) if a), default=1)
     return {restrict_type(jt, j).with_modulus(jt.p).stable_part()
-            for j in range(1, jt.p + 1)}
+            for j in range(1, top + 1)}
 
 
 def _dominance_key(jt: JordanType, convention: DominanceConvention) -> list[int]:

@@ -447,6 +447,15 @@ def minimal_additive_function(tc: TreeClass) -> MinimalAdditiveFunction:
         raise ValidationError(
             "on a finite Dynkin tree class only f = 0 is additive; no minimal positive function exists"
         )
+    # D~n has n + 1 nodes, and no other class more than 21; like a window,
+    # a larger graph is refused before any node is built.  n is bounded by
+    # its digits first, as int() reads no more than 4300 of them
+    if tc.name.startswith("D") and tc.name.endswith("_tilde"):
+        digits = tc.name[1:-len("_tilde")]
+        if len(digits) > len(str(_MAX_VERTICES)) or int(digits) + 1 > _MAX_VERTICES:
+            raise ValidationError(
+                f"orbit graph of {tc} has n + 1 nodes, more than the bound of {_MAX_VERTICES}"
+            )
     graph, values, interior = _orbit_graph(tc)
     if not is_additive_on_graph(graph, values, interior) or min(values.values()) != 1:
         raise ValidationError(f"the minimal additive function of {tc} failed its check")

@@ -5,13 +5,14 @@ import json
 import random
 import re
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanquiver.cli import (
-    _CHUNK_CELLS, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, _int, _parse, build_parser, main,
+    _CHUNK_CELLS, EXIT_OK, EXIT_PARSE, EXIT_VALIDATION, _int, _parse, _plain, build_parser, main,
 )
 from jordanquiver.classify import (
     CohomologyClassDescriptor, VerdictKind, carlson_indecomposability,
@@ -571,6 +572,12 @@ def test_oracle_sweep(capsys):
     assert out.splitlines()[0] == "4 distinct types"
 
 
+def test_oracle_sweep_costs_its_largest_block_not_p(capsys):
+    # j stops at the largest block, so p = 1000003 sweeps one power
+    assert run(capsys, "oracle", "sweep", "--p", "1000003", "--base-block", "1") == (
+        EXIT_OK, "1 distinct types\n[1]\n", "")
+
+
 def test_oracle_fuzz(capsys):
     code, out, _ = run(capsys, "oracle", "heisenberg", "--p", "3", "--fuzz", "3")
     assert code == EXIT_OK and "fuzz PASS" in out
@@ -819,6 +826,16 @@ def test_quiver_minimal_additive(capsys):
     assert len(lines) == 10  # 9 labeled nodes + the image line
     code, out, _ = run(capsys, "quiver", "--minimal-additive", "E8_tilde")
     assert code == EXIT_OK and out.startswith("graph")
+
+
+@pytest.mark.parametrize("n", ["1000000", "1000000000", "9" * 5000])
+def test_quiver_minimal_additive_refuses_a_graph_past_the_bound(capsys, n):
+    # D~n has n + 1 nodes; past 10**6 it is refused before any is built,
+    # also where n has more digits than int() reads
+    code, out, err = run(capsys, "quiver", "--minimal-additive", f"D{n}_tilde", "--format", "tsv")
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err == (f"validation error: orbit graph of D{n}_tilde has n + 1 nodes, "
+                   "more than the bound of 1000000\n")
 
 
 MINIMAL_ADDITIVE_CLASSES = (
@@ -1122,11 +1139,58 @@ def test_dispatch_edge_argv_are_pinned(capsys, monkeypatch):
     assert digest.hexdigest() == "76739da45c5a2b22e986332516415a2861df17f2042ac45eb7823a8fc770e1a5"
 
 
+def _pinned_argv():
+    """Every argv of the pinned jt, component, oracle, quiver and classify outputs."""
+    yield from _jt_corpus()
+    yield from _component_corpus()
+    yield from _oracle_corpus()
+    for tc in MINIMAL_ADDITIVE_CLASSES:
+        for fmt in ("dot", "tsv", "json"):
+            yield ("quiver", "--minimal-additive", tc, "--format", fmt)
+    for spec in WINDOW_SPECS:
+        for mode in WINDOW_MODES:
+            yield ("quiver", "--spec", json.dumps(spec), *mode)
+    yield from _classify_corpus()
+
+
+# what the mutations put in: negative numbers, "=" and abbreviated options,
+# help, "--", words that are empty, underscored, padded or unknown, and the
+# options, values and words of the subcommands
+_EDGE_POOL = [
+    "-5", "-3", "--p=5", "--jt=[2]", "-h", "--help", "--", "-", "--ql", "--h", "--s", "",
+    "1_0", " 5", "x", "--bogus", "--p", "5", "7", "--jt", "[2]", "--m", "2", "--format",
+    "json", "tsv", "dot", "xml", "--spec", _SPLIT, "--ql-max", "--solve", "--i", "--fuzz",
+    "--seed", "--descriptor", '{"p":5,"degree":4}', "--minimal-additive", "E6_tilde",
+    "dim", "restrict", "heisenberg", "sweep", "jt", "component", "oracle", "quiver", "classify",
+]
+
+
+def _mutants(seed, count):
+    """``count`` argv, each a pinned argv with one to three tokens inserted,
+    deleted or replaced from ``_EDGE_POOL``, or a pair of its tokens repeated."""
+    rng = random.Random(seed)
+    bases = [*EDGE_ARGV, *islice(_pinned_argv(), 0, None, 25)]
+    for _ in range(count):
+        argv = list(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(argv))
+            kind = rng.randrange(4) if argv else 0
+            if kind == 0:
+                argv.insert(i, rng.choice(_EDGE_POOL))
+            elif kind == 1:
+                del argv[i - 1]
+            elif kind == 2:
+                argv[i - 1] = rng.choice(_EDGE_POOL)
+            else:
+                argv[i:i] = argv[max(0, i - 2):i]  # an option given again, say
+        yield argv
+
+
 def test_dispatch_matches_the_top_level_parser(capsys):
-    # main parses an argv that starts with a subcommand name with that
-    # subcommand's parser alone.  Whatever the interpreter's argparse does
-    # (a leading "--" is refused by 3.13.0 and skipped by later 3.13
-    # releases, so it is not pinned), main parses as the top-level parser does.
+    # a plain argv is read from a table taken off the parser, any other by
+    # the top-level parser.  Whatever the interpreter's argparse does (a
+    # leading "--" is refused by 3.13.0 and skipped by later 3.13 releases,
+    # so it is not pinned), main parses as the top-level parser does.
     def outcome(parse, argv):
         try:
             got = vars(parse(list(argv)))
@@ -1135,8 +1199,33 @@ def test_dispatch_matches_the_top_level_parser(capsys):
             got = type(exc), str(exc)
         return got, capsys.readouterr()
 
-    for argv in [*EDGE_ARGV, ["--", *_J]]:
-        assert outcome(_parse, argv) == outcome(build_parser().parse_args, argv), argv
+    read = 0
+    for argv in [*EDGE_ARGV, ["--", *_J], *_mutants("dispatch", 4000)]:
+        expected = outcome(build_parser().parse_args, argv)
+        assert outcome(_parse, argv) == expected, argv
+        if _plain(list(argv)) is not None:
+            read += 1
+            assert outcome(_plain, argv) == expected, argv
+    # the reader fires on a good share of the mutants, not only on untouched argv
+    assert read > 200
+
+
+def test_plain_reads_every_pinned_argv_that_parses_without_a_negative_number(capsys):
+    # argparse reads "-3" as a value, which the reader leaves to it; every
+    # other pinned argv that parses is read from the table, so a reader
+    # that stopped firing shows here and not only as a slower benchmark
+    read = 0
+    for argv in _pinned_argv():
+        try:
+            expected = build_parser().parse_args(list(argv))
+        except ParseError:
+            capsys.readouterr()
+            continue
+        if any(re.fullmatch(r"-[0-9]+", token) for token in argv):
+            continue
+        assert _plain(list(argv)) == expected, argv
+        read += 1
+    assert read > 3000
 
 
 def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):

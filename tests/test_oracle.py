@@ -504,12 +504,24 @@ def test_sweep_cardinality_on_small_blocks(p):
         assert len(pi_point_sweep(JordanType.block(p, n))) == n
 
 
+def _full_sweep(jt):
+    """The sweep over every probe power j = 1..p, the reference for the cut-off one."""
+    return {restrict_type(jt, j).with_modulus(jt.p).stable_part() for j in range(1, jt.p + 1)}
+
+
+def test_sweep_stopped_at_the_largest_block_matches_the_full_sweep():
+    rng = random.Random("sweep")
+    for p in (2, 3, 4, 5, 7, 11, 13):
+        types = [JordanType(p, [0] * p), *(JordanType.block(p, i) for i in range(1, p + 1))]
+        types += [JordanType(p, [rng.choice((0, 0, 1, 2)) for _ in range(p)]) for _ in range(150)]
+        for jt in types:
+            assert pi_point_sweep(jt) == _full_sweep(jt), jt
+
+
 def test_sweep_of_full_block():
     p = 7
     types = pi_point_sweep(JordanType.block(p, p))
-    expected = {restrict_type(JordanType.block(p, p), j).with_modulus(p).stable_part()
-                for j in range(1, p + 1)}
-    assert types == expected
+    assert types == _full_sweep(JordanType.block(p, p))
     # all nonempty members split as (j-r)[a] + r[a+1] for p = a*j + r
     assert JordanType.from_counts(p, {}) in types
     for j in range(2, p):

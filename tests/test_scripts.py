@@ -124,6 +124,15 @@ def test_readme_cli_examples():
             assert fragment.strip() in result.stdout, (argv, fragment)
 
 
+def test_readme_cli_examples_are_read_from_the_table():
+    # each README command is a plain argv, read from the table taken off the
+    # parser as the parser reads it; a reader that stopped firing shows here
+    from jordanquiver.cli import _plain, build_parser
+
+    for argv, _ in readme_cli_examples():
+        assert _plain(argv[1:]) == build_parser().parse_args(argv[1:]), argv
+
+
 def test_package_imports_only_stdlib():
     # the library has no dependencies: importing it and every module may load
     # nothing but the standard library.  `site` can preload third-party
@@ -224,8 +233,8 @@ _TEST_ONLY_KEPT = {
     "benson_constraint",  # ROADMAP item 2: a Carlson-module oracle will give it a computed route
     "endo_trivial",  # ROADMAP item 8: tensor products of Jordan types will compute it
     "sl2_family_types",  # ROADMAP item 11: a u(sl(2)) module oracle will check it
-    "dominance_on_component",  # ROADMAP item 12: the paper's vertex-independent dominance
-    "seed_to_split_profile",  # ROADMAP item 12: kept until a route reads it
+    "dominance_on_component",  # ROADMAP item 14: the paper's vertex-independent dominance
+    "seed_to_split_profile",  # ROADMAP item 14: kept until a route reads it
     "model_from_type",  # the oracle's reference model of a given Jordan type
     "power_model",  # the oracle's reference model of an operator's power
     "sl2_simple_models",  # the oracle's reference models of the simple sl(2) modules
