@@ -12,14 +12,18 @@ cost; powers and conjugates are composed on that store as well.
 
 Each step of the chain runs on one of two kernels, picked from what the
 step can observe of its own operator A on F_p^n: a dict kit of sparse
-vectors, or a packed kit that holds each vector in one int, one
-fixed-width unsigned slot per coordinate, and does row operations as
+columns, or a packed kit that holds each row of A in one int, one
+fixed-width unsigned slot per column, and does row operations as
 big-integer multiply-adds.  A step is packed when A is dense (more than
 0.3 n^2 nonzero entries) and the slot bound (p-1) + n (p-1)^2 fits an
 array item of at most 64 bits; any other step, and so every step of the
-monomial named models, runs on dicts.  Both kernels compute the same
-ranks, and ``--fuzz`` on a named model checks the packed kernel against
-the dict kit at run time whenever conjugation fills a step past 0.3.
+monomial named models, runs on dicts.  A packed step makes one
+Gauss-Jordan pass down the rows of A, which reduces its columns to the
+reduced echelon basis B of im A, and restricts A to im A as A_P B, A_P
+the pivot rows of A; the result stays packed for the next packed step.
+Both kernels compute the same basis and restriction, and ``--fuzz`` on
+a named model checks the packed kernel against the dict kit at run time
+whenever conjugation fills a step past 0.3.
 
 Models serialize as JSON ``{"p": 5, "dim": 25, "entries": [[r, c, v], ...]}``
 with sparse triplets.
@@ -30,8 +34,7 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ParseError, ValidationError, Value, int_tuple, json_field, json_object, json_value,
@@ -120,113 +123,155 @@ def _dict_step(cols: Operator, p: int) -> tuple[int, Operator]:
 # ------------------------------------------------------------ packed F_p kit
 
 # Fill (nonzero entries against n^2) above which a chain step on n
-# coordinates runs on packed vectors.  One step costs the same on both
-# kits near fill 0.3 at n = 29; at n = 60 the packed kit already wins
-# from about 0.15, so 0.3 errs toward dicts.  It stays above 1/4: a
-# monomial nilpotent operator, such as every named model and each of
-# its restrictions, has at most n - 1 entries, a fill of at most 1/4.
+# coordinates runs on packed rows.  On a random operator at p = 7 or
+# 13, one step, with its conversion to rows, costs the same on both
+# kits near fill 0.12 at n = 29 and near 0.07 at n = 60, so 0.3 errs
+# toward dicts.  It stays above 1/4: a monomial nilpotent operator,
+# such as every named model and each of its restrictions, has at most
+# n - 1 entries, a fill of at most 1/4.
 _DENSE_FILL = 0.3
 
 
 def _slot_type(n: int, p: int) -> str | None:
     """The narrowest unsigned array type whose items hold (p-1) + n (p-1)^2, if any.
 
-    A packed vector over F_p keeps each coordinate in one slot of that
-    width, reduced mod p only when the vector becomes a pivot or a
-    column of the next operator.  In between, a slot starts at most at
-    p - 1 and gains at most (p - 1)^2 from each of at most n
-    multiply-adds, so the bound holds it.
+    A packed row over F_p keeps each entry in one slot of that width,
+    and is reduced mod p only once a step is done adding to it.  Until
+    then a slot starts at most at p - 1 and gains at most (p - 1)^2 from
+    each of at most n multiply-adds, so the bound holds it.
     """
     bound = (p - 1) + n * (p - 1) ** 2
     return next((code for code in "BHIQ" if bound < 1 << 8 * array(code).itemsize), None)
 
 
-def _packed_step(cols: Operator, n: int, p: int, code: str) -> tuple[int, Operator]:
-    """``_dict_step`` for an operator on F_p^n, on vectors packed into ints.
+class _Rows(NamedTuple):
+    """A dense operator A on F_p^n as packed rows, passed from one packed step to the next.
 
-    Coordinate j of a vector is slot j of an int: bits [j w, (j + 1) w),
-    w the item width of the array type ``code`` (see ``_slot_type``).
-    ``array`` and ``memoryview`` convert a vector to and from its slots
-    in native byte order, so the ints are read and written in
-    ``sys.byteorder``.  The lowest nonzero slot of v is found from the
-    lowest set bit, ``v & -v``; a row operation is one multiply-add of
-    ints, and a slot whose value is 0 mod p is cleared as it is met.
-    The basis and the restricted operator come out as in ``_dict_step``,
-    with the pivots in increasing order.
+    Row t of A is ``rows[t]``, one int whose slot c, bits [c w, (c + 1) w)
+    with w the item width of the array type ``code``, holds A[t, c] in
+    0..p-1.  ``array`` and ``memoryview`` convert a row to and from its
+    slots in native byte order, so the ints are read and written in
+    ``sys.byteorder``.  ``code`` is the slot type of the first packed
+    step of the chain, kept as the chain shrinks, and ``nnz`` counts the
+    nonzero entries, for the next step's fill.
     """
-    size = array(code).itemsize
-    w, nbytes, mask = 8 * size, n * size, (1 << 8 * size) - 1
 
-    def pack(slots) -> int:
-        return int.from_bytes(array(code, slots).tobytes(), sys.byteorder)
+    code: str
+    rows: list[int]
+    nnz: int
 
-    def unpack(v: int) -> list[int]:
-        return memoryview(v.to_bytes(nbytes, sys.byteorder)).cast(code).tolist()
 
-    packed = {}
+_SIZE = {code: array(code).itemsize for code in "BHIQ"}
+
+
+def _pack(code: str, slots: Iterable[int]) -> int:
+    return int.from_bytes(array(code, slots), sys.byteorder)
+
+
+def _unpack(code: str, v: int, n: int) -> list[int]:
+    return memoryview(v.to_bytes(n * _SIZE[code], sys.byteorder)).cast(code).tolist()
+
+
+def _rows_of(cols: Operator, n: int, code: str) -> _Rows:
+    """The packed rows of an operator on F_p^n given by its nonzero columns."""
+    slots = array(code, bytes(n * n * _SIZE[code]))
     for c, col in cols.items():
-        slots = array(code, bytes(nbytes))
         for r, v in col:
-            slots[r] = v
-        packed[c] = pack(slots)
-    # forward elimination; a pivot row is kept without its lead 1, as
-    # an int and as its list of slots
-    rows: dict[int, tuple[int, list[int]]] = {}
-    for v in packed.values():
-        while v:
-            lead = ((v & -v).bit_length() - 1) // w
-            x = v >> lead * w & mask
-            v ^= x << lead * w
-            f = -x % p
-            if f:
-                row = rows.get(lead)
-                if row is None:
-                    inv = pow(x, -1, p)
-                    slots = [y * inv % p for y in unpack(v)]
-                    rows[lead] = pack(slots), slots
-                    break
-                v += f * row[0]
-    # back substitution, from the last pivot: a row already reduced is
-    # 0 at every other pivot, so the pivot slots of the row being
-    # reduced keep the values read before
-    reduced: dict[int, tuple[int, list[int]]] = {}
-    for lead in sorted(rows, reverse=True):
-        v, slots = rows[lead]
-        for q, (qrow, _) in reduced.items():
-            x = slots[q]
+            slots[r * n + c] = v
+    data, step = memoryview(slots).cast("B"), n * _SIZE[code]
+    rows = [int.from_bytes(data[i:i + step], sys.byteorder) for i in range(0, n * step, step)]
+    return _Rows(code, rows, sum(map(len, cols.values())))
+
+
+def _cols_of(op: _Rows, n: int) -> Operator:
+    """The nonzero columns of an operator on F_p^n given by its packed rows."""
+    cols: dict[int, list[tuple[int, int]]] = {}
+    for t, v in enumerate(op.rows):
+        for c, y in enumerate(_unpack(op.code, v, n)):
+            if y:
+                cols.setdefault(c, []).append((t, y))
+    return cols
+
+
+def _packed_step(op: _Rows, n: int, p: int) -> tuple[int, _Rows]:
+    """``_dict_step`` for an operator A on F_p^n, given by its packed rows.
+
+    One Gauss-Jordan pass down the rows reduces the columns of A, which
+    gives the reduced echelon basis B of im A with no back substitution.
+    Row t takes one multiply-add from each pivot found before it, then
+    becomes the next pivot if it is still nonzero mod p at a column that
+    holds none.  Pivot m sits at row t_m and column k_m, a_m is slot k_m
+    of that row, and F_m is the row with slot k_m cleared.  With x the
+    later row's slot k_m over a_m, mod p, row += (p - x) F_m subtracts
+    x F_m from every slot but k_m: the column operations that clear row
+    t_m outside column k_m, done on that one row.  A row that becomes no
+    pivot is 0 mod p at each column free when it was passed, so later
+    pivots add nothing to it, and its slot k_m over a_m is b_m[t], b_m
+    being 1 at t_m and 0 at the other pivot rows.  The restriction is
+    A' = A_P B, A_P the pivot rows of A: row i of A' is A[t_i, t_m] in
+    slot m plus A[t_i, j] times row j of B for each j off the pivot rows,
+    r (n - r) multiply-adds in all.  A slot so gains at most r (p - 1)^2
+    in the pass and (n - r) (p - 1)^2 in A', within the bound of
+    ``_slot_type``.  B is the basis ``_dict_step`` finds, its pivots
+    t_m in increasing order.
+    """
+    code = op.code
+    w = 8 * _SIZE[code]
+    mask = (1 << w) - 1
+    free = list(range(n))  # the columns that hold no pivot yet
+    pivot_rows: list[int] = []  # t_m, increasing
+    reducers: list[tuple[int, int, int]] = []  # (w k_m, 1 / a_m, F_m)
+    basis: list[tuple[int, int]] = []  # (t, row t of B) for each nonzero row off the pivot rows
+    for t, v in enumerate(op.rows):
+        for shift, inv, f_row in reducers:
+            x = (v >> shift & mask) * inv % p
             if x:
-                v += (p - x) * qrow - (x << q * w)
-        slots = [y % p for y in unpack(v)]
-        reduced[lead] = pack(slots), slots
-    # column i of the restriction: A b_i = A e_lead + sum_j b_i[j] A e_j,
-    # read at the pivots
-    pivots = sorted(reduced)
-    at_pivot = [j in reduced for j in range(n)]
-    restricted = {}
-    for i, lead in enumerate(pivots):
-        slots = reduced[lead][1]
-        v = packed.get(lead, 0)
-        for j in compress(range(n), slots):
-            v += slots[j] * packed.get(j, 0)
-        col = [y % p for y in compress(unpack(v), at_pivot)]
-        if any(col):
-            restricted[i] = list(zip(compress(range(len(pivots)), col), filter(None, col)))
-    return len(pivots), restricted
+                v += (p - x) * f_row
+        slots = [y % p for y in _unpack(code, v, n)]
+        k = next(filter(slots.__getitem__, free), None)
+        if k is None:  # b_m[t] in slot m; the slots of later pivots stay 0
+            if b := _pack(code, [slots[s // w] * inv % p for s, inv, _ in reducers]):
+                basis.append((t, b))
+            continue
+        inv = pow(slots[k], -1, p)
+        slots[k] = 0
+        pivot_rows.append(t)
+        reducers.append((k * w, inv, _pack(code, slots)))
+        free.remove(k)
+    rank = len(pivot_rows)
+    rows, nnz = [], 0
+    for t in pivot_rows:
+        a = _unpack(code, op.rows[t], n)
+        v = 0
+        for j, b in basis:
+            if a[j]:
+                v += a[j] * b
+        slots = [(a[q] + y) % p for q, y in zip(pivot_rows, _unpack(code, v, rank))]
+        nnz += rank - slots.count(0)
+        rows.append(_pack(code, slots))
+    return rank, _Rows(code, rows, nnz)
 
 
 # ------------------------------------------------------------------ chain
 
 
-def _chain_step(cols: Operator, n: int, p: int) -> tuple[int, Operator]:
-    """rank A and A restricted to im A, for A on F_p^n given by its nonzero columns.
+def _chain_step(cols: Operator | _Rows, n: int, p: int) -> tuple[int, Operator | _Rows]:
+    """rank A and A restricted to im A, for A on F_p^n as nonzero columns or packed rows.
 
     Packed when A is dense (see ``_DENSE_FILL``) and ``_slot_type``
     finds a slot width, on dicts otherwise.  The fill is counted against
     this step's n, so a sparse operator on a huge space never allocates
-    n slots.
+    n slots.  A packed step's restriction stays packed, with the slot
+    type of the first packed step, unless the next step runs on dicts;
+    the operator is converted only there.
     """
-    code = _slot_type(n, p) if sum(map(len, cols.values())) > _DENSE_FILL * n * n else None
-    return _packed_step(cols, n, p, code) if code else _dict_step(cols, p)
+    if type(cols) is _Rows:
+        if cols.nnz > _DENSE_FILL * n * n:
+            return _packed_step(cols, n, p)
+        cols = _cols_of(cols, n)
+    elif sum(map(len, cols.values())) > _DENSE_FILL * n * n and (code := _slot_type(n, p)):
+        return _packed_step(_rows_of(cols, n, code), n, p)
+    return _dict_step(cols, p)
 
 
 def _image_chain_ranks(dim: int, columns: Iterable[tuple[int, Column]], p: int) -> list[int]:
@@ -237,11 +282,13 @@ def _image_chain_ranks(dim: int, columns: Iterable[tuple[int, Column]], p: int) 
     Each step keeps the operator restricted to the current term, in the
     coordinates of its reduced echelon basis, so the operator shrinks
     with the chain.  ``_chain_step`` runs one step on one of two
-    kernels: packed ints when the step's operator fills more than
+    kernels: packed rows when the step's operator fills more than
     ``_DENSE_FILL`` of its n^2 entries and the slot bound
-    (p-1) + n (p-1)^2 fits 64 bits, dicts otherwise.  The chain
-    decreases; once it is zero or stops shrinking it is constant, and
-    the remaining ranks repeat the last one.
+    (p-1) + n (p-1)^2 fits 64 bits, dicts otherwise.  A packed step
+    hands its restriction on as packed rows, so a run of dense steps
+    packs the operator once.  The chain decreases; once it is zero or
+    stops shrinking it is constant, and the remaining ranks repeat the
+    last one.
     """
     cols = dict(columns)
     ranks = [dim]
@@ -285,19 +332,22 @@ class NilpotentModel(Value):
             if type(r) is not int or type(c) is not int or type(v) is not int:
                 int_tuple(entry, f"entries[{n}]")  # raises, naming the field
             if not (0 <= r < dim and 0 <= c < dim):
-                raise ValidationError(f"entry ({r},{c}) outside a {dim}x{dim} matrix")
+                raise ValidationError(
+                    f"entries[{n}] has entry ({r},{c}) outside a {dim}x{dim} matrix"
+                )
             col = cols.setdefault(c, {})
             if r in col:
                 raise ValidationError(f"entries[{n}] repeats entry ({r},{c})")
             col[r] = v
         self._build(p, dim, cols)
 
-    def _build(self, p: int, dim: int, cols: Mapping[int, Mapping[int, int]]) -> None:
-        """Set the fields from checked ``cols``, ``{c: {r: v}}`` with v any int.
+    def _build(self, p: int, dim: int, cols: Mapping[int, Mapping[int, int]]) -> NilpotentModel:
+        """Set the fields from checked ``cols``, ``{c: {r: v}}`` with v any int, and return self.
 
-        The last step of both entry points, once p, dim and every entry
-        have passed their checks: it reduces v mod p, drops zeros, sorts
-        the columns, runs the image chain and checks nilpotency.
+        The last step of both entry points, and of ``random_conjugate``,
+        once p, dim and every entry have passed their checks: it reduces v
+        mod p, drops zeros, sorts the columns, runs the image chain and
+        checks nilpotency.
         """
         columns = []
         for c in sorted(cols):
@@ -310,6 +360,7 @@ class NilpotentModel(Value):
                 f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {ranks[p]})"
             )
         self._set(p, dim, tuple(columns), tuple(ranks))
+        return self
 
     def __repr__(self):
         return f"NilpotentModel(p={self.p}, dim={self.dim})"
@@ -319,7 +370,7 @@ class NilpotentModel(Value):
         return {"p": self.p, "dim": self.dim, "entries": entries}
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> "NilpotentModel":
+    def from_json_dict(cls, data: Mapping) -> NilpotentModel:
         """The model of strict model JSON, each entry read and checked once.
 
         Fields are checked in order: ``p`` and ``dim`` as JSON integers,
@@ -344,16 +395,14 @@ class NilpotentModel(Value):
                 for k, x in enumerate(item):
                     json_value(x, int, f"entries[{n}][{k}]")  # raises, naming the field
             if not (0 <= r < dim and 0 <= c < dim):
-                raise ParseError(f"entry ({r},{c}) outside a {dim}x{dim} matrix")
+                raise ParseError(f"entries[{n}] has entry ({r},{c}) outside a {dim}x{dim} matrix")
             col = cols.setdefault(c, {})
             if r in col:
                 raise ParseError(f"entries[{n}] repeats entry ({r},{c})")
             col[r] = v
         require_prime(p)
         require_modulus(p)
-        model = cls.__new__(cls)
-        model._build(p, dim, cols)
-        return model
+        return cls.__new__(cls)._build(p, dim, cols)
 
 
 def jordan_type_of(model: NilpotentModel) -> JordanType:
@@ -407,9 +456,10 @@ def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentMode
     perm = dict(zip(support, rng.sample(range(dim), len(support))))
     scale = {k: rng.randrange(1, p) for k in support}
     inverse = {k: pow(s, -1, p) for k, s in scale.items()}
-    entries = [(perm[r], perm[c], scale[r] * v * inverse[c])
-               for c, col in cols.items() for r, v in col.items()]
-    return NilpotentModel(p, dim, entries)
+    # the entries of a checked model, moved by an injection into range(dim)
+    conjugate = {perm[c]: {perm[r]: scale[r] * v * inverse[c] for r, v in col.items()}
+                 for c, col in cols.items() if col}
+    return NilpotentModel.__new__(NilpotentModel)._build(p, dim, conjugate)
 
 
 # ------------------------------------------------------------ constructors

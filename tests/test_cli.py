@@ -697,12 +697,13 @@ def _oracle_corpus():
 def test_oracle_output_is_pinned(capsys):
     # sha256 over argv, exit code, stdout and stderr of every named model,
     # sweep and JSON model, captured when the sweep still went through a
-    # per-power helper and block models had their own constructor
+    # per-power helper and block models had their own constructor, and
+    # re-captured when an out-of-range entry came to name its JSON path
     digest = hashlib.sha256()
     for argv in _oracle_corpus():
         code, out, err = run(capsys, *argv)
         digest.update(f"{argv}\0{code}\0{out}\0{err}\0".encode())
-    assert digest.hexdigest() == "12cff864b47e62b42113c9b2f8cdc7e58a8017be6d60aa8d5dde0c1b41d92edd"
+    assert digest.hexdigest() == "a3f44880460a74ef123945fc73ebe49d1755c7bf37c2a8ae1ea03f8138438ab3"
 
 
 # three 5 x 5 strictly lower triangular blocks: 30 entries, N^5 = 0 at p = 5
@@ -749,11 +750,16 @@ def _malformed_models(p):
 
 def test_malformed_oracle_models_are_pinned(capsys):
     # sha256 over argv, exit code, stdout and stderr, captured when
-    # from_json_dict checked each entry and __init__ checked it again
+    # from_json_dict checked each entry and __init__ checked it again, and
+    # re-captured when an out-of-range entry came to name its JSON path
     valid = {"p": 5, "dim": 15, "entries": _BLOCKS_30}
     assert run(capsys, "oracle", "json", "--module", json.dumps(valid)) == (EXIT_OK, "3[5]\n", "")
     assert run(capsys, "oracle", "json", "--module", json.dumps({**valid, "p": 4})) == (
         EXIT_VALIDATION, "", "validation error: p must be prime, got 4\n"
+    )
+    outside = {**valid, "entries": [*_BLOCKS_30[:3], [15, 0, 1]]}
+    assert run(capsys, "oracle", "json", "--module", json.dumps(outside)) == (
+        EXIT_PARSE, "", "parse error: entries[3] has entry (15,0) outside a 15x15 matrix\n"
     )
     digest = hashlib.sha256()
     count = 0
@@ -767,7 +773,7 @@ def test_malformed_oracle_models_are_pinned(capsys):
             assert err.startswith("parse error: ") and "Traceback" not in err, argv
             count += 1
     assert count == 3 * 104
-    assert digest.hexdigest() == "1b2e0e8e186e6f5edd8b8dacd2f54ac0e39ae505133fba88bf997e30ae53eaa8"
+    assert digest.hexdigest() == "fbefeab9cdf86c7a81c5cde3f02e90af799c1e99351ac63aa6cef66ec490dffb"
 
 
 # -------------------------------------------------------------------- quiver

@@ -347,6 +347,76 @@ def test_packed_kernel_matches_dense_reference(p, monkeypatch):
     assert 2 <= nilpotent <= 6
 
 
+def labelled(cols, pivots):
+    """The entries of an operator given in the coordinates of a reduced echelon
+    basis, keyed by the pivots of the basis vectors instead of their order."""
+    return {(pivots[r], pivots[c]): v for c, col in cols.items() for r, v in col}
+
+
+def step_inputs(p, rng):
+    """Dense, half-dense and non-nilpotent matrices over F_p, as rows."""
+    for _ in range(2):
+        yield dense_conjugate(shift_rows(random_blocks(rng, p, rng.randint(10, 30))), p, rng)
+        dim = rng.randint(10, 30)
+        perm = rng.sample(range(dim), dim)
+        yield [[rng.randrange(p) if perm[c] < perm[r] else 0 for c in range(dim)]
+               for r in range(dim)]
+        dim = rng.randint(8, 16)
+        yield [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(dim)]
+               for _ in range(dim)]
+        yield [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
+
+
+@pytest.mark.parametrize("p", [7, 13, 31])
+def test_packed_steps_match_dict_steps(p):
+    # each step of a packed run against _dict_step on the same operator: the
+    # same rank, and the same restriction once each basis vector is named by
+    # its pivot (the dict kit orders its basis as it meets the pivots, the
+    # packed kit by increasing pivot)
+    rng = random.Random(p)
+    steps = non_nilpotent = 0
+    for rows in step_inputs(p, rng):
+        n = len(rows)
+        cols = {c: col for c in range(n)
+                if (col := [(r, rows[r][c]) for r in range(n) if rows[r][c]])}
+        op = oracle._rows_of(cols, n, oracle._slot_type(n, p))
+        while True:
+            cols = oracle._cols_of(op, n)
+            rank, packed = oracle._packed_step(op, n, p)
+            dict_rank, restricted = oracle._dict_step(cols, p)
+            pivots = list(oracle._reduced_echelon((dict(col) for col in cols.values()), p))
+            assert rank == dict_rank == len(pivots), (p, rows)
+            assert labelled(oracle._cols_of(packed, rank), sorted(pivots)) == labelled(
+                restricted, pivots), (p, rows)
+            assert packed.nnz == sum(map(len, restricted.values()))
+            steps += 1
+            if rank in (0, n):
+                non_nilpotent += rank > 0
+                break
+            op, n = packed, rank
+    assert steps > 40 and non_nilpotent >= 2
+
+
+def test_a_packed_run_keeps_its_first_slot_width(monkeypatch):
+    # at p = 7 one byte holds the slot bound 6 + 36 n up to n = 6, so the
+    # first step on 14 coordinates packs into 16-bit slots, and the later
+    # steps on at most 6 coordinates stay in them
+    p, sizes = 7, [7, 4, 3]
+    assert oracle._slot_type(14, p) == "H" and oracle._slot_type(6, p) == "B"
+    steps = []
+
+    def logged(op, n, p, kernel=oracle._packed_step):
+        steps.append((n, op.code))
+        return kernel(op, n, p)
+
+    monkeypatch.setattr(oracle, "_packed_step", logged)
+    rows = dense_conjugate(shift_rows(sizes), p, random.Random(3))
+    assert chain_ranks(rows, p) == block_ranks(sizes, p)
+    assert steps[0] == (14, "H")
+    assert {code for _, code in steps} == {"H"}
+    assert min(n for n, _ in steps) <= 6
+
+
 def block_ranks(sizes, top):
     """rank N^m = sum of max(size - m, 0) over the Jordan blocks of N, for m = 0..top."""
     return [sum(max(size - m, 0) for size in sizes) for m in range(top + 1)]
@@ -418,9 +488,10 @@ def test_packed_kernel_at_the_largest_n_of_each_slot_width(code, monkeypatch):
 
 
 def test_a_slot_summing_to_its_top_bit_is_read_whole(monkeypatch):
-    # at p = 2 the pivot rows e_j + e_200 (j < 128) eliminate the sum of
-    # their leads one by one, each adding 1 at 200: the 8-bit slot 200
-    # reaches 128 = 0 mod 2, whose lowest set bit is the slot's top bit
+    # at p = 2 rows 0..127 are the pivot rows e_j + e_128 (j < 128), and
+    # row 200, the sum of their e_j, takes one multiply-add from each,
+    # each adding 1 at column 128: its 8-bit slot 128 reaches 128 = 0 mod
+    # 2, the slot's top bit
     p, n = 2, 254
     columns = [(j, ((j, 1), (200, 1))) for j in range(128)]
     columns.append((128, tuple((j, 1) for j in range(128))))
@@ -491,6 +562,8 @@ def test_no_option_selects_the_kernel():
     assert list(inspect.signature(NilpotentModel).parameters) == ["p", "dim", "entries"]
     assert list(inspect.signature(oracle._image_chain_ranks).parameters) == ["dim", "columns", "p"]
     assert list(inspect.signature(oracle._chain_step).parameters) == ["cols", "n", "p"]
+    # the slot type rides on the packed operator, from the first packed step
+    assert list(inspect.signature(oracle._packed_step).parameters) == ["op", "n", "p"]
     source = inspect.getsource(oracle)
     assert "environ" not in source and "getenv" not in source
 
@@ -552,9 +625,9 @@ def test_sweep_zero_model_and_first_power():
         (2, [(0, 1, 1.7)], "entries[0][2] must be an int, got 1.7"),
         (2, [(1, 0, 1), (True, 0, 1)], "entries[1][0] must be an int, got True"),
         (2, [(0, 1)], "entries[0] must be (r, c, v), got (0, 1)"),
-        (2, [(0, 2, 1)], "entry (0,2) outside a 2x2 matrix"),
-        (2, [(-1, 0, 1)], "entry (-1,0) outside a 2x2 matrix"),
-        (0, [(0, 0, 0)], "entry (0,0) outside a 0x0 matrix"),
+        (2, [(1, 0, 1), (0, 2, 1)], "entries[1] has entry (0,2) outside a 2x2 matrix"),
+        (2, [(-1, 0, 1)], "entries[0] has entry (-1,0) outside a 2x2 matrix"),
+        (0, [(0, 0, 0)], "entries[0] has entry (0,0) outside a 0x0 matrix"),
         (3, [(1, 0, 5), (1, 0, 1)], "entries[1] repeats entry (1,0)"),
         (-1, [], "dim must be an int >= 0, got -1"),
         (2.0, [], "dim must be an int >= 0, got 2.0"),
@@ -682,7 +755,10 @@ def test_json_value_runs_a_fixed_number_of_times_per_model(monkeypatch):
         ({"p": 5, "dim": 3, "entries": [[1, 0, 1], [1, 0, 2]]}, "entries[1] repeats entry (1,0)"),
         ({"p": 5, "dim": 3, "entries": ["012"]}, "entries[0] must be [r, c, v], got '012'"),
         ({"p": 5, "dim": 3, "entries": 5}, "entries must be a list, got int"),
-        ({"p": 5, "dim": 3, "entries": [[0, 3, 1]]}, "entry (0,3) outside a 3x3 matrix"),
+        (
+            {"p": 5, "dim": 3, "entries": [[0, 3, 1]]},
+            "entries[0] has entry (0,3) outside a 3x3 matrix",
+        ),
     ],
 )
 def test_model_json_is_strict(data, message):
