@@ -15,15 +15,21 @@ step can observe of its own operator A on F_p^n: a dict kit of sparse
 columns, or a packed kit that holds each row of A in one int, one
 fixed-width unsigned slot per column, and does row operations as
 big-integer multiply-adds.  A step is packed when A is dense (more than
-0.3 n^2 nonzero entries) and the slot bound (p-1) + n (p-1)^2 fits an
+n^2 / 4 nonzero entries) and the slot bound (p-1) + n (p-1)^2 fits an
 array item of at most 64 bits; any other step, and so every step of the
-monomial named models, runs on dicts.  A packed step makes one
-Gauss-Jordan pass down the rows of A, which reduces its columns to the
-reduced echelon basis B of im A, and restricts A to im A as A_P B, A_P
-the pivot rows of A; the result stays packed for the next packed step.
-Both kernels compute the same basis and restriction, and ``--fuzz`` on
-a named model checks the packed kernel against the dict kit at run time
-whenever conjugation fills a step past 0.3.
+monomial named models, runs on dicts.  A dict step pays about once per
+nonzero entry of its vectors: a one-entry column of A on a row that
+holds no pivot becomes the pivot vector e_r as it is met, back
+substitution touches only the pivot vectors with more than one entry,
+and a one-entry basis vector e_q restricts to column q of A read at
+the pivots, so no column of A is read at the pivots before a basis
+vector needs it.  A packed step makes one Gauss-Jordan pass down the
+rows of A, which reduces its columns to the reduced echelon basis B of
+im A, and restricts A to im A as A_P B, A_P the pivot rows of A; the
+result stays packed for the next packed step.  Both kernels compute
+the same basis and restriction, and ``--fuzz`` on a named model checks
+the packed kernel against the dict kit at run time whenever
+conjugation fills a step past 1/4.
 
 Models serialize as JSON ``{"p": 5, "dim": 25, "entries": [[r, c, v], ...]}``
 with sparse triplets.
@@ -51,16 +57,29 @@ Operator = Mapping[int, Sequence[tuple[int, int]]]
 # ------------------------------------------------------------ sparse F_p kit
 
 
-def _reduced_echelon(vectors: Iterable[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+def _reduced_echelon(vectors: Iterable[Sequence[tuple[int, int]]],
+                     p: int) -> dict[int, dict[int, int]]:
     """A basis of the span of sparse vectors over F_p, in reduced echelon form.
 
-    Vectors are dicts ``index -> nonzero value``.  The result maps each
-    pivot to the basis vector whose smallest index it is; that vector
-    holds 1 at its pivot and 0 at every other pivot.  The input dicts
-    are consumed.
+    Vectors are sequences of ``(index, nonzero value)`` pairs, each index
+    once.  The result maps each pivot to the basis vector whose smallest
+    index it is, as a dict ``index -> nonzero value``; that vector holds
+    1 at its pivot and 0 at every other pivot.  A one-entry vector c e_r
+    whose index r holds no pivot yet becomes the pivot vector {r: 1} at
+    once; any other vector is copied to a dict and reduced by the pivots
+    it meets.  Back substitution then runs only on the pivot vectors
+    with more than one entry, so a one-entry vector on a row with no
+    pivot costs a dict lookup and a one-entry dict.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for vec in vectors:
+    longer = []  # the pivots whose vectors have more than one entry
+    for col in vectors:
+        if len(col) == 1:
+            r = col[0][0]
+            if r not in pivots:
+                pivots[r] = {r: 1}
+                continue
+        vec = dict(col)
         while vec:
             lead = min(vec)
             prow = pivots.get(lead)
@@ -69,15 +88,18 @@ def _reduced_echelon(vectors: Iterable[dict[int, int]], p: int) -> dict[int, dic
                 if inv != 1:
                     vec = {k: x * inv % p for k, x in vec.items()}
                 pivots[lead] = vec
+                if len(vec) > 1:
+                    longer.append(lead)
                 break
             # every index of prow is >= lead, so the next lead is larger
             _subtract(vec, vec[lead], prow, p)
     # back substitution, from the last pivot: each row subtracted is
     # already 0 at the other pivots, so it brings in no pivot entries
-    for lead in sorted(pivots, reverse=True):
+    for lead in sorted(longer, reverse=True):
         row = pivots[lead]
-        for k in [k for k in row if k != lead and k in pivots]:
-            _subtract(row, row[k], pivots[k], p)
+        for k in row.keys() & pivots.keys():
+            if k != lead:
+                _subtract(row, row[k], pivots[k], p)
     return pivots
 
 
@@ -107,14 +129,30 @@ def _dict_step(cols: Operator, p: int) -> tuple[int, Operator]:
     The restriction is in the coordinates of the reduced echelon basis
     of im A: a vector w of the span is the sum of w[q] * b_q over the
     pivots q, so its coordinates are its pivot entries, and column i of
-    the result is A b_i read at the pivots.
+    the result is A b_i read at the pivots.  A one-entry basis vector
+    b_i = e_q maps to column q of A read at the pivots, with no
+    ``_apply``; a one-entry column v e_r of A lies in im A, so r is a
+    pivot.  A longer basis vector goes through ``_apply`` on the columns
+    of A it meets, each read at the pivots once, when a basis vector
+    first needs it; no step reads the whole operator at the pivots up
+    front.
     """
-    basis = _reduced_echelon((dict(col) for col in cols.values()), p)
+    basis = _reduced_echelon(cols.values(), p)
     coord = {q: i for i, q in enumerate(basis)}
-    at_pivots = {c: [(coord[r], v) for r, v in col if r in coord] for c, col in cols.items()}
+    at_pivots: dict[int, list[tuple[int, int]]] = {}
     restricted = {}
-    for i, vec in enumerate(basis.values()):
-        col = _apply(at_pivots, vec.items(), p)
+    for i, (q, vec) in enumerate(basis.items()):
+        if len(vec) == 1:
+            col = cols.get(q, ())
+            if len(col) == 1:  # v e_r lies in im A, so r is a pivot
+                r, v = col[0]
+                restricted[i] = ((coord[r], v),)
+                continue
+            col = [(coord[r], v) for r, v in col if r in coord]
+        else:
+            for j in vec.keys() - at_pivots.keys():
+                at_pivots[j] = [(coord[r], v) for r, v in cols.get(j, ()) if r in coord]
+            col = _apply(at_pivots, vec.items(), p)
         if col:
             restricted[i] = col
     return len(basis), restricted
@@ -125,11 +163,14 @@ def _dict_step(cols: Operator, p: int) -> tuple[int, Operator]:
 # Fill (nonzero entries against n^2) above which a chain step on n
 # coordinates runs on packed rows.  On a random operator at p = 7 or
 # 13, one step, with its conversion to rows, costs the same on both
-# kits near fill 0.12 at n = 29 and near 0.07 at n = 60, so 0.3 errs
-# toward dicts.  It stays above 1/4: a monomial nilpotent operator,
-# such as every named model and each of its restrictions, has at most
-# n - 1 entries, a fill of at most 1/4.
-_DENSE_FILL = 0.3
+# kits near fill 0.13 at n = 29 and near 0.06 at n = 60; from 0.25 to
+# 0.3 dicts take 1.8 to 2.4 times as long at n = 29 and 4.5 to 6 times
+# at n = 60.  Below about n = 15 dicts are the faster kit at every fill
+# up to 0.35, which a rule on fill alone does not see.  A monomial
+# nilpotent operator, such as every named model and each of its
+# restrictions, has at most n - 1 <= n^2 / 4 entries, so 1/4 is as low
+# as the rule goes and keeps them all on dicts.
+_DENSE_FILL = 0.25
 
 
 def _slot_type(n: int, p: int) -> str | None:

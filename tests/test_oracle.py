@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dict_reference
 from dense_reference import (
     dense,
     from_dense,
@@ -53,7 +54,9 @@ def test_invert_mod_p_round_trip():
         assert mat_mul_mod_p(g, gi, p) == ident
 
 
-# every odd prime up to 31, then a sample up to 53
+# every odd prime up to 31, then a sample up to 53; the Heisenberg, ga2 and
+# sl2s Verma tests also run at p = 101, where each chain takes about p dict
+# steps of one-entry vectors
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
 
@@ -133,7 +136,7 @@ def test_rank_sequence_is_convex_and_consistent():
 # ---------------------------------------------------------------- constructors
 
 
-@pytest.mark.parametrize("p", ODD_PRIMES)
+@pytest.mark.parametrize("p", ODD_PRIMES + [101])
 def test_heisenberg_type(p):
     model = heisenberg_model(p)
     assert model.dim == p * p
@@ -149,7 +152,7 @@ def test_abelian_rank2_types(p):
     assert jordan_type_of(beta) == JordanType.from_counts(p, {1: p - 2, 2: 1})
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 101])
 def test_ga2_type(p):
     alpha, beta = ga2_model(p)
     assert jordan_type_of(alpha) == JordanType.block(p, 1, p)
@@ -164,7 +167,8 @@ def test_ga2_rejects_p2():
         ga2_model(2)
 
 
-@pytest.mark.parametrize("p,i", [(p, i) for p in ODD_PRIMES for i in range(1, p)])
+@pytest.mark.parametrize(
+    "p,i", [(p, i) for p in ODD_PRIMES for i in range(1, p)] + [(101, i) for i in (1, 7, 50, 100)])
 def test_sl2s_verma_types(p, i):
     e_model, f_model = sl2s_models(p, i)
     assert jordan_type_of(f_model) == JordanType.block(p, p)
@@ -384,7 +388,7 @@ def test_packed_steps_match_dict_steps(p):
             cols = oracle._cols_of(op, n)
             rank, packed = oracle._packed_step(op, n, p)
             dict_rank, restricted = oracle._dict_step(cols, p)
-            pivots = list(oracle._reduced_echelon((dict(col) for col in cols.values()), p))
+            pivots = list(oracle._reduced_echelon(cols.values(), p))
             assert rank == dict_rank == len(pivots), (p, rows)
             assert labelled(oracle._cols_of(packed, rank), sorted(pivots)) == labelled(
                 restricted, pivots), (p, rows)
@@ -395,6 +399,87 @@ def test_packed_steps_match_dict_steps(p):
                 break
             op, n = packed, rank
     assert steps > 40 and non_nilpotent >= 2
+
+
+def sparse_rows(rng, p, dim, nilpotent):
+    """A sparse dim x dim matrix over F_p, as rows.  Each column is empty, holds
+    one entry or holds two to four, on rows drawn from about half of range(dim),
+    so that one-entry columns share rows; strictly lower triangular under a
+    random relabelling when nilpotent."""
+    order = rng.sample(range(dim), dim)
+    pool = rng.sample(range(dim), max(2, dim // 2))
+    rows = [[0] * dim for _ in range(dim)]
+    for c in range(dim):
+        choices = [r for r in pool if not nilpotent or order[r] > order[c]]
+        k = rng.choice((0, 1, 1, 1, 2, 3, 4))
+        for r in rng.sample(choices, min(k, len(choices))):
+            rows[r][c] = rng.randrange(1, p)
+    return rows
+
+
+def dict_branches(cols):
+    """The branches of the dict kit that a step on ``cols`` must reach, read off
+    the operator alone, in the order ``_reduced_echelon`` meets its columns."""
+    reached = set()
+    met = set()  # rows of earlier columns: a row outside it holds no pivot yet
+    pivot_rows = set()  # rows of earlier one-entry columns: each holds a pivot
+    # the rows of all one-entry columns, each a pivot once every column is met
+    last_pivot_rows = {col[0][0] for col in cols.values() if len(col) == 1}
+    for col in cols.values():
+        rows = [r for r, _ in col]
+        if len(rows) > 1:
+            reached.add("several entries")
+            # kept whole as the pivot vector of its smallest row, it meets another pivot
+            if min(rows) not in met and set(rows) - {min(rows)} & last_pivot_rows:
+                reached.add("back substitution")
+        elif rows[0] in pivot_rows:
+            reached.add("one entry on a pivot row")
+        elif rows[0] not in met:
+            reached.add("one entry on a fresh row")
+            if rows[0] not in cols:  # the basis vector e_r, and A e_r = 0
+                reached.add("one-entry basis vector, empty column")
+        met.update(rows)
+        if len(rows) == 1:
+            pivot_rows.add(rows[0])
+    return reached
+
+
+@pytest.mark.parametrize("p", [5, 13, 31])
+def test_dict_steps_match_the_plain_dict_kit(p, monkeypatch):
+    # sparse operators through every branch of the dict kit's fast paths:
+    # the chain against dense powers, and each step against the dict kit
+    # without fast paths, for the same basis in the same order and the
+    # same restriction
+    refuse(monkeypatch, "_packed_step")
+    monkeypatch.setattr(oracle, "_DENSE_FILL", float("inf"))
+    rng = random.Random(p)
+    reached = Counter()
+    for trial in range(30):
+        nilpotent = trial % 3 > 0
+        rows = sparse_rows(rng, p, rng.randint(4, 24 if nilpotent else 14), nilpotent)
+        ranks, expected = chain_ranks(rows, p), dense_rank_sequence(p, rows)
+        assert ranks + [ranks[-1]] * (p + 1 - len(ranks)) == list(expected), (p, rows)
+        n = len(rows)
+        cols = {c: col for c in range(n)
+                if (col := [(r, rows[r][c]) for r in range(n) if rows[r][c]])}
+        while cols:
+            reached.update(dict_branches(cols))
+            basis = oracle._reduced_echelon(cols.values(), p)
+            plain = dict_reference.reduced_echelon((dict(col) for col in cols.values()), p)
+            assert list(basis.items()) == list(plain.items()), (p, rows)
+            rank, restricted = oracle._dict_step(cols, p)
+            plain_rank, plain_restricted = dict_reference.dict_step(cols, p)
+            pivots = list(plain)
+            assert rank == plain_rank == len(pivots), (p, rows)
+            assert labelled(restricted, pivots) == labelled(plain_restricted, pivots), (p, rows)
+            if rank == n:
+                break
+            cols, n = restricted, rank
+    assert set(reached) == {
+        "one entry on a fresh row", "one entry on a pivot row", "several entries",
+        "back substitution", "one-entry basis vector, empty column",
+    }
+    assert min(reached.values()) >= 20, reached
 
 
 def test_a_packed_run_keeps_its_first_slot_width(monkeypatch):
