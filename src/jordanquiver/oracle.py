@@ -1,35 +1,46 @@
 """Ground-truth engine: nilpotent matrices over the prime field F_p.
 
 The Jordan type of a concrete operator N with N^p = 0 is recovered from
-its rank sequence r_m = rank(N^m) via a_i = r_{i-1} - 2 r_i + r_{i+1}.
-r_m is the dimension of the image chain im N ⊇ im N^2 ⊇ ...: an
-echelon basis of each term, mapped through N, spans the next, and no
-power N^m is ever formed.  The arithmetic is exact mod p, so every
-answer here is independent of the closed-form routines in the other
-modules and can be used to cross-check them.  A model stores N once,
-as its nonzero columns, so building one costs what its nonzero entries
-cost; powers and conjugates are composed on that store as well.
+its rank sequence r_m = rank(N^m) via a_i = r_{i-1} - 2 r_i + r_{i+1},
+and no power N^m is ever formed.  The arithmetic is exact mod p, so
+every answer here is independent of the closed-form routines in the
+other modules and can be used to cross-check them.  A model stores N
+once, as its nonzero columns, so building one costs what its nonzero
+entries cost; powers and conjugates are composed on that store as well.
 
-Each step of the chain runs on one of two kernels, picked from what the
+A sparse N on F_p^n, with at most n^2 / 4 nonzero entries or a p too
+large for packed slots (below), takes the Krylov route.  The coordinate
+vectors e_t off the pivots of im N generate F_p^n under N, so their
+Jordan chains N e_t, N^2 e_t, ... are walked once and put into one
+echelon from the highest power down; its size after the vectors N^j e_t
+is r_j.  The route certifies N^p = 0 before its ranks are taken: every
+chain ends before N^p, and the chains span all of im N.  Each vector is
+so reduced once, where the image chain below reduces it once per power.
+Every monomial named model takes this route.
+
+A dense N, and an N that the Krylov route finds not nilpotent of order
+<= p, runs the image chain im N ⊇ im N^2 ⊇ ...: an echelon basis of each
+term, mapped through N, spans the next, so r_m is the dimension of its
+m-th term.  Each step runs on one of two kernels, picked from what the
 step can observe of its own operator A on F_p^n: a dict kit of sparse
 columns, or a packed kit that holds each row of A in one int, one
 fixed-width unsigned slot per column, and does row operations as
 big-integer multiply-adds.  A step is packed when A is dense (more than
 n^2 / 4 nonzero entries) and the slot bound (p-1) + n (p-1)^2 fits an
-array item of at most 64 bits; any other step, and so every step of the
-monomial named models, runs on dicts.  A dict step pays about once per
-nonzero entry of its vectors: a one-entry column of A on a row that
-holds no pivot becomes the pivot vector e_r as it is met, back
-substitution touches only the pivot vectors with more than one entry,
-and a one-entry basis vector e_q restricts to column q of A read at
-the pivots, so no column of A is read at the pivots before a basis
-vector needs it.  A packed step makes one Gauss-Jordan pass down the
-rows of A, which reduces its columns to the reduced echelon basis B of
-im A, and restricts A to im A as A_P B, A_P the pivot rows of A; the
-result stays packed for the next packed step.  Both kernels compute
-the same basis and restriction, and ``--fuzz`` on a named model checks
-the packed kernel against the dict kit at run time whenever
-conjugation fills a step past 1/4.
+array item of at most 64 bits; any other step runs on dicts.  A dict
+step pays about once per nonzero entry of its vectors: a one-entry
+column of A on a row that holds no pivot becomes the pivot vector e_r
+as it is met, back substitution touches only the pivot vectors with
+more than one entry, and a one-entry basis vector e_q restricts to
+column q of A read at the pivots, so no column of A is read at the
+pivots before a basis vector needs it.  A packed step makes one
+Gauss-Jordan pass down the rows of A, which reduces its columns to the
+reduced echelon basis B of im A, and restricts A to im A as A_P B, A_P
+the pivot rows of A; the result stays packed for the next packed step.
+Both kernels compute the same basis and restriction.  ``--fuzz`` checks
+that random conjugates of a model keep its Jordan type: a conjugate
+filled past n^2 / 4 runs the packed chain, and any other takes the
+Krylov route again.
 
 Models serialize as JSON ``{"p": 5, "dim": 25, "entries": [[r, c, v], ...]}``
 with sparse triplets.
@@ -40,7 +51,8 @@ from __future__ import annotations
 import random
 import sys
 from array import array
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import repeat
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ParseError, ValidationError, Value, int_tuple, json_field, json_object, json_value,
@@ -57,6 +69,37 @@ Operator = Mapping[int, Sequence[tuple[int, int]]]
 # ------------------------------------------------------------ sparse F_p kit
 
 
+def _insert(pivots: dict[int, dict[int, int]], col: Sequence[tuple[int, int]], p: int) -> None:
+    """Add a sparse vector to an echelon basis over F_p, in place.
+
+    ``pivots`` maps each pivot to the basis vector whose smallest index
+    it is, as a dict ``index -> nonzero value`` holding 1 at its pivot.
+    The vector, a sequence of ``(index, nonzero value)`` pairs with each
+    index once, is reduced by the pivots it meets; what is left, if
+    anything, is scaled to 1 at its smallest index and becomes a pivot.
+    A one-entry vector c e_r whose index r holds no pivot yet becomes
+    the pivot vector {r: 1} at once, for a dict lookup and a one-entry
+    dict.
+    """
+    if len(col) == 1:
+        r = col[0][0]
+        if r not in pivots:
+            pivots[r] = {r: 1}
+            return
+    vec = dict(col)
+    while vec:
+        lead = min(vec)
+        prow = pivots.get(lead)
+        if prow is None:
+            inv = pow(vec[lead], -1, p)
+            if inv != 1:
+                vec = {k: x * inv % p for k, x in vec.items()}
+            pivots[lead] = vec
+            return
+        # every index of prow is >= lead, so the next lead is larger
+        _subtract(vec, vec[lead], prow, p)
+
+
 def _reduced_echelon(vectors: Iterable[Sequence[tuple[int, int]]],
                      p: int) -> dict[int, dict[int, int]]:
     """A basis of the span of sparse vectors over F_p, in reduced echelon form.
@@ -64,38 +107,16 @@ def _reduced_echelon(vectors: Iterable[Sequence[tuple[int, int]]],
     Vectors are sequences of ``(index, nonzero value)`` pairs, each index
     once.  The result maps each pivot to the basis vector whose smallest
     index it is, as a dict ``index -> nonzero value``; that vector holds
-    1 at its pivot and 0 at every other pivot.  A one-entry vector c e_r
-    whose index r holds no pivot yet becomes the pivot vector {r: 1} at
-    once; any other vector is copied to a dict and reduced by the pivots
-    it meets.  Back substitution then runs only on the pivot vectors
-    with more than one entry, so a one-entry vector on a row with no
-    pivot costs a dict lookup and a one-entry dict.
+    1 at its pivot and 0 at every other pivot.  Each vector goes through
+    ``_insert``, then back substitution clears the other pivots from the
+    basis vectors with more than one entry.
     """
     pivots: dict[int, dict[int, int]] = {}
-    longer = []  # the pivots whose vectors have more than one entry
     for col in vectors:
-        if len(col) == 1:
-            r = col[0][0]
-            if r not in pivots:
-                pivots[r] = {r: 1}
-                continue
-        vec = dict(col)
-        while vec:
-            lead = min(vec)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = pow(vec[lead], -1, p)
-                if inv != 1:
-                    vec = {k: x * inv % p for k, x in vec.items()}
-                pivots[lead] = vec
-                if len(vec) > 1:
-                    longer.append(lead)
-                break
-            # every index of prow is >= lead, so the next lead is larger
-            _subtract(vec, vec[lead], prow, p)
+        _insert(pivots, col, p)
     # back substitution, from the last pivot: each row subtracted is
     # already 0 at the other pivots, so it brings in no pivot entries
-    for lead in sorted(longer, reverse=True):
+    for lead in sorted((q for q, row in pivots.items() if len(row) > 1), reverse=True):
         row = pivots[lead]
         for k in row.keys() & pivots.keys():
             if k != lead:
@@ -113,14 +134,21 @@ def _subtract(vec: dict[int, int], f: int, row: Mapping[int, int], p: int) -> No
             del vec[k]
 
 
-def _apply(cols: Mapping[int, Iterable[tuple[int, int]]], vec: Iterable[tuple[int, int]],
+def _apply(cols: Mapping[int, Iterable[tuple[int, int]]], vec: Collection[tuple[int, int]],
            p: int) -> list[tuple[int, int]]:
-    """The nonzero (index, value) pairs of M v over F_p, M given by its nonzero columns."""
+    """The nonzero (index, value) pairs of M v over F_p, M given by its nonzero columns.
+
+    A one-entry v = x e_j maps to x times column j of M, with no entry
+    that vanishes, since p is prime.
+    """
+    if len(vec) == 1:
+        (j, x), = vec
+        return [(r, x * v % p) for r, v in cols.get(j, ())]
     out: dict[int, int] = {}
     for j, x in vec:
         for r, v in cols.get(j, ()):
             out[r] = out.get(r, 0) + x * v
-    return [(r, y % p) for r, y in out.items() if y % p]
+    return [(r, z) for r, y in out.items() if (z := y % p)]
 
 
 def _dict_step(cols: Operator, p: int) -> tuple[int, Operator]:
@@ -160,16 +188,18 @@ def _dict_step(cols: Operator, p: int) -> tuple[int, Operator]:
 
 # ------------------------------------------------------------ packed F_p kit
 
-# Fill (nonzero entries against n^2) above which a chain step on n
-# coordinates runs on packed rows.  On a random operator at p = 7 or
-# 13, one step, with its conversion to rows, costs the same on both
-# kits near fill 0.13 at n = 29 and near 0.06 at n = 60; from 0.25 to
-# 0.3 dicts take 1.8 to 2.4 times as long at n = 29 and 4.5 to 6 times
-# at n = 60.  Below about n = 15 dicts are the faster kit at every fill
-# up to 0.35, which a rule on fill alone does not see.  A monomial
-# nilpotent operator, such as every named model and each of its
-# restrictions, has at most n - 1 <= n^2 / 4 entries, so 1/4 is as low
-# as the rule goes and keeps them all on dicts.
+# Fill (nonzero entries against n^2) above which an operator on n
+# coordinates runs on packed rows: a dense N skips the Krylov route and
+# starts its image chain packed, and each later step of a chain is
+# packed by the same rule.  On a random operator at p = 7 or 13, one
+# chain step, with its conversion to rows, costs the same on both kits
+# near fill 0.13 at n = 29 and near 0.06 at n = 60; from 0.25 to 0.3
+# dicts take 1.8 to 2.4 times as long at n = 29 and 4.5 to 6 times at
+# n = 60.  Below about n = 15 dicts are the faster kit at every fill up
+# to 0.35, which a rule on fill alone does not see.  A monomial
+# nilpotent operator, such as every named model, has at most
+# n - 1 <= n^2 / 4 entries, so 1/4 is as low as the rule goes and keeps
+# them all on the Krylov route.
 _DENSE_FILL = 0.25
 
 
@@ -296,48 +326,119 @@ def _packed_step(op: _Rows, n: int, p: int) -> tuple[int, _Rows]:
 # ------------------------------------------------------------------ chain
 
 
+def _packed_code(cols: Operator, n: int, p: int) -> str | None:
+    """The slot type a dense operator on F_p^n packs into (see ``_DENSE_FILL``), or None.
+
+    The fill is counted against n, so a sparse operator on a huge space
+    never allocates n slots.
+    """
+    return _slot_type(n, p) if sum(map(len, cols.values())) > _DENSE_FILL * n * n else None
+
+
 def _chain_step(cols: Operator | _Rows, n: int, p: int) -> tuple[int, Operator | _Rows]:
     """rank A and A restricted to im A, for A on F_p^n as nonzero columns or packed rows.
 
-    Packed when A is dense (see ``_DENSE_FILL``) and ``_slot_type``
-    finds a slot width, on dicts otherwise.  The fill is counted against
-    this step's n, so a sparse operator on a huge space never allocates
-    n slots.  A packed step's restriction stays packed, with the slot
-    type of the first packed step, unless the next step runs on dicts;
-    the operator is converted only there.
+    Packed when A is dense and has a slot type (``_packed_code``), on
+    dicts otherwise.  A packed step's restriction stays packed, with the
+    slot type of the first packed step, unless the next step runs on
+    dicts; the operator is converted only there.
     """
     if type(cols) is _Rows:
         if cols.nnz > _DENSE_FILL * n * n:
             return _packed_step(cols, n, p)
         cols = _cols_of(cols, n)
-    elif sum(map(len, cols.values())) > _DENSE_FILL * n * n and (code := _slot_type(n, p)):
+    elif code := _packed_code(cols, n, p):
         return _packed_step(_rows_of(cols, n, code), n, p)
     return _dict_step(cols, p)
+
+
+def _krylov_ranks(dim: int, cols: Operator, p: int) -> list[int] | None:
+    """(rank N^0, ..., rank N^k), rank N^(k+1) = 0, from Jordan chains; None unless N^p = 0.
+
+    Let P be the pivots of an echelon basis of im N.  The e_t with t
+    outside P span a complement C of im N, and those with N e_t != 0 are
+    the generators.  Each generator's chain N e_t, N^2 e_t, ... is walked
+    with ``_apply`` until it vanishes, and the vectors N^j e_t go into one
+    echelon from the highest j down: after the vectors at level j its
+    size is dim L_j, L_j the span of every N^i e_t with i >= j.  So each
+    vector is reduced once, where the image chain reduces it once per
+    power.
+
+    The ranks are kept only when they certify N^p = 0: every chain has
+    vanished by level min(p - 1, |P|), and dim L_1 = |P|.  Then L_1, a
+    subspace of im N, is im N, so F_p^dim = im N + C lies in the span W
+    of the chains and of the e_t outside P.  N^p is 0 on W, so N^p = 0,
+    and im N^j = N^j W = L_j.  A nilpotent N always passes, since W is
+    then F_p^dim by Nakayama's lemma over k[N].  A chain of a nilpotent N
+    vanishes by level rank N = |P|, so a chain that goes past level
+    min(p - 1, |P|) ends the walk at once.  The chains are stored as
+    they are walked, so the memory follows their length, not p.
+    """
+    image: dict[int, dict[int, int]] = {}
+    for col in cols.values():
+        _insert(image, col, p)
+    pivots = set(image)  # P; its basis vectors are not needed again
+    del image
+    top = min(p - 1, len(pivots))
+    chains = []
+    for t, vec in cols.items():
+        if t not in pivots:
+            chain = []
+            while vec:
+                chain.append(vec)  # N^j e_t, at level j = len(chain)
+                if len(chain) > top:
+                    return None
+                vec = _apply(cols, vec, p)
+            chains.append(chain)
+    chains.sort(key=len, reverse=True)
+    echelon: dict[int, dict[int, int]] = {}
+    ranks = []
+    for j in range(len(chains[0]) if chains else 0, 0, -1):
+        # the chains of length >= j, each now ending at its vector N^j e_t
+        for chain in chains:
+            if len(chain) < j:
+                break
+            _insert(echelon, chain.pop(), p)
+        ranks.append(len(echelon))
+    if len(echelon) != len(pivots):
+        return None
+    ranks.append(dim)
+    return ranks[::-1]
 
 
 def _image_chain_ranks(dim: int, columns: Iterable[tuple[int, Column]], p: int) -> list[int]:
     """(rank N^0, ..., rank N^p) for a dim x dim N over F_p, given by its nonzero columns.
 
-    rank N^m is the dimension of im N^m, and im N^(m+1) = N(im N^m): a
-    basis of im N^m mapped through N spans the next term of the chain.
-    Each step keeps the operator restricted to the current term, in the
-    coordinates of its reduced echelon basis, so the operator shrinks
-    with the chain.  ``_chain_step`` runs one step on one of two
-    kernels: packed rows when the step's operator fills more than
-    ``_DENSE_FILL`` of its n^2 entries and the slot bound
-    (p-1) + n (p-1)^2 fits 64 bits, dicts otherwise.  A packed step
-    hands its restriction on as packed rows, so a run of dense steps
-    packs the operator once.  The chain decreases; once it is zero or
-    stops shrinking it is constant, and the remaining ranks repeat the
-    last one.
+    An N whose first chain step would run on dicts (no ``_packed_code``)
+    takes ``_krylov_ranks``, which maps each vector of N's Jordan chains
+    once.  A dense N, and an N that ``_krylov_ranks`` finds not nilpotent
+    of order <= p, runs the image chain, so that the ranks it returns
+    give the rank of N^p.  rank N^m is the dimension of im N^m, and
+    im N^(m+1) = N(im N^m): a basis of im N^m mapped through N spans the
+    next term of the chain.  Each step keeps the operator restricted to
+    the current term, in the coordinates of its reduced echelon basis,
+    so the operator shrinks with the chain.  ``_chain_step`` runs one
+    step on one of two kernels: packed rows when the step's operator
+    fills more than ``_DENSE_FILL`` of its n^2 entries and the slot
+    bound (p-1) + n (p-1)^2 fits 64 bits, dicts otherwise.  A packed
+    step hands its restriction on as packed rows, so a run of dense
+    steps packs the operator once.  The chain decreases; once it is zero
+    or stops shrinking it is constant, and the remaining ranks repeat
+    the last one.
     """
     cols = dict(columns)
+    if not _packed_code(cols, dim, p):
+        ranks = _krylov_ranks(dim, cols, p)
+        if ranks is not None:
+            ranks.extend(repeat(0, p + 1 - len(ranks)))
+            return ranks
     ranks = [dim]
     while True:
         rank, cols = _chain_step(cols, ranks[-1], p)
         ranks.append(rank)
         if len(ranks) > p or not rank or ranks[-1] == ranks[-2]:
-            return ranks + [ranks[-1]] * (p + 1 - len(ranks))
+            ranks.extend(repeat(ranks[-1], p + 1 - len(ranks)))
+            return ranks
 
 
 # -------------------------------------------------------------------- model
@@ -350,10 +451,10 @@ class NilpotentModel(Value):
     (r, c) at most once; v is reduced mod p.  N is stored once, in
     ``columns``: its nonzero columns as ``(c, ((r, v), ...))`` with c and
     r increasing and v in 1..p-1, so a model costs what its nonzero
-    entries cost.  The rank sequence (r_0, ..., r_p) is computed once at
-    construction, as the dimensions of the image chain im N ⊇ im N^2 ⊇ ...
-    (see ``_image_chain_ranks``); it both certifies nilpotency of order
-    <= p and drives Jordan-type extraction.  Instances are immutable.
+    entries cost.  The rank sequence (r_0, ..., r_p), r_m = rank N^m, is
+    computed once at construction (see ``_image_chain_ranks``); it both
+    certifies nilpotency of order <= p and drives Jordan-type extraction.
+    Instances are immutable.
     """
 
     __slots__ = ("p", "dim", "columns", "rank_sequence")
@@ -387,7 +488,7 @@ class NilpotentModel(Value):
 
         The last step of both entry points, and of ``random_conjugate``,
         once p, dim and every entry have passed their checks: it reduces v
-        mod p, drops zeros, sorts the columns, runs the image chain and
+        mod p, drops zeros, sorts the columns, computes the rank sequence and
         checks nilpotency.
         """
         columns = []
@@ -464,8 +565,9 @@ def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentMode
     entries, so g^{-1} is never formed.  The draws follow the entries,
     not dim: k = min(dim, 2 * entries), and D and P are drawn only on
     the indices that carry entries, P as a random injection of them
-    into range(dim).  The zero model is its own conjugate and is
-    returned as it is.
+    into range(dim).  Every draw is a ``randrange``, so dim may be
+    any int.  The zero model is its own conjugate and is returned as it
+    is.
     """
     if not model.columns:
         return model
@@ -487,20 +589,37 @@ def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentMode
             put(r, c, v)
     # a nonzero nilpotent model has dim >= 2, so two indices can be drawn
     for _ in range(min(dim, 2 * sum(len(col) for _, col in model.columns))):
-        i, j = rng.sample(range(dim), 2)
+        i, j = rng.randrange(dim), rng.randrange(dim - 1)
+        j += j >= i  # j != i
         a = rng.randrange(1, p)
         for c, v in list(rows.get(j, {}).items()):
             put(i, c, rows.get(i, {}).get(c, 0) + a * v)
         for r, v in list(cols.get(i, {}).items()):
             put(r, j, cols.get(j, {}).get(r, 0) - a * v)
     support = sorted({k for c, col in cols.items() if col for k in (c, *col)})
-    perm = dict(zip(support, rng.sample(range(dim), len(support))))
+    perm = dict(zip(support, _distinct(rng, dim, len(support))))
     scale = {k: rng.randrange(1, p) for k in support}
     inverse = {k: pow(s, -1, p) for k, s in scale.items()}
     # the entries of a checked model, moved by an injection into range(dim)
     conjugate = {perm[c]: {perm[r]: scale[r] * v * inverse[c] for r, v in col.items()}
                  for c, col in cols.items() if col}
     return NilpotentModel.__new__(NilpotentModel)._build(p, dim, conjugate)
+
+
+def _distinct(rng: random.Random, n: int, k: int) -> list[int]:
+    """k distinct draws from range(n) in random order, for any int n >= k.
+
+    Floyd's algorithm draws a uniform k-subset with k ``randrange``
+    calls, and a shuffle orders it; ``rng.sample(range(n), k)`` needs n
+    to fit a C ssize_t.
+    """
+    chosen: set[int] = set()
+    for top in range(n - k, n):
+        t = rng.randrange(top + 1)
+        chosen.add(top if t in chosen else t)
+    drawn = sorted(chosen)
+    rng.shuffle(drawn)
+    return drawn
 
 
 # ------------------------------------------------------------ constructors

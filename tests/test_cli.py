@@ -616,6 +616,16 @@ def test_oracle_json_model_costs_its_entries(capsys, entries, expected):
         assert code == EXIT_OK and out == expected + "fuzz PASS (1 conjugations per model)\n"
 
 
+def test_oracle_fuzz_takes_a_dim_past_ssize_t(capsys):
+    # the conjugation's draws are randrange calls, so any dim works; a draw
+    # through rng.sample(range(dim), k) ended in an OverflowError traceback
+    model = '{"p":5,"dim":1000000000000000000000000000000,"entries":[[1,0,1],[2,1,1]]}'
+    expected = "[3]+999999999999999999999999999997[1]\n"
+    assert run(capsys, "oracle", "json", "--module", model) == (EXIT_OK, expected, "")
+    assert run(capsys, "oracle", "json", "--module", model, "--fuzz", "1") == (
+        EXIT_OK, expected + "fuzz PASS (1 conjugations per model)\n", "")
+
+
 def test_oracle_rejects_non_prime_p(capsys):
     for argv in (["heisenberg", "--p", "4"], ["sl2s", "--p", "9"], ["sl2s", "--p", "9", "--i", "3"]):
         code, out, err = run(capsys, "oracle", *argv)

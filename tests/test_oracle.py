@@ -302,7 +302,11 @@ def chain_ranks(rows, p):
     ``NilpotentModel`` can hold."""
     n = len(rows)
     cols = {c: [(r, rows[r][c] % p) for r in range(n) if rows[r][c] % p] for c in range(n)}
-    cols = {c: col for c, col in cols.items() if col}
+    return column_chain_ranks({c: col for c, col in cols.items() if col}, n, p)
+
+
+def column_chain_ranks(cols, n, p):
+    """``chain_ranks`` for an operator on F_p^n given by its nonzero columns."""
     ranks = [n]
     while ranks[-1] and len(ranks) <= p:
         rank, cols = oracle._chain_step(cols, ranks[-1], p)
@@ -647,10 +651,166 @@ def test_no_option_selects_the_kernel():
     assert list(inspect.signature(NilpotentModel).parameters) == ["p", "dim", "entries"]
     assert list(inspect.signature(oracle._image_chain_ranks).parameters) == ["dim", "columns", "p"]
     assert list(inspect.signature(oracle._chain_step).parameters) == ["cols", "n", "p"]
+    assert list(inspect.signature(oracle._krylov_ranks).parameters) == ["dim", "cols", "p"]
     # the slot type rides on the packed operator, from the first packed step
     assert list(inspect.signature(oracle._packed_step).parameters) == ["op", "n", "p"]
     source = inspect.getsource(oracle)
     assert "environ" not in source and "getenv" not in source
+
+
+# --------------------------------------------------------------- Krylov route
+
+
+def padded(ranks, p):
+    """A chain's ranks up to where it stops, repeated to p + 1 terms."""
+    return ranks + [ranks[-1]] * (p + 1 - len(ranks))
+
+
+def krylov_ranks(dim, cols, p):
+    """``_krylov_ranks`` padded with its zero ranks to p + 1 terms, or None."""
+    ranks = oracle._krylov_ranks(dim, cols, p)
+    return None if ranks is None else ranks + [0] * (p + 1 - len(ranks))
+
+
+def nonzero_columns(rows):
+    n = len(rows)
+    return {c: col for c in range(n) if (col := [(r, rows[r][c]) for r in range(n) if rows[r][c]])}
+
+
+def matrix_power(rows, m, p):
+    power = [[int(r == c) for c in range(len(rows))] for r in range(len(rows))]
+    for _ in range(m):
+        power = mat_mul_mod_p(power, rows, p)
+    return power
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 31])
+def test_krylov_route_matches_the_chain_and_dense_powers(p):
+    # seeded sparse operators, nilpotent or not: the route gives the ranks of
+    # dense powers exactly when N^p = 0, and None otherwise, where the chain
+    # it falls back to gives them
+    rng = random.Random(f"krylov-{p}")
+    outcomes = Counter()
+    for trial in range(60):
+        nilpotent = trial % 3 > 0
+        rows = sparse_rows(rng, p, rng.randint(2, 24 if nilpotent else 14), nilpotent)
+        n, cols = len(rows), nonzero_columns(rows)
+        expected = list(dense_rank_sequence(p, rows))
+        assert padded(column_chain_ranks(cols, n, p), p) == expected, (p, rows)
+        route = krylov_ranks(n, cols, p)
+        if not expected[p]:
+            outcomes["nilpotent"] += 1
+            assert route == expected, (p, rows)
+            assert from_dense(p, rows).rank_sequence == tuple(expected)
+            continue
+        assert route is None, (p, rows)
+        # nilpotent of an order past p, or not nilpotent at all
+        outcomes["not nilpotent" if rank_mod_p(matrix_power(rows, n, p), p) else "N^p != 0"] += 1
+        message = f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {expected[p]})"
+        with pytest.raises(ValidationError) as info:
+            from_dense(p, rows)
+        assert str(info.value) == message, (p, rows)
+    assert outcomes["nilpotent"] >= 10 and outcomes["not nilpotent"] >= 10, outcomes
+    if p <= 3:
+        assert outcomes["N^p != 0"] >= 5, outcomes
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 31])
+def test_krylov_route_matches_the_chain_on_named_model_conjugates(p):
+    # conjugation moves the entries off the named models' monomial form, so
+    # the chains mix and the echelon reduces in earnest: the route's ranks
+    # against the image chain's on the same columns, and against dense
+    # powers where the matrix is small
+    rng = random.Random(f"conjugates-{p}")
+    models = [model_from_type(JordanType.from_counts(p, Counter(random_blocks(rng, p, 3 * p))))]
+    if p >= 3:
+        models += [*sl2s_models(p, rng.randint(1, p - 1)), ga2_model(p)[1],
+                   abelian_rank2_models(p)[1], sl2_simple_models(p, rng.randint(1, p - 1))[0]]
+    if 3 <= p <= 13:
+        models.append(heisenberg_model(p))
+    sparse = 0
+    for model in models:
+        for _ in range(3):
+            conj = random_conjugate(model, rng)
+            cols = dict(conj.columns)
+            route = krylov_ranks(conj.dim, cols, p)
+            assert route == padded(column_chain_ranks(cols, conj.dim, p), p), (p, model)
+            assert route == list(model.rank_sequence) == list(conj.rank_sequence)
+            if conj.dim <= 40:
+                assert route == list(dense_rank_sequence(p, dense(conj)))
+            sparse += sum(map(len, cols.values())) <= oracle._DENSE_FILL * conj.dim ** 2
+    assert sparse >= len(models)
+
+
+def test_sparse_nilpotent_models_run_no_chain_step(monkeypatch):
+    # named models and sparse conjugates take the Krylov route alone; a
+    # sparse N with N^p != 0 falls back to the chain on dicts
+    refuse(monkeypatch, "_dict_step")
+    refuse(monkeypatch, "_packed_step")
+    rng = random.Random(11)
+    for p in [3, 5, 13, 31, 101]:
+        heisenberg_model(p)
+        ga2_model(p)
+        for i in [1, 2, p - 1]:
+            sl2s_models(p, i)
+        model = model_from_type(JordanType.from_counts(p, Counter(random_blocks(rng, p, 4 * p))))
+        conj = random_conjugate(model, rng)
+        assert sum(len(col) for _, col in conj.columns) <= oracle._DENSE_FILL * conj.dim ** 2
+    NilpotentModel(5, 10**30, [(1, 0, 1), (2, 1, 1)])
+    monkeypatch.undo()
+    log = kernel_log(monkeypatch)
+    with pytest.raises(ValidationError, match=r"rank of N\^5 is 1\)$"):
+        NilpotentModel(5, 6, [(1, 0, 1), (2, 1, 1), (2, 2, 1)])
+    assert log[0] == "_dict_step"
+
+
+def test_the_krylov_certificate_needs_all_of_im_n():
+    # im N has pivots 0, 1 and 4.  The one generator e_2 has the chain
+    # N e_2 = 8 e_0, N^2 e_2 = 88 e_1 = 10 e_1, N^3 e_2 = 0, which ends
+    # before level 13, yet spans 2 of the 3 dimensions of im N: e_4 goes to
+    # 4 e_1 + 6 e_4, so 6 is an eigenvalue, and without the check on r_1
+    # the route would read N as nilpotent with ranks 5, 2, 1, 0
+    p = 13
+    cols = {0: [(1, 11)], 2: [(0, 8)], 4: [(1, 4), (4, 6)]}
+    assert list(oracle._reduced_echelon(cols.values(), p)) == [1, 0, 4]
+    assert oracle._apply(cols, cols[2], p) == [(1, 10)]
+    assert oracle._apply(cols, [(1, 10)], p) == []
+    assert oracle._krylov_ranks(5, cols, p) is None
+    with pytest.raises(ValidationError) as info:
+        NilpotentModel(p, 5, [(r, c, v) for c, col in cols.items() for r, v in col])
+    assert str(info.value) == "matrix is not nilpotent of order <= 13 (rank of N^13 is 1)"
+
+
+def test_a_1x1_model_at_a_large_prime_allocates_no_level_per_power():
+    # the rank sequence, a list and then a tuple of p + 1 ranks, about
+    # 16 bytes per power, is all that grows with p; an empty list per
+    # power would take some 64 more
+    p = 1000003
+    tracemalloc.start()
+    try:
+        model = NilpotentModel(p, 1, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.rank_sequence[:3] == (1, 0, 0) and len(model.rank_sequence) == p + 1
+    assert peak < 20 * p
+
+
+def test_random_conjugate_draws_from_any_dim():
+    model = NilpotentModel(5, 10**30, [(1, 0, 1), (2, 1, 1)])
+    conj = random_conjugate(model, random.Random(1))
+    assert conj.to_json_dict()["entries"] != model.to_json_dict()["entries"]
+    assert conj.rank_sequence == model.rank_sequence == (10**30, 2, 1, 0, 0, 0)
+    drawn = oracle._distinct(random.Random(2), 10**30, 5)
+    assert len(set(drawn)) == 5 and all(0 <= k < 10**30 for k in drawn)
+
+
+def test_distinct_draws_are_uniform_injections():
+    # every ordered pair of distinct values in range(4), each about 1000 times
+    rng = random.Random(3)
+    counts = Counter(tuple(oracle._distinct(rng, 4, 2)) for _ in range(12000))
+    assert len(counts) == 12 and all(850 < c < 1150 for c in counts.values()), counts
+    assert sorted(oracle._distinct(rng, 6, 6)) == list(range(6))
 
 
 # --------------------------------------------------------------------- sweep
