@@ -21,26 +21,26 @@ Every monomial named model takes this route.
 A dense N, and an N that the Krylov route finds not nilpotent of order
 <= p, runs the image chain im N ⊇ im N^2 ⊇ ...: an echelon basis of each
 term, mapped through N, spans the next, so r_m is the dimension of its
-m-th term.  Each step runs on one of two kernels, picked from what the
-step can observe of its own operator A on F_p^n: a dict kit of sparse
-columns, or a packed kit that holds each row of A in one int, one
-fixed-width unsigned slot per column, and does row operations as
-big-integer multiply-adds.  A step is packed when A is dense (more than
-n^2 / 4 nonzero entries) and the slot bound (p-1) + n (p-1)^2 fits an
-array item of at most 64 bits; any other step runs on dicts.  A dict
-step pays about once per nonzero entry of its vectors: a one-entry
-column of A on a row that holds no pivot becomes the pivot vector e_r
-as it is met, back substitution touches only the pivot vectors with
-more than one entry, and a one-entry basis vector e_q restricts to
-column q of A read at the pivots, so no column of A is read at the
-pivots before a basis vector needs it.  A packed step makes one
-Gauss-Jordan pass down the rows of A, which reduces its columns to the
-reduced echelon basis B of im A, and restricts A to im A as A_P B, A_P
-the pivot rows of A; the result stays packed for the next packed step.
-Both kernels compute the same basis and restriction.  ``--fuzz`` checks
-that random conjugates of a model keep its Jordan type: a conjugate
-filled past n^2 / 4 runs the packed chain, and any other takes the
-Krylov route again.
+m-th term.  The route is picked once per model, from N alone.  A dense
+N (more than n^2 / 4 nonzero entries) whose slot bound
+(p-1) + n (p-1)^2 fits an array item of at most 64 bits runs every step
+on a packed kit, which holds each row of the step's operator in one
+int, one fixed-width unsigned slot per column of the type fixed before
+the first step, and does row operations as big-integer multiply-adds.
+An N that falls back from the Krylov route runs every step on a dict
+kit of sparse columns.  A dict step pays about once per nonzero entry
+of its vectors: a one-entry column on a row that holds no pivot becomes
+the pivot vector e_r as it is met, back substitution touches only the
+pivot vectors with more than one entry, and a one-entry basis vector
+e_q restricts to column q of the operator read at the pivots, so no
+column is read at the pivots before a basis vector needs it.  A packed
+step makes one Gauss-Jordan pass down the rows of its operator A, which
+reduces its columns to the reduced echelon basis B of im A, and
+restricts A to im A as A_P B, A_P the pivot rows of A; the result stays
+packed for the next step.  Both kernels compute the same basis and
+restriction.  ``--fuzz`` checks that random conjugates of a model keep
+its Jordan type: a conjugate filled past n^2 / 4 runs the packed chain,
+and any other takes the Krylov route again.
 
 Models serialize as JSON ``{"p": 5, "dim": 25, "entries": [[r, c, v], ...]}``
 with sparse triplets.
@@ -52,7 +52,7 @@ import random
 import sys
 from array import array
 from itertools import repeat
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     ParseError, ValidationError, Value, int_tuple, json_field, json_object, json_value,
@@ -188,15 +188,13 @@ def _dict_step(cols: Operator, p: int) -> tuple[int, Operator]:
 
 # ------------------------------------------------------------ packed F_p kit
 
-# Fill (nonzero entries against n^2) above which an operator on n
-# coordinates runs on packed rows: a dense N skips the Krylov route and
-# starts its image chain packed, and each later step of a chain is
-# packed by the same rule.  On a random operator at p = 7 or 13, one
-# chain step, with its conversion to rows, costs the same on both kits
-# near fill 0.13 at n = 29 and near 0.06 at n = 60; from 0.25 to 0.3
-# dicts take 1.8 to 2.4 times as long at n = 29 and 4.5 to 6 times at
-# n = 60.  Below about n = 15 dicts are the faster kit at every fill up
-# to 0.35, which a rule on fill alone does not see.  A monomial
+# Fill (nonzero entries against n^2) above which N runs its image chain
+# on packed rows, picked once from N: a dense N skips the Krylov route,
+# and every step of its chain is packed, the shrinking tail included.
+# On a random operator at p = 7 or 13, one chain step, with its
+# conversion to rows, costs the same on both kits near fill 0.13 at
+# n = 29 and near 0.06 at n = 60; from 0.25 to 0.3 dicts take 1.8 to 2.4
+# times as long at n = 29 and 4.5 to 6 times at n = 60.  A monomial
 # nilpotent operator, such as every named model, has at most
 # n - 1 <= n^2 / 4 entries, so 1/4 is as low as the rule goes and keeps
 # them all on the Krylov route.
@@ -215,23 +213,6 @@ def _slot_type(n: int, p: int) -> str | None:
     return next((code for code in "BHIQ" if bound < 1 << 8 * array(code).itemsize), None)
 
 
-class _Rows(NamedTuple):
-    """A dense operator A on F_p^n as packed rows, passed from one packed step to the next.
-
-    Row t of A is ``rows[t]``, one int whose slot c, bits [c w, (c + 1) w)
-    with w the item width of the array type ``code``, holds A[t, c] in
-    0..p-1.  ``array`` and ``memoryview`` convert a row to and from its
-    slots in native byte order, so the ints are read and written in
-    ``sys.byteorder``.  ``code`` is the slot type of the first packed
-    step of the chain, kept as the chain shrinks, and ``nnz`` counts the
-    nonzero entries, for the next step's fill.
-    """
-
-    code: str
-    rows: list[int]
-    nnz: int
-
-
 _SIZE = {code: array(code).itemsize for code in "BHIQ"}
 
 
@@ -243,29 +224,25 @@ def _unpack(code: str, v: int, n: int) -> list[int]:
     return memoryview(v.to_bytes(n * _SIZE[code], sys.byteorder)).cast(code).tolist()
 
 
-def _rows_of(cols: Operator, n: int, code: str) -> _Rows:
-    """The packed rows of an operator on F_p^n given by its nonzero columns."""
+def _rows_of(cols: Operator, n: int, code: str) -> list[int]:
+    """The packed rows of an operator on F_p^n given by its nonzero columns.
+
+    Row t is one int whose slot c, bits [c w, (c + 1) w) with w the item
+    width of the array type ``code``, holds the entry (t, c) in 0..p-1.
+    ``array`` and ``memoryview`` convert a row to and from its slots in
+    native byte order, so the ints are read and written in
+    ``sys.byteorder``.
+    """
     slots = array(code, bytes(n * n * _SIZE[code]))
     for c, col in cols.items():
         for r, v in col:
             slots[r * n + c] = v
     data, step = memoryview(slots).cast("B"), n * _SIZE[code]
-    rows = [int.from_bytes(data[i:i + step], sys.byteorder) for i in range(0, n * step, step)]
-    return _Rows(code, rows, sum(map(len, cols.values())))
+    return [int.from_bytes(data[i:i + step], sys.byteorder) for i in range(0, n * step, step)]
 
 
-def _cols_of(op: _Rows, n: int) -> Operator:
-    """The nonzero columns of an operator on F_p^n given by its packed rows."""
-    cols: dict[int, list[tuple[int, int]]] = {}
-    for t, v in enumerate(op.rows):
-        for c, y in enumerate(_unpack(op.code, v, n)):
-            if y:
-                cols.setdefault(c, []).append((t, y))
-    return cols
-
-
-def _packed_step(op: _Rows, n: int, p: int) -> tuple[int, _Rows]:
-    """``_dict_step`` for an operator A on F_p^n, given by its packed rows.
+def _packed_step(rows: list[int], code: str, p: int) -> tuple[int, list[int]]:
+    """``_dict_step`` for an operator A on F_p^n, given by its n packed rows.
 
     One Gauss-Jordan pass down the rows reduces the columns of A, which
     gives the reduced echelon basis B of im A with no back substitution.
@@ -283,17 +260,18 @@ def _packed_step(op: _Rows, n: int, p: int) -> tuple[int, _Rows]:
     slot m plus A[t_i, j] times row j of B for each j off the pivot rows,
     r (n - r) multiply-adds in all.  A slot so gains at most r (p - 1)^2
     in the pass and (n - r) (p - 1)^2 in A', within the bound of
-    ``_slot_type``.  B is the basis ``_dict_step`` finds, its pivots
-    t_m in increasing order.
+    ``_slot_type`` for the n of the chain's first step, whose slot type
+    ``code`` every step of the chain keeps.  B is the basis
+    ``_dict_step`` finds, its pivots t_m in increasing order.
     """
-    code = op.code
+    n = len(rows)
     w = 8 * _SIZE[code]
     mask = (1 << w) - 1
     free = list(range(n))  # the columns that hold no pivot yet
     pivot_rows: list[int] = []  # t_m, increasing
     reducers: list[tuple[int, int, int]] = []  # (w k_m, 1 / a_m, F_m)
     basis: list[tuple[int, int]] = []  # (t, row t of B) for each nonzero row off the pivot rows
-    for t, v in enumerate(op.rows):
+    for t, v in enumerate(rows):
         for shift, inv, f_row in reducers:
             x = (v >> shift & mask) * inv % p
             if x:
@@ -310,17 +288,16 @@ def _packed_step(op: _Rows, n: int, p: int) -> tuple[int, _Rows]:
         reducers.append((k * w, inv, _pack(code, slots)))
         free.remove(k)
     rank = len(pivot_rows)
-    rows, nnz = [], 0
+    restricted = []
     for t in pivot_rows:
-        a = _unpack(code, op.rows[t], n)
+        a = _unpack(code, rows[t], n)
         v = 0
         for j, b in basis:
             if a[j]:
                 v += a[j] * b
         slots = [(a[q] + y) % p for q, y in zip(pivot_rows, _unpack(code, v, rank))]
-        nnz += rank - slots.count(0)
-        rows.append(_pack(code, slots))
-    return rank, _Rows(code, rows, nnz)
+        restricted.append(_pack(code, slots))
+    return rank, restricted
 
 
 # ------------------------------------------------------------------ chain
@@ -333,23 +310,6 @@ def _packed_code(cols: Operator, n: int, p: int) -> str | None:
     never allocates n slots.
     """
     return _slot_type(n, p) if sum(map(len, cols.values())) > _DENSE_FILL * n * n else None
-
-
-def _chain_step(cols: Operator | _Rows, n: int, p: int) -> tuple[int, Operator | _Rows]:
-    """rank A and A restricted to im A, for A on F_p^n as nonzero columns or packed rows.
-
-    Packed when A is dense and has a slot type (``_packed_code``), on
-    dicts otherwise.  A packed step's restriction stays packed, with the
-    slot type of the first packed step, unless the next step runs on
-    dicts; the operator is converted only there.
-    """
-    if type(cols) is _Rows:
-        if cols.nnz > _DENSE_FILL * n * n:
-            return _packed_step(cols, n, p)
-        cols = _cols_of(cols, n)
-    elif code := _packed_code(cols, n, p):
-        return _packed_step(_rows_of(cols, n, code), n, p)
-    return _dict_step(cols, p)
 
 
 def _krylov_ranks(dim: int, cols: Operator, p: int) -> list[int] | None:
@@ -409,32 +369,32 @@ def _krylov_ranks(dim: int, cols: Operator, p: int) -> list[int] | None:
 def _image_chain_ranks(dim: int, columns: Iterable[tuple[int, Column]], p: int) -> list[int]:
     """(rank N^0, ..., rank N^p) for a dim x dim N over F_p, given by its nonzero columns.
 
-    An N whose first chain step would run on dicts (no ``_packed_code``)
-    takes ``_krylov_ranks``, which maps each vector of N's Jordan chains
-    once.  A dense N, and an N that ``_krylov_ranks`` finds not nilpotent
-    of order <= p, runs the image chain, so that the ranks it returns
-    give the rank of N^p.  rank N^m is the dimension of im N^m, and
+    The route is picked here, once, from N.  A dense N that packs
+    (``_packed_code``) runs the image chain with every step on packed
+    rows, in the slot type fixed by dim.  Any other N takes
+    ``_krylov_ranks``, which maps each vector of N's Jordan chains once;
+    an N that it finds not nilpotent of order <= p runs the image chain
+    with every step on dicts, so that the ranks it returns give the rank
+    of N^p.  rank N^m is the dimension of im N^m, and
     im N^(m+1) = N(im N^m): a basis of im N^m mapped through N spans the
     next term of the chain.  Each step keeps the operator restricted to
     the current term, in the coordinates of its reduced echelon basis,
-    so the operator shrinks with the chain.  ``_chain_step`` runs one
-    step on one of two kernels: packed rows when the step's operator
-    fills more than ``_DENSE_FILL`` of its n^2 entries and the slot
-    bound (p-1) + n (p-1)^2 fits 64 bits, dicts otherwise.  A packed
-    step hands its restriction on as packed rows, so a run of dense
-    steps packs the operator once.  The chain decreases; once it is zero
-    or stops shrinking it is constant, and the remaining ranks repeat
-    the last one.
+    so the operator shrinks with the chain and stays on the kit it
+    started on.  The chain decreases; once it is zero or stops shrinking
+    it is constant, and the remaining ranks repeat the last one.
     """
     cols = dict(columns)
-    if not _packed_code(cols, dim, p):
+    if code := _packed_code(cols, dim, p):
+        op, step = _rows_of(cols, dim, code), lambda rows: _packed_step(rows, code, p)
+    else:
         ranks = _krylov_ranks(dim, cols, p)
         if ranks is not None:
             ranks.extend(repeat(0, p + 1 - len(ranks)))
             return ranks
+        op, step = cols, lambda cols: _dict_step(cols, p)
     ranks = [dim]
     while True:
-        rank, cols = _chain_step(cols, ranks[-1], p)
+        rank, op = step(op)
         ranks.append(rank)
         if len(ranks) > p or not rank or ranks[-1] == ranks[-2]:
             ranks.extend(repeat(ranks[-1], p + 1 - len(ranks)))

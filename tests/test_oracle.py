@@ -276,40 +276,43 @@ def test_power_model_matches_dense_powers():
 
 
 def kernel_log(monkeypatch):
-    """Wrap both chain kernels; the list names the kernel of each step on a nonzero operator."""
+    """Wrap both chain kernels; the list names the kernel of every step, in order."""
     log = []
     for name in ("_dict_step", "_packed_step"):
-        def logged(cols, *args, kernel=getattr(oracle, name), name=name):
-            if cols:
-                log.append(name)
-            return kernel(cols, *args)
+        def logged(op, *args, kernel=getattr(oracle, name), name=name):
+            log.append(name)
+            return kernel(op, *args)
         monkeypatch.setattr(oracle, name, logged)
     return log
 
 
 def refuse(monkeypatch, name):
-    """Make the chain kernel ``name`` raise on any nonzero operator."""
-    def refused(cols, *args, kernel=getattr(oracle, name)):
-        if cols:
-            raise AssertionError(f"{name} ran")
-        return kernel(cols, *args)
+    """Make the oracle function ``name`` raise whenever it is called."""
+    def refused(*args):
+        raise AssertionError(f"{name} ran")
     monkeypatch.setattr(oracle, name, refused)
 
 
 def chain_ranks(rows, p):
-    """The ranks of the image chain of a matrix, one ``_chain_step`` at a time, up to
-    where the chain stops: no padding to p + 1 terms, so p may be past what a
-    ``NilpotentModel`` can hold."""
+    """``column_chain_ranks`` of a matrix given by its rows."""
     n = len(rows)
     cols = {c: [(r, rows[r][c] % p) for r in range(n) if rows[r][c] % p] for c in range(n)}
     return column_chain_ranks({c: col for c, col in cols.items() if col}, n, p)
 
 
 def column_chain_ranks(cols, n, p):
-    """``chain_ranks`` for an operator on F_p^n given by its nonzero columns."""
+    """The ranks of the image chain of an operator on F_p^n given by its nonzero
+    columns, every step on the one kernel ``_image_chain_ranks`` gives its chain
+    (packed when ``_packed_code`` has a slot type, dicts otherwise), up to where
+    the chain stops: no padding to p + 1 terms, so p may be past what a
+    ``NilpotentModel`` can hold."""
+    if code := oracle._packed_code(cols, n, p):
+        op, step = oracle._rows_of(cols, n, code), lambda rows: oracle._packed_step(rows, code, p)
+    else:
+        op, step = cols, lambda cols: oracle._dict_step(cols, p)
     ranks = [n]
     while ranks[-1] and len(ranks) <= p:
-        rank, cols = oracle._chain_step(cols, ranks[-1], p)
+        rank, op = step(op)
         ranks.append(rank)
         if rank == ranks[-2]:
             break
@@ -351,8 +354,18 @@ def test_packed_kernel_matches_dense_reference(p, monkeypatch):
             with pytest.raises(ValidationError) as info:
                 from_dense(p, rows)
             assert str(info.value) == message, (p, rows)
-        assert log[0] == "_packed_step", (p, kind, fill(rows))
+        assert set(log) == {"_packed_step"}, (p, kind, fill(rows))
     assert 2 <= nilpotent <= 6
+
+
+def packed_cols(rows, code):
+    """The nonzero columns of an operator on F_p^n given by its n packed rows."""
+    cols = {}
+    for t, v in enumerate(rows):
+        for c, y in enumerate(oracle._unpack(code, v, len(rows))):
+            if y:
+                cols.setdefault(c, []).append((t, y))
+    return cols
 
 
 def labelled(cols, pivots):
@@ -387,16 +400,16 @@ def test_packed_steps_match_dict_steps(p):
         n = len(rows)
         cols = {c: col for c in range(n)
                 if (col := [(r, rows[r][c]) for r in range(n) if rows[r][c]])}
-        op = oracle._rows_of(cols, n, oracle._slot_type(n, p))
+        code = oracle._slot_type(n, p)
+        op = oracle._rows_of(cols, n, code)
         while True:
-            cols = oracle._cols_of(op, n)
-            rank, packed = oracle._packed_step(op, n, p)
+            cols = packed_cols(op, code)
+            rank, packed = oracle._packed_step(op, code, p)
             dict_rank, restricted = oracle._dict_step(cols, p)
             pivots = list(oracle._reduced_echelon(cols.values(), p))
             assert rank == dict_rank == len(pivots), (p, rows)
-            assert labelled(oracle._cols_of(packed, rank), sorted(pivots)) == labelled(
+            assert labelled(packed_cols(packed, code), sorted(pivots)) == labelled(
                 restricted, pivots), (p, rows)
-            assert packed.nnz == sum(map(len, restricted.values()))
             steps += 1
             if rank in (0, n):
                 non_nilpotent += rank > 0
@@ -494,9 +507,9 @@ def test_a_packed_run_keeps_its_first_slot_width(monkeypatch):
     assert oracle._slot_type(14, p) == "H" and oracle._slot_type(6, p) == "B"
     steps = []
 
-    def logged(op, n, p, kernel=oracle._packed_step):
-        steps.append((n, op.code))
-        return kernel(op, n, p)
+    def logged(rows, code, p, kernel=oracle._packed_step):
+        steps.append((len(rows), code))
+        return kernel(rows, code, p)
 
     monkeypatch.setattr(oracle, "_packed_step", logged)
     rows = dense_conjugate(shift_rows(sizes), p, random.Random(3))
@@ -513,8 +526,9 @@ def block_ranks(sizes, top):
 
 @pytest.mark.parametrize("p", [7, 13, 31])
 def test_kernels_agree_along_a_fill_sweep(p, monkeypatch):
-    # from a monomial model (fill under 1/4, all dicts) through repeated
-    # conjugation up to a full matrix, each kernel run on every step
+    # from a monomial model (fill under 1/4) through repeated conjugation
+    # up to a full matrix, each model on both routes: the Krylov route, and
+    # the image chain with every step packed
     rng = random.Random(p)
     sizes = [p, *random_blocks(rng, p, min(p, 12))]
     jt = JordanType.from_counts(p, Counter(sizes))
@@ -566,14 +580,14 @@ def test_packed_kernel_at_the_largest_n_of_each_slot_width(code, monkeypatch):
     rows = [[p - 1] * n for _ in range(n)]
     square = mat_mul_mod_p(rows, rows, p)
     assert chain_ranks(rows, p) == [n, rank_mod_p(rows, p), rank_mod_p(square, p)]
-    assert log[0] == "_packed_step"
+    assert set(log) == {"_packed_step"}
     # and a dense conjugate of a nilpotent shift, where elimination runs in earnest
     rng = random.Random(w)
     sizes = random_blocks(rng, min(p, n), n)
     log.clear()
     expected = block_ranks(sizes, max(sizes))
     assert chain_ranks(dense_conjugate(shift_rows(sizes), p, rng), p) == expected
-    assert log[0] == "_packed_step"
+    assert set(log) == {"_packed_step"}
 
 
 def test_a_slot_summing_to_its_top_bit_is_read_whole(monkeypatch):
@@ -619,6 +633,68 @@ def test_dense_models_reach_the_packed_kernel(monkeypatch):
         assert jordan_type_of(model) == JordanType.from_counts(p, Counter(sizes))
 
 
+# the dense conjugate of [7]+[3]+[2] at p = 7 that CI runs through `oracle json`
+DIM_12_AT_7 = (
+    '{"p":7,"dim":12,"entries":[[0,0,3],[0,1,4],[0,2,6],[0,3,1],[0,4,4],[0,5,5],[0,6,2],'
+    '[0,7,5],[0,8,4],[0,10,6],[1,0,3],[1,1,4],[1,2,5],[1,3,3],[1,4,2],[1,5,6],[1,6,2],'
+    '[1,7,4],[1,8,3],[1,9,2],[1,10,6],[1,11,6],[2,1,2],[2,2,4],[2,3,6],[2,4,4],[2,5,4],'
+    '[2,6,2],[2,7,6],[2,9,4],[2,10,4],[2,11,6],[3,0,3],[3,2,2],[3,3,2],[3,4,5],[3,8,6],'
+    '[3,9,6],[3,10,2],[3,11,4],[4,0,2],[4,1,5],[4,2,4],[4,3,5],[4,4,4],[4,5,5],[4,6,1],'
+    '[4,7,6],[4,8,4],[4,10,5],[4,11,6],[5,0,2],[5,2,3],[5,3,1],[5,4,3],[5,5,3],[5,6,5],'
+    '[5,8,5],[5,10,5],[6,1,6],[6,2,6],[6,3,5],[6,4,6],[6,5,3],[6,6,6],[6,7,3],[6,8,1],'
+    '[6,9,4],[6,10,2],[6,11,3],[7,0,1],[7,1,1],[7,2,4],[7,3,1],[7,4,3],[7,5,2],[7,6,5],'
+    '[7,7,3],[7,8,2],[7,11,5],[8,0,2],[8,1,3],[8,2,4],[8,4,4],[8,5,1],[8,7,1],[8,9,6],'
+    '[8,11,3],[9,0,3],[9,1,6],[9,2,2],[9,3,2],[9,4,5],[9,5,2],[9,6,4],[9,7,5],[9,8,3],'
+    '[9,9,2],[9,10,2],[9,11,2],[10,1,1],[10,2,6],[10,4,3],[10,5,2],[10,6,4],[10,7,3],'
+    '[10,8,2],[10,9,5],[10,10,1],[10,11,6],[11,0,3],[11,1,3],[11,2,4],[11,4,1],[11,5,2],'
+    '[11,6,6],[11,7,6],[11,8,6],[11,10,3],[11,11,3]]}'
+)
+
+
+def test_a_dense_model_runs_every_step_packed(monkeypatch):
+    # its chain has ranks 12, 9, 6, 4, 3, 2, 1, 0: one packed step on each
+    # term, the tail on 2 and 1 coordinates included, all in the 16-bit
+    # slots that 12 coordinates need
+    refuse(monkeypatch, "_dict_step")
+    refuse(monkeypatch, "_krylov_ranks")
+    steps = []
+
+    def logged(rows, code, p, kernel=oracle._packed_step):
+        steps.append((len(rows), code))
+        return kernel(rows, code, p)
+
+    monkeypatch.setattr(oracle, "_packed_step", logged)
+    model = NilpotentModel.from_json_dict(json.loads(DIM_12_AT_7))
+    assert jordan_type_of(model) == JordanType.from_string(7, "[7]+[3]+[2]")
+    assert steps == [(n, "H") for n in (12, 9, 6, 4, 3, 2, 1)]
+
+
+@pytest.mark.parametrize("n", [4, 6, 10])
+def test_the_route_is_picked_at_a_quarter_fill(n, monkeypatch):
+    # n^2 / 4 nonzero entries strictly below the diagonal take the Krylov
+    # route and run no chain step; one more entry takes the image chain,
+    # every step of it packed, and skips the Krylov route
+    p = 13
+    rng = random.Random(n)
+    below = [(r, c) for r in range(n) for c in range(r)]
+    entries = [(r, c, rng.randrange(1, p)) for r, c in rng.sample(below, n * n // 4 + 1)]
+    log = kernel_log(monkeypatch)
+    routes = []
+
+    def krylov(dim, cols, p, kernel=oracle._krylov_ranks):
+        routes.append(sum(map(len, cols.values())))
+        return kernel(dim, cols, p)
+
+    monkeypatch.setattr(oracle, "_krylov_ranks", krylov)
+    for k, route in [(n * n // 4, [n * n // 4]), (n * n // 4 + 1, [])]:
+        log.clear()
+        routes.clear()
+        model = NilpotentModel(p, n, entries[:k])
+        assert model.rank_sequence == dense_rank_sequence(p, dense(model)), (n, k)
+        assert routes == route and (log == []) == bool(route), (n, k, log)
+        assert set(log) <= {"_packed_step"}
+
+
 def test_named_models_stay_on_dicts(monkeypatch):
     refuse(monkeypatch, "_packed_step")
     for p in [3, 5, 7, 13, 31]:
@@ -635,8 +711,9 @@ def test_named_models_stay_on_dicts(monkeypatch):
 
 
 def test_a_huge_sparse_dim_allocates_no_slots():
-    # the fill is counted against each step's n, so 10^5 coordinates
-    # with three entries never reach the packed kit and its n slots
+    # the fill is counted against dim, once, when the route is picked, so
+    # 10^5 coordinates with three entries take the Krylov route and never
+    # allocate the packed kit's n slots
     tracemalloc.start()
     try:
         NilpotentModel(5, 10**5, [(1, 0, 1), (2, 1, 1), (3, 2, 1)])
@@ -647,13 +724,14 @@ def test_a_huge_sparse_dim_allocates_no_slots():
 
 
 def test_no_option_selects_the_kernel():
-    # the kernel of a step follows from its operator and p alone
+    # the route of a model follows from its operator and p alone, picked
+    # once in _image_chain_ranks
     assert list(inspect.signature(NilpotentModel).parameters) == ["p", "dim", "entries"]
     assert list(inspect.signature(oracle._image_chain_ranks).parameters) == ["dim", "columns", "p"]
-    assert list(inspect.signature(oracle._chain_step).parameters) == ["cols", "n", "p"]
     assert list(inspect.signature(oracle._krylov_ranks).parameters) == ["dim", "cols", "p"]
-    # the slot type rides on the packed operator, from the first packed step
-    assert list(inspect.signature(oracle._packed_step).parameters) == ["op", "n", "p"]
+    assert list(inspect.signature(oracle._dict_step).parameters) == ["cols", "p"]
+    # the slot type is fixed from dim before the first packed step
+    assert list(inspect.signature(oracle._packed_step).parameters) == ["rows", "code", "p"]
     source = inspect.getsource(oracle)
     assert "environ" not in source and "getenv" not in source
 
@@ -761,7 +839,13 @@ def test_sparse_nilpotent_models_run_no_chain_step(monkeypatch):
     log = kernel_log(monkeypatch)
     with pytest.raises(ValidationError, match=r"rank of N\^5 is 1\)$"):
         NilpotentModel(5, 6, [(1, 0, 1), (2, 1, 1), (2, 2, 1)])
-    assert log[0] == "_dict_step"
+    assert log and set(log) == {"_dict_step"}, log
+    # an invertible 2 x 2 block on im N: the restriction after the first
+    # step fills all 4 of its entries, and stays on dicts
+    log.clear()
+    with pytest.raises(ValidationError, match=r"rank of N\^5 is 2\)$"):
+        NilpotentModel(5, 6, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
+    assert log == ["_dict_step", "_dict_step"]
 
 
 def test_the_krylov_certificate_needs_all_of_im_n():
