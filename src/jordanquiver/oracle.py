@@ -8,39 +8,45 @@ other modules and can be used to cross-check them.  A model stores N
 once, as its nonzero columns, so building one costs what its nonzero
 entries cost; powers and conjugates are composed on that store as well.
 
-A sparse N on F_p^n, with at most n^2 / 4 nonzero entries or a p too
-large for packed slots (below), takes the Krylov route.  The coordinate
-vectors e_t off the pivots of im N generate F_p^n under N, so their
-Jordan chains N e_t, N^2 e_t, ... are walked once and put into one
-echelon from the highest power down; its size after the vectors N^j e_t
-is r_j.  The route certifies N^p = 0 before its ranks are taken: every
-chain ends before N^p, and the chains span all of im N.  Each vector is
-so reduced once, where the image chain below reduces it once per power.
-Every monomial named model takes this route.
+A sparse N on F_p^n, with at most n^2 / 4 nonzero entries, takes the
+Krylov route.  The coordinate vectors e_t off the pivots of im N
+generate F_p^n under N, so their Jordan chains N e_t, N^2 e_t, ... are
+walked once and put into one echelon from the highest power down; its
+size after the vectors N^j e_t is r_j.  The route certifies N^p = 0
+before its ranks are taken: every chain ends before N^p, and the chains
+span all of im N.  Each vector is so reduced once, where the image
+chain below reduces it once per power.  Every monomial named model
+takes this route.
 
 A dense N, and an N that the Krylov route finds not nilpotent of order
 <= p, runs the image chain im N ⊇ im N^2 ⊇ ...: an echelon basis of each
 term, mapped through N, spans the next, so r_m is the dimension of its
 m-th term.  The route is picked once per model, from N alone.  A dense
-N (more than n^2 / 4 nonzero entries) whose slot bound
-(p-1) + n (p-1)^2 fits an array item of at most 64 bits runs every step
-on a packed kit, which holds each row of the step's operator in one
-int, one fixed-width unsigned slot per column of the type fixed before
-the first step, and does row operations as big-integer multiply-adds.
-An N that falls back from the Krylov route runs every step on a dict
-kit of sparse columns.  A dict step pays about once per nonzero entry
-of its vectors: a one-entry column on a row that holds no pivot becomes
-the pivot vector e_r as it is met, back substitution touches only the
-pivot vectors with more than one entry, and a one-entry basis vector
-e_q restricts to column q of the operator read at the pivots, so no
-column is read at the pivots before a basis vector needs it.  A packed
-step makes one Gauss-Jordan pass down the rows of its operator A, which
-reduces its columns to the reduced echelon basis B of im A, and
-restricts A to im A as A_P B, A_P the pivot rows of A; the result stays
-packed for the next step.  Both kernels compute the same basis and
-restriction.  ``--fuzz`` checks that random conjugates of a model keep
-its Jordan type: a conjugate filled past n^2 / 4 runs the packed chain,
-and any other takes the Krylov route again.
+N (more than n^2 / 4 nonzero entries) runs every step on a packed kit,
+which holds each row of the step's operator in one int, and does row
+operations as big-integer multiply-adds.  Each entry has a slot of
+2w + 1 bits, w the bit length of the slot bound (p-1) + n (p-1)^2 for
+the n of the first step, so every p packs.  A row is reduced mod p in
+whole-int steps, one multiply, shift, mask and multiply-subtract for all
+its slots (Barrett), and never leaves int form.  Each coordinate keeps
+its ambient slot along the chain, so restricting to the next term masks
+a row to the pivot rows' slots, with no gather.  An N that falls back
+from the Krylov route runs on a dict kit of sparse columns, until the
+restriction to a term fills past a quarter of its entries; it is then
+packed once, and runs packed to the end, as the terms only shrink.  A
+dict step pays about once per nonzero entry of its vectors: a one-entry
+column on a row that holds no pivot becomes the pivot vector e_r as it
+is met, back substitution touches only the pivot vectors with more than
+one entry, and a one-entry basis vector e_q restricts to column q of the
+operator read at the pivots, so no column is read at the pivots before
+a basis vector needs it.  A packed step makes one Gauss-Jordan pass down
+the rows of its operator A, which reduces its columns to the reduced
+echelon basis B of im A, and restricts A to im A as A_P B, A_P the pivot
+rows of A; the result stays packed for the next step.  Both kernels
+compute the same basis and restriction.  ``--fuzz`` checks that random
+conjugates of a model keep its Jordan type: a conjugate filled past
+n^2 / 4 runs the packed chain, and any other takes the Krylov route
+again.
 
 Models serialize as JSON ``{"p": 5, "dim": 25, "entries": [[r, c, v], ...]}``
 with sparse triplets.
@@ -49,10 +55,8 @@ with sparse triplets.
 from __future__ import annotations
 
 import random
-import sys
-from array import array
 from itertools import repeat
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import (
     ParseError, ValidationError, Value, int_tuple, json_field, json_object, json_value,
@@ -201,115 +205,108 @@ def _dict_step(cols: Operator, p: int) -> tuple[int, Operator]:
 _DENSE_FILL = 0.25
 
 
-def _slot_type(n: int, p: int) -> str | None:
-    """The narrowest unsigned array type whose items hold (p-1) + n (p-1)^2, if any.
+def _packed_code(cols: Operator, n: int, p: int) -> tuple[int, Callable[[int], int]] | None:
+    """(W, reduce) for a dense operator on F_p^n (see ``_DENSE_FILL``), else None.
 
-    A packed row over F_p keeps each entry in one slot of that width,
-    and is reduced mod p only once a step is done adding to it.  Until
-    then a slot starts at most at p - 1 and gains at most (p - 1)^2 from
-    each of at most n multiply-adds, so the bound holds it.
+    A packed row over F_p keeps each entry in a slot of W = 2w + 1 bits,
+    w the bit length of the slot bound (p-1) + n (p-1)^2, and is reduced
+    mod p only once a step is done adding to it.  Until then a slot
+    starts at most at p - 1 and gains at most (p - 1)^2 from each of at
+    most n multiply-adds, so it holds some x < 2^w.  ``reduce`` takes a
+    row of n such slots to v - p ((v m >> s) & Q), each slot mod p: with
+    s = w + L, L the bit length of p, and m = 2^s // p + 1,
+    x m / 2^s = x / p + x e / (p 2^s) for some 0 < e <= p, whose second
+    term is below 2^(w - s) = 2^-L < 1/p, so floor(x m / 2^s) is
+    floor(x / p) (Barrett, CRYPTO '86; Granlund-Montgomery, PLDI '94).
+    x m < 2^W, so the slots' products do not overlap, and floor(x / p),
+    below 2^(W - s), is what Q keeps of each slot after the shift: its
+    low W - s bits.  Every p packs.  The fill is counted against n, so a
+    sparse operator on a huge space never allocates n slots.
     """
-    bound = (p - 1) + n * (p - 1) ** 2
-    return next((code for code in "BHIQ" if bound < 1 << 8 * array(code).itemsize), None)
+    if sum(map(len, cols.values())) <= _DENSE_FILL * n * n:
+        return None
+    w = ((p - 1) + n * (p - 1) ** 2).bit_length()
+    width, s = 2 * w + 1, w + p.bit_length()
+    m = (1 << s) // p + 1
+    q = ((1 << n * width) - 1) // ((1 << width) - 1) * ((1 << width - s) - 1)
+    return width, lambda v: v - p * (v * m >> s & q)
 
 
-_SIZE = {code: array(code).itemsize for code in "BHIQ"}
+def _rows_of(cols: Operator, width: int) -> dict[int, int]:
+    """The nonzero packed rows of an operator given by its nonzero columns.
 
-
-def _pack(code: str, slots: Iterable[int]) -> int:
-    return int.from_bytes(array(code, slots), sys.byteorder)
-
-
-def _unpack(code: str, v: int, n: int) -> list[int]:
-    return memoryview(v.to_bytes(n * _SIZE[code], sys.byteorder)).cast(code).tolist()
-
-
-def _rows_of(cols: Operator, n: int, code: str) -> list[int]:
-    """The packed rows of an operator on F_p^n given by its nonzero columns.
-
-    Row t is one int whose slot c, bits [c w, (c + 1) w) with w the item
-    width of the array type ``code``, holds the entry (t, c) in 0..p-1.
-    ``array`` and ``memoryview`` convert a row to and from its slots in
-    native byte order, so the ints are read and written in
-    ``sys.byteorder``.
+    Row t is one int whose slot c, bits [c W, (c + 1) W) with W = ``width``,
+    holds the entry (t, c) in 0..p-1; the rows are keyed by t, increasing.
     """
-    slots = array(code, bytes(n * n * _SIZE[code]))
+    rows: dict[int, int] = {}
     for c, col in cols.items():
+        shift = c * width
         for r, v in col:
-            slots[r * n + c] = v
-    data, step = memoryview(slots).cast("B"), n * _SIZE[code]
-    return [int.from_bytes(data[i:i + step], sys.byteorder) for i in range(0, n * step, step)]
+            rows[r] = rows.get(r, 0) | v << shift
+    return dict(sorted(rows.items()))
 
 
-def _packed_step(rows: list[int], code: str, p: int) -> tuple[int, list[int]]:
-    """``_dict_step`` for an operator A on F_p^n, given by its n packed rows.
+def _packed_step(rows: Mapping[int, int], code: tuple[int, Callable[[int], int]],
+                 p: int) -> tuple[int, dict[int, int]]:
+    """``_dict_step`` for an operator A given by its nonzero packed rows, keyed by t.
 
-    One Gauss-Jordan pass down the rows reduces the columns of A, which
-    gives the reduced echelon basis B of im A with no back substitution.
-    Row t takes one multiply-add from each pivot found before it, then
-    becomes the next pivot if it is still nonzero mod p at a column that
-    holds none.  Pivot m sits at row t_m and column k_m, a_m is slot k_m
-    of that row, and F_m is the row with slot k_m cleared.  With x the
-    later row's slot k_m over a_m, mod p, row += (p - x) F_m subtracts
-    x F_m from every slot but k_m: the column operations that clear row
-    t_m outside column k_m, done on that one row.  A row that becomes no
-    pivot is 0 mod p at each column free when it was passed, so later
-    pivots add nothing to it, and its slot k_m over a_m is b_m[t], b_m
-    being 1 at t_m and 0 at the other pivot rows.  The restriction is
-    A' = A_P B, A_P the pivot rows of A: row i of A' is A[t_i, t_m] in
-    slot m plus A[t_i, j] times row j of B for each j off the pivot rows,
-    r (n - r) multiply-adds in all.  A slot so gains at most r (p - 1)^2
-    in the pass and (n - r) (p - 1)^2 in A', within the bound of
-    ``_slot_type`` for the n of the chain's first step, whose slot type
-    ``code`` every step of the chain keeps.  B is the basis
-    ``_dict_step`` finds, its pivots t_m in increasing order.
+    ``code`` is the (W, reduce) of ``_packed_code`` for the n of the
+    chain's first step, which every step of the chain keeps.  Each
+    coordinate keeps its ambient slot: the rows of A', the restriction of
+    A to im A, are keyed by the pivot rows of A, and hold their entries
+    in those rows' slots.  One Gauss-Jordan pass down the rows reduces the
+    columns of A, which gives the reduced echelon basis B of im A with no
+    back substitution.  Row t takes one multiply-add from each pivot found
+    before it, is reduced mod p, then becomes the next pivot if it is
+    still nonzero at a column that holds none: the lowest set bit of the
+    row masked to those columns' slots gives the smallest.  Pivot m sits
+    at row t_m and column k_m, a_m is slot k_m of that row, and F_m is the
+    row with slot k_m cleared.  With x the later row's slot k_m over a_m,
+    mod p, row += (p - x) F_m subtracts x F_m from every slot but k_m: the
+    column operations that clear row t_m outside column k_m, done on that
+    one row.  A row that becomes no pivot is 0 at each column free when it
+    was passed, so later pivots add nothing to it, and its slot k_m over
+    a_m is b_m[t], b_m being 1 at t_m and 0 at the other pivot rows; row t
+    of B holds b_m[t] in slot t_m.  The restriction is A' = A_P B, A_P the
+    pivot rows of A: row t_i of A' is row t_i of A masked to the pivot
+    rows' slots, plus A[t_i, j] times row j of B for each j off the pivot
+    rows, r (n - r) multiply-adds in all.  A slot so gains at most
+    r (p - 1)^2 in the pass and (n - r) (p - 1)^2 in A', within the slot
+    bound.  B is the basis ``_dict_step`` finds, its pivots t_m in
+    increasing order.
     """
-    n = len(rows)
-    w = 8 * _SIZE[code]
-    mask = (1 << w) - 1
-    free = list(range(n))  # the columns that hold no pivot yet
-    pivot_rows: list[int] = []  # t_m, increasing
-    reducers: list[tuple[int, int, int]] = []  # (w k_m, 1 / a_m, F_m)
-    basis: list[tuple[int, int]] = []  # (t, row t of B) for each nonzero row off the pivot rows
-    for t, v in enumerate(rows):
-        for shift, inv, f_row in reducers:
-            x = (v >> shift & mask) * inv % p
-            if x:
+    width, reduce = code
+    mask = (1 << width) - 1
+    free, live = -1, 0  # the slots of the columns that hold no pivot yet, and of the pivot rows
+    pivots: list[tuple[int, int, int, int]] = []  # (t_m, W k_m, 1 / a_m, F_m), t_m increasing
+    basis: list[tuple[int, int]] = []  # (W t, row t of B) for each nonzero row off the pivot rows
+    for t, v in rows.items():
+        for _, shift, inv, f_row in pivots:
+            if x := (v >> shift & mask) * inv % p:
                 v += (p - x) * f_row
-        slots = [y % p for y in _unpack(code, v, n)]
-        k = next(filter(slots.__getitem__, free), None)
-        if k is None:  # b_m[t] in slot m; the slots of later pivots stay 0
-            if b := _pack(code, [slots[s // w] * inv % p for s, inv, _ in reducers]):
-                basis.append((t, b))
-            continue
-        inv = pow(slots[k], -1, p)
-        slots[k] = 0
-        pivot_rows.append(t)
-        reducers.append((k * w, inv, _pack(code, slots)))
-        free.remove(k)
-    rank = len(pivot_rows)
-    restricted = []
-    for t in pivot_rows:
-        a = _unpack(code, rows[t], n)
-        v = 0
-        for j, b in basis:
-            if a[j]:
-                v += a[j] * b
-        slots = [(a[q] + y) % p for q, y in zip(pivot_rows, _unpack(code, v, rank))]
-        restricted.append(_pack(code, slots))
-    return rank, restricted
+        v = reduce(v)
+        if low := v & free:
+            shift = ((low & -low).bit_length() - 1) // width * width
+            a = v >> shift & mask
+            pivots.append((t, shift, pow(a, -1, p), v ^ a << shift))
+            free ^= mask << shift
+            live |= mask << t * width
+        elif v:  # nonzero at pivot columns only
+            basis.append((t * width, sum((v >> shift & mask) * inv % p << t_m * width
+                                         for t_m, shift, inv, _ in pivots)))
+    restricted = {}
+    for t, *_ in pivots:
+        a = rows[t]
+        v = a & live
+        for shift, b in basis:
+            if x := a >> shift & mask:
+                v += x * b
+        if v := reduce(v):
+            restricted[t] = v
+    return len(pivots), restricted
 
 
 # ------------------------------------------------------------------ chain
-
-
-def _packed_code(cols: Operator, n: int, p: int) -> str | None:
-    """The slot type a dense operator on F_p^n packs into (see ``_DENSE_FILL``), or None.
-
-    The fill is counted against n, so a sparse operator on a huge space
-    never allocates n slots.
-    """
-    return _slot_type(n, p) if sum(map(len, cols.values())) > _DENSE_FILL * n * n else None
 
 
 def _krylov_ranks(dim: int, cols: Operator, p: int) -> list[int] | None:
@@ -371,34 +368,33 @@ def _image_chain_ranks(dim: int, columns: Iterable[tuple[int, Column]], p: int) 
 
     The route is picked here, once, from N.  A dense N that packs
     (``_packed_code``) runs the image chain with every step on packed
-    rows, in the slot type fixed by dim.  Any other N takes
+    rows, in the slot width fixed by dim.  Any other N takes
     ``_krylov_ranks``, which maps each vector of N's Jordan chains once;
-    an N that it finds not nilpotent of order <= p runs the image chain
-    with every step on dicts, so that the ranks it returns give the rank
-    of N^p.  rank N^m is the dimension of im N^m, and
-    im N^(m+1) = N(im N^m): a basis of im N^m mapped through N spans the
-    next term of the chain.  Each step keeps the operator restricted to
-    the current term, in the coordinates of its reduced echelon basis,
-    so the operator shrinks with the chain and stays on the kit it
-    started on.  The chain decreases; once it is zero or stops shrinking
-    it is constant, and the remaining ranks repeat the last one.
+    an N that it finds not nilpotent of order <= p runs the image chain on
+    dicts, so that the ranks it returns give the rank of N^p, until the
+    restriction packs: from then on every step runs packed, in the width
+    fixed by that restriction's dim.  rank N^m is the dimension of
+    im N^m, and im N^(m+1) = N(im N^m): a basis of im N^m mapped through
+    N spans the next term of the chain.  Each step keeps the operator
+    restricted to the current term, in the coordinates of its reduced
+    echelon basis, so the operator shrinks with the chain.  The chain
+    decreases; once it is zero or stops shrinking it is constant, and the
+    remaining ranks repeat the last one.
     """
     cols = dict(columns)
-    if code := _packed_code(cols, dim, p):
-        op, step = _rows_of(cols, dim, code), lambda rows: _packed_step(rows, code, p)
-    else:
-        ranks = _krylov_ranks(dim, cols, p)
-        if ranks is not None:
-            ranks.extend(repeat(0, p + 1 - len(ranks)))
-            return ranks
-        op, step = cols, lambda cols: _dict_step(cols, p)
-    ranks = [dim]
+    code = _packed_code(cols, dim, p)
+    if not code and (ranks := _krylov_ranks(dim, cols, p)):
+        ranks.extend(repeat(0, p + 1 - len(ranks)))
+        return ranks
+    op, ranks = _rows_of(cols, code[0]) if code else cols, [dim]
     while True:
-        rank, op = step(op)
+        rank, op = _packed_step(op, code, p) if code else _dict_step(op, p)
         ranks.append(rank)
         if len(ranks) > p or not rank or ranks[-1] == ranks[-2]:
             ranks.extend(repeat(ranks[-1], p + 1 - len(ranks)))
             return ranks
+        if not code and (code := _packed_code(op, rank, p)):
+            op = _rows_of(op, code[0])  # one way: the restriction only shrinks
 
 
 # -------------------------------------------------------------------- model
@@ -446,8 +442,9 @@ class NilpotentModel(Value):
     def _build(self, p: int, dim: int, cols: Mapping[int, Mapping[int, int]]) -> NilpotentModel:
         """Set the fields from checked ``cols``, ``{c: {r: v}}`` with v any int, and return self.
 
-        The last step of both entry points, and of ``random_conjugate``,
-        once p, dim and every entry have passed their checks: it reduces v
+        The last step of both entry points, of ``random_conjugate`` and of
+        the named models, once p, dim and every entry have passed their
+        checks or come from trusted code: it reduces v
         mod p, drops zeros, sorts the columns, computes the rank sequence and
         checks nilpotency.
         """
@@ -563,7 +560,12 @@ def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentMode
     # the entries of a checked model, moved by an injection into range(dim)
     conjugate = {perm[c]: {perm[r]: scale[r] * v * inverse[c] for r, v in col.items()}
                  for c, col in cols.items() if col}
-    return NilpotentModel.__new__(NilpotentModel)._build(p, dim, conjugate)
+    return _model(p, dim, conjugate)
+
+
+def _model(p: int, dim: int, cols: Mapping[int, Mapping[int, int]]) -> NilpotentModel:
+    """The model of trusted ``cols``, ``{c: {r: v}}``, once p is checked (``NilpotentModel._build``)."""
+    return NilpotentModel.__new__(NilpotentModel)._build(p, dim, cols)
 
 
 def _distinct(rng: random.Random, n: int, k: int) -> list[int]:
@@ -619,9 +621,10 @@ def heisenberg_model(p: int) -> NilpotentModel:
     if p < 3:
         raise ValidationError(f"heisenberg model needs p >= 3, got {p}")
     require_modulus(p)  # before the p^2 entries are built
-    idx = lambda n, m: n * p + m
-    entries = [(idx(n - 1, m + 1), idx(n, m), n) for n in range(1, p) for m in range(p - 1)]
-    return NilpotentModel(p, p * p, entries)
+    require_prime(p)
+    # (n, m) is the index n p + m, so (n - 1, m + 1) is n p + m - p + 1
+    cols = {c: {c - p + 1: n} for n in range(1, p) for c in range(n * p, n * p + p - 1)}
+    return _model(p, p * p, cols)
 
 
 def abelian_rank2_models(p: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -633,7 +636,9 @@ def abelian_rank2_models(p: int) -> tuple[NilpotentModel, NilpotentModel]:
     require_ints(p=p)
     if p < 3:
         raise ValidationError(f"rank-2 abelian models need p >= 3, got {p}")
-    return NilpotentModel(p, p, []), NilpotentModel(p, p, [(p - 1, 0, 1)])
+    require_prime(p)
+    require_modulus(p)
+    return _model(p, p, {}), _model(p, p, {0: {p - 1: 1}})
 
 
 def ga2_model(p: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -645,7 +650,9 @@ def ga2_model(p: int) -> tuple[NilpotentModel, NilpotentModel]:
     require_ints(p=p)
     if p < 3:
         raise ValidationError(f"height-2 model needs odd p >= 3, got {p}")
-    return NilpotentModel(p, p, []), NilpotentModel(p, p, [(r, r - 2, 1) for r in range(2, p)])
+    require_prime(p)
+    require_modulus(p)
+    return _model(p, p, {}), _model(p, p, {c: {c + 2: 1} for c in range(p - 2)})
 
 
 def sl2s_models(p: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -661,6 +668,7 @@ def sl2s_models(p: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
     require_modulus(p)  # before the 2(p - 1) entries are built
     if not 1 <= i <= p - 1:
         raise ValidationError(f"highest-weight parameter i={i} out of range 1..{p - 1}")
+    require_prime(p)
     return _sl2_chain(p, p, i)
 
 
@@ -675,12 +683,14 @@ def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
         raise ValidationError(f"sl(2) models need p >= 3, got {p}")
     if not 1 <= n <= p - 1:
         raise ValidationError(f"simple-module dimension n={n} out of range 1..{p - 1}")
+    require_prime(p)
+    require_modulus(p)
     return _sl2_chain(p, n, n)
 
 
 def _sl2_chain(p: int, dim: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
     """(e, f) on the weight basis v_0..v_{dim-1}: e.v_j = j(i - j) v_{j-1}
-    and f.v_j = v_{j+1}, zero past the ends of the chain."""
-    e = [(j - 1, j, j * (i - j)) for j in range(1, dim)]
-    f = [(r, r - 1, 1) for r in range(1, dim)]
-    return NilpotentModel(p, dim, e), NilpotentModel(p, dim, f)
+    and f.v_j = v_{j+1}, zero past the ends of the chain; p is checked."""
+    e = {j: {j - 1: j * (i - j)} for j in range(1, dim)}
+    f = {j: {j + 1: 1} for j in range(dim - 1)}
+    return _model(p, dim, e), _model(p, dim, f)

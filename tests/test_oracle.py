@@ -3,7 +3,6 @@ import json
 import random
 import time
 import tracemalloc
-from array import array
 from collections import Counter
 from math import isqrt
 
@@ -302,12 +301,12 @@ def chain_ranks(rows, p):
 
 def column_chain_ranks(cols, n, p):
     """The ranks of the image chain of an operator on F_p^n given by its nonzero
-    columns, every step on the one kernel ``_image_chain_ranks`` gives its chain
-    (packed when ``_packed_code`` has a slot type, dicts otherwise), up to where
-    the chain stops: no padding to p + 1 terms, so p may be past what a
-    ``NilpotentModel`` can hold."""
+    columns, every step on the kernel ``_image_chain_ranks`` starts its chain on
+    (packed when ``_packed_code`` gives a slot width, dicts otherwise, with no
+    switch), up to where the chain stops: no padding to p + 1 terms, so p may
+    be past what a ``NilpotentModel`` can hold."""
     if code := oracle._packed_code(cols, n, p):
-        op, step = oracle._rows_of(cols, n, code), lambda rows: oracle._packed_step(rows, code, p)
+        op, step = oracle._rows_of(cols, code[0]), lambda rows: oracle._packed_step(rows, code, p)
     else:
         op, step = cols, lambda cols: oracle._dict_step(cols, p)
     ranks = [n]
@@ -358,13 +357,30 @@ def test_packed_kernel_matches_dense_reference(p, monkeypatch):
     assert 2 <= nilpotent <= 6
 
 
-def packed_cols(rows, code):
-    """The nonzero columns of an operator on F_p^n given by its n packed rows."""
+def packed_code(n, p):
+    """The (slot width, reduce) ``_packed_code`` gives an operator on F_p^n, whatever
+    its fill."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_DENSE_FILL", -1.0)
+        return oracle._packed_code({}, n, p)
+
+
+def slot_width(n, p):
+    return packed_code(n, p)[0]
+
+
+def packed_cols(rows, width):
+    """The nonzero columns of an operator given by its nonzero packed rows, keyed
+    by t, each entry at its ambient row and slot."""
+    mask = (1 << width) - 1
     cols = {}
-    for t, v in enumerate(rows):
-        for c, y in enumerate(oracle._unpack(code, v, len(rows))):
-            if y:
+    for t, v in rows.items():
+        c = 0
+        while v:
+            if y := v & mask:
                 cols.setdefault(c, []).append((t, y))
+            v >>= width
+            c += 1
     return cols
 
 
@@ -390,26 +406,27 @@ def step_inputs(p, rng):
 
 @pytest.mark.parametrize("p", [7, 13, 31])
 def test_packed_steps_match_dict_steps(p):
-    # each step of a packed run against _dict_step on the same operator: the
-    # same rank, and the same restriction once each basis vector is named by
-    # its pivot (the dict kit orders its basis as it meets the pivots, the
-    # packed kit by increasing pivot)
+    # each step of a packed run against _dict_step on the same operator, read
+    # at its ambient slots: the same rank, and the same restriction once each
+    # dict basis vector is named by its pivot, the slot where the packed kit
+    # keeps that coordinate; the packed rows are keyed by pivots alone
     rng = random.Random(p)
     steps = non_nilpotent = 0
     for rows in step_inputs(p, rng):
         n = len(rows)
-        cols = {c: col for c in range(n)
-                if (col := [(r, rows[r][c]) for r in range(n) if rows[r][c]])}
-        code = oracle._slot_type(n, p)
-        op = oracle._rows_of(cols, n, code)
+        ambient = range(n)
+        code = packed_code(n, p)
+        width = code[0]
+        op = oracle._rows_of(nonzero_columns(rows), width)
         while True:
-            cols = packed_cols(op, code)
+            cols = packed_cols(op, width)
             rank, packed = oracle._packed_step(op, code, p)
             dict_rank, restricted = oracle._dict_step(cols, p)
             pivots = list(oracle._reduced_echelon(cols.values(), p))
             assert rank == dict_rank == len(pivots), (p, rows)
-            assert labelled(packed_cols(packed, code), sorted(pivots)) == labelled(
+            assert labelled(packed_cols(packed, width), ambient) == labelled(
                 restricted, pivots), (p, rows)
+            assert set(packed) <= set(pivots), (p, rows)
             steps += 1
             if rank in (0, n):
                 non_nilpotent += rank > 0
@@ -500,22 +517,22 @@ def test_dict_steps_match_the_plain_dict_kit(p, monkeypatch):
 
 
 def test_a_packed_run_keeps_its_first_slot_width(monkeypatch):
-    # at p = 7 one byte holds the slot bound 6 + 36 n up to n = 6, so the
-    # first step on 14 coordinates packs into 16-bit slots, and the later
-    # steps on at most 6 coordinates stay in them
+    # at p = 7 the slot bound 6 + 36 n has 9 bits at n = 14 and 8 bits up to
+    # n = 6, so the first step on 14 coordinates packs into 19-bit slots, and
+    # the later steps on at most 6 coordinates stay in them
     p, sizes = 7, [7, 4, 3]
-    assert oracle._slot_type(14, p) == "H" and oracle._slot_type(6, p) == "B"
+    assert slot_width(14, p) == 19 and slot_width(6, p) == 17
     steps = []
 
     def logged(rows, code, p, kernel=oracle._packed_step):
-        steps.append((len(rows), code))
+        steps.append((len(rows), code[0]))
         return kernel(rows, code, p)
 
     monkeypatch.setattr(oracle, "_packed_step", logged)
     rows = dense_conjugate(shift_rows(sizes), p, random.Random(3))
     assert chain_ranks(rows, p) == block_ranks(sizes, p)
-    assert steps[0] == (14, "H")
-    assert {code for _, code in steps} == {"H"}
+    assert steps[0] == (14, 19)
+    assert {width for _, width in steps} == {19}
     assert min(n for n, _ in steps) <= 6
 
 
@@ -546,14 +563,6 @@ def test_kernels_agree_along_a_fill_sweep(p, monkeypatch):
     assert fills[0] < oracle._DENSE_FILL < fills[-1]
 
 
-def _slot_codes():
-    # one array type per item size, as _slot_type tries them
-    widths = {}
-    for code in "BHIQ":
-        widths.setdefault(array(code).itemsize, code)
-    return list(widths.values())
-
-
 def _next_prime(n):
     while True:
         try:
@@ -563,18 +572,22 @@ def _next_prime(n):
             n += 1
 
 
-@pytest.mark.parametrize("code", _slot_codes())
-def test_packed_kernel_at_the_largest_n_of_each_slot_width(code, monkeypatch):
-    # p with about 40 coordinates to the width, and the largest n whose
-    # slot bound (p-1) + n (p-1)^2 the width holds
-    w = 8 * array(code).itemsize
+# the ids are the struct codes of unsigned 8-, 16-, 32- and 64-bit items
+@pytest.mark.parametrize("w", [8, 16, 32, 64], ids=["B", "H", "I", "Q"])
+def test_packed_kernel_at_the_largest_n_of_each_slot_width(w, monkeypatch):
+    # p with about 40 coordinates to w bits, and the largest n whose slot
+    # bound (p-1) + n (p-1)^2 has w bits: its slots are 2w + 1 bits wide,
+    # and one more coordinate widens them
     p = _next_prime(max(3, isqrt(2**w // 40)))
     n = (2**w - 1 - (p - 1)) // (p - 1) ** 2
-    assert (p - 1) + n * (p - 1) ** 2 < 2**w <= (p - 1) + (n + 1) * (p - 1) ** 2
-    assert oracle._slot_type(n, p) == code
-    assert oracle._slot_type(n + 1, p) != code
-    # at p = 2 the bound is 1 + n, so the start value p - 1 counts too
-    assert oracle._slot_type(2**w - 2, 2) == code != oracle._slot_type(2**w - 1, 2)
+    assert 2 ** (w - 1) <= (p - 1) + n * (p - 1) ** 2 < 2**w <= (p - 1) + (n + 1) * (p - 1) ** 2
+    assert slot_width(n, p) == 2 * w + 1
+    assert slot_width(n + 1, p) == 2 * w + 3
+    # at p = 2 the bound is 1 + n, so the start value p - 1 counts too;
+    # _packed_code builds its mask over all n slots, so this runs where
+    # n = 2^w - 1 slots fit in memory
+    if w <= 16:
+        assert slot_width(2**w - 2, 2) == 2 * w + 1 != slot_width(2**w - 1, 2)
     log = kernel_log(monkeypatch)
     # every entry p - 1: N = (p-1) J with J^2 = n J, so the chain stops at N^2
     rows = [[p - 1] * n for _ in range(n)]
@@ -593,12 +606,13 @@ def test_packed_kernel_at_the_largest_n_of_each_slot_width(code, monkeypatch):
 def test_a_slot_summing_to_its_top_bit_is_read_whole(monkeypatch):
     # at p = 2 rows 0..127 are the pivot rows e_j + e_128 (j < 128), and
     # row 200, the sum of their e_j, takes one multiply-add from each,
-    # each adding 1 at column 128: its 8-bit slot 128 reaches 128 = 0 mod
-    # 2, the slot's top bit
+    # each adding 1 at column 128: its slot 128 reaches 128 = 0 mod 2, the
+    # top bit of the 8 bits of the slot bound 1 + 254, and the row is
+    # reduced with that bit set
     p, n = 2, 254
     columns = [(j, ((j, 1), (200, 1))) for j in range(128)]
     columns.append((128, tuple((j, 1) for j in range(128))))
-    assert oracle._slot_type(n, p) == "B"
+    assert slot_width(n, p) == 17
     ranks = []
     for rule in (float("inf"), -1.0):
         monkeypatch.setattr(oracle, "_DENSE_FILL", rule)
@@ -606,13 +620,116 @@ def test_a_slot_summing_to_its_top_bit_is_read_whole(monkeypatch):
     assert ranks[0] == ranks[1] == [n, 128, 128]
 
 
-def test_a_modulus_past_64_bit_slots_stays_on_dicts(monkeypatch):
+def test_a_modulus_past_64_bit_slots_packs(monkeypatch):
+    # at p = 2^61 - 1 the slot bound of 4 coordinates has 124 bits, past any
+    # 64-bit item: the rows pack into 249-bit slots, every step runs packed,
+    # and the ranks are those of dense powers
     p = 2**61 - 1
-    refuse(monkeypatch, "_packed_step")
-    assert oracle._slot_type(4, p) is None
+    refuse(monkeypatch, "_dict_step")
+    log = kernel_log(monkeypatch)
+    assert slot_width(4, p) == 249
     rows = dense_conjugate(shift_rows([3, 1]), p, random.Random(61))
     assert fill(rows) > oracle._DENSE_FILL
-    assert chain_ranks(rows, p) == [4, 2, 1, 0]
+    expected = [rank_mod_p(matrix_power(rows, m, p), p) for m in range(4)]
+    assert chain_ranks(rows, p) == expected == [4, 2, 1, 0]
+    assert log == ["_packed_step"] * 3
+
+
+def assert_reduces(n, p, values):
+    """``reduce`` of ``_packed_code`` for n coordinates takes the values, packed n
+    to a row from the lowest slot and again from the highest, to their
+    residues mod p."""
+    width, reduce = packed_code(n, p)
+    for k in range(0, len(values), n):
+        chunk = values[k:k + n]
+        for low in (0, n - len(chunk)):
+            row = sum(x << (low + i) * width for i, x in enumerate(chunk))
+            expected = sum(x % p << (low + i) * width for i, x in enumerate(chunk))
+            assert reduce(row) == expected, (n, p, chunk, low)
+
+
+def test_the_row_reduction_is_exact_below_two_to_the_w():
+    # every slot value 0..2^w - 1 at small w: each prime up to 13 with 1 to
+    # 12 coordinates, whose slot bounds have 2 to 11 bits
+    widths = set()
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 13):
+            w = slot_width(n, p) // 2
+            assert 2 ** (w - 1) <= (p - 1) + n * (p - 1) ** 2 < 2**w
+            assert_reduces(n, p, list(range(2**w)))
+            widths.add(w)
+    assert widths == set(range(2, 12))
+
+
+EDGE_PRIMES = [2, 3, 7, 13, 31, 65537, 10**9 + 7, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_the_row_reduction_is_exact_at_the_edge_values(p):
+    # the slot widths of 1 to 1000 coordinates, each with the values next to
+    # the multiples of p, to 2^(w - 1), to the slot bound and to 2^w - 1,
+    # in a random order among zero slots
+    rng = random.Random(p)
+    for n in (1, 2, 4, 52, 1000):
+        w = slot_width(n, p) // 2
+        bound = (p - 1) + n * (p - 1) ** 2
+        assert 2 ** (w - 1) <= bound < 2**w
+        values = {x + d for x in (p, 2 * p, bound // p * p, 2**w - 1, 2 ** (w - 1), bound)
+                  for d in (-2, -1, 0, 1)}
+        values = sorted(x for x in values if 0 <= x < 2**w) + [0] * 8
+        rng.shuffle(values)
+        assert_reduces(n, p, values)
+
+
+@pytest.mark.parametrize("p", EDGE_PRIMES)
+def test_packed_chain_matches_dense_powers_at_any_p(p, monkeypatch):
+    # dense operators, nilpotent or not, on up to 12 coordinates: every step
+    # packed, and the chain's ranks against rank_mod_p of dense powers up to
+    # where the ranks settle, N^(n + 1) or N^p
+    rng = random.Random(f"edge-{p}")
+    refuse(monkeypatch, "_dict_step")
+    nilpotent = 0
+    for trial in range(12):
+        n = rng.randint(2, 12)
+        if trial % 3 == 0:
+            rows = dense_conjugate(shift_rows(random_blocks(rng, min(p, n), n)), p, rng)
+        elif trial % 3 == 1:  # strictly lower triangular, relabelled
+            perm = rng.sample(range(n), n)
+            rows = [[rng.randrange(p) if perm[c] < perm[r] else 0 for c in range(n)]
+                    for r in range(n)]
+        else:
+            rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if fill(rows) <= oracle._DENSE_FILL:
+            continue
+        top = min(p, n + 1)
+        expected = [rank_mod_p(matrix_power(rows, m, p), p) for m in range(top + 1)]
+        nilpotent += expected[-1] == 0
+        assert padded(chain_ranks(rows, p), top) == expected, (p, rows)
+    assert nilpotent >= 4
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_filling_fallback_switches_to_packed_once(seed, monkeypatch):
+    # a sparse N that is not nilpotent falls back from the Krylov route to
+    # the image chain on dicts; once the restriction to the stable image
+    # fills past n^2 / 4 it is packed once, and every later step runs packed
+    p, n = 101, 200
+    rng = random.Random(seed)
+    cols = {c: col for c in range(n)
+            if (col := [(r, rng.randrange(1, p)) for r in rng.sample(range(n), rng.randint(0, 3))])}
+    expected = padded(column_chain_ranks(cols, n, p), p)  # on dicts to the end
+    log = kernel_log(monkeypatch)
+    with pytest.raises(ValidationError) as info:
+        NilpotentModel(p, n, [(r, c, v) for c, col in cols.items() for r, v in col])
+    assert expected[p] and str(info.value) == (
+        f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {expected[p]})")
+    switch = log.index("_packed_step")
+    assert switch >= 1 and set(log[:switch]) == {"_dict_step"}, log
+    assert set(log[switch:]) == {"_packed_step"}, log
+    # each step against the dict chain's ranks, up to where the chain stops
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_krylov_ranks", lambda dim, cols, p: None)
+    assert oracle._image_chain_ranks(n, cols.items(), p) == expected
 
 
 SIX_BY_SIX = (
@@ -653,20 +770,25 @@ DIM_12_AT_7 = (
 
 def test_a_dense_model_runs_every_step_packed(monkeypatch):
     # its chain has ranks 12, 9, 6, 4, 3, 2, 1, 0: one packed step on each
-    # term, the tail on 2 and 1 coordinates included, all in the 16-bit
-    # slots that 12 coordinates need
+    # term, the tail on 2 and 1 coordinates included, all in the 19-bit
+    # slots that 12 coordinates need; a step's nonzero rows lie on the
+    # pivot rows of the step before
     refuse(monkeypatch, "_dict_step")
     refuse(monkeypatch, "_krylov_ranks")
     steps = []
 
     def logged(rows, code, p, kernel=oracle._packed_step):
-        steps.append((len(rows), code))
-        return kernel(rows, code, p)
+        rank, restricted = kernel(rows, code, p)
+        steps.append((len(rows), code[0], rank))
+        return rank, restricted
 
     monkeypatch.setattr(oracle, "_packed_step", logged)
     model = NilpotentModel.from_json_dict(json.loads(DIM_12_AT_7))
     assert jordan_type_of(model) == JordanType.from_string(7, "[7]+[3]+[2]")
-    assert steps == [(n, "H") for n in (12, 9, 6, 4, 3, 2, 1)]
+    assert [(width, rank) for _, width, rank in steps] == [
+        (19, rank) for rank in (9, 6, 4, 3, 2, 1, 0)]
+    assert steps[0][0] == 12
+    assert all(n <= rank for (n, _, _), (_, _, rank) in zip(steps[1:], steps))
 
 
 @pytest.mark.parametrize("n", [4, 6, 10])
@@ -710,6 +832,58 @@ def test_named_models_stay_on_dicts(monkeypatch):
     assert huge.rank_sequence == (10**5, 3, 2, 1, 0, 0)
 
 
+def test_named_models_are_built_from_their_columns(monkeypatch):
+    # p is checked once, at the boundary, and each model is built by
+    # NilpotentModel._build from its columns, with no per-entry check
+    def refused(self, *args):
+        raise AssertionError("NilpotentModel.__init__ ran")
+
+    monkeypatch.setattr(NilpotentModel, "__init__", refused)
+    for p in (3, 13, 31):
+        assert jordan_type_of(heisenberg_model(p)) == JordanType.from_counts(
+            p, {**dict.fromkeys(range(1, p), 2), p: 1})
+        assert [jordan_type_of(m) for m in abelian_rank2_models(p)] == [
+            JordanType.block(p, 1, p), JordanType.from_counts(p, {1: p - 2, 2: 1})]
+        assert [jordan_type_of(m) for m in ga2_model(p)] == [
+            JordanType.block(p, 1, p), restrict(p, 2, p).with_modulus(p)]
+        for i in (1, 2, p - 1):
+            assert [jordan_type_of(m) for m in sl2s_models(p, i)] == [
+                JordanType.from_counts(p, Counter([i, p - i])), JordanType.block(p, p)]
+            assert [jordan_type_of(m) for m in sl2_simple_models(p, i)] == [
+                JordanType.block(p, i)] * 2
+
+
+@pytest.mark.parametrize("build,args,message", [
+    (heisenberg_model, (4,), "p must be prime, got 4"),
+    (heisenberg_model, (2,), "heisenberg model needs p >= 3, got 2"),
+    (heisenberg_model, (2**64 - 59,),
+     "p must be at most sys.maxsize = 9223372036854775807, got 18446744073709551557"),
+    (abelian_rank2_models, (10**20 - 1,), "p must be prime, got 99999999999999999999"),
+    (abelian_rank2_models, (2**64 - 59,),
+     "p must be at most sys.maxsize = 9223372036854775807, got 18446744073709551557"),
+    (ga2_model, (9,), "p must be prime, got 9"),
+    (ga2_model, (2,), "height-2 model needs odd p >= 3, got 2"),
+    (sl2s_models, (9, 3), "p must be prime, got 9"),
+    (sl2s_models, (9, 20), "highest-weight parameter i=20 out of range 1..8"),
+    (sl2s_models, (10**20 - 1, 3),
+     "p must be at most sys.maxsize = 9223372036854775807, got 99999999999999999999"),
+    (sl2_simple_models, (9, 3), "p must be prime, got 9"),
+    (sl2_simple_models, (9, 20), "simple-module dimension n=20 out of range 1..8"),
+    (sl2_simple_models, (2**64 - 59, 3),
+     "p must be at most sys.maxsize = 9223372036854775807, got 18446744073709551557"),
+    # a composite p up to sys.maxsize, refused before any of its p or p^2
+    # entries is built
+    (heisenberg_model, (10**18,), "p must be prime, got 1000000000000000000"),
+    (sl2s_models, (10**18, 1), "p must be prime, got 1000000000000000000"),
+])
+def test_named_models_check_p_in_order(build, args, message):
+    # each model checks p once, at the boundary, in the order that gives the
+    # messages NilpotentModel's own checks give
+    with pytest.raises(ValidationError) as info:
+        build(*args)
+    assert str(info.value) == message
+
+
 def test_a_huge_sparse_dim_allocates_no_slots():
     # the fill is counted against dim, once, when the route is picked, so
     # 10^5 coordinates with three entries take the Krylov route and never
@@ -730,7 +904,7 @@ def test_no_option_selects_the_kernel():
     assert list(inspect.signature(oracle._image_chain_ranks).parameters) == ["dim", "columns", "p"]
     assert list(inspect.signature(oracle._krylov_ranks).parameters) == ["dim", "cols", "p"]
     assert list(inspect.signature(oracle._dict_step).parameters) == ["cols", "p"]
-    # the slot type is fixed from dim before the first packed step
+    # the slot width is fixed from dim before the first packed step
     assert list(inspect.signature(oracle._packed_step).parameters) == ["rows", "code", "p"]
     source = inspect.getsource(oracle)
     assert "environ" not in source and "getenv" not in source
@@ -822,7 +996,8 @@ def test_krylov_route_matches_the_chain_on_named_model_conjugates(p):
 
 def test_sparse_nilpotent_models_run_no_chain_step(monkeypatch):
     # named models and sparse conjugates take the Krylov route alone; a
-    # sparse N with N^p != 0 falls back to the chain on dicts
+    # sparse N with N^p != 0 falls back to the chain on dicts, and packs once
+    # its restriction fills
     refuse(monkeypatch, "_dict_step")
     refuse(monkeypatch, "_packed_step")
     rng = random.Random(11)
@@ -839,13 +1014,14 @@ def test_sparse_nilpotent_models_run_no_chain_step(monkeypatch):
     log = kernel_log(monkeypatch)
     with pytest.raises(ValidationError, match=r"rank of N\^5 is 1\)$"):
         NilpotentModel(5, 6, [(1, 0, 1), (2, 1, 1), (2, 2, 1)])
-    assert log and set(log) == {"_dict_step"}, log
+    # im N is spanned by e_1 and e_2, and N on it holds 2 of 4 entries
+    assert log == ["_dict_step", "_packed_step", "_packed_step"], log
     # an invertible 2 x 2 block on im N: the restriction after the first
-    # step fills all 4 of its entries, and stays on dicts
+    # step fills all 4 of its entries, and runs packed
     log.clear()
     with pytest.raises(ValidationError, match=r"rank of N\^5 is 2\)$"):
         NilpotentModel(5, 6, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
-    assert log == ["_dict_step", "_dict_step"]
+    assert log == ["_dict_step", "_packed_step"]
 
 
 def test_the_krylov_certificate_needs_all_of_im_n():

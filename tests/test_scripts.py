@@ -2,6 +2,7 @@
 README's CLI examples run end to end against src/."""
 
 import ast
+import json
 import os
 import re
 import resource
@@ -226,6 +227,63 @@ def test_the_digit_limit_is_read_when_the_command_runs():
     assert (result.returncode, result.stdout) == (3, "")
     assert result.stderr == ("parse error: a number at position 0 has more than 640 digits, "
                              "the limit for reading an integer\n")
+
+
+def check_bench_file(bench):
+    """The schema of one BENCH_<pr>.json object, as ``scripts/bench_record.py``
+    writes it; no timing is bounded."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in spec["workloads"]}
+    units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    assert set(bench) == {"pr", "git_sha", "dirty", "src_sha256", "runs"}
+    assert type(bench["pr"]) is int
+    # both None outside a git checkout
+    assert bench["git_sha"] is None or re.fullmatch(r"[0-9a-f]{40}", bench["git_sha"])
+    assert bench["dirty"] in ((None,) if bench["git_sha"] is None else (True, False))
+    assert re.fullmatch(r"[0-9a-f]{64}", bench["src_sha256"])
+    assert bench["runs"]
+    for run in bench["runs"]:
+        assert set(run) == {"workload", "seed", "seconds", "returncode", "env", "digest", "result"}
+        assert run["workload"] in workloads and type(run["seed"]) is int
+        assert run["returncode"] == 0
+        env = run["env"]
+        assert (env["workload"], env["seed"], env["seconds"], env["trace"]) == (
+            run["workload"], run["seed"], run["seconds"], 0)
+        assert {"python", "nproc", "cpu", "ops_timed", "attempted"} <= set(env)
+        assert re.fullmatch(r"digest sha256=[0-9a-f]{64} ops=\d+ \(.*\)", run["digest"])
+        result = run["result"]
+        assert (result["correct"], result["failed"], result["attempted"]) == (
+            True, 0, env["attempted"])
+        assert {name: m["unit"] for name, m in result["metrics"].items()} == units
+        assert all(type(m["value"]) is float for m in result["metrics"].values())
+    # a workload and seed give the same first round, so the same digest
+    digests = {}
+    for run in bench["runs"]:
+        assert digests.setdefault((run["workload"], run["seed"]), run["digest"]) == run["digest"]
+
+
+def test_committed_bench_files_follow_the_schema():
+    # the BENCH files form the perf trajectory: each covers every workload
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    workloads = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    for path in paths:
+        bench = json.loads(path.read_text())
+        assert path.name == f"BENCH_{bench['pr']}.json"
+        check_bench_file(bench)
+        assert bench["git_sha"], path.name
+        assert {run["workload"] for run in bench["runs"]} == workloads, path.name
+
+
+def test_bench_record_writes_a_bench_file(tmp_path):
+    out = tmp_path / "BENCH_0.json"
+    result = run_script("bench_record.py", "--pr", "0", "--workload", "cli-mix", "--seeds", "1",
+                        "--seconds", "1", "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    bench = json.loads(out.read_text())
+    check_bench_file(bench)
+    assert [(run["workload"], run["seed"], run["seconds"]) for run in bench["runs"]] == [
+        ("cli-mix", 1, 1.0)]
 
 
 # Public names that only tests call, each kept for a reason
