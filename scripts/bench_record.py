@@ -18,7 +18,7 @@ and each seed, and writes one JSON object:
 A run that exits nonzero or lacks one of the three lines keeps what it
 printed, and the script then exits 1 once the file is written.
 
-Run:  python3 scripts/bench_record.py --pr 31 [--seeds 1 2 3] [--seconds 25]
+Run:  python3 scripts/bench_record.py --pr N [--seeds 1 2 3] [--seconds 25]
       [--workload oracle-crosscheck ...] [--root CHECKOUT] [--out FILE]
 """
 
