@@ -21,29 +21,23 @@ takes this route.
 A dense N, and an N that the Krylov route finds not nilpotent of order
 <= p, runs the image chain im N ⊇ im N^2 ⊇ ...: an echelon basis of each
 term, mapped through N, spans the next, so r_m is the dimension of its
-m-th term.  The route is picked once per model, from N alone.  A dense
-N (more than n^2 / 4 nonzero entries) runs every step on a packed kit,
-which holds each row of the step's operator in one int, and does row
-operations as big-integer multiply-adds.  Each entry has a slot of
-2w + 1 bits, w the bit length of the slot bound (p-1) + n (p-1)^2 for
-the n of the first step, so every p packs.  A row is reduced mod p in
-whole-int steps, one multiply, shift, mask and multiply-subtract for all
-its slots (Barrett), and never leaves int form.  Each coordinate keeps
-its ambient slot along the chain, so restricting to the next term masks
-a row to the pivot rows' slots, with no gather.  An N that falls back
-from the Krylov route runs on a dict kit of sparse columns, until the
-restriction to a term fills past a quarter of its entries; it is then
-packed once, and runs packed to the end, as the terms only shrink.  A
-dict step pays about once per nonzero entry of its vectors: a one-entry
-column on a row that holds no pivot becomes the pivot vector e_r as it
-is met, back substitution touches only the pivot vectors with more than
-one entry, and a one-entry basis vector e_q restricts to column q of the
-operator read at the pivots, so no column is read at the pivots before
-a basis vector needs it.  A packed step makes one Gauss-Jordan pass down
-the rows of its operator A, which reduces its columns to the reduced
-echelon basis B of im A, and restricts A to im A as A_P B, A_P the pivot
-rows of A; the result stays packed for the next step.  Both kernels
-compute the same basis and restriction.  ``--fuzz`` checks that random
+m-th term.  The route is picked once per model, from N alone.  Every
+step of the chain runs on a packed kit, which holds each row of the
+step's operator in one int, and does row operations as big-integer
+multiply-adds.  A dense N (more than n^2 / 4 nonzero entries) packs on
+all n coordinates; an N that falls back from the Krylov route is first
+relabelled onto its support, the coordinates that its entries meet,
+which keeps rank N^m for every m >= 1, so a huge dim allocates no
+slots.  Each entry has a slot of 2w + 1 bits, w the bit length of the
+slot bound (p-1) + n (p-1)^2 for the n of the first step, so every p
+packs.  A row is reduced mod p in whole-int steps, one multiply, shift,
+mask and multiply-subtract for all its slots (Barrett), and never leaves
+int form.  Each coordinate keeps its ambient slot along the chain, so
+restricting to the next term masks a row to the pivot rows' slots, with
+no gather.  A step makes one Gauss-Jordan pass down the rows of its
+operator A, which reduces its columns to the reduced echelon basis B of
+im A, and restricts A to im A as A_P B, A_P the pivot rows of A; the
+result stays packed for the next step.  ``--fuzz`` checks that random
 conjugates of a model keep its Jordan type: a conjugate filled past
 n^2 / 4 runs the packed chain, and any other takes the Krylov route
 again.
@@ -65,8 +59,8 @@ from .errors import (
 from .jtypes import JordanType, require_modulus, require_prime
 
 Column = tuple[tuple[int, int], ...]
-# an operator on a term of the image chain: its nonzero columns, each
-# as the (row, value) pairs of its nonzero entries
+# an operator given by its nonzero columns, each as the (row, value)
+# pairs of its nonzero entries
 Operator = Mapping[int, Sequence[tuple[int, int]]]
 
 
@@ -104,30 +98,6 @@ def _insert(pivots: dict[int, dict[int, int]], col: Sequence[tuple[int, int]], p
         _subtract(vec, vec[lead], prow, p)
 
 
-def _reduced_echelon(vectors: Iterable[Sequence[tuple[int, int]]],
-                     p: int) -> dict[int, dict[int, int]]:
-    """A basis of the span of sparse vectors over F_p, in reduced echelon form.
-
-    Vectors are sequences of ``(index, nonzero value)`` pairs, each index
-    once.  The result maps each pivot to the basis vector whose smallest
-    index it is, as a dict ``index -> nonzero value``; that vector holds
-    1 at its pivot and 0 at every other pivot.  Each vector goes through
-    ``_insert``, then back substitution clears the other pivots from the
-    basis vectors with more than one entry.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for col in vectors:
-        _insert(pivots, col, p)
-    # back substitution, from the last pivot: each row subtracted is
-    # already 0 at the other pivots, so it brings in no pivot entries
-    for lead in sorted((q for q, row in pivots.items() if len(row) > 1), reverse=True):
-        row = pivots[lead]
-        for k in row.keys() & pivots.keys():
-            if k != lead:
-                _subtract(row, row[k], pivots[k], p)
-    return pivots
-
-
 def _subtract(vec: dict[int, int], f: int, row: Mapping[int, int], p: int) -> None:
     """vec -= f * row over F_p, in place, keeping only nonzero entries."""
     for k, x in row.items():
@@ -155,58 +125,23 @@ def _apply(cols: Mapping[int, Iterable[tuple[int, int]]], vec: Collection[tuple[
     return [(r, z) for r, y in out.items() if (z := y % p)]
 
 
-def _dict_step(cols: Operator, p: int) -> tuple[int, Operator]:
-    """rank A, and A restricted to im A, for A over F_p given by its nonzero columns.
-
-    The restriction is in the coordinates of the reduced echelon basis
-    of im A: a vector w of the span is the sum of w[q] * b_q over the
-    pivots q, so its coordinates are its pivot entries, and column i of
-    the result is A b_i read at the pivots.  A one-entry basis vector
-    b_i = e_q maps to column q of A read at the pivots, with no
-    ``_apply``; a one-entry column v e_r of A lies in im A, so r is a
-    pivot.  A longer basis vector goes through ``_apply`` on the columns
-    of A it meets, each read at the pivots once, when a basis vector
-    first needs it; no step reads the whole operator at the pivots up
-    front.
-    """
-    basis = _reduced_echelon(cols.values(), p)
-    coord = {q: i for i, q in enumerate(basis)}
-    at_pivots: dict[int, list[tuple[int, int]]] = {}
-    restricted = {}
-    for i, (q, vec) in enumerate(basis.items()):
-        if len(vec) == 1:
-            col = cols.get(q, ())
-            if len(col) == 1:  # v e_r lies in im A, so r is a pivot
-                r, v = col[0]
-                restricted[i] = ((coord[r], v),)
-                continue
-            col = [(coord[r], v) for r, v in col if r in coord]
-        else:
-            for j in vec.keys() - at_pivots.keys():
-                at_pivots[j] = [(coord[r], v) for r, v in cols.get(j, ()) if r in coord]
-            col = _apply(at_pivots, vec.items(), p)
-        if col:
-            restricted[i] = col
-    return len(basis), restricted
-
-
 # ------------------------------------------------------------ packed F_p kit
 
-# Fill (nonzero entries against n^2) above which N runs its image chain
-# on packed rows, picked once from N: a dense N skips the Krylov route,
-# and every step of its chain is packed, the shrinking tail included.
-# On a random operator at p = 7 or 13, one chain step, with its
-# conversion to rows, costs the same on both kits near fill 0.13 at
-# n = 29 and near 0.06 at n = 60; from 0.25 to 0.3 dicts take 1.8 to 2.4
-# times as long at n = 29 and 4.5 to 6 times at n = 60.  A monomial
-# nilpotent operator, such as every named model, has at most
-# n - 1 <= n^2 / 4 entries, so 1/4 is as low as the rule goes and keeps
-# them all on the Krylov route.
+# Fill (nonzero entries against n^2) above which N skips the Krylov
+# route and runs its image chain on packed rows, picked once from N.  On
+# random conjugates of nilpotent Jordan types at p = 7 or 13, the two
+# routes cost the same near fill 0.1 to 0.15 at n = 29 and n = 60; from
+# 0.25 to 0.3 the Krylov route takes 1.0 to 2.6 times as long as the
+# packed chain at n = 29 and 1.8 to 3.7 times at n = 60 (best of 7,
+# three operators each, Python 3.11.7, 2 vCPUs).  A monomial nilpotent
+# operator, such as every named model, has at most n - 1 <= n^2 / 4
+# entries, so 1/4 is as low as the rule goes and keeps them all on the
+# Krylov route.
 _DENSE_FILL = 0.25
 
 
-def _packed_code(cols: Operator, n: int, p: int) -> tuple[int, Callable[[int], int]] | None:
-    """(W, reduce) for a dense operator on F_p^n (see ``_DENSE_FILL``), else None.
+def _packed_code(n: int, p: int) -> tuple[int, Callable[[int], int]]:
+    """(W, reduce) for packed rows of an operator on F_p^n.
 
     A packed row over F_p keeps each entry in a slot of W = 2w + 1 bits,
     w the bit length of the slot bound (p-1) + n (p-1)^2, and is reduced
@@ -220,11 +155,10 @@ def _packed_code(cols: Operator, n: int, p: int) -> tuple[int, Callable[[int], i
     floor(x / p) (Barrett, CRYPTO '86; Granlund-Montgomery, PLDI '94).
     x m < 2^W, so the slots' products do not overlap, and floor(x / p),
     below 2^(W - s), is what Q keeps of each slot after the shift: its
-    low W - s bits.  Every p packs.  The fill is counted against n, so a
-    sparse operator on a huge space never allocates n slots.
+    low W - s bits.  Every p packs.  Q spans n slots, so the caller
+    passes the n of a dense N or of a sparse N's support, never a huge
+    dim.
     """
-    if sum(map(len, cols.values())) <= _DENSE_FILL * n * n:
-        return None
     w = ((p - 1) + n * (p - 1) ** 2).bit_length()
     width, s = 2 * w + 1, w + p.bit_length()
     m = (1 << s) // p + 1
@@ -248,7 +182,7 @@ def _rows_of(cols: Operator, width: int) -> dict[int, int]:
 
 def _packed_step(rows: Mapping[int, int], code: tuple[int, Callable[[int], int]],
                  p: int) -> tuple[int, dict[int, int]]:
-    """``_dict_step`` for an operator A given by its nonzero packed rows, keyed by t.
+    """rank A, and A restricted to im A, for A over F_p given by its nonzero packed rows.
 
     ``code`` is the (W, reduce) of ``_packed_code`` for the n of the
     chain's first step, which every step of the chain keeps.  Each
@@ -272,7 +206,7 @@ def _packed_step(rows: Mapping[int, int], code: tuple[int, Callable[[int], int]]
     rows' slots, plus A[t_i, j] times row j of B for each j off the pivot
     rows, r (n - r) multiply-adds in all.  A slot so gains at most
     r (p - 1)^2 in the pass and (n - r) (p - 1)^2 in A', within the slot
-    bound.  B is the basis ``_dict_step`` finds, its pivots t_m in
+    bound.  B is the one reduced echelon basis of im A, its pivots t_m in
     increasing order.
     """
     width, reduce = code
@@ -366,35 +300,39 @@ def _krylov_ranks(dim: int, cols: Operator, p: int) -> list[int] | None:
 def _image_chain_ranks(dim: int, columns: Iterable[tuple[int, Column]], p: int) -> list[int]:
     """(rank N^0, ..., rank N^p) for a dim x dim N over F_p, given by its nonzero columns.
 
-    The route is picked here, once, from N.  A dense N that packs
-    (``_packed_code``) runs the image chain with every step on packed
-    rows, in the slot width fixed by dim.  Any other N takes
-    ``_krylov_ranks``, which maps each vector of N's Jordan chains once;
-    an N that it finds not nilpotent of order <= p runs the image chain on
-    dicts, so that the ranks it returns give the rank of N^p, until the
-    restriction packs: from then on every step runs packed, in the width
-    fixed by that restriction's dim.  rank N^m is the dimension of
-    im N^m, and im N^(m+1) = N(im N^m): a basis of im N^m mapped through
-    N spans the next term of the chain.  Each step keeps the operator
-    restricted to the current term, in the coordinates of its reduced
-    echelon basis, so the operator shrinks with the chain.  The chain
-    decreases; once it is zero or stops shrinking it is constant, and the
-    remaining ranks repeat the last one.
+    The route is picked here, once, from N.  A sparse N (see
+    ``_DENSE_FILL``) takes ``_krylov_ranks``, which maps each vector of
+    N's Jordan chains once.  A dense N, and a sparse N that the Krylov
+    route finds not nilpotent of order <= p, runs the image chain with
+    every step on packed rows, so that the ranks it returns give the
+    rank of N^p.  A dense N packs on all dim coordinates.  A sparse N is
+    first relabelled onto its support, the n indices that its entries
+    meet: every other e_t lies in ker N and off im N, so N is the sum of
+    its restriction to the support and 0, and rank N^m is unchanged for
+    every m >= 1; the slots then follow the entries, not dim.  rank N^m
+    is the dimension of im N^m, and im N^(m+1) = N(im N^m): a basis of
+    im N^m mapped through N spans the next term of the chain.  Each step
+    keeps the operator restricted to the current term, so the operator
+    shrinks with the chain.  The chain decreases; once it is zero or
+    stops shrinking it is constant, and the remaining ranks repeat the
+    last one.
     """
-    cols = dict(columns)
-    code = _packed_code(cols, dim, p)
-    if not code and (ranks := _krylov_ranks(dim, cols, p)):
-        ranks.extend(repeat(0, p + 1 - len(ranks)))
-        return ranks
-    op, ranks = _rows_of(cols, code[0]) if code else cols, [dim]
+    cols, n = dict(columns), dim
+    if sum(map(len, cols.values())) <= _DENSE_FILL * dim * dim:
+        if ranks := _krylov_ranks(dim, cols, p):
+            ranks.extend(repeat(0, p + 1 - len(ranks)))
+            return ranks
+        support = {*cols, *(r for col in cols.values() for r, _ in col)}
+        coord = {t: i for i, t in enumerate(sorted(support))}
+        cols, n = {coord[c]: [(coord[r], v) for r, v in col] for c, col in cols.items()}, len(coord)
+    code = _packed_code(n, p)
+    op, ranks = _rows_of(cols, code[0]), [dim]
     while True:
-        rank, op = _packed_step(op, code, p) if code else _dict_step(op, p)
+        rank, op = _packed_step(op, code, p)
         ranks.append(rank)
         if len(ranks) > p or not rank or ranks[-1] == ranks[-2]:
             ranks.extend(repeat(ranks[-1], p + 1 - len(ranks)))
             return ranks
-        if not code and (code := _packed_code(op, rank, p)):
-            op = _rows_of(op, code[0])  # one way: the restriction only shrinks
 
 
 # -------------------------------------------------------------------- model

@@ -1,10 +1,11 @@
-"""The dict kit of the image chain before its one-entry fast paths.
+"""A plain dict kit for one step of the image chain, the tests' reference.
 
-Nothing in the library imports this module.  Every column is copied to a
-dict and reduced by the general loop, back substitution visits every
-pivot, and the whole operator is read at the pivots before any basis
-vector is applied, so a test can check the library's ``_dict_step``,
-fast paths and all, against the plain algorithm step by step.
+Nothing in the library imports this module, and it shares no code with
+the library's kernels.  Every column is copied to a dict and reduced by
+the general loop, back substitution visits every pivot, and the whole
+operator is read at the pivots before any basis vector is applied, so a
+test can check the library's packed steps, and the ranks of whole
+chains, against the plain algorithm step by step.
 """
 
 from __future__ import annotations

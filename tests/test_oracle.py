@@ -54,8 +54,8 @@ def test_invert_mod_p_round_trip():
 
 
 # every odd prime up to 31, then a sample up to 53; the Heisenberg, ga2 and
-# sl2s Verma tests also run at p = 101, where each chain takes about p dict
-# steps of one-entry vectors
+# sl2s Verma tests also run at p = 101, where each Jordan chain walks about
+# p one-entry vectors
 ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
 
@@ -275,13 +275,14 @@ def test_power_model_matches_dense_powers():
 
 
 def kernel_log(monkeypatch):
-    """Wrap both chain kernels; the list names the kernel of every step, in order."""
+    """Wrap the chain kernel; the list names the kernel of every step, in order."""
     log = []
-    for name in ("_dict_step", "_packed_step"):
-        def logged(op, *args, kernel=getattr(oracle, name), name=name):
-            log.append(name)
-            return kernel(op, *args)
-        monkeypatch.setattr(oracle, name, logged)
+
+    def logged(op, *args, kernel=oracle._packed_step):
+        log.append("_packed_step")
+        return kernel(op, *args)
+
+    monkeypatch.setattr(oracle, "_packed_step", logged)
     return log
 
 
@@ -299,16 +300,17 @@ def chain_ranks(rows, p):
     return column_chain_ranks({c: col for c, col in cols.items() if col}, n, p)
 
 
-def column_chain_ranks(cols, n, p):
+def column_chain_ranks(cols, n, p, step=None):
     """The ranks of the image chain of an operator on F_p^n given by its nonzero
-    columns, every step on the kernel ``_image_chain_ranks`` starts its chain on
-    (packed when ``_packed_code`` gives a slot width, dicts otherwise, with no
-    switch), up to where the chain stops: no padding to p + 1 terms, so p may
-    be past what a ``NilpotentModel`` can hold."""
-    if code := oracle._packed_code(cols, n, p):
+    columns, every step packed in the slots of n coordinates, or every step on
+    ``step`` (columns -> rank, restriction) when given, up to where the chain
+    stops: no padding to p + 1 terms, so p may be past what a
+    ``NilpotentModel`` can hold."""
+    if step is None:
+        code = oracle._packed_code(n, p)
         op, step = oracle._rows_of(cols, code[0]), lambda rows: oracle._packed_step(rows, code, p)
     else:
-        op, step = cols, lambda cols: oracle._dict_step(cols, p)
+        op = cols
     ranks = [n]
     while ranks[-1] and len(ranks) <= p:
         rank, op = step(op)
@@ -316,6 +318,12 @@ def column_chain_ranks(cols, n, p):
         if rank == ranks[-2]:
             break
     return ranks
+
+
+def reference_chain_ranks(cols, n, p):
+    """``column_chain_ranks`` with every step on the plain dict kit of
+    ``dict_reference``, which shares no code with the oracle's kernels."""
+    return column_chain_ranks(cols, n, p, lambda cols: dict_reference.dict_step(cols, p))
 
 
 def fill(rows):
@@ -357,16 +365,8 @@ def test_packed_kernel_matches_dense_reference(p, monkeypatch):
     assert 2 <= nilpotent <= 6
 
 
-def packed_code(n, p):
-    """The (slot width, reduce) ``_packed_code`` gives an operator on F_p^n, whatever
-    its fill."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_DENSE_FILL", -1.0)
-        return oracle._packed_code({}, n, p)
-
-
 def slot_width(n, p):
-    return packed_code(n, p)[0]
+    return oracle._packed_code(n, p)[0]
 
 
 def packed_cols(rows, width):
@@ -406,23 +406,24 @@ def step_inputs(p, rng):
 
 @pytest.mark.parametrize("p", [7, 13, 31])
 def test_packed_steps_match_dict_steps(p):
-    # each step of a packed run against _dict_step on the same operator, read
-    # at its ambient slots: the same rank, and the same restriction once each
-    # dict basis vector is named by its pivot, the slot where the packed kit
-    # keeps that coordinate; the packed rows are keyed by pivots alone
+    # each step of a packed run against the plain dict kit of dict_reference
+    # on the same operator, read at its ambient slots: the same rank, and the
+    # same restriction once each dict basis vector is named by its pivot, the
+    # slot where the packed kit keeps that coordinate; the packed rows are
+    # keyed by pivots alone
     rng = random.Random(p)
     steps = non_nilpotent = 0
     for rows in step_inputs(p, rng):
         n = len(rows)
         ambient = range(n)
-        code = packed_code(n, p)
+        code = oracle._packed_code(n, p)
         width = code[0]
         op = oracle._rows_of(nonzero_columns(rows), width)
         while True:
             cols = packed_cols(op, width)
             rank, packed = oracle._packed_step(op, code, p)
-            dict_rank, restricted = oracle._dict_step(cols, p)
-            pivots = list(oracle._reduced_echelon(cols.values(), p))
+            dict_rank, restricted = dict_reference.dict_step(cols, p)
+            pivots = list(dict_reference.reduced_echelon((dict(col) for col in cols.values()), p))
             assert rank == dict_rank == len(pivots), (p, rows)
             assert labelled(packed_cols(packed, width), ambient) == labelled(
                 restricted, pivots), (p, rows)
@@ -449,71 +450,6 @@ def sparse_rows(rng, p, dim, nilpotent):
         for r in rng.sample(choices, min(k, len(choices))):
             rows[r][c] = rng.randrange(1, p)
     return rows
-
-
-def dict_branches(cols):
-    """The branches of the dict kit that a step on ``cols`` must reach, read off
-    the operator alone, in the order ``_reduced_echelon`` meets its columns."""
-    reached = set()
-    met = set()  # rows of earlier columns: a row outside it holds no pivot yet
-    pivot_rows = set()  # rows of earlier one-entry columns: each holds a pivot
-    # the rows of all one-entry columns, each a pivot once every column is met
-    last_pivot_rows = {col[0][0] for col in cols.values() if len(col) == 1}
-    for col in cols.values():
-        rows = [r for r, _ in col]
-        if len(rows) > 1:
-            reached.add("several entries")
-            # kept whole as the pivot vector of its smallest row, it meets another pivot
-            if min(rows) not in met and set(rows) - {min(rows)} & last_pivot_rows:
-                reached.add("back substitution")
-        elif rows[0] in pivot_rows:
-            reached.add("one entry on a pivot row")
-        elif rows[0] not in met:
-            reached.add("one entry on a fresh row")
-            if rows[0] not in cols:  # the basis vector e_r, and A e_r = 0
-                reached.add("one-entry basis vector, empty column")
-        met.update(rows)
-        if len(rows) == 1:
-            pivot_rows.add(rows[0])
-    return reached
-
-
-@pytest.mark.parametrize("p", [5, 13, 31])
-def test_dict_steps_match_the_plain_dict_kit(p, monkeypatch):
-    # sparse operators through every branch of the dict kit's fast paths:
-    # the chain against dense powers, and each step against the dict kit
-    # without fast paths, for the same basis in the same order and the
-    # same restriction
-    refuse(monkeypatch, "_packed_step")
-    monkeypatch.setattr(oracle, "_DENSE_FILL", float("inf"))
-    rng = random.Random(p)
-    reached = Counter()
-    for trial in range(30):
-        nilpotent = trial % 3 > 0
-        rows = sparse_rows(rng, p, rng.randint(4, 24 if nilpotent else 14), nilpotent)
-        ranks, expected = chain_ranks(rows, p), dense_rank_sequence(p, rows)
-        assert ranks + [ranks[-1]] * (p + 1 - len(ranks)) == list(expected), (p, rows)
-        n = len(rows)
-        cols = {c: col for c in range(n)
-                if (col := [(r, rows[r][c]) for r in range(n) if rows[r][c]])}
-        while cols:
-            reached.update(dict_branches(cols))
-            basis = oracle._reduced_echelon(cols.values(), p)
-            plain = dict_reference.reduced_echelon((dict(col) for col in cols.values()), p)
-            assert list(basis.items()) == list(plain.items()), (p, rows)
-            rank, restricted = oracle._dict_step(cols, p)
-            plain_rank, plain_restricted = dict_reference.dict_step(cols, p)
-            pivots = list(plain)
-            assert rank == plain_rank == len(pivots), (p, rows)
-            assert labelled(restricted, pivots) == labelled(plain_restricted, pivots), (p, rows)
-            if rank == n:
-                break
-            cols, n = restricted, rank
-    assert set(reached) == {
-        "one entry on a fresh row", "one entry on a pivot row", "several entries",
-        "back substitution", "one-entry basis vector, empty column",
-    }
-    assert min(reached.values()) >= 20, reached
 
 
 def test_a_packed_run_keeps_its_first_slot_width(monkeypatch):
@@ -625,7 +561,6 @@ def test_a_modulus_past_64_bit_slots_packs(monkeypatch):
     # 64-bit item: the rows pack into 249-bit slots, every step runs packed,
     # and the ranks are those of dense powers
     p = 2**61 - 1
-    refuse(monkeypatch, "_dict_step")
     log = kernel_log(monkeypatch)
     assert slot_width(4, p) == 249
     rows = dense_conjugate(shift_rows([3, 1]), p, random.Random(61))
@@ -639,7 +574,7 @@ def assert_reduces(n, p, values):
     """``reduce`` of ``_packed_code`` for n coordinates takes the values, packed n
     to a row from the lowest slot and again from the highest, to their
     residues mod p."""
-    width, reduce = packed_code(n, p)
+    width, reduce = oracle._packed_code(n, p)
     for k in range(0, len(values), n):
         chunk = values[k:k + n]
         for low in (0, n - len(chunk)):
@@ -682,12 +617,11 @@ def test_the_row_reduction_is_exact_at_the_edge_values(p):
 
 
 @pytest.mark.parametrize("p", EDGE_PRIMES)
-def test_packed_chain_matches_dense_powers_at_any_p(p, monkeypatch):
-    # dense operators, nilpotent or not, on up to 12 coordinates: every step
+def test_packed_chain_matches_dense_powers_at_any_p(p):
+    # operators, nilpotent or not, on up to 12 coordinates: every step
     # packed, and the chain's ranks against rank_mod_p of dense powers up to
     # where the ranks settle, N^(n + 1) or N^p
     rng = random.Random(f"edge-{p}")
-    refuse(monkeypatch, "_dict_step")
     nilpotent = 0
     for trial in range(12):
         n = rng.randint(2, 12)
@@ -699,8 +633,6 @@ def test_packed_chain_matches_dense_powers_at_any_p(p, monkeypatch):
                     for r in range(n)]
         else:
             rows = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        if fill(rows) <= oracle._DENSE_FILL:
-            continue
         top = min(p, n + 1)
         expected = [rank_mod_p(matrix_power(rows, m, p), p) for m in range(top + 1)]
         nilpotent += expected[-1] == 0
@@ -711,22 +643,30 @@ def test_packed_chain_matches_dense_powers_at_any_p(p, monkeypatch):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_filling_fallback_switches_to_packed_once(seed, monkeypatch):
     # a sparse N that is not nilpotent falls back from the Krylov route to
-    # the image chain on dicts; once the restriction to the stable image
-    # fills past n^2 / 4 it is packed once, and every later step runs packed
+    # the image chain: it is relabelled onto its support and packed once,
+    # in the slots of the support's coordinates, and every step runs packed
     p, n = 101, 200
     rng = random.Random(seed)
     cols = {c: col for c in range(n)
             if (col := [(r, rng.randrange(1, p)) for r in rng.sample(range(n), rng.randint(0, 3))])}
-    expected = padded(column_chain_ranks(cols, n, p), p)  # on dicts to the end
+    support = {*cols, *(r for col in cols.values() for r, _ in col)}
+    assert len(support) < n
+    expected = padded(reference_chain_ranks(cols, n, p), p)  # on the plain dict kit
     log = kernel_log(monkeypatch)
+    codes = []
+
+    def packed_code(n, p, code=oracle._packed_code):
+        codes.append(n)
+        return code(n, p)
+
+    monkeypatch.setattr(oracle, "_packed_code", packed_code)
     with pytest.raises(ValidationError) as info:
         NilpotentModel(p, n, [(r, c, v) for c, col in cols.items() for r, v in col])
     assert expected[p] and str(info.value) == (
         f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {expected[p]})")
-    switch = log.index("_packed_step")
-    assert switch >= 1 and set(log[:switch]) == {"_dict_step"}, log
-    assert set(log[switch:]) == {"_packed_step"}, log
-    # each step against the dict chain's ranks, up to where the chain stops
+    assert codes == [len(support)]
+    assert len(log) >= 2 and set(log) == {"_packed_step"}, log
+    # each step against the plain dict chain's ranks, up to where the chain stops
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "_krylov_ranks", lambda dim, cols, p: None)
     assert oracle._image_chain_ranks(n, cols.items(), p) == expected
@@ -741,7 +681,7 @@ SIX_BY_SIX = (
 
 
 def test_dense_models_reach_the_packed_kernel(monkeypatch):
-    refuse(monkeypatch, "_dict_step")
+    refuse(monkeypatch, "_krylov_ranks")
     model = NilpotentModel.from_json_dict(json.loads(SIX_BY_SIX))
     assert jordan_type_of(model) == JordanType.from_string(5, "[4]+[2]")
     rng = random.Random(5)
@@ -773,7 +713,6 @@ def test_a_dense_model_runs_every_step_packed(monkeypatch):
     # term, the tail on 2 and 1 coordinates included, all in the 19-bit
     # slots that 12 coordinates need; a step's nonzero rows lie on the
     # pivot rows of the step before
-    refuse(monkeypatch, "_dict_step")
     refuse(monkeypatch, "_krylov_ranks")
     steps = []
 
@@ -897,14 +836,35 @@ def test_a_huge_sparse_dim_allocates_no_slots():
     assert peak < 10**5
 
 
+@pytest.mark.parametrize("entries,rank", [
+    ([(0, 0, 1)], 1),
+    ([(10**29, 10**29, 3), (10**29, 10**29 + 7, 1)], 1),
+    ([(10**29 + 1, 10**29 + 2, 1), (10**29 + 2, 10**29 + 1, 4), (3, 10**29 + 1, 2)], 2),
+])
+def test_a_huge_dim_that_is_not_nilpotent_packs_its_support(entries, rank):
+    # the Krylov route rejects N, and the packed chain runs on the support,
+    # the coordinates that the entries meet: packed on 10^30 slots, or with
+    # entries at their slots near 10^29, it could not be allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as info:
+            NilpotentModel(5, 10**30, entries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"matrix is not nilpotent of order <= 5 (rank of N^5 is {rank})"
+    assert peak < 10**5
+
+
 def test_no_option_selects_the_kernel():
     # the route of a model follows from its operator and p alone, picked
     # once in _image_chain_ranks
     assert list(inspect.signature(NilpotentModel).parameters) == ["p", "dim", "entries"]
     assert list(inspect.signature(oracle._image_chain_ranks).parameters) == ["dim", "columns", "p"]
     assert list(inspect.signature(oracle._krylov_ranks).parameters) == ["dim", "cols", "p"]
-    assert list(inspect.signature(oracle._dict_step).parameters) == ["cols", "p"]
-    # the slot width is fixed from dim before the first packed step
+    # the slot width is fixed from the first step's n, the caller's fill
+    # rule picks the route, and every step runs on the one packed kernel
+    assert list(inspect.signature(oracle._packed_code).parameters) == ["n", "p"]
     assert list(inspect.signature(oracle._packed_step).parameters) == ["rows", "code", "p"]
     source = inspect.getsource(oracle)
     assert "environ" not in source and "getenv" not in source
@@ -996,9 +956,7 @@ def test_krylov_route_matches_the_chain_on_named_model_conjugates(p):
 
 def test_sparse_nilpotent_models_run_no_chain_step(monkeypatch):
     # named models and sparse conjugates take the Krylov route alone; a
-    # sparse N with N^p != 0 falls back to the chain on dicts, and packs once
-    # its restriction fills
-    refuse(monkeypatch, "_dict_step")
+    # sparse N with N^p != 0 falls back to the packed chain on its support
     refuse(monkeypatch, "_packed_step")
     rng = random.Random(11)
     for p in [3, 5, 13, 31, 101]:
@@ -1014,14 +972,15 @@ def test_sparse_nilpotent_models_run_no_chain_step(monkeypatch):
     log = kernel_log(monkeypatch)
     with pytest.raises(ValidationError, match=r"rank of N\^5 is 1\)$"):
         NilpotentModel(5, 6, [(1, 0, 1), (2, 1, 1), (2, 2, 1)])
-    # im N is spanned by e_1 and e_2, and N on it holds 2 of 4 entries
-    assert log == ["_dict_step", "_packed_step", "_packed_step"], log
-    # an invertible 2 x 2 block on im N: the restriction after the first
-    # step fills all 4 of its entries, and runs packed
+    # the support is e_0, e_1 and e_2, and im N is spanned by e_1 and e_2:
+    # ranks 2, 1 and 1 in three packed steps
+    assert log == ["_packed_step"] * 3, log
+    # an invertible 2 x 2 block on the support e_0, e_1, which is im N:
+    # ranks 2 and 2 in two packed steps
     log.clear()
     with pytest.raises(ValidationError, match=r"rank of N\^5 is 2\)$"):
         NilpotentModel(5, 6, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
-    assert log == ["_dict_step", "_packed_step"]
+    assert log == ["_packed_step"] * 2
 
 
 def test_the_krylov_certificate_needs_all_of_im_n():
@@ -1032,7 +991,10 @@ def test_the_krylov_certificate_needs_all_of_im_n():
     # the route would read N as nilpotent with ranks 5, 2, 1, 0
     p = 13
     cols = {0: [(1, 11)], 2: [(0, 8)], 4: [(1, 4), (4, 6)]}
-    assert list(oracle._reduced_echelon(cols.values(), p)) == [1, 0, 4]
+    image = {}
+    for col in cols.values():
+        oracle._insert(image, col, p)
+    assert list(image) == [1, 0, 4]
     assert oracle._apply(cols, cols[2], p) == [(1, 10)]
     assert oracle._apply(cols, [(1, 10)], p) == []
     assert oracle._krylov_ranks(5, cols, p) is None
