@@ -21,26 +21,28 @@ takes this route.
 A dense N, and an N that the Krylov route finds not nilpotent of order
 <= p, runs the image chain im N ⊇ im N^2 ⊇ ...: an echelon basis of each
 term, mapped through N, spans the next, so r_m is the dimension of its
-m-th term.  The route is picked once per model, from N alone.  Every
-step of the chain runs on a packed kit, which holds each row of the
-step's operator in one int, and does row operations as big-integer
-multiply-adds.  A dense N (more than n^2 / 4 nonzero entries) packs on
-all n coordinates; an N that falls back from the Krylov route is first
-relabelled onto its support, the coordinates that its entries meet,
-which keeps rank N^m for every m >= 1, so a huge dim allocates no
-slots.  Each entry has a slot of 2w + 1 bits, w the bit length of the
-slot bound (p-1) + n (p-1)^2 for the n of the first step, so every p
-packs.  A row is reduced mod p in whole-int steps, one multiply, shift,
-mask and multiply-subtract for all its slots (Barrett), and never leaves
-int form.  Each coordinate keeps its ambient slot along the chain, so
-restricting to the next term masks a row to the pivot rows' slots, with
-no gather.  A step makes one Gauss-Jordan pass down the rows of its
-operator A, which reduces its columns to the reduced echelon basis B of
-im A, and restricts A to im A as A_P B, A_P the pivot rows of A; the
-result stays packed for the next step.  ``--fuzz`` checks that random
-conjugates of a model keep its Jordan type: a conjugate filled past
-n^2 / 4 runs the packed chain, and any other takes the Krylov route
-again.
+m-th term.  The route is picked once per model, from N alone.  A dense
+N (more than n^2 / 4 nonzero entries) runs every step on a packed kit,
+which holds each row of the step's operator in one int, and does row
+operations as big-integer multiply-adds.  An N that falls back from the
+Krylov route runs on sparse dict columns, a reduced echelon basis and
+the restriction read at its pivots, so that a step costs what the
+entries of its vectors cost and a huge dim allocates nothing; once the
+restriction to a term fills past n^2 / 4 it is packed once, and runs
+packed to the end, as the terms only shrink.  Each entry has a slot of
+2w + 1 bits, w the bit length of the slot bound (p-1) + n (p-1)^2 for
+the n of the first packed step, so every p packs.  A row is reduced mod
+p in whole-int steps, one multiply, shift, mask and multiply-subtract
+for all its slots (Barrett), and never leaves int form.  Each coordinate
+keeps its ambient slot along the chain, so restricting to the next term
+masks a row to the pivot rows' slots, with no gather.  A packed step
+makes one Gauss-Jordan pass down the rows of its operator A, which
+reduces its columns to the reduced echelon basis B of im A, and
+restricts A to im A as A_P B, A_P the pivot rows of A; the result stays
+packed for the next step.  Both kernels compute the same basis and
+restriction.  ``--fuzz`` checks that random conjugates of a model keep
+its Jordan type: a conjugate filled past n^2 / 4 runs the packed chain,
+and any other takes the Krylov route again.
 
 Models serialize as JSON ``{"p": 5, "dim": 25, "entries": [[r, c, v], ...]}``
 with sparse triplets.
@@ -125,19 +127,55 @@ def _apply(cols: Mapping[int, Iterable[tuple[int, int]]], vec: Collection[tuple[
     return [(r, z) for r, y in out.items() if (z := y % p)]
 
 
+def _dict_step(cols: Operator, p: int) -> tuple[int, Operator]:
+    """rank A, and A restricted to im A, for A over F_p given by its nonzero columns.
+
+    The columns go through ``_insert``, then back substitution, from the
+    last pivot, clears the other pivots from the basis vectors with more
+    than one entry: each row subtracted is already 0 at the other pivots,
+    so it brings in none.  That leaves the reduced echelon basis b_q of
+    im A, and a vector w of im A is the sum of w[q] b_q over the pivots q.
+    So the restriction, in the coordinates of that basis, has column i
+    A b_i read at the pivots.  Every vector is sparse, so a step costs
+    about what the nonzero entries of its vectors cost, not the square
+    of the ambient dim.
+    """
+    basis: dict[int, dict[int, int]] = {}
+    for col in cols.values():
+        _insert(basis, col, p)
+    for lead in sorted((q for q, row in basis.items() if len(row) > 1), reverse=True):
+        row = basis[lead]
+        for k in row.keys() & basis.keys() - {lead}:
+            _subtract(row, row[k], basis[k], p)
+    coord = {q: i for i, q in enumerate(basis)}
+    restricted = {}
+    for i, vec in enumerate(basis.values()):
+        if col := [(coord[r], v) for r, v in _apply(cols, vec.items(), p) if r in coord]:
+            restricted[i] = col
+    return len(basis), restricted
+
+
 # ------------------------------------------------------------ packed F_p kit
 
 # Fill (nonzero entries against n^2) above which N skips the Krylov
-# route and runs its image chain on packed rows, picked once from N.  On
+# route and runs its image chain on packed rows, picked once from N, and
+# above which the restriction of a fallback chain on dicts is packed.  On
 # random conjugates of nilpotent Jordan types at p = 7 or 13, the two
 # routes cost the same near fill 0.1 to 0.15 at n = 29 and n = 60; from
 # 0.25 to 0.3 the Krylov route takes 1.0 to 2.6 times as long as the
 # packed chain at n = 29 and 1.8 to 3.7 times at n = 60 (best of 7,
-# three operators each, Python 3.11.7, 2 vCPUs).  A monomial nilpotent
-# operator, such as every named model, has at most n - 1 <= n^2 / 4
-# entries, so 1/4 is as low as the rule goes and keeps them all on the
-# Krylov route.
+# three operators each, Python 3.11.7, 2 vCPUs).  On a random operator,
+# one chain step costs the same on dicts and packed near fill 0.13 at
+# n = 29 and 0.06 at n = 60, and dicts take 1.8 to 6 times as long from
+# 0.25 to 0.3.  A monomial nilpotent operator, such as every named model,
+# has at most n - 1 <= n^2 / 4 entries, so 1/4 is as low as the rule
+# goes and keeps them all on the Krylov route.
 _DENSE_FILL = 0.25
+
+
+def _is_dense(cols: Operator, n: int) -> bool:
+    """Whether an operator on F_p^n, given by its nonzero columns, fills past ``_DENSE_FILL``."""
+    return sum(map(len, cols.values())) > _DENSE_FILL * n * n
 
 
 def _packed_code(n: int, p: int) -> tuple[int, Callable[[int], int]]:
@@ -156,8 +194,8 @@ def _packed_code(n: int, p: int) -> tuple[int, Callable[[int], int]]:
     x m < 2^W, so the slots' products do not overlap, and floor(x / p),
     below 2^(W - s), is what Q keeps of each slot after the shift: its
     low W - s bits.  Every p packs.  Q spans n slots, so the caller
-    passes the n of a dense N or of a sparse N's support, never a huge
-    dim.
+    packs only an operator filled past n^2 / 4 (``_is_dense``), never a
+    sparse one on a huge space.
     """
     w = ((p - 1) + n * (p - 1) ** 2).bit_length()
     width, s = 2 * w + 1, w + p.bit_length()
@@ -185,7 +223,7 @@ def _packed_step(rows: Mapping[int, int], code: tuple[int, Callable[[int], int]]
     """rank A, and A restricted to im A, for A over F_p given by its nonzero packed rows.
 
     ``code`` is the (W, reduce) of ``_packed_code`` for the n of the
-    chain's first step, which every step of the chain keeps.  Each
+    chain's first packed step, which every later step keeps.  Each
     coordinate keeps its ambient slot: the rows of A', the restriction of
     A to im A, are keyed by the pivot rows of A, and hold their entries
     in those rows' slots.  One Gauss-Jordan pass down the rows reduces the
@@ -300,35 +338,31 @@ def _krylov_ranks(dim: int, cols: Operator, p: int) -> list[int] | None:
 def _image_chain_ranks(dim: int, columns: Iterable[tuple[int, Column]], p: int) -> list[int]:
     """(rank N^0, ..., rank N^p) for a dim x dim N over F_p, given by its nonzero columns.
 
-    The route is picked here, once, from N.  A sparse N (see
-    ``_DENSE_FILL``) takes ``_krylov_ranks``, which maps each vector of
-    N's Jordan chains once.  A dense N, and a sparse N that the Krylov
-    route finds not nilpotent of order <= p, runs the image chain with
-    every step on packed rows, so that the ranks it returns give the
-    rank of N^p.  A dense N packs on all dim coordinates.  A sparse N is
-    first relabelled onto its support, the n indices that its entries
-    meet: every other e_t lies in ker N and off im N, so N is the sum of
-    its restriction to the support and 0, and rank N^m is unchanged for
-    every m >= 1; the slots then follow the entries, not dim.  rank N^m
-    is the dimension of im N^m, and im N^(m+1) = N(im N^m): a basis of
-    im N^m mapped through N spans the next term of the chain.  Each step
-    keeps the operator restricted to the current term, so the operator
-    shrinks with the chain.  The chain decreases; once it is zero or
-    stops shrinking it is constant, and the remaining ranks repeat the
-    last one.
+    The route is picked here, once, from N.  A sparse N (``_is_dense``
+    false) takes ``_krylov_ranks``, which maps each vector of N's Jordan
+    chains once.  A dense N runs the image chain with every step on
+    packed rows, in the slots of dim coordinates.  A sparse N that the
+    Krylov route finds not nilpotent of order <= p runs the image chain on
+    dicts (``_dict_step``), so that the ranks it returns give the rank of
+    N^p, and costs what the entries of its vectors cost, whatever dim is,
+    until the restriction to a term is dense: it is then packed once, in
+    the slots of that term's coordinates, and runs packed to the end, as
+    the terms only shrink.  rank N^m is the dimension of im N^m, and
+    im N^(m+1) = N(im N^m): a basis of im N^m mapped through N spans the
+    next term of the chain.  Each step keeps the operator restricted to
+    the current term, so the operator shrinks with the chain.  The chain
+    decreases; once it is zero or stops shrinking it is constant, and the
+    remaining ranks repeat the last one.
     """
-    cols, n = dict(columns), dim
-    if sum(map(len, cols.values())) <= _DENSE_FILL * dim * dim:
-        if ranks := _krylov_ranks(dim, cols, p):
-            ranks.extend(repeat(0, p + 1 - len(ranks)))
-            return ranks
-        support = {*cols, *(r for col in cols.values() for r, _ in col)}
-        coord = {t: i for i, t in enumerate(sorted(support))}
-        cols, n = {coord[c]: [(coord[r], v) for r, v in col] for c, col in cols.items()}, len(coord)
-    code = _packed_code(n, p)
-    op, ranks = _rows_of(cols, code[0]), [dim]
+    op, code, ranks = dict(columns), None, [dim]
+    if not _is_dense(op, dim) and (krylov := _krylov_ranks(dim, op, p)):
+        krylov.extend(repeat(0, p + 1 - len(krylov)))
+        return krylov
     while True:
-        rank, op = _packed_step(op, code, p)
+        if not code and _is_dense(op, ranks[-1]):  # one way: the restriction only shrinks
+            code = _packed_code(ranks[-1], p)
+            op = _rows_of(op, code[0])
+        rank, op = _packed_step(op, code, p) if code else _dict_step(op, p)
         ranks.append(rank)
         if len(ranks) > p or not rank or ranks[-1] == ranks[-2]:
             ranks.extend(repeat(ranks[-1], p + 1 - len(ranks)))

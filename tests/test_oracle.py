@@ -275,14 +275,13 @@ def test_power_model_matches_dense_powers():
 
 
 def kernel_log(monkeypatch):
-    """Wrap the chain kernel; the list names the kernel of every step, in order."""
+    """Wrap both chain kernels; the list names the kernel of every step, in order."""
     log = []
-
-    def logged(op, *args, kernel=oracle._packed_step):
-        log.append("_packed_step")
-        return kernel(op, *args)
-
-    monkeypatch.setattr(oracle, "_packed_step", logged)
+    for name in ("_dict_step", "_packed_step"):
+        def logged(op, *args, kernel=getattr(oracle, name), name=name):
+            log.append(name)
+            return kernel(op, *args)
+        monkeypatch.setattr(oracle, name, logged)
     return log
 
 
@@ -324,6 +323,11 @@ def reference_chain_ranks(cols, n, p):
     """``column_chain_ranks`` with every step on the plain dict kit of
     ``dict_reference``, which shares no code with the oracle's kernels."""
     return column_chain_ranks(cols, n, p, lambda cols: dict_reference.dict_step(cols, p))
+
+
+def dict_chain_ranks(cols, n, p):
+    """``column_chain_ranks`` with every step on the oracle's ``_dict_step``."""
+    return column_chain_ranks(cols, n, p, lambda cols: oracle._dict_step(cols, p))
 
 
 def fill(rows):
@@ -452,6 +456,67 @@ def sparse_rows(rng, p, dim, nilpotent):
     return rows
 
 
+def dict_branches(cols):
+    """The branches of the dict kit that a step on ``cols`` must reach, read off
+    the operator alone, in the order ``_insert`` meets its columns."""
+    reached = set()
+    met = set()  # rows of earlier columns: a row outside it holds no pivot yet
+    pivot_rows = set()  # rows of earlier one-entry columns: each holds a pivot
+    # the rows of all one-entry columns, each a pivot once every column is met
+    last_pivot_rows = {col[0][0] for col in cols.values() if len(col) == 1}
+    for col in cols.values():
+        rows = [r for r, _ in col]
+        if len(rows) > 1:
+            reached.add("several entries")
+            # kept whole as the pivot vector of its smallest row, it meets another pivot
+            if min(rows) not in met and set(rows) - {min(rows)} & last_pivot_rows:
+                reached.add("back substitution")
+        elif rows[0] in pivot_rows:
+            reached.add("one entry on a pivot row")
+        elif rows[0] not in met:
+            reached.add("one entry on a fresh row")
+            if rows[0] not in cols:  # the basis vector e_r, and A e_r = 0
+                reached.add("one-entry basis vector, empty column")
+        met.update(rows)
+        if len(rows) == 1:
+            pivot_rows.add(rows[0])
+    return reached
+
+
+@pytest.mark.parametrize("p", [5, 13, 31])
+def test_dict_steps_match_the_plain_dict_kit(p, monkeypatch):
+    # sparse operators through every branch of the dict kit, _insert's
+    # one-entry path included: the chain against dense powers, and each step
+    # against the plain dict kit, for the same basis in the same order and
+    # the same restriction
+    refuse(monkeypatch, "_packed_step")
+    rng = random.Random(p)
+    reached = Counter()
+    for trial in range(30):
+        nilpotent = trial % 3 > 0
+        rows = sparse_rows(rng, p, rng.randint(4, 24 if nilpotent else 14), nilpotent)
+        n = len(rows)
+        cols = {c: col for c in range(n)
+                if (col := [(r, rows[r][c]) for r in range(n) if rows[r][c]])}
+        ranks, expected = dict_chain_ranks(cols, n, p), dense_rank_sequence(p, rows)
+        assert padded(ranks, p) == list(expected), (p, rows)
+        while cols:
+            reached.update(dict_branches(cols))
+            rank, restricted = oracle._dict_step(cols, p)
+            plain_rank, plain_restricted = dict_reference.dict_step(cols, p)
+            pivots = list(dict_reference.reduced_echelon((dict(col) for col in cols.values()), p))
+            assert rank == plain_rank == len(pivots), (p, rows)
+            assert labelled(restricted, pivots) == labelled(plain_restricted, pivots), (p, rows)
+            if rank == n:
+                break
+            cols, n = restricted, rank
+    assert set(reached) == {
+        "one entry on a fresh row", "one entry on a pivot row", "several entries",
+        "back substitution", "one-entry basis vector, empty column",
+    }
+    assert min(reached.values()) >= 20, reached
+
+
 def test_a_packed_run_keeps_its_first_slot_width(monkeypatch):
     # at p = 7 the slot bound 6 + 36 n has 9 bits at n = 14 and 8 bits up to
     # n = 6, so the first step on 14 coordinates packs into 19-bit slots, and
@@ -561,6 +626,7 @@ def test_a_modulus_past_64_bit_slots_packs(monkeypatch):
     # 64-bit item: the rows pack into 249-bit slots, every step runs packed,
     # and the ranks are those of dense powers
     p = 2**61 - 1
+    refuse(monkeypatch, "_dict_step")
     log = kernel_log(monkeypatch)
     assert slot_width(4, p) == 249
     rows = dense_conjugate(shift_rows([3, 1]), p, random.Random(61))
@@ -617,11 +683,12 @@ def test_the_row_reduction_is_exact_at_the_edge_values(p):
 
 
 @pytest.mark.parametrize("p", EDGE_PRIMES)
-def test_packed_chain_matches_dense_powers_at_any_p(p):
+def test_packed_chain_matches_dense_powers_at_any_p(p, monkeypatch):
     # operators, nilpotent or not, on up to 12 coordinates: every step
     # packed, and the chain's ranks against rank_mod_p of dense powers up to
     # where the ranks settle, N^(n + 1) or N^p
     rng = random.Random(f"edge-{p}")
+    refuse(monkeypatch, "_dict_step")
     nilpotent = 0
     for trial in range(12):
         n = rng.randint(2, 12)
@@ -643,14 +710,13 @@ def test_packed_chain_matches_dense_powers_at_any_p(p):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_a_filling_fallback_switches_to_packed_once(seed, monkeypatch):
     # a sparse N that is not nilpotent falls back from the Krylov route to
-    # the image chain: it is relabelled onto its support and packed once,
-    # in the slots of the support's coordinates, and every step runs packed
+    # the image chain on dicts; once the restriction to a term fills past
+    # n^2 / 4 it is packed once, in the slots of that term's coordinates,
+    # and every later step runs packed
     p, n = 101, 200
     rng = random.Random(seed)
     cols = {c: col for c in range(n)
             if (col := [(r, rng.randrange(1, p)) for r in rng.sample(range(n), rng.randint(0, 3))])}
-    support = {*cols, *(r for col in cols.values() for r, _ in col)}
-    assert len(support) < n
     expected = padded(reference_chain_ranks(cols, n, p), p)  # on the plain dict kit
     log = kernel_log(monkeypatch)
     codes = []
@@ -664,8 +730,10 @@ def test_a_filling_fallback_switches_to_packed_once(seed, monkeypatch):
         NilpotentModel(p, n, [(r, c, v) for c, col in cols.items() for r, v in col])
     assert expected[p] and str(info.value) == (
         f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {expected[p]})")
-    assert codes == [len(support)]
-    assert len(log) >= 2 and set(log) == {"_packed_step"}, log
+    switch = log.index("_packed_step")
+    assert switch >= 1 and set(log[:switch]) == {"_dict_step"}, log
+    assert set(log[switch:]) == {"_packed_step"}, log
+    assert codes == [expected[switch]]  # the rank of the term it switched on
     # each step against the plain dict chain's ranks, up to where the chain stops
     monkeypatch.undo()
     monkeypatch.setattr(oracle, "_krylov_ranks", lambda dim, cols, p: None)
@@ -681,6 +749,7 @@ SIX_BY_SIX = (
 
 
 def test_dense_models_reach_the_packed_kernel(monkeypatch):
+    refuse(monkeypatch, "_dict_step")
     refuse(monkeypatch, "_krylov_ranks")
     model = NilpotentModel.from_json_dict(json.loads(SIX_BY_SIX))
     assert jordan_type_of(model) == JordanType.from_string(5, "[4]+[2]")
@@ -713,6 +782,7 @@ def test_a_dense_model_runs_every_step_packed(monkeypatch):
     # term, the tail on 2 and 1 coordinates included, all in the 19-bit
     # slots that 12 coordinates need; a step's nonzero rows lie on the
     # pivot rows of the step before
+    refuse(monkeypatch, "_dict_step")
     refuse(monkeypatch, "_krylov_ranks")
     steps = []
 
@@ -841,10 +911,11 @@ def test_a_huge_sparse_dim_allocates_no_slots():
     ([(10**29, 10**29, 3), (10**29, 10**29 + 7, 1)], 1),
     ([(10**29 + 1, 10**29 + 2, 1), (10**29 + 2, 10**29 + 1, 4), (3, 10**29 + 1, 2)], 2),
 ])
-def test_a_huge_dim_that_is_not_nilpotent_packs_its_support(entries, rank):
-    # the Krylov route rejects N, and the packed chain runs on the support,
-    # the coordinates that the entries meet: packed on 10^30 slots, or with
-    # entries at their slots near 10^29, it could not be allocated
+def test_a_huge_dim_that_is_not_nilpotent_allocates_no_slots(entries, rank):
+    # the Krylov route rejects N, and its image chain runs on dicts, which
+    # hold the entries alone, and packs only a restriction in the coordinates
+    # of a term: packed on 10^30 slots, or with entries at their slots near
+    # 10^29, it could not be allocated
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError) as info:
@@ -856,14 +927,49 @@ def test_a_huge_dim_that_is_not_nilpotent_packs_its_support(entries, rank):
     assert peak < 10**5
 
 
+def structured_entries(shape, n):
+    """The identity, a cyclic shift or 2 x 2 swaps on n coordinates, as (r, c, 1)."""
+    return {"identity": [(t, t, 1) for t in range(n)],
+            "cycle": [((t + 1) % n, t, 1) for t in range(n)],
+            "swaps": [(t ^ 1, t, 1) for t in range(n)]}[shape]
+
+
+@pytest.mark.parametrize("shape", ["identity", "cycle", "swaps"])
+def test_a_sparse_model_that_is_not_nilpotent_costs_what_its_entries_cost(shape, monkeypatch):
+    # the Krylov route rejects each of these operators, and every term of
+    # their image chain is all of F_p^n, a dict restriction with n entries
+    # that never fills, so nothing is packed: packed rows would hold about
+    # n^2 W / 2 bits, some 27 GB at n = 10^5 and p = 5.  Ten times the
+    # entries take at most fifteen times the memory
+    refuse(monkeypatch, "_packed_code")
+
+    def rejected(n):
+        with pytest.raises(ValidationError) as info:
+            NilpotentModel(5, n, structured_entries(shape, n))
+        assert str(info.value) == f"matrix is not nilpotent of order <= 5 (rank of N^5 is {n})"
+
+    peaks = []
+    for n in (10**3, 10**4):
+        tracemalloc.start()
+        try:
+            rejected(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 15 * peaks[0], peaks
+    rejected(10**5)
+
+
 def test_no_option_selects_the_kernel():
     # the route of a model follows from its operator and p alone, picked
     # once in _image_chain_ranks
     assert list(inspect.signature(NilpotentModel).parameters) == ["p", "dim", "entries"]
     assert list(inspect.signature(oracle._image_chain_ranks).parameters) == ["dim", "columns", "p"]
     assert list(inspect.signature(oracle._krylov_ranks).parameters) == ["dim", "cols", "p"]
-    # the slot width is fixed from the first step's n, the caller's fill
-    # rule picks the route, and every step runs on the one packed kernel
+    assert list(inspect.signature(oracle._dict_step).parameters) == ["cols", "p"]
+    # the caller's fill rule picks the kernel, and the slot width is fixed
+    # from the n of the first packed step
+    assert list(inspect.signature(oracle._is_dense).parameters) == ["cols", "n"]
     assert list(inspect.signature(oracle._packed_code).parameters) == ["n", "p"]
     assert list(inspect.signature(oracle._packed_step).parameters) == ["rows", "code", "p"]
     source = inspect.getsource(oracle)
@@ -956,7 +1062,9 @@ def test_krylov_route_matches_the_chain_on_named_model_conjugates(p):
 
 def test_sparse_nilpotent_models_run_no_chain_step(monkeypatch):
     # named models and sparse conjugates take the Krylov route alone; a
-    # sparse N with N^p != 0 falls back to the packed chain on its support
+    # sparse N with N^p != 0 falls back to the chain on dicts, and packs once
+    # its restriction fills
+    refuse(monkeypatch, "_dict_step")
     refuse(monkeypatch, "_packed_step")
     rng = random.Random(11)
     for p in [3, 5, 13, 31, 101]:
@@ -972,15 +1080,14 @@ def test_sparse_nilpotent_models_run_no_chain_step(monkeypatch):
     log = kernel_log(monkeypatch)
     with pytest.raises(ValidationError, match=r"rank of N\^5 is 1\)$"):
         NilpotentModel(5, 6, [(1, 0, 1), (2, 1, 1), (2, 2, 1)])
-    # the support is e_0, e_1 and e_2, and im N is spanned by e_1 and e_2:
-    # ranks 2, 1 and 1 in three packed steps
-    assert log == ["_packed_step"] * 3, log
-    # an invertible 2 x 2 block on the support e_0, e_1, which is im N:
-    # ranks 2 and 2 in two packed steps
+    # im N is spanned by e_1 and e_2, and N on it holds 2 of 4 entries
+    assert log == ["_dict_step", "_packed_step", "_packed_step"], log
+    # an invertible 2 x 2 block on im N: the restriction after the first
+    # step fills all 4 of its entries, and runs packed
     log.clear()
     with pytest.raises(ValidationError, match=r"rank of N\^5 is 2\)$"):
         NilpotentModel(5, 6, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
-    assert log == ["_packed_step"] * 2
+    assert log == ["_dict_step", "_packed_step"]
 
 
 def test_the_krylov_certificate_needs_all_of_im_n():
