@@ -4,8 +4,8 @@ Nothing in the library imports this module, and it shares no code with
 the library's kernels.  Every column is copied to a dict and reduced by
 the general loop, back substitution visits every pivot, and the whole
 operator is read at the pivots before any basis vector is applied, so a
-test can check the library's packed steps, and the ranks of whole
-chains, against the plain algorithm step by step.
+test can check the library's dict and packed steps, and the ranks of
+whole chains, against the plain algorithm step by step.
 """
 
 from __future__ import annotations
