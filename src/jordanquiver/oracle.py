@@ -5,8 +5,10 @@ its rank sequence r_m = rank(N^m) via a_i = r_{i-1} - 2 r_i + r_{i+1},
 and no power N^m is ever formed.  The arithmetic is exact mod p, so
 every answer here is independent of the closed-form routines in the
 other modules and can be used to cross-check them.  A model stores N
-once, as its nonzero columns, so building one costs what its nonzero
-entries cost; powers and conjugates are composed on that store as well.
+once, as its nonzero columns, indices increasing and values in 1..p-1,
+so building one costs what its nonzero entries cost; powers and
+conjugates are composed on that store as well.  The named models write
+that form; other entries are reduced and sorted into it once.
 
 A sparse N on F_p^n, with at most n^2 / 4 nonzero entries, takes the
 Krylov route.  The coordinate vectors e_t off the pivots of im N
@@ -409,22 +411,18 @@ class NilpotentModel(Value):
             if r in col:
                 raise ValidationError(f"entries[{n}] repeats entry ({r},{c})")
             col[r] = v
-        self._build(p, dim, cols)
+        self._build(p, dim, _columns(p, cols))
 
-    def _build(self, p: int, dim: int, cols: Mapping[int, Mapping[int, int]]) -> NilpotentModel:
-        """Set the fields from checked ``cols``, ``{c: {r: v}}`` with v any int, and return self.
+    def _build(self, p: int, dim: int, columns: Sequence[tuple[int, Column]]) -> NilpotentModel:
+        """Set the fields from canonical ``columns``, once p and dim are checked, and return self.
 
-        The last step of both entry points, of ``random_conjugate`` and of
-        the named models, once p, dim and every entry have passed their
-        checks or come from trusted code: it reduces v
-        mod p, drops zeros, sorts the columns, computes the rank sequence and
-        checks nilpotency.
+        ``columns`` are N's nonzero columns as the field stores them, with
+        c and r increasing, v in 1..p-1 and no column empty.  The named
+        models and ``model_from_type`` write them so; the entry points,
+        ``random_conjugate`` and ``power_model`` put theirs through
+        ``_columns``.  It only computes the rank sequence and checks
+        nilpotency.
         """
-        columns = []
-        for c in sorted(cols):
-            col = tuple(sorted((r, x) for r, v in cols[c].items() if (x := v % p)))
-            if col:
-                columns.append((c, col))
         ranks = _image_chain_ranks(dim, columns, p)
         if ranks[p] != 0:
             raise ValidationError(
@@ -473,7 +471,7 @@ class NilpotentModel(Value):
             col[r] = v
         require_prime(p)
         require_modulus(p)
-        return cls.__new__(cls)._build(p, dim, cols)
+        return cls.__new__(cls)._build(p, dim, _columns(p, cols))
 
 
 def jordan_type_of(model: NilpotentModel) -> JordanType:
@@ -532,12 +530,19 @@ def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentMode
     # the entries of a checked model, moved by an injection into range(dim)
     conjugate = {perm[c]: {perm[r]: scale[r] * v * inverse[c] for r, v in col.items()}
                  for c, col in cols.items() if col}
-    return _model(p, dim, conjugate)
+    return _model(p, dim, _columns(p, conjugate))
 
 
-def _model(p: int, dim: int, cols: Mapping[int, Mapping[int, int]]) -> NilpotentModel:
-    """The model of trusted ``cols``, ``{c: {r: v}}``, once p is checked (``NilpotentModel._build``)."""
-    return NilpotentModel.__new__(NilpotentModel)._build(p, dim, cols)
+def _model(p: int, dim: int, columns: Sequence[tuple[int, Column]]) -> NilpotentModel:
+    """The model of trusted canonical ``columns``, once p is checked (``NilpotentModel._build``)."""
+    return NilpotentModel.__new__(NilpotentModel)._build(p, dim, columns)
+
+
+def _columns(p: int, cols: Mapping[int, Mapping[int, int]]) -> list[tuple[int, Column]]:
+    """The canonical columns of ``{c: {r: v}}``, v any int, for ``NilpotentModel._build``: each v
+    reduced mod p, zeros and then empty columns dropped, rows and columns sorted."""
+    return [(c, col) for c in sorted(cols)
+            if (col := tuple(sorted([(r, x) for r, v in cols[c].items() if (x := v % p)])))]
 
 
 def _distinct(rng: random.Random, n: int, k: int) -> list[int]:
@@ -561,12 +566,13 @@ def _distinct(rng: random.Random, n: int, k: int) -> list[int]:
 
 def model_from_type(jt: JordanType) -> NilpotentModel:
     """Block-diagonal nilpotent matrix realizing a given Jordan type."""
-    entries = []
+    require_prime(jt.p)  # a JordanType checks its modulus, not that it is prime
+    columns = []
     offset = 0
     for size in jt.blocks():
-        entries += [(offset + r, offset + r - 1, 1) for r in range(1, size)]
+        columns += [(c, ((c + 1, 1),)) for c in range(offset, offset + size - 1)]
         offset += size
-    return NilpotentModel(jt.p, jt.dimension(), entries)
+    return _model(jt.p, offset, columns)
 
 
 def power_model(model: NilpotentModel, j: int) -> NilpotentModel:
@@ -579,7 +585,8 @@ def power_model(model: NilpotentModel, j: int) -> NilpotentModel:
     # column c of N^(m+1) is N applied to column c of N^m; N^p = 0
     for _ in range(min(j, model.p) - 1):
         cur = {c: col for c, vec in cur.items() if (col := _apply(base, vec, model.p))}
-    return NilpotentModel(model.p, model.dim, [(r, c, v) for c, col in cur.items() for r, v in col])
+    # _apply leaves the rows of a column in no set order
+    return _model(model.p, model.dim, _columns(model.p, {c: dict(col) for c, col in cur.items()}))
 
 
 def heisenberg_model(p: int) -> NilpotentModel:
@@ -595,8 +602,8 @@ def heisenberg_model(p: int) -> NilpotentModel:
     require_modulus(p)  # before the p^2 entries are built
     require_prime(p)
     # (n, m) is the index n p + m, so (n - 1, m + 1) is n p + m - p + 1
-    cols = {c: {c - p + 1: n} for n in range(1, p) for c in range(n * p, n * p + p - 1)}
-    return _model(p, p * p, cols)
+    columns = [(c, ((c - p + 1, n),)) for n in range(1, p) for c in range(n * p, n * p + p - 1)]
+    return _model(p, p * p, columns)
 
 
 def abelian_rank2_models(p: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -610,7 +617,7 @@ def abelian_rank2_models(p: int) -> tuple[NilpotentModel, NilpotentModel]:
         raise ValidationError(f"rank-2 abelian models need p >= 3, got {p}")
     require_prime(p)
     require_modulus(p)
-    return _model(p, p, {}), _model(p, p, {0: {p - 1: 1}})
+    return _model(p, p, ()), _model(p, p, ((0, ((p - 1, 1),)),))
 
 
 def ga2_model(p: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -624,7 +631,7 @@ def ga2_model(p: int) -> tuple[NilpotentModel, NilpotentModel]:
         raise ValidationError(f"height-2 model needs odd p >= 3, got {p}")
     require_prime(p)
     require_modulus(p)
-    return _model(p, p, {}), _model(p, p, {c: {c + 2: 1} for c in range(p - 2)})
+    return _model(p, p, ()), _model(p, p, [(c, ((c + 2, 1),)) for c in range(p - 2)])
 
 
 def sl2s_models(p: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -662,7 +669,8 @@ def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
 
 def _sl2_chain(p: int, dim: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
     """(e, f) on the weight basis v_0..v_{dim-1}: e.v_j = j(i - j) v_{j-1}
-    and f.v_j = v_{j+1}, zero past the ends of the chain; p is checked."""
-    e = {j: {j - 1: j * (i - j)} for j in range(1, dim)}
-    f = {j: {j + 1: 1} for j in range(dim - 1)}
+    and f.v_j = v_{j+1}, zero past the ends of the chain, as canonical
+    columns: e has none at v_i, whose coefficient vanishes; p is checked."""
+    e = [(j, ((j - 1, x),)) for j in range(1, dim) if (x := j * (i - j) % p)]
+    f = [(j, ((j + 1, 1),)) for j in range(dim - 1)]
     return _model(p, dim, e), _model(p, dim, f)

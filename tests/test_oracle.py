@@ -848,7 +848,11 @@ def test_named_models_are_built_from_their_columns(monkeypatch):
         raise AssertionError("NilpotentModel.__init__ ran")
 
     monkeypatch.setattr(NilpotentModel, "__init__", refused)
+    # and the columns come out of the builder canonical, with no sort
+    refuse(monkeypatch, "_columns")
     for p in (3, 13, 31):
+        assert jordan_type_of(model_from_type(JordanType.from_string(p, "[3]+2[2]+[1]"))) == \
+            JordanType.from_string(p, "[3]+2[2]+[1]")
         assert jordan_type_of(heisenberg_model(p)) == JordanType.from_counts(
             p, {**dict.fromkeys(range(1, p), 2), p: 1})
         assert [jordan_type_of(m) for m in abelian_rank2_models(p)] == [
@@ -860,6 +864,50 @@ def test_named_models_are_built_from_their_columns(monkeypatch):
                 JordanType.from_counts(p, Counter([i, p - i])), JordanType.block(p, p)]
             assert [jordan_type_of(m) for m in sl2_simple_models(p, i)] == [
                 JordanType.block(p, i)] * 2
+
+
+def canonical(p, columns):
+    """Whether ``columns`` hold c and r increasing, v in 1..p-1 and no empty column."""
+    cs = [c for c, _ in columns]
+    return cs == sorted(set(cs)) and all(
+        col and [r for r, _ in col] == sorted({r for r, _ in col}) and all(0 < v < p for _, v in col)
+        for _, col in columns)
+
+
+def builder_dicts(p):
+    """(model, its columns as ``{c: {r: v}}``) for each trusted builder at p.
+
+    The dicts come from each builder's formula with nothing reduced,
+    zero coefficients included, such as e.v_i = i (i - i) v_(i-1) of
+    the sl(2) Vermas.
+    """
+    out = [(heisenberg_model(p),
+            {n * p + m: {(n - 1) * p + m + 1: n} for n in range(1, p) for m in range(p - 1)})]
+    out += zip(abelian_rank2_models(p), [{}, {0: {p - 1: 1}}])
+    out += zip(ga2_model(p), [{}, {c: {c + 2: 1} for c in range(p - 2)}])
+    for dim, i, build in [(p, i, sl2s_models) for i in range(1, p)] + [
+            (n, n, sl2_simple_models) for n in range(1, p)]:
+        out += zip(build(p, i), [{j: {j - 1: j * (i - j)} for j in range(1, dim)},
+                                 {j: {j + 1: 1} for j in range(dim - 1)}])
+    jt = JordanType.from_string(p, "[3]+2[2]+[1]")
+    out.append((model_from_type(jt), {0: {1: 1}, 1: {2: 1}, 3: {4: 1}, 5: {6: 1}}))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+def test_trusted_builders_write_canonical_columns(p):
+    # NilpotentModel._build takes canonical columns and sorts nothing, so
+    # each builder that skips _columns must write what _columns would give
+    # for its formula: the vanishing e.v_i of the sl(2) Vermas dropped
+    rng = random.Random(p)
+    for model, cols in builder_dicts(p):
+        assert canonical(p, model.columns), model.columns
+        assert model.columns == tuple(oracle._columns(p, cols)), (p, cols)
+        # random_conjugate and power_model pass through _columns
+        for built in (random_conjugate(model, rng), power_model(model, rng.randint(1, p))):
+            assert canonical(p, built.columns), built.columns
+            own = {c: dict(col) for c, col in built.columns}
+            assert built.columns == tuple(oracle._columns(p, own))
 
 
 @pytest.mark.parametrize("build,args,message", [
@@ -884,6 +932,9 @@ def test_named_models_are_built_from_their_columns(monkeypatch):
     # entries is built
     (heisenberg_model, (10**18,), "p must be prime, got 1000000000000000000"),
     (sl2s_models, (10**18, 1), "p must be prime, got 1000000000000000000"),
+    # a JordanType checks its modulus, not that it is prime
+    (model_from_type, (JordanType.block(4, 2),), "p must be prime, got 4"),
+    (power_model, (model_from_type(JordanType.block(5, 3)), 0), "power j=0 must be >= 1"),
 ])
 def test_named_models_check_p_in_order(build, args, message):
     # each model checks p once, at the boundary, in the order that gives the
