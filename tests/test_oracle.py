@@ -851,8 +851,8 @@ def test_named_models_are_built_from_their_columns(monkeypatch):
     # and the columns come out of the builder canonical, with no sort
     refuse(monkeypatch, "_columns")
     for p in (3, 13, 31):
-        assert jordan_type_of(model_from_type(JordanType.from_string(p, "[3]+2[2]+[1]"))) == \
-            JordanType.from_string(p, "[3]+2[2]+[1]")
+        jt = JordanType.from_string(p, "[3]+2[2]+[1]")
+        assert jordan_type_of(model_from_type(jt)) == jt
         assert jordan_type_of(heisenberg_model(p)) == JordanType.from_counts(
             p, {**dict.fromkeys(range(1, p), 2), p: 1})
         assert [jordan_type_of(m) for m in abelian_rank2_models(p)] == [
