@@ -11,8 +11,9 @@ input), 3 parse error (malformed command line, type string, or JSON).
 Identical inputs always produce byte-identical output.
 
 Each subcommand returns ``(exit code, text)``, where the text of a
-component table is a generator of chunks; ``main`` is the only code that
-writes stdout.  A subcommand imports the modules it runs when it
+component table is a generator of chunks, rendered by one ``%`` template
+per table with its constant columns written in; ``main`` is the only code
+that writes stdout.  A subcommand imports the modules it runs when it
 runs, so a process loads only those.
 """
 
@@ -25,7 +26,7 @@ import os
 import random
 import re
 import sys
-from itertools import islice, starmap
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
@@ -165,17 +166,24 @@ def _cmd_component(args) -> tuple[int, str | Iterator[str]]:
     last = (profile.jordan_type_at(args.ql_max) if isinstance(profile, comp.TubeProfile)
             else comp.split_propagate(profile, args.ql_max))
     require_printable(last.mult, "a table entry")
-    rows = comp.profile_rows(profile, args.ql_max)
+    columns = comp.profile_columns(profile, args.ql_max)
     p = profile.p
     size = max(1, _CHUNK_CELLS // p)  # rows per chunk
+    # one % template per table: a constant column is written into it once as
+    # its text, ql and each moving column fill a %d slot.  Every entry is an
+    # exact int, so %d writes it as str() and json.dumps do
+    cells = ["%d" if isinstance(c, range) else str(c) for c in columns]
+    ql = range(1, args.ql_max + 1)
     if args.format == "json":
-        # what json.dumps writes for {"ql": q, "type": {"p": p, "mult": [a_1, ...]}}:
-        # every entry is an exact int, so str() of each is its JSON
-        row = '{{"ql": {}, "type": {{"p": %d, "mult": [%s]}}}}' % (p, ", ".join(["{}"] * p))
-        return EXIT_OK, _table_chunks("[", starmap(row.format, rows), size, ", ", "]")
-    # the p lines of one ql: "{0}\t1\t{1}\n{0}\t2\t{2}..."
-    row = "\n".join(f"{{0}}\t{i}\t{{{i}}}" for i in range(1, p + 1))
-    return EXIT_OK, _table_chunks("ql\ti\talpha_i\n", starmap(row.format, rows), size, "\n", "\n")
+        # what json.dumps writes for {"ql": q, "type": {"p": p, "mult": [a_1, ...]}}
+        row = '{"ql": %%d, "type": {"p": %d, "mult": [%s]}}' % (p, ", ".join(cells))
+        slots = [ql, *(c for c in columns if isinstance(c, range))]
+        return EXIT_OK, _table_chunks("[", map(row.__mod__, zip(*slots)), size, ", ", "]")
+    # the p lines of one ql: "%d\t1\t%d\n%d\t2\t7...", ql filling a slot on each
+    row = "\n".join(f"%d\t{i}\t{cell}" for i, cell in enumerate(cells, 1))
+    slots = [s for c in columns for s in ((ql, c) if isinstance(c, range) else (ql,))]
+    return EXIT_OK, _table_chunks("ql\ti\talpha_i\n", map(row.__mod__, zip(*slots)), size,
+                                  "\n", "\n")
 
 
 # multiplicities rendered into one chunk, or one row if a row has more: a

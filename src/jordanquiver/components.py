@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import add, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ParseError, ValidationError, Value, int_tuple, json_array, json_field, json_object,
@@ -254,19 +254,18 @@ def split_propagate(
     return JordanType._trusted(profile.p, tuple(mult))
 
 
-def profile_rows(profile: "TubeProfile | SplitProfile", ql_max: int) -> Iterator[tuple]:
-    """Rows (q, a_1, ..., a_p) at ql = q = 1..ql_max, made lazily.
+def profile_columns(profile: "TubeProfile | SplitProfile", ql_max: int) -> list[int | range]:
+    """The p columns a_1, ..., a_p of the rows at ql = q = 1..ql_max.
 
     a_i is mult[i-1] of ``jordan_type_at(q)`` (tube) or ``split_propagate``
     (split, where s_i = d_i, t_i = 0 and a_p = 0): the progression s_i*q +
-    t_i, a ``range`` or, if s_i = 0, ``repeat(t_i)``, so no Python code runs
-    per row.  Construction checked s_i >= 0.  The q range bounds the columns.
+    t_i.  A column with s_i = 0 is its int t_i, the same in every row; any
+    other is a lazy ``range`` of ql_max entries.  Construction checked s_i >= 0.
     """
     require_ints(ql_max=ql_max)
     pairs = (zip((*profile.d, 0), repeat(0)) if isinstance(profile, SplitProfile)
              else zip(profile.slopes, profile.intercepts))
-    columns = [range(s + t, s * ql_max + t + 1, s) if s else repeat(t) for s, t in pairs]
-    return zip(range(1, ql_max + 1), *columns)
+    return [range(s + t, s * ql_max + t + 1, s) if s else t for s, t in pairs]
 
 
 def seed_to_split_profile(seed: JordanType, f_seed: int) -> SplitProfile:
@@ -305,7 +304,7 @@ def dominance_on_component(pa: SplitProfile, pb: SplitProfile) -> DominanceResul
 
     def cleared(prof: SplitProfile) -> list[int]:
         # the key runs j = p down to 1
-        key = _dominance_key(JordanType(p, (*prof.d, 0)), DominanceConvention.IMAGE_DIM)
+        key = _dominance_key(JordanType._trusted(p, (*prof.d, 0)), DominanceConvention.IMAGE_DIM)
         return [p * k - (p - j) * prof.d_stable for j, k in zip(range(p, 0, -1), key)]
 
     return pointwise_compare(cleared(pa), cleared(pb))

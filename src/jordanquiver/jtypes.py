@@ -237,7 +237,7 @@ class JordanType(Value):
             return NotImplemented
         if other.p != self.p:
             raise ValidationError(f"cannot add types with p={self.p} and p={other.p}")
-        return JordanType(self.p, tuple(a + b for a, b in zip(self.mult, other.mult)))
+        return JordanType._trusted(self.p, tuple(a + b for a, b in zip(self.mult, other.mult)))
 
     def __mul__(self, k: int) -> "JordanType":
         # a bool is no int here: `* True` raises TypeError like `* 1.5`
@@ -245,7 +245,7 @@ class JordanType(Value):
             return NotImplemented
         if k < 0:
             raise ValidationError("multiplicity factor must be >= 0")
-        return JordanType(self.p, tuple(k * a for a in self.mult))
+        return JordanType._trusted(self.p, tuple(k * a for a in self.mult))
 
     __rmul__ = __mul__
 

@@ -381,7 +381,22 @@ def test_component_rejects_ql_max_below_one(capsys):
 
 
 def _seeded_spec(rng, p, kind):
-    """A component spec of the given kind whose table stays in N_0."""
+    """A component spec of the given kind whose table stays in N_0.
+
+    Table shapes: "tube-constant" has every slope 0, "tube-moving" none,
+    "split-zero-d" a zero d_i at every odd i; a "tube" leaves its a_p row
+    unasserted, a constant 0 column.
+    """
+    if kind == "tube-constant":
+        return {"kind": "tube", "p": p, "slopes": [0] * p,
+                "intercepts": [rng.randint(0, 3) for _ in range(p)], "include_p": True}
+    if kind == "tube-moving":
+        slopes = [rng.randint(1, 3) for _ in range(p)]
+        return {"kind": "tube", "p": p, "slopes": slopes,
+                "intercepts": [rng.randint(-s, 2) for s in slopes], "include_p": True}
+    if kind == "split-zero-d":
+        return {"kind": "split", "p": p,
+                "d": [0 if i % 2 else rng.randint(1, 3) for i in range(1, p)]}
     if kind.startswith("split"):
         spec = {"kind": "split", "p": p, "d": [rng.randint(0, 3) for _ in range(p - 1)]}
         if kind == "split-tree":
@@ -417,7 +432,10 @@ def _per_vertex_table(profile, ql_max, fmt):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("kind", ["tube-include-p", "tube", "split-tree", "split"])
+TABLE_SHAPES = ["tube-constant", "tube-moving", "split-zero-d"]
+
+
+@pytest.mark.parametrize("kind", ["tube-include-p", "tube", "split-tree", "split", *TABLE_SHAPES])
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
 def test_component_table_matches_per_vertex_types(capsys, p, kind):
     rng = random.Random(f"{kind}-{p}")
@@ -457,18 +475,21 @@ def test_component_table_chunks_join_to_the_whole_table(capsys, p):
     # the chunked templates write the per-vertex table around and across the
     # chunk boundaries; a chunk holds at least one row, however large p
     size = max(1, _CHUNK_CELLS // p)
-    spec = (_seeded_spec(random.Random(f"chunks-{p}"), p, "tube") if p < 100
-            else {"kind": "split", "p": p, "d": [1] * (p - 1)})
-    profile = profile_from_json(spec)
-    for ql_max in sorted({1, size - 1, size, size + 1, 2 * size + 1} - {0}):
-        for fmt in ("json", "tsv"):
-            argv = ["component", "--spec", json.dumps(spec), "--ql-max", str(ql_max),
-                    "--format", fmt]
-            args = build_parser().parse_args(argv)
-            code, chunks = args.func(args)
-            # the header, one chunk per `size` rows, the trailer
-            assert (code, len(list(chunks))) == (EXIT_OK, 2 - (-ql_max // size))
-            assert run(capsys, *argv) == (EXIT_OK, _per_vertex_table(profile, ql_max, fmt), "")
+    rng = random.Random(f"chunks-{p}")
+    specs = ([_seeded_spec(rng, p, kind) for kind in ["tube", *TABLE_SHAPES]] if p < 100
+             else [{"kind": "split", "p": p, "d": [1] * (p - 1)}])
+    for spec in specs:
+        profile = profile_from_json(spec)
+        for ql_max in sorted({1, size - 1, size, size + 1, 2 * size + 1} - {0}):
+            for fmt in ("json", "tsv"):
+                argv = ["component", "--spec", json.dumps(spec), "--ql-max", str(ql_max),
+                        "--format", fmt]
+                args = build_parser().parse_args(argv)
+                code, chunks = args.func(args)
+                # the header, one chunk per `size` rows, the trailer
+                assert (code, len(list(chunks))) == (EXIT_OK, 2 - (-ql_max // size))
+                assert run(capsys, *argv) == (EXIT_OK, _per_vertex_table(profile, ql_max, fmt),
+                                              ""), (spec, ql_max, fmt)
 
 
 COMPONENT_TREE_CLASSES = (

@@ -2,7 +2,6 @@ import itertools
 import random
 import re
 import time
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +14,8 @@ from jordanquiver.components import (
     TubeProfile,
     apply_a,
     dominance_on_component,
+    profile_columns,
     profile_from_json,
-    profile_rows,
     seed_to_split_profile,
     solve_multiplicities,
     split_propagate,
@@ -162,8 +161,8 @@ def test_profiles_reject_non_int_entries(build, bad):
     [
         (lambda: HEISENBERG_TUBE.jordan_type_at(True), "ql must be an int, got True"),
         (lambda: HEISENBERG_TUBE.jordan_type_at(1.5), "ql must be an int, got 1.5"),
-        (lambda: profile_rows(HEISENBERG_TUBE, 1.5), "ql_max must be an int, got 1.5"),
-        (lambda: profile_rows(SplitProfile(3, [1, 0]), True), "ql_max must be an int, got True"),
+        (lambda: profile_columns(HEISENBERG_TUBE, 1.5), "ql_max must be an int, got 1.5"),
+        (lambda: profile_columns(SplitProfile(3, [1, 0]), True), "ql_max must be an int, got True"),
         (lambda: split_propagate(SplitProfile(3, [1, 0]), 1.0), "f_value must be an int, got 1.0"),
         (lambda: split_propagate(SplitProfile(3, [1, 0]), 1, True),
          "total_dim must be an int, got True"),
@@ -462,7 +461,7 @@ def test_first_negative_multiplicity_from_a_seed_is_pinned(seed, n, include_p, f
     assert (info.value.index, info.value.ql, info.value.value) == first
 
 
-# ------------------------------------------------------------ profile rows
+# --------------------------------------------------------- profile columns
 
 
 def _per_vertex_rows(profile, ql_max):
@@ -471,11 +470,18 @@ def _per_vertex_rows(profile, ql_max):
                   else split_propagate(profile, q)).mult) for q in range(1, ql_max + 1)]
 
 
+def _column_rows(columns, ql_max):
+    """Rows (q, a_1, ..., a_p) read off profile columns, a constant in every row."""
+    return list(zip(range(1, ql_max + 1),
+                    *(c if isinstance(c, range) else itertools.repeat(c) for c in columns)))
+
+
 ROW_PROFILES = {
-    # column 1 has slope 0 (a repeat), columns 2..4 rise, row 5 unasserted
+    # column 1 has slope 0 (a constant), columns 2..4 rise, row 5 unasserted
     "tube": TubeProfile(5, (0, 3, 2, 2, 1), (2, -1, 0, 0, 0)),
     "tube-include-p": TubeProfile(5, (0, 3, 2, 2, 1), (2, -1, 0, 0, 0), include_p=True),
     "tube-all-zero-slopes": TubeProfile(3, (0, 0, 0), (1, 0, 4), include_p=True),
+    "tube-no-zero-slope": TubeProfile(4, (1, 2, 1, 3), (0, -1, 1, 0), include_p=True),
     "tube-p2": TubeProfile(2, (1, 2), (0, -1), include_p=True),
     "split": SplitProfile(5, [1, 0, 2, 1]),
     "split-all-zero-d": SplitProfile(4, [0, 0, 0]),
@@ -483,17 +489,25 @@ ROW_PROFILES = {
 }
 
 
-def test_profile_rows_match_per_vertex_types():
+def test_profile_columns_match_per_vertex_types():
     for name, profile in ROW_PROFILES.items():
+        slopes = (*profile.d, 0) if isinstance(profile, SplitProfile) else profile.slopes
         for ql_max in (0, 1, 2, 7):
-            rows = list(profile_rows(profile, ql_max))
-            assert rows == _per_vertex_rows(profile, ql_max), (name, ql_max)
+            columns = profile_columns(profile, ql_max)
+            # a slope-0 column is its int constant, any other a range of ql_max entries
+            assert [type(c) for c in columns] == [range if s else int for s in slopes], name
+            assert {len(c) for c in columns if isinstance(c, range)} <= {ql_max}, name
+            assert _column_rows(columns, ql_max) == _per_vertex_rows(profile, ql_max), name
         if isinstance(profile, TubeProfile) and not profile.include_p:
-            assert {row[-1] for row in rows} == {0}, name  # a_p reads 0
+            assert columns[-1] == 0, name  # a_p reads 0
         # the columns are lazy and the q range bounds them, so a table longer
-        # than sys.maxsize starts at once, and an all-repeat profile stays finite
+        # than sys.maxsize starts at once, and an all-constant profile stays finite
         start = time.perf_counter()
-        assert list(islice(profile_rows(profile, 2**64), 6)) == _per_vertex_rows(profile, 6), name
+        columns = profile_columns(profile, 2**64)
+        assert _column_rows(columns, 6) == _per_vertex_rows(profile, 6), name
+        last = (profile.jordan_type_at(2**64) if isinstance(profile, TubeProfile)
+                else split_propagate(profile, 2**64))
+        assert tuple(c[-1] if isinstance(c, range) else c for c in columns) == last.mult, name
         assert time.perf_counter() - start < 0.5, name
 
 

@@ -469,3 +469,18 @@ def test_direct_sum_and_scalar():
     assert (0 * b).is_zero()
     with pytest.raises(ValidationError):
         a + JordanType.block(7, 2)
+
+
+@settings(max_examples=200)
+@given(jordan_types(), st.data())
+def test_sums_and_multiples_equal_the_checked_constructor(a, data):
+    # + and * build their result without the input checks: both operands
+    # were checked, so it is the type the checked constructor gives
+    b = data.draw(jordan_types(p=a.p))
+    k = data.draw(st.one_of(st.integers(0, 5), st.integers(2**62, 2**70)))
+    derived = [(a + b, [x + y for x, y in zip(a.mult, b.mult)]),
+               (a * k, [k * x for x in a.mult]), (k * a, [k * x for x in a.mult])]
+    for result, mult in derived:
+        checked = JordanType(a.p, mult)
+        assert result == checked and hash(result) == hash(checked)
+        assert type(result.mult) is tuple and list(map(type, result.mult)) == [int] * a.p
