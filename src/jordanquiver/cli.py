@@ -169,9 +169,10 @@ def _cmd_component(args) -> tuple[int, str | Iterator[str]]:
     columns = comp.profile_columns(profile, args.ql_max)
     p = profile.p
     size = max(1, _CHUNK_CELLS // p)  # rows per chunk
-    # one % template per table: a constant column is written into it once as
-    # its text, ql and each moving column fill a %d slot.  Every entry is an
-    # exact int, so %d writes it as str() and json.dumps do
+    # one % template per table: a constant (slope 0) column is written into it
+    # once as its text, ql and each moving column fill a %d slot.  Every entry
+    # is an exact int, so %d writes it as str() and json.dumps do, and the
+    # constants are entries of the last row checked above
     cells = ["%d" if isinstance(c, range) else str(c) for c in columns]
     ql = range(1, args.ql_max + 1)
     if args.format == "json":
