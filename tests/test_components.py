@@ -497,7 +497,8 @@ def test_profile_columns_match_per_vertex_types():
             # a slope-0 column is its int constant, any other a range of ql_max entries
             assert [type(c) for c in columns] == [range if s else int for s in slopes], name
             assert {len(c) for c in columns if isinstance(c, range)} <= {ql_max}, name
-            assert _column_rows(columns, ql_max) == _per_vertex_rows(profile, ql_max), name
+            assert _column_rows(columns, ql_max) == _per_vertex_rows(profile, ql_max), (
+                name, ql_max)
         if isinstance(profile, TubeProfile) and not profile.include_p:
             assert columns[-1] == 0, name  # a_p reads 0
         # the columns are lazy and the q range bounds them, so a table longer
