@@ -34,10 +34,12 @@ from .trees import TreeClass
 
 
 def apply_a(n: Sequence[int]) -> list[int]:
-    """A n in O(p): the stencil 2 n_i - n_{i-1} - n_{i+1}, with A_pp = 1."""
-    t = [2 * x - a - b for x, a, b in zip(n, [0, *n[:-1]], [*n[1:], 0])]
-    t[-1] -= n[-1]
-    return t
+    """A n in O(p): the stencil 2 n_i - n_{i-1} - n_{i+1}, with A_pp = 1.
+
+    With d_i = n_i - n_{i-1} (n_0 = 0) and d_{p+1} = 0 that is d_i - d_{i+1}.
+    """
+    d = [*map(sub, n, (0, *n)), 0]
+    return list(map(sub, d, d[1:]))
 
 
 def apply_b(t: Sequence[int]) -> list[int]:
@@ -55,22 +57,29 @@ def apply_b(t: Sequence[int]) -> list[int]:
 
 
 class NegativeMultiplicityError(ValidationError):
-    """A propagated block multiplicity goes negative at some quasi-length."""
+    """A propagated block multiplicity goes negative at some quasi-length.
 
+    The witness ``(index, ql, value)`` is the exception's ``args``, so it
+    pickles and copies, and the message is built only when it is read.
+    """
+
+    # BaseException.__new__ has kept the witness as args, so no base
+    # __init__ runs and no message is built here: this error is the common
+    # outcome of building a profile from a seed, and most are never printed
     def __init__(self, index: int, ql: int, value: int):
         self.index = index
         self.ql = ql
         self.value = value
+
+    def __str__(self) -> str:
+        # str() refuses an int with too many digits; the limit is read now
         try:
-            message = (f"block multiplicity alpha_{index} becomes {value} at ql={ql}; "
-                       "the seed/multiplicity pair cannot sit on a tube")
-        except ValueError:
-            # str() refuses an int with too many digits.  The digits are
-            # checked only then: most rejected profiles are small, and this
-            # error is the common outcome of building one
-            require_printable([ql, value], f"the quasi-length at which alpha_{index} goes negative")
-            raise
-        super().__init__(message)
+            require_printable([self.ql, self.value],
+                              f"the quasi-length at which alpha_{self.index} goes negative")
+        except ValidationError as exc:
+            return str(exc)
+        return (f"block multiplicity alpha_{self.index} becomes {self.value} at ql={self.ql}; "
+                "the seed/multiplicity pair cannot sit on a tube")
 
 
 class TubeProfile(Value):
@@ -144,18 +153,18 @@ def tube_profile_from_seed(
     profile would leave N_0.
     """
     p = seed.p
-    n = list(int_tuple(multiplicities, "multiplicities"))
+    n = int_tuple(multiplicities, "multiplicities")
     if len(n) != p - 1:
         raise ValidationError(f"multiplicity vector must have length p-1={p - 1}")
     if min(n) < 0:  # p >= 2, so n is not empty
-        raise ValidationError(f"multiplicities must be >= 0, got {n}")
+        raise ValidationError(f"multiplicities must be >= 0, got {list(n)}")
     if not any(n):
         raise ValidationError("multiplicity vector must be nonzero on a non-split tube")
-    t = apply_a(n + [0])
+    t = tuple(apply_a((*n, 0)))
     # seed and n are checked, so the rows are ints of length p: only the
     # negativity check is left, in the step that ends TubeProfile()
     profile = TubeProfile.__new__(TubeProfile)
-    profile._build(p, tuple(map(sub, seed.mult, t)), tuple(t), include_p)
+    profile._build(p, tuple(map(sub, seed.mult, t)), t, include_p)
     return profile
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .errors import (
@@ -502,9 +503,12 @@ def valued_graph_to_dot(graph: ValuedGraph, values: Mapping) -> str:
     lines = ["graph orbits {"]
     for v in graph.nodes:
         lines.append(f'  {names[v]} [label="{v}: {values[v]}"];')
-    # a bond is drawn once, in the orientation whose str sorts first
-    for (a, b), w in sorted(graph.d.items(), key=lambda kv: str(kv[0])):
-        if str((a, b)) < str((b, a)):
+    # a bond is drawn once, in the orientation whose str sorts first; d holds
+    # both, so each orientation's str is taken once
+    text = {bond: str(bond) for bond in graph.d}
+    for (a, b), key in sorted(text.items(), key=itemgetter(1)):
+        if key < text[b, a]:
+            w = graph.d[a, b]
             attr = "" if w == 1 else f' [label="({w},{w})"]'
             lines.append(f"  {names[a]} -- {names[b]}{attr};")
     lines.append("}")

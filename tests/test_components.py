@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 import time
@@ -440,6 +442,21 @@ def test_first_negative_multiplicity_is_pinned(slopes, intercepts, include_p, fi
     index, ql, value = first
     assert str(err) == (f"block multiplicity alpha_{index} becomes {value} at ql={ql}; "
                         "the seed/multiplicity pair cannot sit on a tube")
+    # the witness is the error's args, so a pickled or copied error keeps it
+    for twin in (pickle.loads(pickle.dumps(err)), copy.copy(err)):
+        assert type(twin) is NegativeMultiplicityError
+        assert (twin.index, twin.ql, twin.value, str(twin)) == (*first, str(err))
+
+
+def test_a_witness_too_long_to_write_is_named_when_read():
+    # alpha_1 = 10**4300 - 1 - ql first goes negative at ql = 10**4300, one
+    # digit past the default limit: the error keeps its type and witness,
+    # and its message says the quasi-length is too long to print
+    with pytest.raises(NegativeMultiplicityError) as info:
+        TubeProfile(2, [-1, 0], [10**4300 - 1, 0])
+    assert (info.value.index, info.value.ql, info.value.value) == (1, 10**4300, -1)
+    assert str(info.value) == ("the quasi-length at which alpha_1 goes negative has more "
+                               "than 4300 digits, the limit for printing an integer")
 
 
 @pytest.mark.parametrize(
