@@ -124,6 +124,8 @@ _JT_UNREAD = {
 
 
 def _cmd_jt(args) -> tuple[int, str]:
+    if args.p is None:
+        raise ParseError("this command requires --p")
     mode = "restrict --i" if args.op == "restrict" and args.i is not None else args.op
     _read_options(args, f"jt {mode}", _JT_UNREAD[mode],
                   jt="", m=1, j=1, a="", b="", convention="image")
@@ -162,11 +164,9 @@ def _cmd_component(args) -> tuple[int, str | Iterator[str]]:
         return EXIT_OK, "\n".join(filter(None, [n, result.note]))
     if args.ql_max < 1:
         raise ValidationError(f"--ql-max must be >= 1, got {args.ql_max}")
-    # the last row holds the largest entries, so it is checked before any row is written
-    last = (profile.jordan_type_at(args.ql_max) if isinstance(profile, comp.TubeProfile)
-            else comp.split_propagate(profile, args.ql_max))
-    require_printable(last.mult, "a table entry")
     columns = comp.profile_columns(profile, args.ql_max)
+    # the last row holds the largest entries, so it is checked before any row is written
+    require_printable([c[-1] if isinstance(c, range) else c for c in columns], "a table entry")
     p = profile.p
     size = max(1, _CHUNK_CELLS // p)  # rows per chunk
     # one % template per table: a constant (slope 0) column is written into it
@@ -402,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     jt.add_argument("--b", default=None, help="right type (dominance, default '')")
     jt.add_argument("--convention", choices=["image", "tail"], default=None,
                     help="dominance convention (default image)")
-    jt.set_defaults(func=_cmd_jt, needs_p=True)
+    jt.set_defaults(func=_cmd_jt)
 
     component = sub.add_parser("component", help="propagate profiles over a component")
     _add_common(component)
     component.add_argument("--spec", required=True, help="component spec JSON (inline or @file)")
     component.add_argument("--ql-max", type=_int, default=None, help="rows to table (default 5)")
     component.add_argument("--solve", action="store_true", help="recover multiplicities")
-    component.set_defaults(func=_cmd_component, needs_p=False)
+    component.set_defaults(func=_cmd_component)
 
     orc = sub.add_parser("oracle", help="named matrix models and cross-checks")
     orc.add_argument(
@@ -423,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--module", default=None, help="model JSON, json (inline or @file)")
     orc.add_argument("--fuzz", type=_int, default=None, help="random conjugations (default 0)")
     orc.add_argument("--seed", type=_int, default=None, help="seed of the conjugations (default 0)")
-    orc.set_defaults(func=_cmd_oracle, needs_p=False)
+    orc.set_defaults(func=_cmd_oracle)
 
     qv = sub.add_parser("quiver", help="windows, DOT export, additive overlays")
     qv.add_argument("--format", choices=("dot", "tsv", "json"), default="dot")
@@ -433,12 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     qv.add_argument(
         "--minimal-additive", default=None, help="tree class, e.g. E8_tilde"
     )
-    qv.set_defaults(func=_cmd_quiver, needs_p=False)
+    qv.set_defaults(func=_cmd_quiver)
 
     cls = sub.add_parser("classify", help="kernel-module rule engine")
     _add_common(cls)
     cls.add_argument("--descriptor", required=True, help="descriptor JSON (inline or @file)")
-    cls.set_defaults(func=_cmd_classify, needs_p=False)
+    cls.set_defaults(func=_cmd_classify)
 
     # name -> subcommand parser, whose actions _plain reads a plain argv by
     parser.subcommands = sub.choices
@@ -530,8 +530,6 @@ def main(argv=None) -> int:
     """Run one command and write its text to stdout; the only stdout writer."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
-        if args.needs_p and args.p is None:
-            raise ParseError("this command requires --p")
         code, text = args.func(args)
         # a table comes as chunks, each written as it is made; no copy of
         # the text is made to add "\n"

@@ -23,8 +23,8 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import (
-    ParseError, ValidationError, Value, int_tuple, json_array, json_field, json_object,
-    require_ints, require_printable,
+    ParseError, ValidationError, Value, field_repr, int_tuple, json_array, json_field,
+    json_object, require_ints, require_printable,
 )
 from .jtypes import (
     DominanceConvention, DominanceResult, JordanType, _dominance_key, pointwise_compare,
@@ -61,6 +61,7 @@ class NegativeMultiplicityError(ValidationError):
 
     The witness ``(index, ql, value)`` is the exception's ``args``, so it
     pickles and copies, and the message is built only when it is read.
+    Neither ``str`` nor ``repr`` raises on a witness too long to write.
     """
 
     # BaseException.__new__ has kept the witness as args, so no base
@@ -80,6 +81,12 @@ class NegativeMultiplicityError(ValidationError):
             return str(exc)
         return (f"block multiplicity alpha_{self.index} becomes {self.value} at ql={self.ql}; "
                 "the seed/multiplicity pair cannot sit on a tube")
+
+    def __repr__(self) -> str:
+        # BaseException's repr of the witness, which names a field too long
+        # to write instead of raising
+        witness = ", ".join(field_repr(self, name) for name in ("index", "ql", "value"))
+        return f"{type(self).__name__}({witness})"
 
 
 class TubeProfile(Value):
@@ -267,12 +274,12 @@ def profile_columns(profile: "TubeProfile | SplitProfile", ql_max: int) -> list[
     """The p columns a_1, ..., a_p of the rows at ql = q = 1..ql_max.
 
     a_i is mult[i-1] of ``jordan_type_at(q)`` (tube) or ``split_propagate``
-    (split, where s_i = d_i, t_i = 0 and a_p = 0): the progression s_i*q +
+    (split, where t_i = 0 and s_i is a_i at f = 1): the progression s_i*q +
     t_i.  A column with s_i = 0 is its int t_i, the same in every row; any
     other is a lazy ``range`` of ql_max entries.  Construction checked s_i >= 0.
     """
     require_ints(ql_max=ql_max)
-    pairs = (zip((*profile.d, 0), repeat(0)) if isinstance(profile, SplitProfile)
+    pairs = (zip(split_propagate(profile, 1).mult, repeat(0)) if isinstance(profile, SplitProfile)
              else zip(profile.slopes, profile.intercepts))
     return [range(s + t, s * ql_max + t + 1, s) if s else t for s, t in pairs]
 

@@ -23,7 +23,9 @@ arguments, works out the normalised fields and sets each once.  It then
 refuses assignment and deletion, equals only a record of its own class
 with equal fields, hashes as the tuple of its fields, so the order of a
 set of records depends on the fields alone, and prints as
-``Name(field=value, ...)``.
+``Name(field=value, ...)``.  A field whose repr would need an int longer
+than ``sys.get_int_max_str_digits()`` prints as a note that names it, so
+``repr`` never raises.
 """
 
 import sys
@@ -64,7 +66,7 @@ class Value:
         return hash(self._fields(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={field_repr(self, name)}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setstate__(self, state):
@@ -136,6 +138,15 @@ def require_printable(values, what: str) -> None:
         raise ValidationError(
             f"{what} has more than {limit} digits, the limit for printing an integer"
         )
+
+
+def field_repr(record, name: str) -> str:
+    """The repr of ``record``'s field ``name``, or a note that names the field
+    where repr refuses an int longer than ``sys.get_int_max_str_digits()``."""
+    try:
+        return repr(getattr(record, name))
+    except ValueError:  # so there is a limit, and a getter
+        return f"<{name}: an int of more than {sys.get_int_max_str_digits()} digits>"
 
 
 def json_field(data, key: str, kind: type, path: str = "", default=_REQUIRED):

@@ -156,13 +156,6 @@ class JordanType(Value):
             raise ValidationError(f"block size {i} out of range 1..{self.p}")
         return self.mult[i - 1]
 
-    def blocks(self) -> tuple[int, ...]:
-        """All block sizes in descending order, with repetition."""
-        out = []
-        for i in range(self.p, 0, -1):
-            out.extend([i] * self.mult[i - 1])
-        return tuple(out)
-
     def dimension(self) -> int:
         """Total dimension sum(i * a_i)."""
         return sum((i + 1) * m for i, m in enumerate(self.mult))

@@ -57,8 +57,8 @@ from itertools import repeat
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import (
-    ParseError, ValidationError, Value, int_tuple, json_field, json_object, json_value,
-    require_ints,
+    ParseError, ValidationError, Value, field_repr, int_tuple, json_field, json_object,
+    json_value, require_ints,
 )
 from .jtypes import JordanType, require_modulus, require_prime
 
@@ -418,10 +418,9 @@ class NilpotentModel(Value):
 
         ``columns`` are N's nonzero columns as the field stores them, with
         c and r increasing, v in 1..p-1 and no column empty.  The named
-        models and ``model_from_type`` write them so; the entry points,
-        ``random_conjugate`` and ``power_model`` put theirs through
-        ``_columns``.  It only computes the rank sequence and checks
-        nilpotency.
+        models write them so; the entry points and ``random_conjugate``
+        put theirs through ``_columns``.  It only computes the rank
+        sequence and checks nilpotency.
         """
         ranks = _image_chain_ranks(dim, columns, p)
         if ranks[p] != 0:
@@ -432,7 +431,7 @@ class NilpotentModel(Value):
         return self
 
     def __repr__(self):
-        return f"NilpotentModel(p={self.p}, dim={self.dim})"
+        return f"NilpotentModel(p={self.p}, dim={field_repr(self, 'dim')})"
 
     def to_json_dict(self) -> dict:
         entries = sorted([r, c, v] for c, col in self.columns for r, v in col)
@@ -564,31 +563,6 @@ def _distinct(rng: random.Random, n: int, k: int) -> list[int]:
 # ------------------------------------------------------------ constructors
 
 
-def model_from_type(jt: JordanType) -> NilpotentModel:
-    """Block-diagonal nilpotent matrix realizing a given Jordan type."""
-    require_prime(jt.p)  # a JordanType checks its modulus, not that it is prime
-    columns = []
-    offset = 0
-    for size in jt.blocks():
-        columns += [(c, ((c + 1, 1),)) for c in range(offset, offset + size - 1)]
-        offset += size
-    return _model(jt.p, offset, columns)
-
-
-def power_model(model: NilpotentModel, j: int) -> NilpotentModel:
-    """The model of N^j; nilpotent of every order that N is."""
-    require_ints(j=j)
-    if j < 1:
-        raise ValidationError(f"power j={j} must be >= 1")
-    base = dict(model.columns)
-    cur = base
-    # column c of N^(m+1) is N applied to column c of N^m; N^p = 0
-    for _ in range(min(j, model.p) - 1):
-        cur = {c: col for c, vec in cur.items() if (col := _apply(base, vec, model.p))}
-    # _apply leaves the rows of a column in no set order
-    return _model(model.p, model.dim, _columns(model.p, {c: dict(col) for c, col in cur.items()}))
-
-
 def heisenberg_model(p: int) -> NilpotentModel:
     """Induced module of the 3-dim Heisenberg Lie algebra along its x-line.
 
@@ -648,29 +622,6 @@ def sl2s_models(p: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
     if not 1 <= i <= p - 1:
         raise ValidationError(f"highest-weight parameter i={i} out of range 1..{p - 1}")
     require_prime(p)
-    return _sl2_chain(p, p, i)
-
-
-def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
-    """(e, f) actions on the n-dim simple module, 1 <= n <= p-1.
-
-    Simple modules are cyclic for both generators, so each action is a
-    single block [n].
-    """
-    require_ints(p=p, n=n)
-    if p < 3:
-        raise ValidationError(f"sl(2) models need p >= 3, got {p}")
-    if not 1 <= n <= p - 1:
-        raise ValidationError(f"simple-module dimension n={n} out of range 1..{p - 1}")
-    require_prime(p)
-    require_modulus(p)
-    return _sl2_chain(p, n, n)
-
-
-def _sl2_chain(p: int, dim: int, i: int) -> tuple[NilpotentModel, NilpotentModel]:
-    """(e, f) on the weight basis v_0..v_{dim-1}: e.v_j = j(i - j) v_{j-1}
-    and f.v_j = v_{j+1}, zero past the ends of the chain, as canonical
-    columns: e has none at v_i, whose coefficient vanishes; p is checked."""
-    e = [(j, ((j - 1, x),)) for j in range(1, dim) if (x := j * (i - j) % p)]
-    f = [(j, ((j + 1, 1),)) for j in range(dim - 1)]
-    return _model(p, dim, e), _model(p, dim, f)
+    # canonical columns: e has none at v_i, whose coefficient vanishes
+    return (_model(p, p, [(j, ((j - 1, x),)) for j in range(1, p) if (x := j * (i - j) % p)]),
+            _model(p, p, [(j, ((j + 1, 1),)) for j in range(p - 1)]))

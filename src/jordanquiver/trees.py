@@ -51,12 +51,3 @@ class TreeClass(Value):
 
     def __str__(self) -> str:
         return self.name
-
-
-A_INFINITY = TreeClass("A_inf")
-A_DOUBLE_INFINITY = TreeClass("A_inf_inf")
-A_TILDE_12 = TreeClass("A12_tilde")
-D_INFINITY = TreeClass("D_inf")
-E6_TILDE = TreeClass("E6_tilde")
-E7_TILDE = TreeClass("E7_tilde")
-E8_TILDE = TreeClass("E8_tilde")

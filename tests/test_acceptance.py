@@ -9,6 +9,7 @@ import random
 from contextlib import contextmanager
 
 from cartan_reference import build_cartan_pair
+from model_reference import model_from_type, power_model
 from jordanquiver.classify import (
     AmbientGeometry,
     CohomologyClassDescriptor,
@@ -40,8 +41,6 @@ from jordanquiver.oracle import (
     ga2_model,
     heisenberg_model,
     jordan_type_of,
-    model_from_type,
-    power_model,
 )
 from jordanquiver.quiver import (
     VertexFunction,
@@ -49,15 +48,7 @@ from jordanquiver.quiver import (
     minimal_additive_function,
     tube_window,
 )
-from jordanquiver.trees import (
-    A_DOUBLE_INFINITY,
-    A_TILDE_12,
-    D_INFINITY,
-    E6_TILDE,
-    E7_TILDE,
-    E8_TILDE,
-    TreeClass,
-)
+from jordanquiver.trees import TreeClass
 
 
 @contextmanager
@@ -158,15 +149,15 @@ def test_criterion_07_sweep_cardinality():
 def test_criterion_08_tree_class_counts():
     with criterion("08 minimal-additive-function image sizes"):
         expected = {
-            A_TILDE_12: 1,
-            A_DOUBLE_INFINITY: 1,
-            D_INFINITY: 2,
+            TreeClass("A12_tilde"): 1,
+            TreeClass("A_inf_inf"): 1,
+            TreeClass("D_inf"): 2,
             TreeClass("D4_tilde"): 2,
             TreeClass("D5_tilde"): 2,
             TreeClass("D6_tilde"): 2,
-            E6_TILDE: 3,
-            E7_TILDE: 4,
-            E8_TILDE: 6,
+            TreeClass("E6_tilde"): 3,
+            TreeClass("E7_tilde"): 4,
+            TreeClass("E8_tilde"): 6,
         }
         for tc, size in expected.items():
             assert minimal_additive_function(tc).image_size == size, str(tc)

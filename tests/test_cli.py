@@ -428,7 +428,7 @@ def _per_vertex_table(profile, ql_max, fmt):
         return json.dumps(rows) + "\n"
     lines = ["ql\ti\talpha_i"]
     for q, jt in enumerate(types, 1):
-        lines += [f"{q}\t{i}\t{jt.multiplicity(i)}" for i in range(1, profile.p + 1)]
+        lines += [f"{q}\t{i}\t{a}" for i, a in enumerate(jt.mult, 1)]
     return "\n".join(lines) + "\n"
 
 

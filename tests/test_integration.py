@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from model_reference import sl2_simple_models
 from jordanquiver.classify import (
     CohomologyClassDescriptor,
     Sl2Family,
@@ -26,9 +27,6 @@ from jordanquiver.oracle import (
     ga2_model,
     heisenberg_model,
     jordan_type_of,
-    model_from_type,
-    power_model,
-    sl2_simple_models,
     sl2s_models,
 )
 from jordanquiver.quiver import (
@@ -37,7 +35,7 @@ from jordanquiver.quiver import (
     minimal_additive_function,
     tube_window,
 )
-from jordanquiver.trees import A_INFINITY
+from jordanquiver.trees import TreeClass
 
 
 def stable_split_set(n, j, p):
@@ -192,15 +190,14 @@ def test_tube_profile_rows_and_kernel_statistics_on_a_window():
 def test_minimal_additive_staircase_matches_split_propagation():
     # on a staircase component the propagated stable dimension is linear
     # with slope d_stable, mirroring the minimal additive function
-    result = minimal_additive_function(A_INFINITY)
-    prof = SplitProfile(5, [1, 0, 0, 1], tree_class=A_INFINITY)
+    result = minimal_additive_function(TreeClass("A_inf"))
+    prof = SplitProfile(5, [1, 0, 0, 1], tree_class=TreeClass("A_inf"))
     for node, value in result.values.items():
         jt = split_propagate(prof, value)
         assert jt.stable_part().dimension() == prof.d_stable * value
 
 
 JT5 = JordanType.from_string(5, "[3]+[1]")
-MODEL = model_from_type(JT5)
 
 
 def sl2_tube(**args):
@@ -213,10 +210,6 @@ def sl2_tube(**args):
     (lambda: abelian_rank2_models("5"), "p must be an int, got '5'"),
     (lambda: ga2_model("5"), "p must be an int, got '5'"),
     (lambda: sl2s_models(5, "2"), "i must be an int, got '2'"),
-    (lambda: sl2_simple_models(5, 2.0), "n must be an int, got 2.0"),
-    (lambda: power_model(MODEL, 1.5), "j must be an int, got 1.5"),
-    (lambda: power_model(MODEL, "2"), "j must be an int, got '2'"),
-    (lambda: power_model(MODEL, True), "j must be an int, got True"),
     (lambda: sl2_tube(block_index="1"), "block_index must be an int, got '1'"),
     (lambda: sl2_tube(pi_dim=True), "pi_dim must be an int, got True"),
     (lambda: sl2_tube(ql=2.5), "ql must be an int, got 2.5"),

@@ -21,7 +21,8 @@ from jordanquiver.jtypes import (
     restrict_type,
 )
 from dense_reference import dense, rank_mod_p
-from jordanquiver.oracle import jordan_type_of, model_from_type, power_model
+from jordanquiver.oracle import jordan_type_of
+from model_reference import model_from_type, power_model
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -172,9 +173,14 @@ def test_restrict_type_matches_matrix_oracle(jt, data):
 # --------------------------------------------------------------- dominance
 
 
+def blocks(jt):
+    """The block sizes of ``jt`` in descending order, with repetition."""
+    return [i for i in range(jt.p, 0, -1) for _ in range(jt.mult[i - 1])]
+
+
 def partial_sum_dominates(a, b):
     """Independent classical oracle: cumulative sums of sorted parts."""
-    pa, pb = list(a.blocks()), list(b.blocks())
+    pa, pb = blocks(a), blocks(b)
     length = max(len(pa), len(pb))
     pa += [0] * (length - len(pa))
     pb += [0] * (length - len(pb))
@@ -306,14 +312,14 @@ def test_dominance_transitive(pair, data):
     a, b = pair
     # build a third type of the same dimension from b by joining two blocks
     c = b
-    blocks = list(b.blocks())
-    for k, size in enumerate(blocks):
+    sizes = blocks(b)
+    for k, size in enumerate(sizes):
         partner = next(
-            (l for l in range(k + 1, len(blocks)) if size + blocks[l] <= b.p), None
+            (l for l in range(k + 1, len(sizes)) if size + sizes[l] <= b.p), None
         )
         if partner is not None:
-            rest = [s for m, s in enumerate(blocks) if m not in (k, partner)]
-            c = JordanType.from_counts(b.p, Counter(rest + [size + blocks[partner]]))
+            rest = [s for m, s in enumerate(sizes) if m not in (k, partner)]
+            c = JordanType.from_counts(b.p, Counter(rest + [size + sizes[partner]]))
             break
     for x, y, z in [(a, b, c), (c, b, a)]:
         if (

@@ -19,6 +19,7 @@ from dense_reference import (
     random_invertible,
     rank_mod_p,
 )
+from model_reference import model_from_type, power_model, sl2_simple_models
 from jordanquiver import cli, errors, oracle
 from jordanquiver.errors import ParseError, ValidationError, json_value
 from jordanquiver.jtypes import JordanType, pi_point_sweep, require_prime, restrict, restrict_type
@@ -28,10 +29,7 @@ from jordanquiver.oracle import (
     ga2_model,
     heisenberg_model,
     jordan_type_of,
-    model_from_type,
-    power_model,
     random_conjugate,
-    sl2_simple_models,
     sl2s_models,
 )
 
@@ -851,8 +849,6 @@ def test_named_models_are_built_from_their_columns(monkeypatch):
     # and the columns come out of the builder canonical, with no sort
     refuse(monkeypatch, "_columns")
     for p in (3, 13, 31):
-        jt = JordanType.from_string(p, "[3]+2[2]+[1]")
-        assert jordan_type_of(model_from_type(jt)) == jt
         assert jordan_type_of(heisenberg_model(p)) == JordanType.from_counts(
             p, {**dict.fromkeys(range(1, p), 2), p: 1})
         assert [jordan_type_of(m) for m in abelian_rank2_models(p)] == [
@@ -862,8 +858,6 @@ def test_named_models_are_built_from_their_columns(monkeypatch):
         for i in (1, 2, p - 1):
             assert [jordan_type_of(m) for m in sl2s_models(p, i)] == [
                 JordanType.from_counts(p, Counter([i, p - i])), JordanType.block(p, p)]
-            assert [jordan_type_of(m) for m in sl2_simple_models(p, i)] == [
-                JordanType.block(p, i)] * 2
 
 
 def canonical(p, columns):
@@ -885,12 +879,9 @@ def builder_dicts(p):
             {n * p + m: {(n - 1) * p + m + 1: n} for n in range(1, p) for m in range(p - 1)})]
     out += zip(abelian_rank2_models(p), [{}, {0: {p - 1: 1}}])
     out += zip(ga2_model(p), [{}, {c: {c + 2: 1} for c in range(p - 2)}])
-    for dim, i, build in [(p, i, sl2s_models) for i in range(1, p)] + [
-            (n, n, sl2_simple_models) for n in range(1, p)]:
-        out += zip(build(p, i), [{j: {j - 1: j * (i - j)} for j in range(1, dim)},
-                                 {j: {j + 1: 1} for j in range(dim - 1)}])
-    jt = JordanType.from_string(p, "[3]+2[2]+[1]")
-    out.append((model_from_type(jt), {0: {1: 1}, 1: {2: 1}, 3: {4: 1}, 5: {6: 1}}))
+    for i in range(1, p):
+        out += zip(sl2s_models(p, i), [{j: {j - 1: j * (i - j)} for j in range(1, p)},
+                                       {j: {j + 1: 1} for j in range(p - 1)}])
     return out
 
 
@@ -903,7 +894,8 @@ def test_trusted_builders_write_canonical_columns(p):
     for model, cols in builder_dicts(p):
         assert canonical(p, model.columns), model.columns
         assert model.columns == tuple(oracle._columns(p, cols)), (p, cols)
-        # random_conjugate and power_model pass through _columns
+        # random_conjugate, and the constructor under power_model, pass
+        # through _columns
         for built in (random_conjugate(model, rng), power_model(model, rng.randint(1, p))):
             assert canonical(p, built.columns), built.columns
             own = {c: dict(col) for c, col in built.columns}
@@ -924,8 +916,10 @@ def test_trusted_builders_write_canonical_columns(p):
     (sl2s_models, (9, 20), "highest-weight parameter i=20 out of range 1..8"),
     (sl2s_models, (10**20 - 1, 3),
      "p must be at most sys.maxsize = 9223372036854775807, got 99999999999999999999"),
+    # the reference builders of model_reference check nothing themselves:
+    # the constructor they build through refuses p with the same messages
     (sl2_simple_models, (9, 3), "p must be prime, got 9"),
-    (sl2_simple_models, (9, 20), "simple-module dimension n=20 out of range 1..8"),
+    (sl2s_models, (2, 1), "sl(2) models need p >= 3, got 2"),
     (sl2_simple_models, (2**64 - 59, 3),
      "p must be at most sys.maxsize = 9223372036854775807, got 18446744073709551557"),
     # a composite p up to sys.maxsize, refused before any of its p or p^2
@@ -934,7 +928,6 @@ def test_trusted_builders_write_canonical_columns(p):
     (sl2s_models, (10**18, 1), "p must be prime, got 1000000000000000000"),
     # a JordanType checks its modulus, not that it is prime
     (model_from_type, (JordanType.block(4, 2),), "p must be prime, got 4"),
-    (power_model, (model_from_type(JordanType.block(5, 3)), 0), "power j=0 must be >= 1"),
 ])
 def test_named_models_check_p_in_order(build, args, message):
     # each model checks p once, at the boundary, in the order that gives the

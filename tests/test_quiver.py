@@ -22,17 +22,7 @@ from jordanquiver.quiver import (
     zt_a_infinity_window,
     zt_window,
 )
-from jordanquiver.trees import (
-    A_DOUBLE_INFINITY,
-    A_INFINITY,
-    A_TILDE_12,
-    D_INFINITY,
-    E6_TILDE,
-    E7_TILDE,
-    E8_TILDE,
-    TreeClass,
-    _TREE_CLASS,
-)
+from jordanquiver.trees import TreeClass, _TREE_CLASS
 
 
 # -------------------------------------------------------------- construction
@@ -293,15 +283,15 @@ def test_classify_certifies_the_level_of_an_affine_tail(level, prev, delta):
 
 def test_minimal_additive_image_sizes():
     expect = {
-        A_TILDE_12: 1,
-        A_DOUBLE_INFINITY: 1,
-        D_INFINITY: 2,
+        TreeClass("A12_tilde"): 1,
+        TreeClass("A_inf_inf"): 1,
+        TreeClass("D_inf"): 2,
         TreeClass("D4_tilde"): 2,
         TreeClass("D5_tilde"): 2,
         TreeClass("D6_tilde"): 2,
-        E6_TILDE: 3,
-        E7_TILDE: 4,
-        E8_TILDE: 6,
+        TreeClass("E6_tilde"): 3,
+        TreeClass("E7_tilde"): 4,
+        TreeClass("E8_tilde"): 6,
     }
     for tc, size in expect.items():
         result = minimal_additive_function(tc)
@@ -311,7 +301,7 @@ def test_minimal_additive_image_sizes():
 
 
 def test_minimal_additive_a_infinity_is_staircase():
-    result = minimal_additive_function(A_INFINITY)
+    result = minimal_additive_function(TreeClass("A_inf"))
     assert result.image_size is None
     assert [result.values[k] for k in sorted(result.values)] == list(
         range(1, len(result.values) + 1)
@@ -319,20 +309,20 @@ def test_minimal_additive_a_infinity_is_staircase():
 
 
 def test_minimal_additive_d_infinity_values():
-    result = minimal_additive_function(D_INFINITY)
+    result = minimal_additive_function(TreeClass("D_inf"))
     values = sorted(result.values.values())
     assert values[:2] == [1, 1] and set(values[2:]) == {2}
 
 
 def test_minimal_additive_e8_values_multiset():
-    result = minimal_additive_function(E8_TILDE)
+    result = minimal_additive_function(TreeClass("E8_tilde"))
     assert sorted(result.values.values()) == sorted([1, 2, 3, 4, 5, 6, 4, 2, 3])
 
 
 EUCLIDEAN = (
-    [A_TILDE_12]
+    [TreeClass("A12_tilde")]
     + [TreeClass(f"D{n}_tilde") for n in range(4, 41)]
-    + [E6_TILDE, E7_TILDE, E8_TILDE]
+    + [TreeClass("E6_tilde"), TreeClass("E7_tilde"), TreeClass("E8_tilde")]
 )
 
 
@@ -355,7 +345,8 @@ def _balanced_nodes(graph, values) -> set:
     }
 
 
-@pytest.mark.parametrize("tc", [A_INFINITY, A_DOUBLE_INFINITY, D_INFINITY, *EUCLIDEAN], ids=str)
+@pytest.mark.parametrize("tc", [*map(TreeClass, ["A_inf", "A_inf_inf", "D_inf"]), *EUCLIDEAN],
+                         ids=str)
 def test_additivity_check_matches_the_cartan_matrix(tc):
     # 2 f(j) - sum_i d(i, j) f(i) is (C f)_j, since bonds are symmetric
     graph, table, interior = _orbit_graph(tc)
@@ -443,6 +434,6 @@ def test_dot_overlay_marks_pass_fail():
 
 
 def test_valued_graph_dot():
-    result = minimal_additive_function(E6_TILDE)
+    result = minimal_additive_function(TreeClass("E6_tilde"))
     dot = valued_graph_to_dot(result.graph, result.values)
     assert dot.startswith("graph") and "--" in dot

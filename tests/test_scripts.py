@@ -39,6 +39,15 @@ def test_worked_examples_run():
     assert result.returncode == 0, result.stderr
 
 
+def test_code_lines_totals_its_modules():
+    for argv in [(), (str(ROOT / "src"), str(ROOT / "tests" / "dense_reference.py"))]:
+        result = run_python(str(ROOT / "scripts" / "code_lines.py"), *argv)
+        assert result.returncode == 0, result.stderr
+        *modules, total = [line.split("\t") for line in result.stdout.splitlines()]
+        assert total[1] == "total" and len(modules) > 1
+        assert int(total[0]) == sum(int(count) for count, _ in modules) > 0
+
+
 def test_python_m_runs_the_cli():
     result = run_python("-m", "jordanquiver", "oracle", "heisenberg", "--p", "13")
     assert result.returncode == 0, result.stderr
@@ -293,9 +302,6 @@ _TEST_ONLY_KEPT = {
     "sl2_family_types",  # ROADMAP item 11: a u(sl(2)) module oracle will check it
     "dominance_on_component",  # ROADMAP item 14: the paper's vertex-independent dominance
     "seed_to_split_profile",  # ROADMAP item 14: kept until a route reads it
-    "model_from_type",  # the oracle's reference model of a given Jordan type
-    "power_model",  # the oracle's reference model of an operator's power
-    "sl2_simple_models",  # the oracle's reference models of the simple sl(2) modules
 }
 
 

@@ -9,6 +9,7 @@ Its constructor takes its fields by position or keyword, with defaults.
 
 import copy
 import pickle
+import sys
 
 import pytest
 
@@ -23,7 +24,7 @@ from jordanquiver.quiver import (
     AdmissibilityReport, FunctionReport, MinimalAdditiveFunction, Quiver, QuiverWindow,
     ValuedGraph, VertexFunction, tube_window,
 )
-from jordanquiver.trees import A_TILDE_12, TreeClass
+from jordanquiver.trees import TreeClass
 
 JT = JordanType(3, (1, 0, 2))
 PATTERN = TypePattern(JordanType(3, (1, 1, 0)), 2)
@@ -42,8 +43,8 @@ VALUES = [
     (SolveResult, {"multiplicities": (1, 0), "locally_split": False, "note": "n"},
      {"multiplicities": (1, 0), "locally_split": False, "note": "n"},
      "SolveResult(multiplicities=(1, 0), locally_split=False, note='n')"),
-    (SplitProfile, {"p": 3, "d": [1, 2], "tree_class": A_TILDE_12},
-     {"p": 3, "d": (1, 2), "tree_class": A_TILDE_12, "d_stable": 5},
+    (SplitProfile, {"p": 3, "d": [1, 2], "tree_class": TreeClass("A12_tilde")},
+     {"p": 3, "d": (1, 2), "tree_class": TreeClass("A12_tilde"), "d_stable": 5},
      "SplitProfile(p=3, d=(1, 2), tree_class=TreeClass(name='A12_tilde'), d_stable=5)"),
     (Quiver, {"vertices": ["a"], "arrows": []},
      {"vertices": frozenset({"a"}), "arrows": frozenset()},
@@ -92,9 +93,9 @@ UNHASHABLE = [
     (ValuedGraph, {"nodes": (0, 1), "d": {(0, 1): 2, (1, 0): 2}},
      {"nodes": (0, 1), "d": {(0, 1): 2, (1, 0): 2}},
      "ValuedGraph(nodes=(0, 1), d={(0, 1): 2, (1, 0): 2})"),
-    (MinimalAdditiveFunction, {"tree_class": A_TILDE_12, "graph": GRAPH, "values": {0: 1, 1: 1},
-                               "image_size": 1, "interior": (0, 1)},
-     {"tree_class": A_TILDE_12, "graph": GRAPH, "values": {0: 1, 1: 1}, "image_size": 1,
+    (MinimalAdditiveFunction, {"tree_class": TreeClass("A12_tilde"), "graph": GRAPH,
+                               "values": {0: 1, 1: 1}, "image_size": 1, "interior": (0, 1)},
+     {"tree_class": TreeClass("A12_tilde"), "graph": GRAPH, "values": {0: 1, 1: 1}, "image_size": 1,
       "interior": (0, 1)},
      "MinimalAdditiveFunction(tree_class=TreeClass(name='A12_tilde'), graph=ValuedGraph("
      "nodes=(0, 1), d={(0, 1): 2, (1, 0): 2}), values={0: 1, 1: 1}, image_size=1, "
@@ -165,6 +166,21 @@ def test_constructors_keep_their_defaults():
     desc = CohomologyClassDescriptor(5, 2)
     assert (desc.nilpotent, desc.dim_total, desc.odd_pullback, desc.ambient) == (
         False, None, OddPullback.MIXED, AmbientGeometry())
+
+
+# Python 3.10.0 to 3.10.6 write an int of any length, and have no getter
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="str() writes an int of any length")
+def test_a_field_too_long_to_write_prints_as_a_note_that_names_it():
+    # repr raised ValueError here; every field that can be written is as before
+    jt = JordanType(2, (10**DIGIT_LIMIT, 0))
+    note = f"<mult: an int of more than {DIGIT_LIMIT} digits>"
+    assert repr(jt) == f"JordanType(p=2, mult={note})"
+    assert repr(TypePattern(jt, 1)) == (
+        f"TypePattern(stable=JordanType(p=2, mult={note}), projectives=1)")
+    assert repr(JordanType(2, (10**DIGIT_LIMIT - 1, 0))).startswith("JordanType(p=2, mult=(999")
 
 
 def test_a_model_is_a_record_that_prints_its_size():
