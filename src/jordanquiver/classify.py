@@ -207,8 +207,6 @@ def carlson_type_set(desc: CohomologyClassDescriptor) -> CarlsonTypes:
 
 class VerdictKind(Enum):
     INDECOMPOSABLE = "Indecomposable"
-    TWO_ENDOTRIVIAL_SUMMANDS = "TwoEndotrivialSummands"
-    DECOMPOSABLE = "Decomposable"
     UNKNOWN = "Unknown"
 
 
@@ -299,10 +297,10 @@ def endo_trivial(types: Iterable[JordanType]) -> bool:
 
 
 class BensonCheck(Value):
-    __slots__ = ("ok", "violation", "caveat")
+    __slots__ = ("violation", "caveat")
 
-    def __init__(self, ok: bool, violation: bool, caveat: str | None = None):
-        self._set(ok, violation, caveat)
+    def __init__(self, violation: bool, caveat: str | None = None):
+        self._set(violation, caveat)
 
 
 def benson_constraint(jt: JordanType, has_abelian_unipotent_cx2: bool) -> BensonCheck:
@@ -321,16 +319,14 @@ def benson_constraint(jt: JordanType, has_abelian_unipotent_cx2: bool) -> Benson
         )
     i = occupied[0]
     if i in (1, p - 1):
-        return BensonCheck(ok=True, violation=False)
+        return BensonCheck(violation=False)
     if has_abelian_unipotent_cx2:
         return BensonCheck(
-            ok=False,
             violation=True,
             caveat=f"constant type [{i}]+n[{p}] is impossible when an abelian "
             "unipotent subgroup of complexity >= 2 exists",
         )
     return BensonCheck(
-        ok=True,
         violation=False,
         caveat="without an abelian unipotent subgroup of complexity >= 2 the "
         "middle blocks are not excluded (restricted sl(2) realizes them)",

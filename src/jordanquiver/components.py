@@ -28,7 +28,7 @@ from .errors import (
 )
 from .jtypes import (
     DominanceConvention, DominanceResult, JordanType, _dominance_key, pointwise_compare,
-    projective_count, require_modulus,
+    require_modulus,
 )
 from .trees import TreeClass
 
@@ -249,25 +249,16 @@ class SplitProfile(Value):
         self._set(p, d, tree_class, sum(i * x for i, x in enumerate(d, 1)))
 
 
-def split_propagate(
-    profile: SplitProfile, f_value: int, total_dim: int | None = None
-) -> JordanType:
-    """Jordan type at a vertex with minimal-additive-function value f_value.
+def split_propagate(profile: SplitProfile, f_value: int) -> JordanType:
+    """Stable Jordan type at a vertex with minimal-additive-function value f_value.
 
     Stable multiplicities are d_i * f_value.  The projective multiplicity
-    is left at 0 unless the vertex dimension is supplied, in which case
-    a_p = (total_dim - d_stable * f_value) / p with exact divisibility
-    enforced.
+    is 0: it is not component data (see ``SplitProfile``).
     """
     require_ints(f_value=f_value)
-    if total_dim is not None:
-        require_ints(total_dim=total_dim)
     if f_value < 1:
         raise ValidationError(f"f_value must be >= 1, got {f_value}")
-    mult = [x * f_value for x in profile.d] + [0]
-    if total_dim is not None:
-        mult[-1] = projective_count(total_dim, profile.d_stable * f_value, profile.p)
-    return JordanType._trusted(profile.p, tuple(mult))
+    return JordanType._trusted(profile.p, (*(x * f_value for x in profile.d), 0))
 
 
 def profile_columns(profile: "TubeProfile | SplitProfile", ql_max: int) -> list[int | range]:

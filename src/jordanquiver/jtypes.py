@@ -232,16 +232,6 @@ class JordanType(Value):
             raise ValidationError(f"cannot add types with p={self.p} and p={other.p}")
         return JordanType._trusted(self.p, tuple(a + b for a, b in zip(self.mult, other.mult)))
 
-    def __mul__(self, k: int) -> "JordanType":
-        # a bool is no int here: `* True` raises TypeError like `* 1.5`
-        if type(k) is not int:
-            return NotImplemented
-        if k < 0:
-            raise ValidationError("multiplicity factor must be >= 0")
-        return JordanType._trusted(self.p, tuple(k * a for a in self.mult))
-
-    __rmul__ = __mul__
-
     def __str__(self) -> str:
         terms = []
         for i in range(self.p, 0, -1):

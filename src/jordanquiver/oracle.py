@@ -159,25 +159,25 @@ def _dict_step(cols: Operator, p: int) -> tuple[int, Operator]:
 
 # ------------------------------------------------------------ packed F_p kit
 
-# Fill (nonzero entries against n^2) above which N skips the Krylov
+# Above a fill (nonzero entries against n^2) of 1/4, N skips the Krylov
 # route and runs its image chain on packed rows, picked once from N, and
-# above which the restriction of a fallback chain on dicts is packed.  On
-# random conjugates of nilpotent Jordan types at p = 7 or 13, the two
-# routes cost the same near fill 0.1 to 0.15 at n = 29 and n = 60; from
-# 0.25 to 0.3 the Krylov route takes 1.0 to 2.6 times as long as the
-# packed chain at n = 29 and 1.8 to 3.7 times at n = 60 (best of 7,
-# three operators each, Python 3.11.7, 2 vCPUs).  On a random operator,
-# one chain step costs the same on dicts and packed near fill 0.13 at
-# n = 29 and 0.06 at n = 60, and dicts take 1.8 to 6 times as long from
-# 0.25 to 0.3.  A monomial nilpotent operator, such as every named model,
-# has at most n - 1 <= n^2 / 4 entries, so 1/4 is as low as the rule
-# goes and keeps them all on the Krylov route.
-_DENSE_FILL = 0.25
-
-
+# the restriction of a fallback chain on dicts is packed.  On random
+# conjugates of nilpotent Jordan types at p = 7 or 13, the two routes
+# cost the same near fill 0.1 to 0.15 at n = 29 and n = 60; from 0.25 to
+# 0.3 the Krylov route takes 1.0 to 2.6 times as long as the packed
+# chain at n = 29 and 1.8 to 3.7 times at n = 60 (best of 7, three
+# operators each, Python 3.11.7, 2 vCPUs).  On a random operator, one
+# chain step costs the same on dicts and packed near fill 0.13 at n = 29
+# and 0.06 at n = 60, and dicts take 1.8 to 6 times as long from 0.25 to
+# 0.3.  A monomial nilpotent operator, such as every named model, has at
+# most n - 1 <= n^2 / 4 entries, so 1/4 is as low as the rule goes and
+# keeps them all on the Krylov route.
 def _is_dense(cols: Operator, n: int) -> bool:
-    """Whether an operator on F_p^n, given by its nonzero columns, fills past ``_DENSE_FILL``."""
-    return sum(map(len, cols.values())) > _DENSE_FILL * n * n
+    """Whether an operator on F_p^n, given by its nonzero columns, fills past n^2 / 4.
+
+    The rule compares ints, so it is exact at any n.
+    """
+    return 4 * sum(map(len, cols.values())) > n * n
 
 
 def _packed_code(n: int, p: int) -> tuple[int, Callable[[int], int]]:
@@ -432,10 +432,6 @@ class NilpotentModel(Value):
 
     def __repr__(self):
         return f"NilpotentModel(p={self.p}, dim={field_repr(self, 'dim')})"
-
-    def to_json_dict(self) -> dict:
-        entries = sorted([r, c, v] for c, col in self.columns for r, v in col)
-        return {"p": self.p, "dim": self.dim, "entries": entries}
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> NilpotentModel:

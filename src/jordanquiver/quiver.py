@@ -305,20 +305,18 @@ class VertexFunction:
 class FunctionReport(Value):
     """Outcome of classifying a vertex function on a window.
 
-    All verdicts refer to the interior only.  ``eventual_level`` is the
-    least l with additivity at every interior vertex of quasi-length >= l,
-    reported only when at least one interior layer above the last failure
-    was actually verified; otherwise it stays None and ``note`` says why.
+    All verdicts refer to the interior only, and are None on a window
+    without one.  ``eventual_level`` is the least l with additivity at
+    every interior vertex of quasi-length >= l, reported only when at
+    least one interior layer above the last failure was actually verified;
+    otherwise it stays None and ``note`` says why.
     """
 
-    __slots__ = ("is_subadditive", "is_additive", "is_tau_invariant", "eventual_level",
-                 "indeterminate", "note")
+    __slots__ = ("is_subadditive", "is_additive", "is_tau_invariant", "eventual_level", "note")
 
     def __init__(self, is_subadditive: bool | None, is_additive: bool | None,
-                 is_tau_invariant: bool | None, eventual_level: int | None,
-                 indeterminate: bool, note: str = ""):
-        self._set(is_subadditive, is_additive, is_tau_invariant, eventual_level, indeterminate,
-                  note)
+                 is_tau_invariant: bool | None, eventual_level: int | None, note: str = ""):
+        self._set(is_subadditive, is_additive, is_tau_invariant, eventual_level, note)
 
 
 def _additivity_balance(f: VertexFunction) -> dict:
@@ -334,7 +332,7 @@ def classify_function(f: VertexFunction) -> FunctionReport:
     """Decide subadditivity / additivity / eventual additivity on a window."""
     window = f.window
     if not window.interior:
-        return FunctionReport(None, None, None, None, True, "window has no interior")
+        return FunctionReport(None, None, None, None, "window has no interior")
     balance = _additivity_balance(f)
     subadd = all(lhs >= rhs for lhs, rhs in balance.values())
     unbalanced = [y for y, (lhs, rhs) in balance.items() if lhs != rhs]
@@ -350,7 +348,7 @@ def classify_function(f: VertexFunction) -> FunctionReport:
             level = worst + 1
         else:
             note = "window too small to certify an eventual-additivity level"
-    return FunctionReport(subadd, not unbalanced, tau_inv, level, False, note)
+    return FunctionReport(subadd, not unbalanced, tau_inv, level, note)
 
 
 # --------------------------------------------------------- minimal additive f
@@ -364,11 +362,10 @@ class MinimalAdditiveFunction(Value):
     image on the infinite graph: None means unbounded (tree class A_inf).
     """
 
-    __slots__ = ("tree_class", "graph", "values", "image_size", "interior")
+    __slots__ = ("graph", "values", "image_size", "interior")
 
-    def __init__(self, tree_class: TreeClass, graph: ValuedGraph, values: dict,
-                 image_size: int | None, interior: tuple):
-        self._set(tree_class, graph, values, image_size, interior)
+    def __init__(self, graph: ValuedGraph, values: dict, image_size: int | None, interior: tuple):
+        self._set(graph, values, image_size, interior)
 
 
 _TRUNCATION = 10
@@ -462,7 +459,7 @@ def minimal_additive_function(tc: TreeClass) -> MinimalAdditiveFunction:
         raise ValidationError(f"the minimal additive function of {tc} failed its check")
     # only the staircase of A_inf grows without bound
     image = None if tc.name == "A_inf" else len(set(values.values()))
-    return MinimalAdditiveFunction(tc, graph, values, image, interior)
+    return MinimalAdditiveFunction(graph, values, image, interior)
 
 
 # ----------------------------------------------------------------- rendering

@@ -46,3 +46,9 @@ def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
     e = [(j - 1, j, j * (n - j)) for j in range(1, n)]
     f = [(j + 1, j, 1) for j in range(n - 1)]
     return NilpotentModel(p, n, e), NilpotentModel(p, n, f)
+
+
+def model_json_dict(model: NilpotentModel) -> dict:
+    """The model JSON that ``NilpotentModel.from_json_dict`` reads, entries row-major."""
+    entries = sorted([r, c, v] for c, col in model.columns for r, v in col)
+    return {"p": model.p, "dim": model.dim, "entries": entries}

@@ -647,6 +647,21 @@ def test_oracle_fuzz_takes_a_dim_past_ssize_t(capsys):
         EXIT_OK, expected + "fuzz PASS (1 conjugations per model)\n", "")
 
 
+def test_oracle_json_takes_a_dim_past_any_float(capsys):
+    # no float holds a dim past about 1.8e308, so the route rule compares ints
+    dim = 10**400
+    zero = json.dumps({"p": 5, "dim": dim, "entries": []})
+    assert run(capsys, "oracle", "json", "--module", zero) == (EXIT_OK, f"{dim}[1]\n", "")
+    model = json.dumps({"p": 5, "dim": dim, "entries": [[1, 0, 1], [2, 1, 1]]})
+    assert run(capsys, "oracle", "json", "--module", model, "--fuzz", "2") == (
+        EXIT_OK, f"[3]+{dim - 3}[1]\nfuzz PASS (2 conjugations per model)\n", "")
+    # a dim of 4300 digits, the most int() reads, and N = E_00 with N^5 != 0
+    model = json.dumps({"p": 5, "dim": 10**4299, "entries": [[0, 0, 1]]})
+    assert run(capsys, "oracle", "json", "--module", model) == (
+        EXIT_VALIDATION, "",
+        "validation error: matrix is not nilpotent of order <= 5 (rank of N^5 is 1)\n")
+
+
 def test_oracle_rejects_non_prime_p(capsys):
     for argv in (["heisenberg", "--p", "4"], ["sl2s", "--p", "9"], ["sl2s", "--p", "9", "--i", "3"]):
         code, out, err = run(capsys, "oracle", *argv)

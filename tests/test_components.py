@@ -25,7 +25,9 @@ from jordanquiver.components import (
     tube_profile_from_seed,
 )
 from jordanquiver.errors import ParseError, ValidationError
-from jordanquiver.jtypes import DominanceResult, JordanType, dominance_compare, pointwise_compare
+from jordanquiver.jtypes import (
+    DominanceResult, JordanType, dominance_compare, pointwise_compare, projective_count,
+)
 from dense_reference import dense, rank_mod_p
 from model_reference import model_from_type, power_model
 from jordanquiver.trees import TreeClass
@@ -167,8 +169,6 @@ def test_profiles_reject_non_int_entries(build, bad):
         (lambda: profile_columns(HEISENBERG_TUBE, 1.5), "ql_max must be an int, got 1.5"),
         (lambda: profile_columns(SplitProfile(3, [1, 0]), True), "ql_max must be an int, got True"),
         (lambda: split_propagate(SplitProfile(3, [1, 0]), 1.0), "f_value must be an int, got 1.0"),
-        (lambda: split_propagate(SplitProfile(3, [1, 0]), 1, True),
-         "total_dim must be an int, got True"),
         (lambda: seed_to_split_profile(JordanType(3, (2, 0, 0)), True),
          "f_seed must be an int, got True"),
     ],
@@ -411,7 +411,6 @@ def test_derived_types_equal_checked_types():
                 split = SplitProfile(p, jt.mult[:-1])
                 for f in (1, 3):
                     _assert_checked(split_propagate(split, f))
-                    _assert_checked(split_propagate(split, f, split.d_stable * f + 2 * p))
     assert accepted > 1000
 
 
@@ -575,6 +574,14 @@ def test_split_profile_rejects_non_tree_class(tree_class):
     assert prof.tree_class == TreeClass("A_inf") and prof.d_stable == 1
 
 
+def vertex_type(profile, f, dim):
+    """The type of dimension ``dim`` at a vertex of f-value f: the stable type
+    ``split_propagate`` gives, and [p] blocks for the rest."""
+    p = profile.p
+    return split_propagate(profile, f) + JordanType.block(
+        p, p, projective_count(dim, profile.d_stable * f, p))
+
+
 def test_split_propagate_carlson_shape():
     # hook d-vector propagates to f[1] + f[p-1] + m[p]
     p = 5
@@ -583,21 +590,13 @@ def test_split_propagate_carlson_shape():
         jt = split_propagate(prof, f)
         assert jt.multiplicity(1) == f and jt.multiplicity(p - 1) == f
         assert jt.multiplicity(p) == 0
-    jt = split_propagate(prof, 2, total_dim=30)
-    assert jt.multiplicity(p) == 4
+    jt = vertex_type(prof, 2, 30)
+    assert jt.multiplicity(p) == 4 and jt.stable_part() == split_propagate(prof, 2)
 
 
 def test_split_propagate_constant_profile():
     prof = SplitProfile(5, [0, 0, 1, 0])
     assert split_propagate(prof, 1) == JordanType.block(5, 3)
-
-
-def test_split_propagate_divisibility_guard():
-    prof = SplitProfile(5, [1, 0, 0, 1])
-    # the stable part [4]+[1] has dimension 5, and 11 - 5 is no multiple of 5
-    with pytest.raises(ValidationError, match="^total dimension 11 is inconsistent with "
-                       "stable part of dimension 5 mod 5$"):
-        split_propagate(prof, 1, total_dim=11)
 
 
 def test_seed_to_split_profile():
@@ -676,8 +675,7 @@ def test_dominance_on_component_matches_per_vertex(da, db):
     verdict = dominance_on_component(pa, pb)
     for f in (p, 2 * p, 3 * p, 4 * p, 5 * p):
         dim = max(pa.d_stable, pb.d_stable) * f + 3 * p
-        ta = split_propagate(pa, f, total_dim=dim)
-        tb = split_propagate(pb, f, total_dim=dim)
+        ta, tb = vertex_type(pa, f, dim), vertex_type(pb, f, dim)
         assert dominance_compare(ta, tb) is verdict
 
 

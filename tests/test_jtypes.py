@@ -454,7 +454,7 @@ JT = JordanType.from_string(3, "2[2]+[3]")
     (lambda: restrict(2, 1, 3.0), "p must be an integer >= 2, got 3.0"),
     (lambda: restrict(1, 1, 1), "p must be an integer >= 2, got 1"),
     (lambda: restrict_type(JT, "2"), "j must be an int, got '2'"),
-    # a scale factor is refused by the operator, as `* 1.5` always was
+    # a JordanType has no scalar multiple: `*` is refused whatever the factor
     (lambda: JT * 1.5, "unsupported operand type(s) for *: 'JordanType' and 'float'"),
     (lambda: JT * True, "unsupported operand type(s) for *: 'JordanType' and 'bool'"),
     (lambda: False * JT, "unsupported operand type(s) for *: 'bool' and 'JordanType'"),
@@ -471,8 +471,6 @@ def test_direct_sum_and_scalar():
     a = JordanType.from_string(5, "[2]")
     b = JordanType.from_string(5, "[3]+[2]")
     assert str(a + b) == "[3]+2[2]"
-    assert str(2 * a) == "2[2]"
-    assert (0 * b).is_zero()
     with pytest.raises(ValidationError):
         a + JordanType.block(7, 2)
 
@@ -480,13 +478,9 @@ def test_direct_sum_and_scalar():
 @settings(max_examples=200)
 @given(jordan_types(), st.data())
 def test_sums_and_multiples_equal_the_checked_constructor(a, data):
-    # + and * build their result without the input checks: both operands
-    # were checked, so it is the type the checked constructor gives
+    # + builds its result without the input checks: both operands were
+    # checked, so it is the type the checked constructor gives
     b = data.draw(jordan_types(p=a.p))
-    k = data.draw(st.one_of(st.integers(0, 5), st.integers(2**62, 2**70)))
-    derived = [(a + b, [x + y for x, y in zip(a.mult, b.mult)]),
-               (a * k, [k * x for x in a.mult]), (k * a, [k * x for x in a.mult])]
-    for result, mult in derived:
-        checked = JordanType(a.p, mult)
-        assert result == checked and hash(result) == hash(checked)
-        assert type(result.mult) is tuple and list(map(type, result.mult)) == [int] * a.p
+    result, checked = a + b, JordanType(a.p, [x + y for x, y in zip(a.mult, b.mult)])
+    assert result == checked and hash(result) == hash(checked)
+    assert type(result.mult) is tuple and list(map(type, result.mult)) == [int] * a.p

@@ -19,7 +19,7 @@ from dense_reference import (
     random_invertible,
     rank_mod_p,
 )
-from model_reference import model_from_type, power_model, sl2_simple_models
+from model_reference import model_from_type, model_json_dict, power_model, sl2_simple_models
 from jordanquiver import cli, errors, oracle
 from jordanquiver.errors import ParseError, ValidationError, json_value
 from jordanquiver.jtypes import JordanType, pi_point_sweep, require_prime, restrict, restrict_type
@@ -247,7 +247,7 @@ def test_random_conjugate_moves_the_entries():
                   sl2s_models(11, 4)[0]]:
         conj = random_conjugate(model, rng)
         assert conj.p == model.p and conj.dim == model.dim
-        assert conj.to_json_dict()["entries"] != model.to_json_dict()["entries"]
+        assert conj.columns != model.columns
         assert conj.rank_sequence == model.rank_sequence
     zero = NilpotentModel(5, 10**5, [])
     assert random_conjugate(zero, rng) is zero
@@ -281,6 +281,13 @@ def kernel_log(monkeypatch):
             return kernel(op, *args)
         monkeypatch.setattr(oracle, name, logged)
     return log
+
+
+def forced_route(monkeypatch, dense):
+    """Make ``_is_dense`` answer ``dense`` for every operator; the list names
+    the kernel of every chain step, in order, and stays empty on the Krylov route."""
+    monkeypatch.setattr(oracle, "_is_dense", lambda cols, n: dense)
+    return kernel_log(monkeypatch)
 
 
 def refuse(monkeypatch, name):
@@ -553,13 +560,14 @@ def test_kernels_agree_along_a_fill_sweep(p, monkeypatch):
     while not fills or fills[-1] < 0.8:
         assert len(fills) < 12
         fills.append(sum(len(col) for _, col in model.columns) / model.dim ** 2)
-        for rule in (float("inf"), -1.0):
-            monkeypatch.setattr(oracle, "_DENSE_FILL", rule)
+        for dense in (False, True):
+            log = forced_route(monkeypatch, dense)
             assert oracle._image_chain_ranks(model.dim, model.columns, p) == block_ranks(sizes, p)
-        monkeypatch.undo()
+            assert set(log) == ({"_packed_step"} if dense else set()), log
+            monkeypatch.undo()
         assert jordan_type_of(model) == jt
         model = random_conjugate(model, rng)
-    assert fills[0] < oracle._DENSE_FILL < fills[-1]
+    assert fills[0] < 1 / 4 < fills[-1]
 
 
 def _next_prime(n):
@@ -612,11 +620,12 @@ def test_a_slot_summing_to_its_top_bit_is_read_whole(monkeypatch):
     columns = [(j, ((j, 1), (200, 1))) for j in range(128)]
     columns.append((128, tuple((j, 1) for j in range(128))))
     assert slot_width(n, p) == 17
-    ranks = []
-    for rule in (float("inf"), -1.0):
-        monkeypatch.setattr(oracle, "_DENSE_FILL", rule)
-        ranks.append(oracle._image_chain_ranks(n, columns, p))
-    assert ranks[0] == ranks[1] == [n, 128, 128]
+    # N is not nilpotent, so the sparse route falls back to the chain on dicts
+    for dense, route in [(False, ["_dict_step"] * 2), (True, ["_packed_step"] * 2)]:
+        log = forced_route(monkeypatch, dense)
+        assert oracle._image_chain_ranks(n, columns, p) == [n, 128, 128]
+        assert log == route
+        monkeypatch.undo()
 
 
 def test_a_modulus_past_64_bit_slots_packs(monkeypatch):
@@ -628,7 +637,7 @@ def test_a_modulus_past_64_bit_slots_packs(monkeypatch):
     log = kernel_log(monkeypatch)
     assert slot_width(4, p) == 249
     rows = dense_conjugate(shift_rows([3, 1]), p, random.Random(61))
-    assert fill(rows) > oracle._DENSE_FILL
+    assert fill(rows) > 1 / 4
     expected = [rank_mod_p(matrix_power(rows, m, p), p) for m in range(4)]
     assert chain_ranks(rows, p) == expected == [4, 2, 1, 0]
     assert log == ["_packed_step"] * 3
@@ -1100,7 +1109,7 @@ def test_krylov_route_matches_the_chain_on_named_model_conjugates(p):
             assert route == list(model.rank_sequence) == list(conj.rank_sequence)
             if conj.dim <= 40:
                 assert route == list(dense_rank_sequence(p, dense(conj)))
-            sparse += sum(map(len, cols.values())) <= oracle._DENSE_FILL * conj.dim ** 2
+            sparse += not oracle._is_dense(cols, conj.dim)
     assert sparse >= len(models)
 
 
@@ -1118,7 +1127,7 @@ def test_sparse_nilpotent_models_run_no_chain_step(monkeypatch):
             sl2s_models(p, i)
         model = model_from_type(JordanType.from_counts(p, Counter(random_blocks(rng, p, 4 * p))))
         conj = random_conjugate(model, rng)
-        assert sum(len(col) for _, col in conj.columns) <= oracle._DENSE_FILL * conj.dim ** 2
+        assert not oracle._is_dense(dict(conj.columns), conj.dim)
     NilpotentModel(5, 10**30, [(1, 0, 1), (2, 1, 1)])
     monkeypatch.undo()
     log = kernel_log(monkeypatch)
@@ -1172,7 +1181,7 @@ def test_a_1x1_model_at_a_large_prime_allocates_no_level_per_power():
 def test_random_conjugate_draws_from_any_dim():
     model = NilpotentModel(5, 10**30, [(1, 0, 1), (2, 1, 1)])
     conj = random_conjugate(model, random.Random(1))
-    assert conj.to_json_dict()["entries"] != model.to_json_dict()["entries"]
+    assert conj.columns != model.columns
     assert conj.rank_sequence == model.rank_sequence == (10**30, 2, 1, 0, 0, 0)
     drawn = oracle._distinct(random.Random(2), 10**30, 5)
     assert len(set(drawn)) == 5 and all(0 <= k < 10**30 for k in drawn)
@@ -1273,7 +1282,7 @@ def test_model_reduces_values_and_drops_zeros():
     model = NilpotentModel(5, 3, [(1, 0, 6), (2, 1, -1), (2, 0, 10)])
     assert model.columns == ((0, ((1, 1),)), (1, ((2, 4),)))
     assert dense(model) == [[0, 0, 0], [1, 0, 0], [0, 4, 0]]
-    assert model.to_json_dict() == {"p": 5, "dim": 3, "entries": [[1, 0, 1], [2, 1, 4]]}
+    assert model_json_dict(model) == {"p": 5, "dim": 3, "entries": [[1, 0, 1], [2, 1, 4]]}
 
 
 def test_model_json_entries_are_row_major():
@@ -1281,12 +1290,12 @@ def test_model_json_entries_are_row_major():
     model = random_conjugate(heisenberg_model(5), rng)
     rows = dense(model)
     expected = [[r, c, v] for r, row in enumerate(rows) for c, v in enumerate(row) if v]
-    assert model.to_json_dict()["entries"] == expected
+    assert model_json_dict(model)["entries"] == expected
 
 
 def test_model_json_round_trip():
     model = heisenberg_model(3)
-    data = json.loads(json.dumps(model.to_json_dict()))
+    data = json.loads(json.dumps(model_json_dict(model)))
     back = NilpotentModel.from_json_dict(data)
     assert back.columns == model.columns and back.p == model.p
     assert jordan_type_of(back) == jordan_type_of(model)
@@ -1314,7 +1323,7 @@ def test_both_entry_points_build_the_same_model():
         # each value moved by a multiple of p, some below 0, in a shuffled
         # order, and entries that reduce to 0 at positions N leaves empty
         entries = [[r, c, v + p * rng.randint(-3, 3)]
-                   for r, c, v in model.to_json_dict()["entries"]]
+                   for r, c, v in model_json_dict(model)["entries"]]
         taken = {(r, c) for r, c, _ in entries}
         empty = {(rng.randrange(dim), rng.randrange(dim)) for _ in range(3)} - taken
         entries += [[r, c, p * rng.randint(-2, 2)] for r, c in empty]
@@ -1322,7 +1331,7 @@ def test_both_entry_points_build_the_same_model():
         data = json.loads(json.dumps({"p": p, "dim": dim, "entries": entries}))
         built = NilpotentModel(p, dim, [tuple(entry) for entry in entries])
         assert NilpotentModel.from_json_dict(data) == built == model, (p, dim)
-        round_trip = json.loads(json.dumps(model.to_json_dict()))
+        round_trip = json.loads(json.dumps(model_json_dict(model)))
         assert NilpotentModel.from_json_dict(round_trip) == model
 
 
@@ -1347,7 +1356,7 @@ def test_json_value_runs_a_fixed_number_of_times_per_model(monkeypatch):
     monkeypatch.setattr(oracle, "json_value", counted)
     rng = random.Random(13)
     model = from_dense(13, dense_conjugate(shift_rows([13, 13, 13, 13]), 13, rng))
-    data = model.to_json_dict()
+    data = model_json_dict(model)
     assert len(data["entries"]) > 2400
     counts = []
     for entries in (data["entries"], [[1, 0, 1]], []):

@@ -176,7 +176,8 @@ def test_classify_ql_minus_one_level_two_not_subadditive():
 def test_classify_indeterminate_on_shallow_window():
     w = tube_window(1, 1)  # no interior at all
     report = classify_function(VertexFunction.constant(w, 1))
-    assert report.indeterminate
+    assert report.is_subadditive is report.is_additive is report.is_tau_invariant is None
+    assert report.eventual_level is None and report.note == "window has no interior"
     # violations at the top interior layer leave the level uncertified
     w2 = tube_window(1, 2)
     report2 = classify_function(VertexFunction.constant(w2, 1))

@@ -53,11 +53,11 @@ VALUES = [
      {"admissible": False, "violation": ((0, 1), (1, 1)), "tested": 4},
      "AdmissibilityReport(admissible=False, violation=((0, 1), (1, 1)), tested=4)"),
     (FunctionReport, {"is_subadditive": True, "is_additive": False, "is_tau_invariant": None,
-                      "eventual_level": 2, "indeterminate": False, "note": ""},
+                      "eventual_level": 2, "note": ""},
      {"is_subadditive": True, "is_additive": False, "is_tau_invariant": None,
-      "eventual_level": 2, "indeterminate": False, "note": ""},
+      "eventual_level": 2, "note": ""},
      "FunctionReport(is_subadditive=True, is_additive=False, is_tau_invariant=None, "
-     "eventual_level=2, indeterminate=False, note='')"),
+     "eventual_level=2, note='')"),
     (AmbientGeometry, {"pi_dim": 1, "equidim": True, "variety_dim": None, "ambient_dim": 4,
                        "min_component_dim": None, "srk": 2, "srk_quotient": None,
                        "is_finite_group": False, "trigonalizable": True},
@@ -84,20 +84,18 @@ VALUES = [
     (Verdict, {"kind": VerdictKind.INDECOMPOSABLE, "rule": "CNED1", "citation": "c"},
      {"kind": VerdictKind.INDECOMPOSABLE, "rule": "CNED1", "citation": "c"},
      "Verdict(kind=<VerdictKind.INDECOMPOSABLE: 'Indecomposable'>, rule='CNED1', citation='c')"),
-    (BensonCheck, {"ok": False, "violation": True, "caveat": "c"},
-     {"ok": False, "violation": True, "caveat": "c"},
-     "BensonCheck(ok=False, violation=True, caveat='c')"),
+    (BensonCheck, {"violation": True, "caveat": "c"}, {"violation": True, "caveat": "c"},
+     "BensonCheck(violation=True, caveat='c')"),
 ]
 # records with a dict field: equal and immutable like the rest, but unhashable
 UNHASHABLE = [
     (ValuedGraph, {"nodes": (0, 1), "d": {(0, 1): 2, (1, 0): 2}},
      {"nodes": (0, 1), "d": {(0, 1): 2, (1, 0): 2}},
      "ValuedGraph(nodes=(0, 1), d={(0, 1): 2, (1, 0): 2})"),
-    (MinimalAdditiveFunction, {"tree_class": TreeClass("A12_tilde"), "graph": GRAPH,
-                               "values": {0: 1, 1: 1}, "image_size": 1, "interior": (0, 1)},
-     {"tree_class": TreeClass("A12_tilde"), "graph": GRAPH, "values": {0: 1, 1: 1}, "image_size": 1,
-      "interior": (0, 1)},
-     "MinimalAdditiveFunction(tree_class=TreeClass(name='A12_tilde'), graph=ValuedGraph("
+    (MinimalAdditiveFunction, {"graph": GRAPH, "values": {0: 1, 1: 1}, "image_size": 1,
+                               "interior": (0, 1)},
+     {"graph": GRAPH, "values": {0: 1, 1: 1}, "image_size": 1, "interior": (0, 1)},
+     "MinimalAdditiveFunction(graph=ValuedGraph("
      "nodes=(0, 1), d={(0, 1): 2, (1, 0): 2}), values={0: 1, 1: 1}, image_size=1, "
      "interior=(0, 1))"),
 ]
@@ -151,7 +149,7 @@ def test_a_record_with_a_dict_field_is_unhashable(cls, kwargs, fields, text):
 def test_a_field_that_differs_makes_records_differ():
     assert JordanType(3, (1, 0, 2)) != JordanType(3, (1, 0, 1))
     assert JordanType(3, (1, 0, 0)) != JordanType(4, (1, 0, 0, 0))
-    assert BensonCheck(True, False) != BensonCheck(True, False, "c")
+    assert BensonCheck(False) != BensonCheck(False, "c")
     assert TreeClass("A_inf") != TreeClass("D_inf")
 
 
@@ -159,8 +157,8 @@ def test_constructors_keep_their_defaults():
     assert TubeProfile(3, (1, 0, 0), (0, 1, 0)).include_p is False
     assert SolveResult((1, 0), False).note == ""
     assert SplitProfile(3, (1, 2)).tree_class is None
-    assert FunctionReport(None, None, None, None, True).note == ""
-    assert BensonCheck(ok=True, violation=False).caveat is None
+    assert FunctionReport(None, None, None, None).note == ""
+    assert BensonCheck(violation=False).caveat is None
     assert [getattr(AmbientGeometry(), name) for name in AMBIENT] == [
         None, False, None, None, None, None, None, False, False]
     desc = CohomologyClassDescriptor(5, 2)
