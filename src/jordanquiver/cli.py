@@ -26,7 +26,6 @@ import os
 import random
 import re
 import sys
-from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
@@ -170,21 +169,29 @@ def _cmd_component(args) -> tuple[int, str | Iterator[str]]:
     p = profile.p
     size = max(1, _CHUNK_CELLS // p)  # rows per chunk
     # one % template per table: a constant (slope 0) column is written into it
-    # once as its text, ql and each moving column fill a %d slot.  Every entry
-    # is an exact int, so %d writes it as str() and json.dumps do, and the
-    # constants are entries of the last row checked above
+    # once as its text, each moving column fills a %d slot.  Every entry is an
+    # exact int, so %d writes it as str() and json.dumps do, and the constants
+    # are entries of the last row checked above.  A chunk is a ql range: its
+    # rows come from O(1) slices of ql and of the moving columns
     cells = ["%d" if isinstance(c, range) else str(c) for c in columns]
     ql = range(1, args.ql_max + 1)
     if args.format == "json":
+        moving = [c for c in columns if isinstance(c, range)]
         # what json.dumps writes for {"ql": q, "type": {"p": p, "mult": [a_1, ...]}}
         row = '{"ql": %%d, "type": {"p": %d, "mult": [%s]}}' % (p, ", ".join(cells))
-        slots = [ql, *(c for c in columns if isinstance(c, range))]
-        return EXIT_OK, _table_chunks("[", map(row.__mod__, zip(*slots)), size, ", ", "]")
-    # the p lines of one ql: "%d\t1\t%d\n%d\t2\t7...", ql filling a slot on each
-    row = "\n".join(f"%d\t{i}\t{cell}" for i, cell in enumerate(cells, 1))
-    slots = [s for c in columns for s in ((ql, c) if isinstance(c, range) else (ql,))]
-    return EXIT_OK, _table_chunks("ql\ti\talpha_i\n", map(row.__mod__, zip(*slots)), size,
-                                  "\n", "\n")
+        return EXIT_OK, _table_chunks(
+            "[", lambda lo, hi: map(row.__mod__, zip(ql[lo:hi], *(c[lo:hi] for c in moving))),
+            args.ql_max, size, ", ", "]")
+    # the p lines of one ql: "%s\t1\t%d\n%s\t2\t7...".  ql fills a %s slot on
+    # each line from its text, made once per row of a chunk
+    row = "\n".join(f"%s\t{i}\t{cell}" for i, cell in enumerate(cells, 1))
+
+    def rows(lo: int, hi: int) -> Iterator[str]:
+        q = list(map(str, ql[lo:hi]))
+        return map(row.__mod__, zip(*(s for c in columns
+                                      for s in ((q, c[lo:hi]) if isinstance(c, range) else (q,)))))
+
+    return EXIT_OK, _table_chunks("ql\ti\talpha_i\n", rows, args.ql_max, size, "\n", "\n")
 
 
 # multiplicities rendered into one chunk, or one row if a row has more: a
@@ -192,15 +199,16 @@ def _cmd_component(args) -> tuple[int, str | Iterator[str]]:
 _CHUNK_CELLS = 20_000
 
 
-def _table_chunks(head: str, rows: Iterator[str], size: int, sep: str,
-                  tail: str) -> Iterator[str]:
-    """``head``, the text of ``rows`` joined by ``sep`` in chunks of ``size``
-    rows, then ``tail``."""
+def _table_chunks(head: str, rows, n: int, size: int, sep: str, tail: str) -> Iterator[str]:
+    """``head``, the ``n`` rows joined by ``sep``, then ``tail``.
+
+    The rows come in chunks of ``size``: ``rows(lo, hi)`` gives rows lo to
+    hi - 1 (clipped at ``n``), which it builds from slices of lazy ranges,
+    so any ``n`` works, past ``sys.maxsize`` too.
+    """
     yield head
-    lead = ""
-    while batch := list(islice(rows, size)):
-        yield lead + sep.join(batch)
-        lead = sep
+    for lo in range(0, n, size):
+        yield (sep if lo else "") + sep.join(rows(lo, lo + size))
     yield tail
 
 

@@ -340,8 +340,10 @@ def profile_from_json(spec: Mapping) -> "TubeProfile | SplitProfile":
         data = ("seed", "multiplicities") if seeded else ("slopes", "intercepts")
         json_object(spec, ("kind", "p", "rank", "include_p", *data),
                     name="seeded tube" if seeded else "tube")
-        homogeneous = json_field(spec, "rank", int, default=0) == 1
-        include_p = json_field(spec, "include_p", bool, default=homogeneous)
+        rank = json_field(spec, "rank", int, default=None)
+        if rank is not None and rank < 1:
+            raise ValidationError(f"rank must be >= 1, got {rank}")
+        include_p = json_field(spec, "include_p", bool, default=rank == 1)
         if seeded:
             seed = JordanType.from_json_dict(spec["seed"], "seed")
             if seed.p != p:

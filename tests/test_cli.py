@@ -5,6 +5,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -490,6 +491,28 @@ def test_component_table_chunks_join_to_the_whole_table(capsys, p):
                 assert (code, len(list(chunks))) == (EXIT_OK, 2 - (-ql_max // size))
                 assert run(capsys, *argv) == (EXIT_OK, _per_vertex_table(profile, ql_max, fmt),
                                               ""), (spec, ql_max, fmt)
+
+
+@pytest.mark.parametrize("fmt,tail", [("tsv", "\n"), ("json", "]\n")])
+def test_component_table_is_made_one_chunk_at_a_time(capsys, fmt, tail):
+    # the first two chunks of a 10^6-row table are made without the rest:
+    # the ql text of the whole table alone would take about 60 MB
+    spec = json.dumps({"kind": "tube", "p": 5, "slopes": [0, 1, 0, 2, 1],
+                       "intercepts": [3, 0, 1, 0, 0], "include_p": True})
+    args = build_parser().parse_args(["component", "--spec", spec, "--ql-max", "1000000",
+                                      "--format", fmt])
+    tracemalloc.start()
+    try:
+        code, chunks = args.func(args)
+        head = list(islice(chunks, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    # the header and two chunks are the table of their rows, but its tail
+    size = _CHUNK_CELLS // 5
+    assert (code, "".join(head) + tail) == run(
+        capsys, "component", "--spec", spec, "--ql-max", str(2 * size), "--format", fmt)[:2]
 
 
 COMPONENT_TREE_CLASSES = (

@@ -719,3 +719,16 @@ def test_profile_from_json_variants():
         profile_from_json({"kind": "mystery", "p": 5})
     with pytest.raises(ParseError):
         profile_from_json({"kind": "tube", "p": 5})
+
+
+@pytest.mark.parametrize("rank", [0, -5])
+@pytest.mark.parametrize("data", [
+    {"seed": {"p": 3, "mult": [2, 2, 1]}, "multiplicities": [1, 0]},
+    {"slopes": [0, 0, 1], "intercepts": [0, 1, 0]},
+])
+def test_profile_from_json_refuses_a_rank_below_1(rank, data):
+    # a tube's rank counts its mouth vertices, so it is at least 1, as a
+    # quiver window's is; it is not read as a non-homogeneous tube
+    with pytest.raises(ValidationError, match=f"^rank must be >= 1, got {rank}$"):
+        profile_from_json({"kind": "tube", "p": 3, **data, "rank": rank})
+    assert profile_from_json({"kind": "tube", "p": 3, **data, "rank": 3}).include_p is False

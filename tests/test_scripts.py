@@ -108,6 +108,31 @@ def test_a_table_of_any_length_streams():
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("fmt,head", [
+    ("tsv", "ql\ti\talpha_i\n1\t1\t0\n1\t2\t1\n"),
+    ("json", '[{"ql": 1, "type": {"p": 5, "mult": [0, 1, 1, 0, 0]}}, '
+             '{"ql": 2, "type": {"p": 5, "mult": [0, 1, 1, 0, 1]}}, {"ql": 3, "'),
+])
+def test_a_table_longer_than_maxsize_streams(fmt, head):
+    # 2^64 rows: a chunk's ql range and its moving columns are slices of lazy
+    # ranges, so no row count or list of rows past sys.maxsize is ever asked
+    # for.  Run in a child under a 1.5 GB address space, where a regression
+    # that builds a list fails fast instead of filling the machine's memory
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+
+    argv = ["-m", "jordanquiver", "component", "--ql-max", str(2**64), "--format", fmt,
+            "--spec", DIRECT_TUBE]
+    with subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, env=ENV,
+                          preexec_fn=limit_address_space) as proc:
+        assert proc.stdout.read(len(head)) == head
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (0, "")
+
+
 def readme_cli_examples():
     """(argv, expected fragments) of each ``jordanquiver`` command in the README.
 
