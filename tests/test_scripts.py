@@ -88,12 +88,14 @@ DIRECT_TUBE = ('{"kind":"tube","p":5,"slopes":[0,0,0,0,1],'
                '"intercepts":[0,1,1,0,-1],"include_p":true}')
 
 
+def limit_address_space():
+    """Set a 1.5 GB address space, in a child only."""
+    resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+
+
 def test_a_table_of_any_length_streams():
     # 10^8 rows would take gigabytes as one text; streamed, the header comes
     # at once under a 1.5 GB address space, set in the child only
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
-
     argv = ["-m", "jordanquiver", "component", "--ql-max", "100000000",
             "--spec", DIRECT_TUBE]
     start = time.perf_counter()
@@ -118,9 +120,6 @@ def test_a_table_longer_than_maxsize_streams(fmt, head):
     # ranges, so no row count or list of rows past sys.maxsize is ever asked
     # for.  Run in a child under a 1.5 GB address space, where a regression
     # that builds a list fails fast instead of filling the machine's memory
-    def limit_address_space():
-        resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
-
     argv = ["-m", "jordanquiver", "component", "--ql-max", str(2**64), "--format", fmt,
             "--spec", DIRECT_TUBE]
     with subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
