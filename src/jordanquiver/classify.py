@@ -103,6 +103,13 @@ class CohomologyClassDescriptor(Value):
             require_ints(dim_total=dim_total)
             if dim_total < 0:
                 raise ValidationError("dim_total must be >= 0")
+        # the rules branch on these, so a truthy str or a plain dict is refused
+        if type(nilpotent) is not bool:
+            raise ValidationError(f"nilpotent must be a bool, got {nilpotent!r}")
+        if type(odd_pullback) is not OddPullback:
+            raise ValidationError(f"odd_pullback must be an OddPullback, got {odd_pullback!r}")
+        if type(ambient) is not AmbientGeometry:
+            raise ValidationError(f"ambient must be an AmbientGeometry, got {ambient!r}")
         self._set(p, degree, nilpotent, dim_total, odd_pullback, ambient)
 
     @property

@@ -116,9 +116,12 @@ class TubeProfile(Value):
         """Set the fields from p >= 2 and two tuples of p ints.
 
         The last step of ``__init__`` and of ``tube_profile_from_seed``: it
-        zeroes row p unless include_p and raises NegativeMultiplicityError,
-        naming the first bad index, if a row goes negative at some ql >= 1.
+        checks that include_p is exactly a bool, zeroes row p unless
+        include_p and raises NegativeMultiplicityError, naming the first
+        bad index, if a row goes negative at some ql >= 1.
         """
+        if type(include_p) is not bool:
+            raise ValidationError(f"include_p must be a bool, got {include_p!r}")
         if not include_p:
             slopes, intercepts = slopes[:-1] + (0,), intercepts[:-1] + (0,)
         # a row is negative somewhere iff s < 0 or s + t < 0; the loop only

@@ -52,7 +52,7 @@ class Value:
         cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda record: (get(record),))
 
     def _set(self, *values) -> None:
-        """Set the fields, in ``__slots__`` order; only ``__init__`` calls it."""
+        """Set the fields, in ``__slots__`` order; only a constructor or builder calls it."""
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
 

@@ -47,7 +47,9 @@ its Jordan type: a conjugate filled past n^2 / 4 runs the packed chain,
 and any other takes the Krylov route again.
 
 Models serialize as JSON ``{"p": 5, "dim": 25, "entries": [[r, c, v], ...]}``
-with sparse triplets.
+with sparse triplets.  ``NilpotentModel.from_json_dict`` is the one
+reader of such entries, and checks each once; it, the named models and
+``random_conjugate`` all build their model with ``_model``.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from itertools import repeat
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import (
-    ParseError, ValidationError, Value, field_repr, int_tuple, json_field, json_object,
-    json_value, require_ints,
+    ParseError, ValidationError, Value, field_repr, json_field, json_object, json_value,
+    require_ints,
 )
 from .jtypes import JordanType, require_modulus, require_prime
 
@@ -377,58 +379,18 @@ def _image_chain_ranks(dim: int, columns: Iterable[tuple[int, Column]], p: int) 
 class NilpotentModel(Value):
     """A dim x dim matrix N over F_p with N^p = 0.
 
-    ``entries`` are (r, c, v) triples of ints with 0 <= r, c < dim, each
-    (r, c) at most once; v is reduced mod p.  N is stored once, in
-    ``columns``: its nonzero columns as ``(c, ((r, v), ...))`` with c and
-    r increasing and v in 1..p-1, so a model costs what its nonzero
-    entries cost.  The rank sequence (r_0, ..., r_p), r_m = rank N^m, is
-    computed once at construction (see ``_image_chain_ranks``); it both
-    certifies nilpotency of order <= p and drives Jordan-type extraction.
-    Instances are immutable.
+    ``from_json_dict`` is the one reader of (r, c, v) entries, and checks
+    them; the named models and ``random_conjugate`` build theirs from
+    columns they write.  Each of them ends in ``_model``.  N is stored
+    once, in ``columns``: its nonzero columns as ``(c, ((r, v), ...))``
+    with c and r increasing and v in 1..p-1, so a model costs what its
+    nonzero entries cost.  The rank sequence (r_0, ..., r_p),
+    r_m = rank N^m, is computed once, when the model is built (see
+    ``_image_chain_ranks``); it both certifies nilpotency of order <= p
+    and drives Jordan-type extraction.  Instances are immutable.
     """
 
     __slots__ = ("p", "dim", "columns", "rank_sequence")
-
-    def __init__(self, p: int, dim: int, entries: Iterable[Iterable[int]]):
-        # ranks are computed by elimination over F_p, which needs a field
-        require_prime(p)
-        require_modulus(p)  # before a rank sequence of length p + 1 is built
-        if type(dim) is not int or dim < 0:
-            raise ValidationError(f"dim must be an int >= 0, got {dim!r}")
-        cols: dict[int, dict[int, int]] = {}
-        for n, entry in enumerate(entries):
-            entry = tuple(entry)
-            if len(entry) != 3:
-                raise ValidationError(f"entries[{n}] must be (r, c, v), got {entry}")
-            r, c, v = entry
-            if type(r) is not int or type(c) is not int or type(v) is not int:
-                int_tuple(entry, f"entries[{n}]")  # raises, naming the field
-            if not (0 <= r < dim and 0 <= c < dim):
-                raise ValidationError(
-                    f"entries[{n}] has entry ({r},{c}) outside a {dim}x{dim} matrix"
-                )
-            col = cols.setdefault(c, {})
-            if r in col:
-                raise ValidationError(f"entries[{n}] repeats entry ({r},{c})")
-            col[r] = v
-        self._build(p, dim, _columns(p, cols))
-
-    def _build(self, p: int, dim: int, columns: Sequence[tuple[int, Column]]) -> NilpotentModel:
-        """Set the fields from canonical ``columns``, once p and dim are checked, and return self.
-
-        ``columns`` are N's nonzero columns as the field stores them, with
-        c and r increasing, v in 1..p-1 and no column empty.  The named
-        models write them so; the entry points and ``random_conjugate``
-        put theirs through ``_columns``.  It only computes the rank
-        sequence and checks nilpotency.
-        """
-        ranks = _image_chain_ranks(dim, columns, p)
-        if ranks[p] != 0:
-            raise ValidationError(
-                f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {ranks[p]})"
-            )
-        self._set(p, dim, tuple(columns), tuple(ranks))
-        return self
 
     def __repr__(self):
         return f"NilpotentModel(p={self.p}, dim={field_repr(self, 'dim')})"
@@ -442,8 +404,8 @@ class NilpotentModel(Value):
         shape ``[r, c, v]``, its JSON integers, its range and a repeated
         (r, c), all as ParseErrors.  Only then is ``p`` tested for a prime
         and against ``sys.maxsize``, as a ValidationError, so an entry
-        error comes first.  The entries are not checked again: the model
-        is built by the step that ends ``__init__``.
+        error comes first.  The entries, v reduced mod p, are then built
+        into the model by ``_model``.
         """
         json_object(data, ("p", "dim", "entries"), name="model")
         p = json_field(data, "p", int)
@@ -464,9 +426,30 @@ class NilpotentModel(Value):
             if r in col:
                 raise ParseError(f"entries[{n}] repeats entry ({r},{c})")
             col[r] = v
+        # ranks are computed by elimination over F_p, which needs a field,
+        # and a rank sequence has length p + 1
         require_prime(p)
         require_modulus(p)
-        return cls.__new__(cls)._build(p, dim, _columns(p, cols))
+        return _model(p, dim, _columns(p, cols))
+
+
+def _model(p: int, dim: int, columns: Sequence[tuple[int, Column]]) -> NilpotentModel:
+    """The model of canonical ``columns``, once p and dim are checked.
+
+    ``columns`` are N's nonzero columns as the model stores them, with c
+    and r increasing, v in 1..p-1 and no column empty.  The named models
+    write them so; ``from_json_dict`` and ``random_conjugate`` put theirs
+    through ``_columns``.  Only the rank sequence is computed here, and
+    nilpotency checked.
+    """
+    ranks = _image_chain_ranks(dim, columns, p)
+    if ranks[p] != 0:
+        raise ValidationError(
+            f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {ranks[p]})"
+        )
+    model = NilpotentModel.__new__(NilpotentModel)
+    model._set(p, dim, tuple(columns), tuple(ranks))
+    return model
 
 
 def jordan_type_of(model: NilpotentModel) -> JordanType:
@@ -528,13 +511,8 @@ def random_conjugate(model: NilpotentModel, rng: random.Random) -> NilpotentMode
     return _model(p, dim, _columns(p, conjugate))
 
 
-def _model(p: int, dim: int, columns: Sequence[tuple[int, Column]]) -> NilpotentModel:
-    """The model of trusted canonical ``columns``, once p is checked (``NilpotentModel._build``)."""
-    return NilpotentModel.__new__(NilpotentModel)._build(p, dim, columns)
-
-
 def _columns(p: int, cols: Mapping[int, Mapping[int, int]]) -> list[tuple[int, Column]]:
-    """The canonical columns of ``{c: {r: v}}``, v any int, for ``NilpotentModel._build``: each v
+    """The canonical columns of ``{c: {r: v}}``, v any int, for ``_model``: each v
     reduced mod p, zeros and then empty columns dropped, rows and columns sorted."""
     return [(c, col) for c in sorted(cols)
             if (col := tuple(sorted([(r, x) for r, v in cols[c].items() if (x := v % p)])))]

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from jordanquiver.errors import ValidationError
 from jordanquiver.oracle import NilpotentModel
+from model_reference import model
 
 Matrix = list[list[int]]
 
@@ -92,17 +93,17 @@ def random_invertible(dim: int, p: int, rng: random.Random) -> Matrix:
             return g
 
 
-def dense(model: NilpotentModel) -> Matrix:
+def dense(built: NilpotentModel) -> Matrix:
     """The matrix of a model as a list of rows, read from its sparse store."""
-    rows = [[0] * model.dim for _ in range(model.dim)]
-    for c, col in model.columns:
+    rows = [[0] * built.dim for _ in range(built.dim)]
+    for c, col in built.columns:
         for r, v in col:
             rows[r][c] = v
     return rows
 
 
 def from_dense(p: int, rows: Sequence[Sequence[int]]) -> NilpotentModel:
-    """The model of a square matrix given as a list of rows."""
+    """The model of a square matrix given as a list of rows, read by ``model``."""
     entries = [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
-    return NilpotentModel(p, len(rows), entries)
+    return model(p, len(rows), entries)
 

@@ -1,15 +1,26 @@
 """Reference nilpotent models that the tests build and the library does not.
 
-Nothing in the library imports this module.  Each builder writes its
-matrix as ``(r, c, v)`` entries and passes them to ``NilpotentModel``, so
-every model here goes through the constructor's checks and is reduced
-and sorted into the stored form there.
+Nothing in the library imports this module.  ``model`` builds a model
+from ``(r, c, v)`` entries through ``NilpotentModel.from_json_dict``,
+the library's one reader of entries, so every model here goes through
+that reader's checks and is reduced and sorted into the stored form
+there.  Each other builder writes its matrix as entries and passes them
+to ``model``.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 from jordanquiver.jtypes import JordanType
 from jordanquiver.oracle import NilpotentModel
+
+
+def model(p: int, dim: int, entries: Iterable[Sequence[int]]) -> NilpotentModel:
+    """The model of the dim x dim matrix with the given ``(r, c, v)`` entries
+    over F_p, read by ``from_json_dict`` with each entry as a list."""
+    return NilpotentModel.from_json_dict(
+        {"p": p, "dim": dim, "entries": [list(entry) for entry in entries]})
 
 
 def model_from_type(jt: JordanType) -> NilpotentModel:
@@ -20,12 +31,12 @@ def model_from_type(jt: JordanType) -> NilpotentModel:
         for _ in range(jt.mult[size - 1]):
             entries += [(c + 1, c, 1) for c in range(offset, offset + size - 1)]
             offset += size
-    return NilpotentModel(jt.p, offset, entries)
+    return model(jt.p, offset, entries)
 
 
-def power_model(model: NilpotentModel, j: int) -> NilpotentModel:
+def power_model(base: NilpotentModel, j: int) -> NilpotentModel:
     """The model of N^j, j >= 1: column c of N^(m+1) is N times column c of N^m."""
-    p, cols = model.p, dict(model.columns)
+    p, cols = base.p, dict(base.columns)
     power = {c: dict(col) for c, col in cols.items()}
     for _ in range(j - 1):
         nxt = {}
@@ -35,8 +46,7 @@ def power_model(model: NilpotentModel, j: int) -> NilpotentModel:
                 for r, v in cols.get(k, ()):
                     out[r] = (out.get(r, 0) + x * v) % p
         power = nxt
-    return NilpotentModel(p, model.dim, [(r, c, v) for c, col in power.items()
-                                         for r, v in col.items()])
+    return model(p, base.dim, [(r, c, v) for c, col in power.items() for r, v in col.items()])
 
 
 def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
@@ -45,10 +55,10 @@ def sl2_simple_models(p: int, n: int) -> tuple[NilpotentModel, NilpotentModel]:
     single block [n]."""
     e = [(j - 1, j, j * (n - j)) for j in range(1, n)]
     f = [(j + 1, j, 1) for j in range(n - 1)]
-    return NilpotentModel(p, n, e), NilpotentModel(p, n, f)
+    return model(p, n, e), model(p, n, f)
 
 
-def model_json_dict(model: NilpotentModel) -> dict:
+def model_json_dict(built: NilpotentModel) -> dict:
     """The model JSON that ``NilpotentModel.from_json_dict`` reads, entries row-major."""
-    entries = sorted([r, c, v] for c, col in model.columns for r, v in col)
-    return {"p": model.p, "dim": model.dim, "entries": entries}
+    entries = sorted([r, c, v] for c, col in built.columns for r, v in col)
+    return {"p": built.p, "dim": built.dim, "entries": entries}

@@ -254,6 +254,25 @@ def test_descriptor_dim_total_must_be_an_int(value):
         CohomologyClassDescriptor(p=5, degree=2, dim_total=value)
 
 
+@pytest.mark.parametrize("kwargs,bad", [
+    # a truthy "no" would give the nilpotent type set and verdict CNED1
+    ({"nilpotent": "no"}, "nilpotent must be a bool, got 'no'"),
+    ({"nilpotent": 1}, "nilpotent must be a bool, got 1"),
+    ({"nilpotent": None}, "nilpotent must be a bool, got None"),
+    # a str would read as mixed to carlson_type_set and as constant to
+    # carlson_indecomposability
+    ({"degree": 3, "odd_pullback": "all-vanish"},
+     "odd_pullback must be an OddPullback, got 'all-vanish'"),
+    ({"degree": 3, "odd_pullback": None}, "odd_pullback must be an OddPullback, got None"),
+    # a dict has none of the fields the rules read
+    ({"ambient": {"srk": 3}}, "ambient must be an AmbientGeometry, got {'srk': 3}"),
+    ({"ambient": None}, "ambient must be an AmbientGeometry, got None"),
+])
+def test_descriptor_flags_and_parts_are_type_checked(kwargs, bad):
+    with pytest.raises(ValidationError, match=f"^{re.escape(bad)}$"):
+        CohomologyClassDescriptor(**{"p": 5, "degree": 2, **kwargs})
+
+
 # --------------------------------------------------------------- endo-trivial
 
 

@@ -161,6 +161,19 @@ def test_profiles_reject_non_int_entries(build, bad):
         build()
 
 
+@pytest.mark.parametrize("flag", ["no", 1, 0, None, 1.0])
+@pytest.mark.parametrize("build", [
+    lambda flag: TubeProfile(3, (0, 0, 1), (0, 1, 0), include_p=flag),
+    lambda flag: tube_profile_from_seed(JordanType(3, (2, 2, 1)), [1, 0], include_p=flag),
+])
+def test_include_p_must_be_a_bool(build, flag):
+    # a truthy "no" would assert row p and a falsy 0 drop it; both routes
+    # end in TubeProfile._build, which checks the flag once
+    bad = f"include_p must be a bool, got {flag!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(bad)}$"):
+        build(flag)
+
+
 @pytest.mark.parametrize(
     "call,bad",
     [

@@ -19,8 +19,10 @@ from dense_reference import (
     random_invertible,
     rank_mod_p,
 )
-from model_reference import model_from_type, model_json_dict, power_model, sl2_simple_models
-from jordanquiver import cli, errors, oracle
+from model_reference import (
+    model, model_from_type, model_json_dict, power_model, sl2_simple_models,
+)
+from jordanquiver import errors, oracle
 from jordanquiver.errors import ParseError, ValidationError, json_value
 from jordanquiver.jtypes import JordanType, pi_point_sweep, require_prime, restrict, restrict_type
 from jordanquiver.oracle import (
@@ -102,15 +104,15 @@ def test_rank_sequence_matches_dense_powers():
 
 def test_model_rejects_non_nilpotent():
     with pytest.raises(ValidationError):
-        NilpotentModel(3, 2, [(0, 0, 1)])
+        model(3, 2, [(0, 0, 1)])
     with pytest.raises(ValidationError):
-        NilpotentModel(3, 2, [(0, 1, 1), (1, 0, 1)])
+        model(3, 2, [(0, 1, 1), (1, 0, 1)])
 
 
 def test_jordan_type_of_basic_models():
     p = 5
     assert jordan_type_of(model_from_type(JordanType.block(p, p))) == JordanType.block(p, p)
-    zero = NilpotentModel(p, 4, [])
+    zero = model(p, 4, [])
     assert jordan_type_of(zero) == JordanType.block(p, 1, 4)
 
 
@@ -243,13 +245,13 @@ def test_dense_conjugates_at_larger_primes(p):
 def test_random_conjugate_moves_the_entries():
     # a conjugation that returned its input would pass the type check above
     rng = random.Random(1)
-    for model in [heisenberg_model(5), model_from_type(JordanType.from_string(7, "[4]+2[2]+[1]")),
-                  sl2s_models(11, 4)[0]]:
-        conj = random_conjugate(model, rng)
-        assert conj.p == model.p and conj.dim == model.dim
-        assert conj.columns != model.columns
-        assert conj.rank_sequence == model.rank_sequence
-    zero = NilpotentModel(5, 10**5, [])
+    for base in [heisenberg_model(5), model_from_type(JordanType.from_string(7, "[4]+2[2]+[1]")),
+                 sl2s_models(11, 4)[0]]:
+        conj = random_conjugate(base, rng)
+        assert conj.p == base.p and conj.dim == base.dim
+        assert conj.columns != base.columns
+        assert conj.rank_sequence == base.rank_sequence
+    zero = model(5, 10**5, [])
     assert random_conjugate(zero, rng) is zero
 
 
@@ -734,7 +736,7 @@ def test_a_filling_fallback_switches_to_packed_once(seed, monkeypatch):
 
     monkeypatch.setattr(oracle, "_packed_code", packed_code)
     with pytest.raises(ValidationError) as info:
-        NilpotentModel(p, n, [(r, c, v) for c, col in cols.items() for r, v in col])
+        model(p, n, [(r, c, v) for c, col in cols.items() for r, v in col])
     assert expected[p] and str(info.value) == (
         f"matrix is not nilpotent of order <= {p} (rank of N^{p} is {expected[p]})")
     switch = log.index("_packed_step")
@@ -827,8 +829,8 @@ def test_the_route_is_picked_at_a_quarter_fill(n, monkeypatch):
     for k, route in [(n * n // 4, [n * n // 4]), (n * n // 4 + 1, [])]:
         log.clear()
         routes.clear()
-        model = NilpotentModel(p, n, entries[:k])
-        assert model.rank_sequence == dense_rank_sequence(p, dense(model)), (n, k)
+        built = model(p, n, entries[:k])
+        assert built.rank_sequence == dense_rank_sequence(p, dense(built)), (n, k)
         assert routes == route and (log == []) == bool(route), (n, k, log)
         assert set(log) <= {"_packed_step"}
 
@@ -844,18 +846,14 @@ def test_named_models_stay_on_dicts(monkeypatch):
             sl2_simple_models(p, i)
             power_model(model_from_type(JordanType.block(p, p)), i)
         model_from_type(JordanType(p, (2,) * p))
-    huge = NilpotentModel(5, 10**5, [(1, 0, 1), (2, 1, 1), (3, 2, 1)])
+    huge = model(5, 10**5, [(1, 0, 1), (2, 1, 1), (3, 2, 1)])
     assert huge.rank_sequence == (10**5, 3, 2, 1, 0, 0)
 
 
 def test_named_models_are_built_from_their_columns(monkeypatch):
     # p is checked once, at the boundary, and each model is built by
-    # NilpotentModel._build from its columns, with no per-entry check
-    def refused(self, *args):
-        raise AssertionError("NilpotentModel.__init__ ran")
-
-    monkeypatch.setattr(NilpotentModel, "__init__", refused)
-    # and the columns come out of the builder canonical, with no sort
+    # oracle._model from its columns, with no per-entry check; the columns
+    # come out of the builder canonical, with no sort
     refuse(monkeypatch, "_columns")
     for p in (3, 13, 31):
         assert jordan_type_of(heisenberg_model(p)) == JordanType.from_counts(
@@ -896,14 +894,14 @@ def builder_dicts(p):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
 def test_trusted_builders_write_canonical_columns(p):
-    # NilpotentModel._build takes canonical columns and sorts nothing, so
+    # oracle._model takes canonical columns and sorts nothing, so
     # each builder that skips _columns must write what _columns would give
     # for its formula: the vanishing e.v_i of the sl(2) Vermas dropped
     rng = random.Random(p)
     for model, cols in builder_dicts(p):
         assert canonical(p, model.columns), model.columns
         assert model.columns == tuple(oracle._columns(p, cols)), (p, cols)
-        # random_conjugate, and the constructor under power_model, pass
+        # random_conjugate, and from_json_dict under power_model, pass
         # through _columns
         for built in (random_conjugate(model, rng), power_model(model, rng.randint(1, p))):
             assert canonical(p, built.columns), built.columns
@@ -926,7 +924,8 @@ def test_trusted_builders_write_canonical_columns(p):
     (sl2s_models, (10**20 - 1, 3),
      "p must be at most sys.maxsize = 9223372036854775807, got 99999999999999999999"),
     # the reference builders of model_reference check nothing themselves:
-    # the constructor they build through refuses p with the same messages
+    # from_json_dict, which they build through, refuses p with the same
+    # messages
     (sl2_simple_models, (9, 3), "p must be prime, got 9"),
     (sl2s_models, (2, 1), "sl(2) models need p >= 3, got 2"),
     (sl2_simple_models, (2**64 - 59, 3),
@@ -940,7 +939,7 @@ def test_trusted_builders_write_canonical_columns(p):
 ])
 def test_named_models_check_p_in_order(build, args, message):
     # each model checks p once, at the boundary, in the order that gives the
-    # messages NilpotentModel's own checks give
+    # messages from_json_dict's own checks give
     with pytest.raises(ValidationError) as info:
         build(*args)
     assert str(info.value) == message
@@ -952,7 +951,7 @@ def test_a_huge_sparse_dim_allocates_no_slots():
     # allocate the packed kit's n slots
     tracemalloc.start()
     try:
-        NilpotentModel(5, 10**5, [(1, 0, 1), (2, 1, 1), (3, 2, 1)])
+        model(5, 10**5, [(1, 0, 1), (2, 1, 1), (3, 2, 1)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -972,7 +971,7 @@ def test_a_huge_dim_that_is_not_nilpotent_allocates_no_slots(entries, rank):
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError) as info:
-            NilpotentModel(5, 10**30, entries)
+            model(5, 10**30, entries)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -998,7 +997,7 @@ def test_a_sparse_model_that_is_not_nilpotent_costs_what_its_entries_cost(shape,
 
     def rejected(n):
         with pytest.raises(ValidationError) as info:
-            NilpotentModel(5, n, structured_entries(shape, n))
+            model(5, n, structured_entries(shape, n))
         assert str(info.value) == f"matrix is not nilpotent of order <= 5 (rank of N^5 is {n})"
 
     peaks = []
@@ -1016,7 +1015,9 @@ def test_a_sparse_model_that_is_not_nilpotent_costs_what_its_entries_cost(shape,
 def test_no_option_selects_the_kernel():
     # the route of a model follows from its operator and p alone, picked
     # once in _image_chain_ranks
-    assert list(inspect.signature(NilpotentModel).parameters) == ["p", "dim", "entries"]
+    assert list(inspect.signature(oracle._model).parameters) == ["p", "dim", "columns"]
+    # from_json_dict is the one reader of entries, and _model the one builder
+    assert not {"__init__", "_build"} & vars(NilpotentModel).keys()
     assert list(inspect.signature(oracle._image_chain_ranks).parameters) == ["dim", "columns", "p"]
     assert list(inspect.signature(oracle._krylov_ranks).parameters) == ["dim", "cols", "p"]
     assert list(inspect.signature(oracle._dict_step).parameters) == ["cols", "p"]
@@ -1125,21 +1126,21 @@ def test_sparse_nilpotent_models_run_no_chain_step(monkeypatch):
         ga2_model(p)
         for i in [1, 2, p - 1]:
             sl2s_models(p, i)
-        model = model_from_type(JordanType.from_counts(p, Counter(random_blocks(rng, p, 4 * p))))
-        conj = random_conjugate(model, rng)
+        base = model_from_type(JordanType.from_counts(p, Counter(random_blocks(rng, p, 4 * p))))
+        conj = random_conjugate(base, rng)
         assert not oracle._is_dense(dict(conj.columns), conj.dim)
-    NilpotentModel(5, 10**30, [(1, 0, 1), (2, 1, 1)])
+    model(5, 10**30, [(1, 0, 1), (2, 1, 1)])
     monkeypatch.undo()
     log = kernel_log(monkeypatch)
     with pytest.raises(ValidationError, match=r"rank of N\^5 is 1\)$"):
-        NilpotentModel(5, 6, [(1, 0, 1), (2, 1, 1), (2, 2, 1)])
+        model(5, 6, [(1, 0, 1), (2, 1, 1), (2, 2, 1)])
     # im N is spanned by e_1 and e_2, and N on it holds 2 of 4 entries
     assert log == ["_dict_step", "_packed_step", "_packed_step"], log
     # an invertible 2 x 2 block on im N: the restriction after the first
     # step fills all 4 of its entries, and runs packed
     log.clear()
     with pytest.raises(ValidationError, match=r"rank of N\^5 is 2\)$"):
-        NilpotentModel(5, 6, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
+        model(5, 6, [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 2)])
     assert log == ["_dict_step", "_packed_step"]
 
 
@@ -1159,7 +1160,7 @@ def test_the_krylov_certificate_needs_all_of_im_n():
     assert oracle._apply(cols, [(1, 10)], p) == []
     assert oracle._krylov_ranks(5, cols, p) is None
     with pytest.raises(ValidationError) as info:
-        NilpotentModel(p, 5, [(r, c, v) for c, col in cols.items() for r, v in col])
+        model(p, 5, [(r, c, v) for c, col in cols.items() for r, v in col])
     assert str(info.value) == "matrix is not nilpotent of order <= 13 (rank of N^13 is 1)"
 
 
@@ -1170,19 +1171,19 @@ def test_a_1x1_model_at_a_large_prime_allocates_no_level_per_power():
     p = 1000003
     tracemalloc.start()
     try:
-        model = NilpotentModel(p, 1, [])
+        one = model(p, 1, [])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert model.rank_sequence[:3] == (1, 0, 0) and len(model.rank_sequence) == p + 1
+    assert one.rank_sequence[:3] == (1, 0, 0) and len(one.rank_sequence) == p + 1
     assert peak < 20 * p
 
 
 def test_random_conjugate_draws_from_any_dim():
-    model = NilpotentModel(5, 10**30, [(1, 0, 1), (2, 1, 1)])
-    conj = random_conjugate(model, random.Random(1))
-    assert conj.columns != model.columns
-    assert conj.rank_sequence == model.rank_sequence == (10**30, 2, 1, 0, 0, 0)
+    base = model(5, 10**30, [(1, 0, 1), (2, 1, 1)])
+    conj = random_conjugate(base, random.Random(1))
+    assert conj.columns != base.columns
+    assert conj.rank_sequence == base.rank_sequence == (10**30, 2, 1, 0, 0, 0)
     drawn = oracle._distinct(random.Random(2), 10**30, 5)
     assert len(set(drawn)) == 5 and all(0 <= k < 10**30 for k in drawn)
 
@@ -1232,7 +1233,7 @@ def test_sweep_of_full_block():
 
 def test_sweep_zero_model_and_first_power():
     p = 5
-    zero = NilpotentModel(p, 3, [])
+    zero = model(p, 3, [])
     assert pi_point_sweep(jordan_type_of(zero)) == {JordanType.block(p, 1, 3)}
     jt = JordanType.from_string(p, "[4]+2[5]")
     sweep = pi_point_sweep(jt)
@@ -1246,26 +1247,6 @@ def test_sweep_zero_model_and_first_power():
 # ---------------------------------------------------------------------- JSON
 
 
-@pytest.mark.parametrize(
-    "dim,entries,message",
-    [
-        (2, [(0, 1, 1.7)], "entries[0][2] must be an int, got 1.7"),
-        (2, [(1, 0, 1), (True, 0, 1)], "entries[1][0] must be an int, got True"),
-        (2, [(0, 1)], "entries[0] must be (r, c, v), got (0, 1)"),
-        (2, [(1, 0, 1), (0, 2, 1)], "entries[1] has entry (0,2) outside a 2x2 matrix"),
-        (2, [(-1, 0, 1)], "entries[0] has entry (-1,0) outside a 2x2 matrix"),
-        (0, [(0, 0, 0)], "entries[0] has entry (0,0) outside a 0x0 matrix"),
-        (3, [(1, 0, 5), (1, 0, 1)], "entries[1] repeats entry (1,0)"),
-        (-1, [], "dim must be an int >= 0, got -1"),
-        (2.0, [], "dim must be an int >= 0, got 2.0"),
-    ],
-)
-def test_model_constructor_checks_entries(dim, entries, message):
-    with pytest.raises(ValidationError) as info:
-        NilpotentModel(5, dim, entries)
-    assert str(info.value) == message
-
-
 @pytest.mark.parametrize("p", [5.0, "5", True], ids=repr)
 def test_prime_must_be_an_int(p):
     # refused before any arithmetic, where isqrt(5.0) would raise TypeError
@@ -1273,16 +1254,13 @@ def test_prime_must_be_an_int(p):
     with pytest.raises(ValidationError) as info:
         require_prime(p)
     assert str(info.value) == message
-    with pytest.raises(ValidationError) as info:
-        NilpotentModel(p, 1, [])
-    assert str(info.value) == message
 
 
 def test_model_reduces_values_and_drops_zeros():
-    model = NilpotentModel(5, 3, [(1, 0, 6), (2, 1, -1), (2, 0, 10)])
-    assert model.columns == ((0, ((1, 1),)), (1, ((2, 4),)))
-    assert dense(model) == [[0, 0, 0], [1, 0, 0], [0, 4, 0]]
-    assert model_json_dict(model) == {"p": 5, "dim": 3, "entries": [[1, 0, 1], [2, 1, 4]]}
+    built = model(5, 3, [(1, 0, 6), (2, 1, -1), (2, 0, 10)])
+    assert built.columns == ((0, ((1, 1),)), (1, ((2, 4),)))
+    assert dense(built) == [[0, 0, 0], [1, 0, 0], [0, 4, 0]]
+    assert model_json_dict(built) == {"p": 5, "dim": 3, "entries": [[1, 0, 1], [2, 1, 4]]}
 
 
 def test_model_json_entries_are_row_major():
@@ -1329,20 +1307,9 @@ def test_both_entry_points_build_the_same_model():
         entries += [[r, c, p * rng.randint(-2, 2)] for r, c in empty]
         rng.shuffle(entries)
         data = json.loads(json.dumps({"p": p, "dim": dim, "entries": entries}))
-        built = NilpotentModel(p, dim, [tuple(entry) for entry in entries])
-        assert NilpotentModel.from_json_dict(data) == built == model, (p, dim)
+        assert NilpotentModel.from_json_dict(data) == model, (p, dim)
         round_trip = json.loads(json.dumps(model_json_dict(model)))
         assert NilpotentModel.from_json_dict(round_trip) == model
-
-
-def test_a_json_model_is_read_without_the_constructor(capsys, monkeypatch):
-    # from_json_dict checks the entries itself; __init__ would check them again
-    def init(*args):
-        raise AssertionError("NilpotentModel.__init__ called")
-
-    monkeypatch.setattr(NilpotentModel, "__init__", init)
-    code = cli.main(["oracle", "json", "--module", SIX_BY_SIX])
-    assert (code, capsys.readouterr().out) == (cli.EXIT_OK, "[4]+[2]\n")
 
 
 def test_json_value_runs_a_fixed_number_of_times_per_model(monkeypatch):
@@ -1386,6 +1353,19 @@ def test_json_value_runs_a_fixed_number_of_times_per_model(monkeypatch):
             {"p": 5, "dim": 3, "entries": [[0, 3, 1]]},
             "entries[0] has entry (0,3) outside a 3x3 matrix",
         ),
+        (
+            {"p": 5, "dim": 2, "entries": [[1, 0, 1], [True, 0, 1]]},
+            "entries[1][0] must be a JSON integer, got True",
+        ),
+        (
+            {"p": 5, "dim": 2, "entries": [[-1, 0, 1]]},
+            "entries[0] has entry (-1,0) outside a 2x2 matrix",
+        ),
+        (
+            {"p": 5, "dim": 0, "entries": [[0, 0, 0]]},
+            "entries[0] has entry (0,0) outside a 0x0 matrix",
+        ),
+        ({"p": 5, "dim": 2, "entries": [[0, 1]]}, "entries[0] must be [r, c, v], got [0, 1]"),
     ],
 )
 def test_model_json_is_strict(data, message):

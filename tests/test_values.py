@@ -13,13 +13,13 @@ import sys
 
 import pytest
 
+from model_reference import model
 from jordanquiver.classify import (
     AmbientGeometry, BensonCheck, CarlsonTypes, CohomologyClassDescriptor, OddPullback,
     TypePattern, Verdict, VerdictKind,
 )
 from jordanquiver.components import SolveResult, SplitProfile, TubeProfile
 from jordanquiver.jtypes import JordanType
-from jordanquiver.oracle import NilpotentModel
 from jordanquiver.quiver import (
     AdmissibilityReport, FunctionReport, MinimalAdditiveFunction, Quiver, QuiverWindow,
     ValuedGraph, VertexFunction, tube_window,
@@ -182,20 +182,20 @@ def test_a_field_too_long_to_write_prints_as_a_note_that_names_it():
 
 
 def test_a_model_is_a_record_that_prints_its_size():
-    model = NilpotentModel(3, 2, [(0, 1, 1)])
+    built = model(3, 2, [(0, 1, 1)])
     fields = {"p": 3, "dim": 2, "columns": ((1, ((0, 1),)),), "rank_sequence": (2, 1, 0, 0)}
-    assert tuple(getattr(model, name) for name in fields) == tuple(fields.values())
+    assert tuple(getattr(built, name) for name in fields) == tuple(fields.values())
     # entries are reduced mod p, so a model equals every model of the same matrix
-    assert model == NilpotentModel(3, 2, [[0, 1, 4]])
-    assert model != NilpotentModel(3, 2, [])
-    assert hash(model) == hash(tuple(fields.values()))
-    assert repr(model) == "NilpotentModel(p=3, dim=2)"
-    assert pickle.loads(pickle.dumps(model)) == copy.deepcopy(model) == model
+    assert built == model(3, 2, [[0, 1, 4]])
+    assert built != model(3, 2, [])
+    assert hash(built) == hash(tuple(fields.values()))
+    assert repr(built) == "NilpotentModel(p=3, dim=2)"
+    assert pickle.loads(pickle.dumps(built)) == copy.deepcopy(built) == built
     for name in fields:
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
-            setattr(model, name, None)
+            setattr(built, name, None)
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
-            delattr(model, name)
+            delattr(built, name)
 
 
 def test_a_window_and_a_vertex_function_are_equal_only_to_themselves():
