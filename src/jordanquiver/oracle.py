@@ -392,6 +392,12 @@ class NilpotentModel(Value):
 
     __slots__ = ("p", "dim", "columns", "rank_sequence")
 
+    def __init__(self, *args, **kwargs):
+        # a model is built only by its readers, through __new__, as copy
+        # and pickle build one too; a bare object would have no field set
+        raise TypeError("build a NilpotentModel with NilpotentModel.from_json_dict or a named "
+                        "model (heisenberg_model, abelian_rank2_models, ga2_model, sl2s_models)")
+
     def __repr__(self):
         return f"NilpotentModel(p={self.p}, dim={field_repr(self, 'dim')})"
 

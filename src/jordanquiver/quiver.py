@@ -173,7 +173,7 @@ def build_window(spec: Mapping) -> QuiverWindow:
     Generic Z[T]: ``{"kind": "zt", "tree": {"vertices": [...],
     "arrows": [[s, t], ...]}, "n_min": 0, "n_max": 3}``.
     A field the form does not read, such as a tree beside max_ql, is a
-    ParseError.
+    ParseError, and so is a tree vertex or arrow given twice.
     """
     kind = json_field(spec, "kind", str)
     if kind == "tube":
@@ -188,14 +188,22 @@ def build_window(spec: Mapping) -> QuiverWindow:
         if form == "max_ql":
             return zt_a_infinity_window(n_min, n_max, json_field(spec, "max_ql", int))
         tree = json_object(spec["tree"], ("vertices", "arrows"), "tree")
-        arrows = []
-        for n, arrow in enumerate(json_array(tree, "arrows", list, "tree")):
+        arrows = json_array(tree, "arrows", list, "tree")
+        for n, arrow in enumerate(arrows):
             if len(arrow) != 2:
                 raise ParseError(f"tree.arrows[{n}] must be [s, t], got {arrow!r}")
-            arrows.append(
-                tuple(json_value(v, str, f"tree.arrows[{n}][{k}]") for k, v in enumerate(arrow))
-            )
-        return zt_window(Quiver(json_array(tree, "vertices", str, "tree"), arrows), n_min, n_max)
+            for k, v in enumerate(arrow):
+                json_value(v, str, f"tree.arrows[{n}][{k}]")
+        vertices = json_array(tree, "vertices", str, "tree")
+        # a Quiver holds sets, so a repeat would be merged without a word
+        for path, items in (("tree.vertices", vertices), ("tree.arrows", arrows)):
+            seen = set()
+            for n, item in enumerate(items):
+                key = tuple(item) if type(item) is list else item
+                if key in seen:
+                    raise ParseError(f"{path}[{n}] repeats {item!r}")
+                seen.add(key)
+        return zt_window(Quiver(vertices, arrows), n_min, n_max)
     raise ParseError(f"unknown window kind {kind!r}")
 
 

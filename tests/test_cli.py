@@ -1449,6 +1449,8 @@ def _case(case_id, argv, message, code=EXIT_PARSE, file_bytes=None):
 _TUBE = '{"kind":"tube","p":3,"slopes":[0,0,1],"intercepts":[0,1,0]%s}'
 _SEEDED = '{"kind":"tube","p":3,"seed":{"p":3,"mult":[2,0,0]%s},"multiplicities":[1,0]%s}'
 _TREE = '{"kind":"zt","tree":{"vertices":["a","b"],"arrows":[["a","b"]]%s}%s}'
+_ZERO_SEED_REFUSAL = ("validation error: block multiplicity alpha_1 becomes -2 at ql=2; "
+                      "the seed/multiplicity pair cannot sit on a tube\n")
 
 
 @pytest.mark.parametrize(
@@ -1544,15 +1546,62 @@ _TREE = '{"kind":"zt","tree":{"vertices":["a","b"],"arrows":[["a","b"]]%s}%s}'
               "unknown zt window fields ['max_ql']"),
         _case("tree-unknown-field", ["quiver", "--spec", _TREE % (',"edges":[]', "")],
               "unknown tree fields ['edges']"),
+        # a tree holds each vertex and arrow once: a repeat is refused, not merged
+        _case("tree-vertex-repeat", ["quiver", "--spec",
+              '{"kind":"zt","tree":{"vertices":["a","a"],"arrows":[]},"n_min":0,"n_max":1}'],
+              "parse error: tree.vertices[1] repeats 'a'\n"),
+        _case("tree-arrow-repeat", ["quiver", "--spec",
+              '{"kind":"zt","tree":{"vertices":["a","b"],"arrows":[["a","b"],["a","b"]]},'
+              '"n_min":0,"n_max":1}'],
+              "parse error: tree.arrows[1] repeats ['a', 'b']\n"),
         _case("model-unknown-field", ["oracle", "json", "--module",
               '{"p":5,"dim":1,"entries":[],"colour":"red"}'], "unknown model fields ['colour']"),
         _case("descriptor-unknown-field", ["classify", "--descriptor",
               '{"p":5,"degree":2,"degre":2}'], "unknown descriptor fields ['degre']"),
+        # a model that is not nilpotent quotes rank N^p: a sparse one falls
+        # back from the Krylov route to dict steps, which at dim 10^30 hold
+        # its one entry alone
+        _case("model-not-nilpotent", ["oracle", "json", "--module",
+              '{"p":5,"dim":6,"entries":[[0,0,1],[1,0,1],[0,1,1],[1,1,2]]}'],
+              "validation error: matrix is not nilpotent of order <= 5 (rank of N^5 is 2)\n",
+              code=EXIT_VALIDATION),
+        _case("model-not-nilpotent-dim-1e30", ["oracle", "json", "--module",
+              '{"p":5,"dim":1000000000000000000000000000000,"entries":[[0,0,1]]}'],
+              "validation error: matrix is not nilpotent of order <= 5 (rank of N^5 is 1)\n",
+              code=EXIT_VALIDATION),
+        # a model's entries are read and checked before p is tested for a prime
+        _case("model-entry-before-prime", ["oracle", "json", "--module",
+              '{"p":4,"dim":2,"entries":[[0,5,1]]}'],
+              "parse error: entries[0] has entry (0,5) outside a 2x2 matrix\n"),
+        _case("model-p-not-prime", ["oracle", "json", "--module", '{"p":4,"dim":2,"entries":[]}'],
+              "validation error: p must be prime, got 4\n", code=EXIT_VALIDATION),
+        _case("model-short-entry", ["oracle", "json", "--module",
+              '{"p":5,"dim":2,"entries":[[0,1]]}'],
+              "parse error: entries[0] must be [r, c, v], got [0, 1]\n"),
+        # a seeded tube keeps the negativity check, tabled or solved, and
+        # names its witness (index, ql, value)
+        _case("seeded-tube-negative", ["component", "--spec",
+              '{"kind":"tube","p":3,"seed":{"p":3,"mult":[0,0,0]},"multiplicities":[1,0]}'],
+              _ZERO_SEED_REFUSAL, code=EXIT_VALIDATION),
+        _case("seeded-tube-negative-solve", ["component", "--solve", "--spec",
+              '{"kind":"tube","p":3,"seed":{"p":3,"mult":[0,0,0]},"multiplicities":[1,0],'
+              '"include_p":true}'],
+              _ZERO_SEED_REFUSAL, code=EXIT_VALIDATION),
+        # an integer option is plain ASCII decimal, even as the only --p
+        _case("p-underscore", ["jt", "dim", "--p", "1_1", "--jt", "[1]"],
+              "parse error: argument --p: invalid int value: '1_1'\n"),
+        # a word that no parser reads is refused with the top-level usage line
+        _case("extra-word", ["jt", "dim", "--p", "5", "--jt", "[2]", "extra"],
+              "usage: jordanquiver [-h] {jt,component,oracle,quiver,classify} ...\n"
+              "parse error: unrecognized arguments: extra\n"),
         _case("ambient-unknown-field", ["classify", "--descriptor",
               '{"p":5,"degree":2,"ambient":{"srk2":1}}'], "unknown ambient fields ['srk2']"),
     ],
 )
-def test_json_input_is_strict_in_every_subcommand(capsys, tmp_path, argv, file_bytes, code, message):
+def test_json_input_is_strict_in_every_subcommand(capsys, monkeypatch, tmp_path, argv, file_bytes,
+                                                  code, message):
+    # argparse wraps the usage line to the terminal width: at 200 columns it does not wrap
+    monkeypatch.setenv("COLUMNS", "200")
     if file_bytes is not None:
         path = tmp_path / "spec.json"
         path.write_bytes(file_bytes)

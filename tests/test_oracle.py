@@ -20,7 +20,8 @@ from dense_reference import (
     rank_mod_p,
 )
 from model_reference import (
-    model, model_from_type, model_json_dict, power_model, sl2_simple_models,
+    DIM_12_AT_7, SIX_BY_SIX, model, model_from_type, model_json_dict, power_model,
+    sl2_simple_models,
 )
 from jordanquiver import errors, oracle
 from jordanquiver.errors import ParseError, ValidationError, json_value
@@ -749,14 +750,6 @@ def test_a_filling_fallback_switches_to_packed_once(seed, monkeypatch):
     assert oracle._image_chain_ranks(n, cols.items(), p) == expected
 
 
-SIX_BY_SIX = (
-    '{"p":5,"dim":6,"entries":[[0,0,2],[0,1,4],[0,2,2],[0,3,3],[0,4,3],[0,5,4],[1,0,1],'
-    '[1,1,1],[1,2,3],[1,3,2],[1,4,3],[1,5,3],[2,0,2],[2,1,3],[2,2,4],[2,3,3],[2,4,3],[2,5,4],'
-    '[3,0,1],[3,1,3],[3,2,4],[3,3,3],[3,4,4],[3,5,3],[4,0,3],[4,1,2],[4,2,1],[4,3,1],[4,4,2],'
-    '[4,5,2],[5,0,4],[5,1,3],[5,2,4],[5,3,4],[5,4,4],[5,5,3]]}'
-)
-
-
 def test_dense_models_reach_the_packed_kernel(monkeypatch):
     refuse(monkeypatch, "_dict_step")
     refuse(monkeypatch, "_krylov_ranks")
@@ -766,24 +759,6 @@ def test_dense_models_reach_the_packed_kernel(monkeypatch):
     for p, sizes in [(7, [7, 4, 2, 2]), (13, [13, 6, 1])]:
         model = from_dense(p, dense_conjugate(shift_rows(sizes), p, rng))
         assert jordan_type_of(model) == JordanType.from_counts(p, Counter(sizes))
-
-
-# the dense conjugate of [7]+[3]+[2] at p = 7 that CI runs through `oracle json`
-DIM_12_AT_7 = (
-    '{"p":7,"dim":12,"entries":[[0,0,3],[0,1,4],[0,2,6],[0,3,1],[0,4,4],[0,5,5],[0,6,2],'
-    '[0,7,5],[0,8,4],[0,10,6],[1,0,3],[1,1,4],[1,2,5],[1,3,3],[1,4,2],[1,5,6],[1,6,2],'
-    '[1,7,4],[1,8,3],[1,9,2],[1,10,6],[1,11,6],[2,1,2],[2,2,4],[2,3,6],[2,4,4],[2,5,4],'
-    '[2,6,2],[2,7,6],[2,9,4],[2,10,4],[2,11,6],[3,0,3],[3,2,2],[3,3,2],[3,4,5],[3,8,6],'
-    '[3,9,6],[3,10,2],[3,11,4],[4,0,2],[4,1,5],[4,2,4],[4,3,5],[4,4,4],[4,5,5],[4,6,1],'
-    '[4,7,6],[4,8,4],[4,10,5],[4,11,6],[5,0,2],[5,2,3],[5,3,1],[5,4,3],[5,5,3],[5,6,5],'
-    '[5,8,5],[5,10,5],[6,1,6],[6,2,6],[6,3,5],[6,4,6],[6,5,3],[6,6,6],[6,7,3],[6,8,1],'
-    '[6,9,4],[6,10,2],[6,11,3],[7,0,1],[7,1,1],[7,2,4],[7,3,1],[7,4,3],[7,5,2],[7,6,5],'
-    '[7,7,3],[7,8,2],[7,11,5],[8,0,2],[8,1,3],[8,2,4],[8,4,4],[8,5,1],[8,7,1],[8,9,6],'
-    '[8,11,3],[9,0,3],[9,1,6],[9,2,2],[9,3,2],[9,4,5],[9,5,2],[9,6,4],[9,7,5],[9,8,3],'
-    '[9,9,2],[9,10,2],[9,11,2],[10,1,1],[10,2,6],[10,4,3],[10,5,2],[10,6,4],[10,7,3],'
-    '[10,8,2],[10,9,5],[10,10,1],[10,11,6],[11,0,3],[11,1,3],[11,2,4],[11,4,1],[11,5,2],'
-    '[11,6,6],[11,7,6],[11,8,6],[11,10,3],[11,11,3]]}'
-)
 
 
 def test_a_dense_model_runs_every_step_packed(monkeypatch):
@@ -1017,7 +992,7 @@ def test_no_option_selects_the_kernel():
     # once in _image_chain_ranks
     assert list(inspect.signature(oracle._model).parameters) == ["p", "dim", "columns"]
     # from_json_dict is the one reader of entries, and _model the one builder
-    assert not {"__init__", "_build"} & vars(NilpotentModel).keys()
+    assert "_build" not in vars(NilpotentModel)
     assert list(inspect.signature(oracle._image_chain_ranks).parameters) == ["dim", "columns", "p"]
     assert list(inspect.signature(oracle._krylov_ranks).parameters) == ["dim", "cols", "p"]
     assert list(inspect.signature(oracle._dict_step).parameters) == ["cols", "p"]
@@ -1310,6 +1285,16 @@ def test_both_entry_points_build_the_same_model():
         assert NilpotentModel.from_json_dict(data) == model, (p, dim)
         round_trip = json.loads(json.dumps(model_json_dict(model)))
         assert NilpotentModel.from_json_dict(round_trip) == model
+
+
+@pytest.mark.parametrize("args", [(), (5, 2, []), (5, 2, [[1, 0, 1]])], ids=repr)
+def test_a_model_is_not_built_around_its_readers(args):
+    # with no __init__, NilpotentModel() was a record with no field set, whose
+    # repr raised AttributeError, and NilpotentModel(5, 2, []) a bare TypeError
+    with pytest.raises(TypeError) as info:
+        NilpotentModel(*args)
+    assert "NilpotentModel.from_json_dict" in str(info.value)
+    assert "heisenberg_model" in str(info.value)
 
 
 def test_json_value_runs_a_fixed_number_of_times_per_model(monkeypatch):

@@ -111,6 +111,10 @@ def test_build_window_from_json_specs():
         }
     )
     assert (0, "a") in g.vertices
+    # s -> t and t -> s are two arrows, not one given twice
+    cycle = build_window({"kind": "zt", "tree": {"vertices": ["s", "t"],
+                                                 "arrows": [["s", "t"], ["t", "s"]]}})
+    assert cycle.tree.arrows == {("s", "t"), ("t", "s")}
     with pytest.raises(ParseError):
         build_window({"kind": "nope"})
     with pytest.raises(ValidationError):

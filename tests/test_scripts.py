@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from model_reference import DIM_12_AT_7, SIX_BY_SIX
+
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
@@ -207,6 +209,31 @@ def package_modules_after(code):
     return result.stdout.split()
 
 
+def _is_sys_path(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "path"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def test_the_suite_tests_whichever_package_is_importable():
+    # CI runs this suite a second time from outside the checkout with no
+    # PYTHONPATH, on the installed package; that holds while no test file
+    # and no pytest setting puts src/ on sys.path (a child process given
+    # PYTHONPATH=src explicitly is another matter)
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AugAssign) else [])
+            for target in targets:
+                assert not any(map(_is_sys_path, ast.walk(target))), f"{path.name}:{node.lineno}"
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                func = node.func
+                assert not (_is_sys_path(func.value) or func.attr == "syspath_prepend"), (
+                    f"{path.name}:{node.lineno}")
+    text = (ROOT / "pyproject.toml").read_text()
+    options = text.split("[tool.pytest.ini_options]", 1)[1].split("\n[", 1)[0]
+    assert "testpaths" in options and not re.search(r"^\s*pythonpath\s*=", options, re.M)
+
+
 def test_importing_a_module_loads_only_what_it_imports():
     # the package re-exports nothing, so one module does not load the rest
     assert package_modules_after("import jordanquiver.jtypes") == [
@@ -256,7 +283,34 @@ def test_jt_process_loads_no_other_layer():
      "0\t1\n1\t1\nimage_size\t1\n"),
     (("classify", "--descriptor", '{"p":5,"degree":3,"ambient":{"srk":2}}'),
      "{n[5]+2[4], n[5]+[3]} ; Indecomposable ; COD1.2\n"),
-], ids=["jt", "component", "oracle", "quiver", "classify"])
+    # a sparse model takes the Krylov route: f of the sl(2) Verma pair at
+    # p = 1009 walks one chain of 1008 vectors
+    (("oracle", "sl2s", "--p", "1009", "--i", "500"), "[509]+[500] PASS\n[1009] PASS\n"),
+    # the named models write their columns as the model stores them: e at
+    # p = 100003 has no column at v_50000, whose coefficient vanishes
+    (("oracle", "sl2s", "--p", "100003", "--i", "50000"),
+     "[50003]+[50000] PASS\n[100003] PASS\n"),
+    # an all-nonzero model and its dense conjugates run on packed rows
+    (("oracle", "json", "--fuzz", "3", "--module", SIX_BY_SIX),
+     "[4]+[2]\nfuzz PASS (3 conjugations per model)\n"),
+    (("oracle", "json", "--fuzz", "2", "--module", DIM_12_AT_7),
+     "[7]+[3]+[2]\nfuzz PASS (2 conjugations per model)\n"),
+    # a JSON table with constant (slope 0) and moving columns
+    (("component", "--ql-max", "2", "--format", "json", "--spec",
+      '{"kind":"tube","p":3,"slopes":[0,1,0],"intercepts":[2,0,0],"include_p":true}'),
+     '[{"ql": 1, "type": {"p": 3, "mult": [2, 1, 0]}}, '
+     '{"ql": 2, "type": {"p": 3, "mult": [2, 2, 0]}}]\n'),
+    # a seeded tube is built by the step that ends TubeProfile(), and solves
+    (("component", "--solve", "--spec", '{"kind":"tube","p":3,"seed":{"p":3,"mult":[2,2,1]},'
+      '"multiplicities":[1,0],"include_p":true}'), "n = (1, 0)\n"),
+    # an argv the table off the parser does not read ("=" forms,
+    # abbreviated options) falls back to argparse, with the same result
+    (("jt", "dim", "--p=5", "--jt=[2]"), "2\n"),
+    (("component", "--sp", '{"kind":"split","p":3,"d":[1,0]}', "--ql", "1"),
+     "ql\ti\talpha_i\n1\t1\t1\n1\t2\t0\n1\t3\t0\n"),
+], ids=["jt", "component", "oracle", "quiver", "classify", "oracle-sl2s-1009",
+        "oracle-sl2s-100003", "oracle-json-six-by-six", "oracle-json-dim-12", "component-json",
+        "component-seeded-solve", "jt-equals-forms", "component-abbreviated"])
 def test_no_command_loads_dataclasses_or_inspect(argv, stdout):
     # the records are errors.Value classes: dataclasses would import
     # inspect, ast, dis and tokenize into every process
